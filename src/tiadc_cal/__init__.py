@@ -5,7 +5,7 @@ Layered API, bottom up:
     model       the M-channel converter with offset/gain/skew mismatches
     sinefit     four-parameter sine fitting and mismatch estimation
     filterbank  first-order FIR correctors, fixed-point rules, calibration
-    polyphase   exact integer convolution: serial, parallel lanes, streaming
+    polyphase   exact serial integer convolution; the parallel-lane hardware model
     metrics     spectra, SINAD/ENOB, mismatch-spur tables
     capture_io  binary capture-file reader/writer
     scenarios   named experiment configurations + config file format

@@ -15,16 +15,16 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from .capture_io import read_capture, write_capture
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
 from .experiments import run_scenario, run_sweep, simulate_scenario
-from .filterbank import FULLRATE, FilterBank, FilterSpec, calibrate_capture
+from .filterbank import FilterBank, calibrate_capture
 from .metrics import spectrum_report, worst_image_spur, write_spectrum_csv
 from .model import MismatchProfile, dequantize_stream
-from .polyphase import PolyphasePlan, parallel_convolve_stream
-from .scenarios import (SWEEP_AXES, load_scenario, parse_value_list,
-                        scenario_to_text, with_seed)
+from .scenarios import (DEFAULTS, SWEEP_AXES, build_scenario, load_scenario,
+                        parse_value_list, scenario_to_text, with_seed)
 from .sinefit import detect_tone_freq, estimate_from_capture
 
 
@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient word length W (Q2.(W-2))")
         p.add_argument("--variant", choices=["sub", "div"],
                        help="center-tap gain rule: 1-dg or 1/(1+dg)")
-        p.add_argument("--parallel", type=int, metavar="L",
-                       help="polyphase lanes per channel")
 
     sim = sub.add_parser("simulate", help="synthesize a capture file")
     sim.add_argument("--config", required=True,
@@ -90,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario, args):
-    from dataclasses import replace
     if getattr(args, "seed", None) is not None:
         scenario = with_seed(scenario, args.seed)
     fs = scenario.filter_spec
@@ -102,12 +99,7 @@ def _apply_overrides(scenario, args):
         fs = replace(fs, variant=args.variant)
     if fs is not scenario.filter_spec:
         scenario = replace(scenario, filter_spec=fs)
-    if getattr(args, "parallel", None) is not None:
-        scenario = replace(scenario, plan=PolyphasePlan.for_filter(
-            args.parallel, scenario.filter_spec.n_taps,
-            block_len=scenario.plan.block_len))
-    if getattr(args, "mode", None) not in (None, scenario.mode) \
-            and getattr(args, "mode", None) is not None:
+    if getattr(args, "mode", None) is not None:
         scenario = replace(scenario, mode=args.mode)
     return scenario
 
@@ -169,7 +161,6 @@ def _load_calibrate_scenario(args):
 def _cmd_calibrate(args) -> int:
     capture = read_capture(args.capture)
     config = capture.config
-    n_fft = 4096
     if args.mode == "truth":
         scenario = _load_calibrate_scenario(args)
         if scenario.config.n_channels != config.n_channels:
@@ -177,25 +168,18 @@ def _cmd_calibrate(args) -> int:
                 f"scenario has {scenario.config.n_channels} channels, "
                 f"capture has {config.n_channels}")
         profile = scenario.profile
-        spec = scenario.filter_spec
-        lanes = scenario.plan.lanes
         freq = args.freq if args.freq is not None else scenario.tone.freq_rel
-        n_fft = scenario.n_fft
     else:
-        spec = FilterSpec(n_taps=args.taps or 30,
-                          coeff_bits=args.coeff_bits or 30,
-                          variant=args.variant or "sub", structure=FULLRATE)
-        lanes = args.parallel or 4
+        # no scenario: the filter flags apply over the default filter
+        scenario = _apply_overrides(build_scenario(dict(DEFAULTS)), args)
         freq = args.freq if args.freq is not None else detect_tone_freq(capture)
         estimate = estimate_from_capture(capture, freq)
         profile = MismatchProfile(offsets=estimate.offsets,
                                   gains=estimate.gains, skews=estimate.skews)
+    spec = scenario.filter_spec
+    n_fft = scenario.n_fft
     bank = FilterBank.design(profile, config.n_channels, spec)
-    engine = None
-    if lanes > 1:
-        plan = PolyphasePlan.for_filter(lanes, spec.n_taps)
-        engine = lambda codes, taps_fx: parallel_convolve_stream(codes, taps_fx, plan)
-    cal = calibrate_capture(capture, bank, engine=engine)
+    cal = calibrate_capture(capture, bank)
     uncal = dequantize_stream(capture.interleaved, config)
     rep_u = spectrum_report(uncal, freq, n_fft, config.n_channels,
                             config.full_scale)

@@ -22,7 +22,6 @@ from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
 from .metrics import SpectrumReport, spectrum_report, worst_image_spur, write_spectrum_csv
 from .model import (ChannelCapture, MismatchProfile, dequantize_stream,
                     simulate_capture)
-from .polyphase import parallel_convolve_stream
 from .scenarios import (EST_BLOCK_PER_CHANNEL, MODE_EST, MODE_TRUTH, Scenario,
                         apply_sweep_value)
 from .sinefit import (MismatchEstimate, alias_to_subrate, derive_mismatches,
@@ -59,17 +58,10 @@ def simulate_scenario(scenario: Scenario) -> ChannelCapture:
                             scenario.n_samples)
 
 
-def _engine_for(scenario: Scenario):
-    if scenario.plan.lanes <= 1:
-        return None
-    plan = scenario.plan
-    return lambda codes, taps_fx: parallel_convolve_stream(codes, taps_fx, plan)
-
-
 def _calibrate_truth(capture: ChannelCapture, scenario: Scenario) -> np.ndarray:
     bank = FilterBank.design(scenario.profile, scenario.config.n_channels,
                              scenario.filter_spec)
-    return calibrate_capture(capture, bank, engine=_engine_for(scenario))
+    return calibrate_capture(capture, bank)
 
 
 def _calibrate_background(capture: ChannelCapture, scenario: Scenario):

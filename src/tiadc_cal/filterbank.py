@@ -322,16 +322,14 @@ class StreamCalibrator:
     b0, b1, ... gives exactly the accumulators of one whole-stream pass,
     even if the bank changes between blocks: a new bank applies from the
     first sample of the new block, and history samples keep the offset
-    correction they were fed with. engine, if given, is a callable
-    (codes, taps_fx) -> accumulator array replacing serial convolution
-    (the polyphase path); it must be bit-exact with the serial rule.
+    correction they were fed with. Every convolution is convolve_serial;
+    the polyphase lanes are bit-exact with it but only model hardware.
     """
 
-    def __init__(self, config: TiadcConfig, spec: FilterSpec, engine=None):
+    def __init__(self, config: TiadcConfig, spec: FilterSpec):
         self.config = config
         self.spec = spec
         self.scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
-        self._convolve = engine if engine is not None else convolve_serial
         self._history = [np.zeros(0, dtype=np.int64)] * config.n_channels
 
     def process(self, blocks, bank: FilterBank) -> list:
@@ -359,7 +357,7 @@ class StreamCalibrator:
             acc = np.zeros(width, dtype=np.int64)
             for s, lag, taps in terms[m]:
                 lo = len(self._history[s]) - lag
-                conv = self._convolve(ext[s], taps)
+                conv = convolve_serial(ext[s], taps)
                 if lo >= 0:
                     acc += conv[lo: lo + width]
                 else:  # reaches before the stream start: zero history
@@ -387,18 +385,17 @@ def merge_accumulators(accs, scale: float, out=None) -> np.ndarray:
 _CHUNK = 1 << 16
 
 
-def calibrate_capture(capture: ChannelCapture, bank: FilterBank,
-                      spec: FilterSpec = None, engine=None) -> np.ndarray:
+def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
     """Correct every channel and re-interleave, trimming the transient.
 
     D*M samples are trimmed from both ends of the merged output. Output
     sample j is then the correction of input sample j for the sub-rate
     bank, whose first floor(N/2)*M outputs still lack part of their
     history, and of input sample j + D*(M-1) for the full-rate bank, whose
-    output is free of filter transients. spec defaults to bank.spec and
-    must equal it; engine is as for StreamCalibrator.
+    output is free of filter transients. The capture runs through one
+    StreamCalibrator, a chunk of samples at a time.
     """
-    spec = spec if spec is not None else bank.spec
+    spec = bank.spec
     M = capture.config.n_channels
     if bank.n_channels != M:
         raise ConfigError(
@@ -406,7 +403,7 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank,
     if capture.n_per_channel < spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "
                          f"than {spec.n_taps} taps")
-    stream = StreamCalibrator(capture.config, spec, engine)
+    stream = StreamCalibrator(capture.config, spec)
     n = capture.n_per_channel
     merged = np.empty(n * M)
     for start in range(0, n, _CHUNK):

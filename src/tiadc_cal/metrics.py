@@ -5,9 +5,10 @@ n_fft is an integer, so a rectangular window puts the tone in a single DFT
 bin. Non-coherent data can be analyzed with the 4-term Blackman-Harris
 windowed mode, at the cost of wider leakage exclusion around the signal.
 
-SINAD is signal-bin power over the sum of every other non-DC bin's power.
-The DC bin is excluded because constant offsets are corrected separately and
-would otherwise dominate the "noise" sum.
+SINAD is signal-bin power over the sum of every other non-DC bin's power,
+the Nyquist bin weighted half so that the sum obeys Parseval. The DC bin is
+excluded because constant offsets are corrected separately and would
+otherwise dominate the "noise" sum.
 """
 
 import csv
@@ -96,6 +97,15 @@ def _is_coherent(signal_freq_rel: float, n_fft: int) -> bool:
     return abs(k - round(k)) < 1e-6
 
 
+def _power_bins(x) -> np.ndarray:
+    """One-sided rfft power, each bin weighted by the share of the signal's
+    energy it holds: bins 1..n/2-1 each stand for a positive and a negative
+    frequency, the Nyquist bin n/2 for one, so it counts half (Parseval)."""
+    p = np.abs(np.fft.rfft(x)) ** 2
+    p[-1] /= 2.0
+    return p
+
+
 def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> float:
     """SINAD in dB: signal-bin power over all other non-DC power.
 
@@ -111,14 +121,14 @@ def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> f
             raise CoherenceError(
                 f"freq {signal_freq_rel} not coherent in {n_fft} bins "
                 f"(got {signal_freq_rel * n_fft:.6f}); re-plan or use window='bh4'")
-        p = np.abs(np.fft.rfft(x)) ** 2
+        p = _power_bins(x)
         p_signal = p[k]
         p_noise = p[1:].sum() - p_signal
     elif window == "bh4":
         n = np.arange(n_fft)
         w = sum(((-1) ** i) * c * np.cos(2 * np.pi * i * n / n_fft)
                 for i, c in enumerate(_BH4))
-        p = np.abs(np.fft.rfft(x * w)) ** 2
+        p = _power_bins(x * w)
         half = _BH4_SIGNAL_HALF_WIDTH
         lo = max(k - half, 0)
         peak = lo + int(np.argmax(p[lo:k + half + 1]))

@@ -8,6 +8,7 @@ offset do_m. This module synthesizes such captures (and their ideal
 zero-mismatch counterparts) with a saturating mid-rise quantizer.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,11 @@ class TiadcConfig:
             raise ConfigError(f"need at least 2 channels, got {self.n_channels}")
         if not 2 <= self.bits <= 24:
             raise ConfigError(f"bits must be in 2..24, got {self.bits}")
-        if not self.fs > 0:
-            raise ConfigError(f"fs must be positive, got {self.fs}")
-        if not self.full_scale > 0:
-            raise ConfigError(f"full_scale must be positive, got {self.full_scale}")
+        if not 0 < self.fs < math.inf:
+            raise ConfigError(f"fs must be positive and finite, got {self.fs}")
+        if not 0 < self.full_scale < math.inf:
+            raise ConfigError(
+                f"full_scale must be positive and finite, got {self.full_scale}")
 
     @property
     def code_half_range(self) -> int:
@@ -59,8 +61,12 @@ class ToneSpec:
     def __post_init__(self):
         if not 0 < self.freq_rel < 0.5:
             raise ConfigError(f"freq_rel must be in (0, 0.5), got {self.freq_rel}")
-        if self.amplitude <= 0:
-            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0 < self.amplitude < math.inf:
+            raise ConfigError(
+                f"amplitude must be positive and finite, got {self.amplitude}")
+        if not (math.isfinite(self.phase) and math.isfinite(self.dc)):
+            raise ConfigError(
+                f"phase and dc must be finite, got {self.phase}, {self.dc}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,8 @@ class MismatchProfile:
         n = len(self.offsets)
         if len(self.gains) != n or len(self.skews) != n:
             raise ConfigError("offsets, gains, skews must have equal length")
+        if not all(map(math.isfinite, self.offsets + self.gains + self.skews)):
+            raise ConfigError("offsets, gains and skews must be finite")
         # |dg|, |dt| < 0.5 keeps the mismatch model (and phase unwrap) valid
         if any(abs(g) >= 0.5 for g in self.gains):
             raise ConfigError("gain mismatch magnitude must be < 0.5")

@@ -1,15 +1,16 @@
-"""Integer convolution engine: serial reference, polyphase parallel form,
-and block streaming with carried history.
+"""Exact integer convolution: the serial rule every calibration runs, and
+the polyphase lane decomposition that models a parallel hardware realization.
 
-The calibration filters run as sub-rate FIRs. A hardware realization can
-raise throughput by splitting a sub-channel stream into L interleaved lanes
-(samples at indices j mod L), each lane convolved independently, and the
-lane outputs merged back. parallel_convolve models that decomposition; its
-merge is bit-exact with the serial integer convolution for every L, which
-is what makes the decomposition safe to use under fixed-point rules. The
-lanes are evaluated one after another: L lanes already cost about L times
-the per-output overhead of one serial numpy convolution, and starting
-threads for them cost more than the threads saved on a two-core machine.
+The calibration filters run as sub-rate FIRs through convolve_serial; that
+is the only execution path. The paper notes that the filter bank can be
+computed in parallel in hardware by splitting a sub-channel stream into L
+interleaved lanes (samples at indices j mod L), convolving each lane
+independently and merging the lane outputs. parallel_convolve models that
+decomposition; its merge is bit-exact with the serial integer convolution
+for every L, which is what makes the decomposition safe under fixed-point
+rules. It is a model to check that claim against, not a faster path: in
+software L lanes cost about L times the per-output overhead of one serial
+numpy convolution.
 
 All convolutions here are exact int64 multiply-accumulate; a range guard
 rejects inputs that could wrap 64-bit accumulation.
@@ -69,26 +70,18 @@ def convolve_serial(codes, taps_fx) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolyphasePlan:
-    """How to parallelize: lane count L, block size, and carried history."""
+    """Lane count L of the hardware model."""
 
     lanes: int
-    block_len: int = 4096
-    overlap: int = 0
 
     def __post_init__(self):
         if self.lanes < 1:
             raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
-        if self.overlap < 0:
-            raise ConfigError(f"overlap must be >= 0, got {self.overlap}")
-        if self.block_len <= self.overlap:
-            raise ConfigError(
-                f"block_len {self.block_len} must exceed overlap {self.overlap}")
 
     @classmethod
-    def for_filter(cls, lanes: int, n_taps: int,
-                   block_len: int = 4096) -> "PolyphasePlan":
-        """Plan carrying the N-1 samples of history a length-N FIR needs."""
-        return cls(lanes=lanes, block_len=block_len, overlap=n_taps - 1)
+    def for_filter(cls, lanes: int, n_taps: int) -> "PolyphasePlan":
+        """Plan for a length-N FIR; every lane count works for every N."""
+        return cls(lanes=lanes)
 
 
 def decompose(stream, lanes: int) -> list:

@@ -1,18 +1,20 @@
 """Experiment scenarios: named built-ins plus a flat key-value config format.
 
 A scenario bundles everything one run needs: converter geometry, test tone,
-injected mismatches, corrector shape, parallelism plan, coefficient mode,
-and record sizes. Every scenario corrects with the full-rate filter bank
-(see filterbank); the paper's sub-rate bank stays available to library
-callers through FilterSpec.structure. Built-ins cover the standard
-demonstration set (see BUILTIN_SCENARIOS); any of them can be dumped to a
-config file, edited, and loaded back.
+injected mismatches, corrector shape, coefficient mode, and record sizes.
+Every scenario corrects with the full-rate filter bank (see filterbank);
+the paper's sub-rate bank stays available to library callers through
+FilterSpec.structure. Built-ins cover the standard demonstration set (see
+BUILTIN_SCENARIOS); any of them can be dumped to a config file, edited, and
+loaded back.
 
 Config format: one `key = value` per line, `#` starts a comment, blank lines
-ignored. Lists are comma-separated. Unknown keys are rejected. Keys and
-defaults are in DEFAULTS below; `freq` is a nominal relative frequency that
-is snapped to the nearest odd coherent bin of n_fft unless `coherent = false`.
-`phase = auto` draws the tone phase from the scenario seed.
+ignored. Lists are comma-separated. Unknown keys are rejected, except
+`parallel` and `block_len`: sidecars written by older versions still hold
+these retired keys, and they are ignored. Keys and defaults are in DEFAULTS
+below; `freq` is a nominal relative frequency that is snapped to the
+nearest odd coherent bin of n_fft unless `coherent = false`. `phase = auto`
+draws the tone phase from the scenario seed.
 """
 
 import math
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import ConfigError
 from .filterbank import FULLRATE, FilterSpec
 from .model import MismatchProfile, TiadcConfig, ToneSpec
-from .polyphase import PolyphasePlan
 
 MODE_TRUTH = "truth"  # design correctors from the injected profile
 MODE_EST = "est"      # estimate mismatches from the data, blockwise
@@ -42,7 +43,6 @@ class Scenario:
     tone: ToneSpec
     profile: MismatchProfile
     filter_spec: FilterSpec
-    plan: PolyphasePlan
     mode: str
     seed: int
     n_samples: int
@@ -83,8 +83,6 @@ DEFAULTS = {
     "taps": 30,
     "coeff_bits": 30,
     "variant": "sub",
-    "parallel": 4,
-    "block_len": 4096,
     "mode": MODE_TRUTH,
     "seed": 12345,
     "n_samples": None,  # None -> 8192 * channels
@@ -93,8 +91,11 @@ DEFAULTS = {
     "sweep_values": None,
 }
 
-_INT_KEYS = {"channels", "bits", "taps", "coeff_bits", "parallel",
-             "block_len", "seed", "n_samples", "n_fft"}
+# polyphase lane count and block length: no computation reads them any more
+_RETIRED_KEYS = {"parallel", "block_len"}
+
+_INT_KEYS = {"channels", "bits", "taps", "coeff_bits", "seed", "n_samples",
+             "n_fft"}
 _FLOAT_KEYS = {"fs", "full_scale", "amplitude", "freq", "dc"}
 _LIST_KEYS = {"offsets", "gains", "skews"}
 
@@ -131,6 +132,8 @@ def parse_scenario_text(text: str, fallback_name: str = "custom") -> Scenario:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in _RETIRED_KEYS:
+            continue
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
@@ -157,18 +160,26 @@ def parse_scenario_text(text: str, fallback_name: str = "custom") -> Scenario:
     return build_scenario(values)
 
 
+def _phase_from_seed(seed: int) -> float:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return float(np.random.default_rng(seed).uniform(-math.pi, math.pi))
+
+
 def build_scenario(values: dict) -> Scenario:
     """Resolve a raw value dict (DEFAULTS schema) into a Scenario."""
     M = values["channels"]
     config = TiadcConfig(n_channels=M, fs=values["fs"], bits=values["bits"],
                          full_scale=values["full_scale"])
     n_fft = values["n_fft"]
+    if n_fft < 2 or n_fft & (n_fft - 1):
+        raise ConfigError(f"n_fft must be a power of two >= 2, got {n_fft}")
     freq = values["freq"]
     if values["coherent"]:
         freq = coherent_freq(freq, n_fft)
     phase = values["phase"]
     if phase == "auto":
-        phase = float(np.random.default_rng(values["seed"]).uniform(-math.pi, math.pi))
+        phase = _phase_from_seed(values["seed"])
     tone = ToneSpec(amplitude=values["amplitude"], freq_rel=freq,
                     phase=phase, dc=values["dc"])
     if tone.amplitude + abs(tone.dc) > config.full_scale:
@@ -187,8 +198,6 @@ def build_scenario(values: dict) -> Scenario:
     filter_spec = FilterSpec(n_taps=values["taps"],
                              coeff_bits=values["coeff_bits"],
                              variant=values["variant"], structure=FULLRATE)
-    plan = PolyphasePlan.for_filter(values["parallel"], filter_spec.n_taps,
-                                    block_len=values["block_len"])
     mode = values["mode"]
     if mode not in (MODE_TRUTH, MODE_EST):
         raise ConfigError(f"mode must be 'truth' or 'est', got {mode!r}")
@@ -214,7 +223,7 @@ def build_scenario(values: dict) -> Scenario:
         raise ConfigError("sweep_values given without sweep_axis")
 
     return Scenario(name=values["name"], config=config, tone=tone,
-                    profile=profile, filter_spec=filter_spec, plan=plan,
+                    profile=profile, filter_spec=filter_spec,
                     mode=mode, seed=values["seed"], n_samples=n_samples,
                     n_fft=n_fft, sweep_axis=axis, sweep_values=sweep_values)
 
@@ -239,8 +248,6 @@ def scenario_to_text(scenario: Scenario) -> str:
         f"taps = {s.filter_spec.n_taps}",
         f"coeff_bits = {s.filter_spec.coeff_bits}",
         f"variant = {s.filter_spec.variant}",
-        f"parallel = {s.plan.lanes}",
-        f"block_len = {s.plan.block_len}",
         f"mode = {s.mode}",
         f"seed = {s.seed}",
         f"n_samples = {s.n_samples}",
@@ -257,8 +264,8 @@ def scenario_to_text(scenario: Scenario) -> str:
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
     """Clone with a new seed, re-drawing the tone phase from it."""
-    phase = float(np.random.default_rng(seed).uniform(-math.pi, math.pi))
-    return replace(scenario, seed=seed, tone=replace(scenario.tone, phase=phase))
+    return replace(scenario, seed=seed,
+                   tone=replace(scenario.tone, phase=_phase_from_seed(seed)))
 
 
 def _builtin(name, **overrides) -> Scenario:
@@ -359,10 +366,7 @@ def apply_sweep_value(scenario: Scenario, axis: str, value) -> Scenario:
     if axis == "coeff_bits":
         return replace(s, filter_spec=replace(s.filter_spec, coeff_bits=int(value)))
     if axis == "n_taps":
-        n = int(value)
-        return replace(s, filter_spec=replace(s.filter_spec, n_taps=n),
-                       plan=PolyphasePlan.for_filter(
-                           s.plan.lanes, n, block_len=max(s.plan.block_len, n + 1)))
+        return replace(s, filter_spec=replace(s.filter_spec, n_taps=int(value)))
     if axis == "gain":
         M = s.config.n_channels
         profile = MismatchProfile(offsets=s.profile.offsets,

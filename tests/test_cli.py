@@ -41,6 +41,22 @@ class TestSimulate:
         assert (tmp_path / "a" / "fig6_capture.bin").read_bytes() == \
                (tmp_path / "b" / "fig6_capture.bin").read_bytes()
 
+    @pytest.mark.parametrize("line", ["gains = 0,nan", "amplitude = nan"])
+    def test_non_finite_config_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"name = bad\n{line}\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "config error" in err
+        assert not (tmp_path / "bad_capture.bin").exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--config", "fig6",
+                           "--seed", "-1", "--out", str(tmp_path))
+        assert code == 2
+        assert "seed" in err
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--config", "nope",
                            "--out", str(tmp_path))
@@ -115,6 +131,21 @@ class TestCalibrate:
                            "--coeff-bits", "24")
         assert code == 0
         assert "N=14, W=24" in out
+
+    @pytest.mark.parametrize("mode", ["truth", "est"])
+    def test_zero_taps_exit_2_in_both_modes(self, tmp_path, capsys, mode):
+        path = simulate_fig6(tmp_path, capsys)
+        code, out, err = run(capsys, "calibrate", str(path), "--mode", mode,
+                             "--taps", "0")
+        assert code == 2
+        assert "n_taps" in err and out == ""
+
+    def test_est_mode_applies_filter_flags(self, tmp_path, capsys):
+        path = simulate_fig6(tmp_path, capsys)
+        code, out, _ = run(capsys, "calibrate", str(path), "--mode", "est",
+                           "--taps", "14", "--coeff-bits", "24")
+        assert code == 0
+        assert "(est coefficients, N=14, W=24)" in out
 
     def test_corrupt_capture_exit_3(self, tmp_path, capsys):
         path = simulate_fig6(tmp_path, capsys)

@@ -280,6 +280,13 @@ def random_capture(rng, n_channels, n_per_channel, bits=12):
                           per_channel, interleave_channels(per_channel))
 
 
+def offset_codes(bank, config):
+    """Each channel's offset in codes, rounded half away from zero."""
+    return [int(np.sign(v) * np.floor(abs(v) + 0.5)) for v in
+            np.asarray(bank.offsets) / config.full_scale
+            * config.code_half_range]
+
+
 def direct_fullrate(capture, bank):
     """Independent route: convolve the whole offset-corrected interleaved
     stream with each channel's taps and keep that channel's positions.
@@ -287,11 +294,8 @@ def direct_fullrate(capture, bank):
     config = capture.config
     M = config.n_channels
     d = bank.spec.group_delay
-    offsets = [int(np.sign(v) * np.floor(abs(v) + 0.5)) for v in
-               np.asarray(bank.offsets) / config.full_scale
-               * config.code_half_range]
     x = np.asarray(capture.interleaved, dtype=np.int64)
-    x = x - np.tile(offsets, len(x) // M)
+    x = x - np.tile(offset_codes(bank, config), len(x) // M)
     y = np.zeros(len(x), dtype=np.int64)
     for c in range(M):
         full = np.convolve(x, bank.taps_fixed[c])  # full[q + d] = sum t[n] x[q-n]
@@ -364,8 +368,8 @@ class TestFullRateBank:
 
     def test_blockwise_lanes_and_whole_stream_bit_identical(self):
         """A fixed bank fed block by block, as the background loop feeds
-        it, reproduces the whole-stream output; so does the polyphase
-        engine."""
+        it, reproduces the whole-stream output; so do the polyphase lanes
+        of the hardware model, summed over each slot's convolutions."""
         rng = np.random.default_rng(7)
         cap = random_capture(rng, 3, 600)
         for spec in (FilterSpec(n_taps=14, coeff_bits=24, structure=FULLRATE),
@@ -379,11 +383,15 @@ class TestFullRateBank:
             for m in range(3):
                 np.testing.assert_array_equal(
                     np.concatenate([p[m] for p in pieces]), whole[m])
-            plan = PolyphasePlan(lanes=3)
-            lanes = calibrate_capture(
-                cap, bank,
-                engine=lambda c, t: parallel_convolve_stream(c, t, plan))
-            np.testing.assert_array_equal(lanes, calibrate_capture(cap, bank))
+            sources = [c - off for c, off in
+                       zip(cap.per_channel, offset_codes(bank, cap.config))]
+            for m, terms in enumerate(bank.convolution_terms()):
+                lanes = np.zeros(600, dtype=np.int64)
+                for s, lag, taps in terms:
+                    conv = parallel_convolve_stream(sources[s], taps,
+                                                    PolyphasePlan(3))
+                    lanes[lag:] += conv[: 600 - lag]
+                np.testing.assert_array_equal(lanes, whole[m])
 
     def test_subrate_bank_matches_per_channel_route(self):
         cap = random_capture(np.random.default_rng(3), 2, 300)

@@ -65,6 +65,16 @@ class TestSinad:
         expected = 20 * np.log10(0.9 / 0.0009)
         assert sinad(x, F77, N_FFT) == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("window", ["rect", "bh4"])
+    def test_nyquist_spur_weighted_by_its_power(self, window):
+        # a tone at fs/2 has power B^2, half that of an interior tone of
+        # the same amplitude: the M=2 offset spur falls exactly there
+        a, b = 0.9, 0.0142
+        x = coherent_sine(a, F77, 0.4) + b * (-1.0) ** np.arange(N_FFT)
+        expected = 10 * np.log10((a ** 2 / 2) / b ** 2)
+        assert sinad(x, F77, N_FFT, window=window) == pytest.approx(
+            expected, abs=0.01)
+
     def test_non_coherent_raises(self):
         x = coherent_sine(0.9, 0.12341)
         with pytest.raises(CoherenceError):
@@ -179,5 +189,6 @@ class TestReportAndCsv:
         x = coherent_sine(0.8, F77, rng.uniform(-np.pi, np.pi))
         x = x + rng.normal(scale=1e-3, size=N_FFT)
         spec = np.abs(np.fft.rfft(x[:N_FFT])) ** 2
+        spec[N_FFT // 2] /= 2  # the Nyquist bin has no negative twin
         want = 10 * np.log10(spec[77] / (spec[1:].sum() - spec[77]))
         assert sinad(x, F77, N_FFT) == pytest.approx(want, abs=1e-12)

@@ -44,6 +44,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MismatchProfile((0, 0), (0, 0, 0), (0, 0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["offsets", "gains", "skews"])
+    def test_profile_rejects_non_finite(self, field, bad):
+        values = {"offsets": (0.0, 0.0), "gains": (0.0, 0.0),
+                  "skews": (0.0, 0.0)}
+        values[field] = (0.0, bad)
+        with pytest.raises(ConfigError):
+            MismatchProfile(**values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["amplitude", "phase", "dc"])
+    def test_tone_rejects_non_finite(self, field, bad):
+        values = {"amplitude": 0.5, "freq_rel": 0.1, "phase": 0.0, "dc": 0.0}
+        values[field] = bad
+        with pytest.raises(ConfigError):
+            ToneSpec(**values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["fs", "full_scale"])
+    def test_config_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigError):
+            TiadcConfig(n_channels=2, **{field: bad})
+
 
 class TestSampleChannels:
     def test_quarter_rate_zero_mismatch_closed_form(self):

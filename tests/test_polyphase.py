@@ -86,13 +86,9 @@ class TestPlan:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PolyphasePlan(lanes=0)
-        with pytest.raises(ConfigError):
-            PolyphasePlan(lanes=2, block_len=10, overlap=10)
 
     def test_for_filter(self):
-        plan = PolyphasePlan.for_filter(4, 30)
-        assert plan.overlap == 29
-        assert plan.block_len == 4096
+        assert PolyphasePlan.for_filter(4, 30) == PolyphasePlan(4)
 
 
 class TestParallelConvolve:
