@@ -9,7 +9,7 @@ Layered API, bottom up:
     metrics     spectra, SINAD/ENOB, mismatch-spur tables
     capture_io  binary capture-file reader/writer
     scenarios   named experiment configurations + config file format
-    experiments scenario/sweep runners with CSV export
+    experiments the calibrate-and-measure step, scenario/sweep runners
     cli         the tiadc-cal command
 """
 
@@ -22,7 +22,7 @@ from .model import (ChannelCapture, MismatchProfile, TiadcConfig, ToneSpec,
                     deinterleave, quantize_stream, sample_channels,
                     simulate_capture)
 from .sinefit import (MismatchEstimate, SineFitResult, alias_to_subrate,
-                      derive_mismatches, detect_tone_freq,
+                      derive_mismatches, detect_tone_freq, estimate_block,
                       estimate_from_capture, sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
                          calibrate_channel, design_taps, dequantize_taps,
@@ -38,7 +38,7 @@ from .capture_io import read_capture, write_capture
 from .scenarios import (BUILTIN_SCENARIOS, Scenario, coherent_freq,
                         load_scenario, parse_scenario_text, scenario_to_text,
                         with_seed)
-from .experiments import (ScenarioResult, SweepRow, run_scenario, run_sweep,
-                          simulate_scenario)
+from .experiments import (ScenarioResult, SweepRow, calibrate_scenario,
+                          run_scenario, run_sweep, simulate_scenario)
 
 __version__ = "0.1.0"

@@ -19,12 +19,12 @@ from dataclasses import replace
 
 from .capture_io import read_capture, write_capture
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
-from .experiments import run_scenario, run_sweep, simulate_scenario
-from .filterbank import FilterBank, calibrate_capture
-from .metrics import spectrum_report, worst_image_spur, write_spectrum_csv
-from .model import MismatchProfile, dequantize_stream
-from .scenarios import (DEFAULTS, SWEEP_AXES, build_scenario, load_scenario,
-                        parse_value_list, scenario_to_text, with_seed)
+from .experiments import calibrate_scenario, run_sweep, simulate_scenario
+from .metrics import spectrum_report, write_spectrum_csv
+from .model import dequantize_stream
+from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
+                        load_scenario, parse_value_list, scenario_to_text,
+                        with_seed)
 from .sinefit import detect_tone_freq, estimate_from_capture
 
 
@@ -160,38 +160,26 @@ def _load_calibrate_scenario(args):
 
 def _cmd_calibrate(args) -> int:
     capture = read_capture(args.capture)
-    config = capture.config
-    if args.mode == "truth":
+    if args.mode == MODE_TRUTH:
         scenario = _load_calibrate_scenario(args)
-        if scenario.config.n_channels != config.n_channels:
-            raise ConfigError(
-                f"scenario has {scenario.config.n_channels} channels, "
-                f"capture has {config.n_channels}")
-        profile = scenario.profile
         freq = args.freq if args.freq is not None else scenario.tone.freq_rel
     else:
-        # no scenario: the filter flags apply over the default filter
-        scenario = _apply_overrides(build_scenario(dict(DEFAULTS)), args)
+        # no scenario: correct with a one-shot estimate from the first block
+        config = capture.config
+        values = dict(DEFAULTS, channels=config.n_channels, bits=config.bits,
+                      fs=config.fs)
+        scenario = _apply_overrides(build_scenario(values), args)
         freq = args.freq if args.freq is not None else detect_tone_freq(capture)
-        estimate = estimate_from_capture(capture, freq)
-        profile = MismatchProfile(offsets=estimate.offsets,
-                                  gains=estimate.gains, skews=estimate.skews)
+        scenario = replace(scenario, mode=MODE_TRUTH,
+                           profile=estimate_from_capture(capture, freq).profile)
+    result = calibrate_scenario(capture, scenario, freq)
     spec = scenario.filter_spec
-    n_fft = scenario.n_fft
-    bank = FilterBank.design(profile, config.n_channels, spec)
-    cal = calibrate_capture(capture, bank)
-    uncal = dequantize_stream(capture.interleaved, config)
-    rep_u = spectrum_report(uncal, freq, n_fft, config.n_channels,
-                            config.full_scale)
-    rep_c = spectrum_report(cal, freq, n_fft, config.n_channels,
-                            config.full_scale)
+    rep_u, rep_c = result.report_uncal, result.report_cal
     print(f"tone freq_rel = {freq:.10g} ({args.mode} coefficients, "
           f"N={spec.n_taps}, W={spec.coeff_bits})")
     print(f"SINAD uncalibrated = {rep_u.sinad_db:.2f} dB (ENOB {rep_u.enob:.2f})")
     print(f"SINAD calibrated   = {rep_c.sinad_db:.2f} dB (ENOB {rep_c.enob:.2f})")
-    worst = worst_image_spur(rep_u.spurs)
-    cal_levels = {(s.kind, s.bin_index): s.level_dbfs for s in rep_c.spurs}
-    after = cal_levels[("image", worst.bin_index)]
+    worst, after = result.worst_image()
     print(f"largest image spur at {worst.freq_rel:.6g} fs: "
           f"{worst.level_dbfs:.1f} -> {after:.1f} dBFS "
           f"({worst.level_dbfs - after:.1f} dB reduction)")
@@ -202,7 +190,7 @@ def _cmd_calibrate(args) -> int:
         with open(cal_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "value"])
-            for i, v in enumerate(cal):
+            for i, v in enumerate(result.calibrated):
                 writer.writerow([i, f"{v:.12g}"])
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_cal.csv"),
                            rep_c.magnitudes_dbfs)
@@ -238,7 +226,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectrum(args) -> int:
     capture = read_capture(args.capture)
     config = capture.config
-    stream = dequantize_stream(capture.interleaved, config)
+    stream = dequantize_stream(capture.interleaved[:args.n_fft], config)
     freq = args.freq if args.freq is not None else detect_tone_freq(capture)
     report = spectrum_report(stream, freq, args.n_fft, config.n_channels,
                              config.full_scale, window=args.window)

@@ -1,7 +1,10 @@
 """Scenario execution: simulate, calibrate (truth or background-estimated
 coefficients), measure, and export CSV results.
 
-Truth mode designs the correctors straight from the injected mismatch
+calibrate_scenario is the one calibrate-and-measure step; run_scenario
+feeds it a simulated capture, the CLI's calibrate command a capture file.
+
+Truth mode designs the correctors straight from the scenario's mismatch
 profile, which isolates the corrector itself; this is the mode the headline
 numbers use. Estimated mode is the full loop: mismatches are estimated from
 one data block and the refreshed correctors apply from the next block on,
@@ -12,31 +15,34 @@ bank and is still uncorrected).
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
                          merge_accumulators, write_coefficients_csv)
-from .metrics import SpectrumReport, spectrum_report, worst_image_spur, write_spectrum_csv
-from .model import (ChannelCapture, MismatchProfile, dequantize_stream,
-                    simulate_capture)
-from .scenarios import (EST_BLOCK_PER_CHANNEL, MODE_EST, MODE_TRUTH, Scenario,
-                        apply_sweep_value)
-from .sinefit import (MismatchEstimate, alias_to_subrate, derive_mismatches,
-                      detect_tone_freq, sine_fit_four_param)
+from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
+                      write_spectrum_csv)
+from .model import ChannelCapture, dequantize_stream, simulate_capture
+from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
+from .sinefit import (EST_BLOCK_PER_CHANNEL, MismatchEstimate,
+                      detect_tone_freq, estimate_block)
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Outcome of one scenario run."""
+    """Outcome of one calibrate-and-measure step. bank is the corrector (in
+    estimated mode, the one designed from the last estimate), calibrated the
+    measured stream in amplitude units; estimate is None in truth mode."""
 
     scenario: Scenario
     report_uncal: SpectrumReport
     report_cal: SpectrumReport
     estimate: MismatchEstimate
-    outputs: dict
+    bank: FilterBank
+    calibrated: np.ndarray
+    outputs: dict = field(default_factory=dict)
 
     @property
     def sinad_uncal_db(self) -> float:
@@ -46,11 +52,16 @@ class ScenarioResult:
     def sinad_cal_db(self) -> float:
         return self.report_cal.sinad_db
 
-    def largest_image_reduction_db(self) -> float:
-        """Level drop of the biggest uncalibrated image spur, same bin."""
+    def worst_image(self) -> tuple:
+        """(largest uncalibrated image spur, calibrated dBFS in its bin)."""
         worst = worst_image_spur(self.report_uncal.spurs)
         after = {(s.kind, s.bin_index): s.level_dbfs for s in self.report_cal.spurs}
-        return worst.level_dbfs - after[("image", worst.bin_index)]
+        return worst, after[("image", worst.bin_index)]
+
+    def largest_image_reduction_db(self) -> float:
+        """Level drop of the biggest uncalibrated image spur, same bin."""
+        worst, after = self.worst_image()
+        return worst.level_dbfs - after
 
 
 def simulate_scenario(scenario: Scenario) -> ChannelCapture:
@@ -58,19 +69,14 @@ def simulate_scenario(scenario: Scenario) -> ChannelCapture:
                             scenario.n_samples)
 
 
-def _calibrate_truth(capture: ChannelCapture, scenario: Scenario) -> np.ndarray:
-    bank = FilterBank.design(scenario.profile, scenario.config.n_channels,
-                             scenario.filter_spec)
-    return calibrate_capture(capture, bank)
-
-
 def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     """Blockwise estimate-then-apply loop.
 
-    The bank estimated from each full block applies from the next block on;
-    the first block passes through the identity bank. Returns (calibrated
-    stream in amplitude units, full capture length; measure_start index
-    past the identity-bank first block; last estimate).
+    The bank estimated from each full block of EST_BLOCK_PER_CHANNEL samples
+    applies from the next block on; the first block passes through the
+    identity bank, and a short final block is corrected but not estimated
+    from. Returns (calibrated stream from the second block on, the bank
+    designed from the last estimate, that estimate).
     """
     config = capture.config
     M = config.n_channels
@@ -82,29 +88,45 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
             f"estimated mode needs >= {2 * block} samples/channel "
             f"(two estimation blocks), got {n_per_channel}")
     tone_freq = detect_tone_freq(capture)
-    f_sub, _ = alias_to_subrate(tone_freq, M)
-    f_sub = min(max(f_sub, 1e-6), 0.5 - 1e-6)
 
     bank = FilterBank.identity(M, spec)
     stream = StreamCalibrator(config, spec)
-    accs = [[] for _ in range(M)]
-    estimate = None
+    out = np.empty(n_per_channel * M)
     for start in range(0, n_per_channel, block):
         stop = min(start + block, n_per_channel)
         blocks = [codes[start:stop] for codes in capture.per_channel]
-        for m, acc in enumerate(stream.process(blocks, bank)):
-            accs[m].append(acc)
-        if stop - start >= block:  # full block: refresh coefficients from it
-            fits = [sine_fit_four_param(dequantize_stream(codes, config), f_sub)
-                    for codes in blocks]
-            estimate = derive_mismatches(fits, config, tone_freq)
-            profile = MismatchProfile(offsets=estimate.offsets,
-                                      gains=estimate.gains,
-                                      skews=estimate.skews)
-            bank = FilterBank.design(profile, M, spec)
-    merged = merge_accumulators([np.concatenate(a) for a in accs], stream.scale)
-    measure_start = (block + spec.group_delay) * M
-    return merged, measure_start, estimate
+        merge_accumulators(stream.process(blocks, bank), stream.scale,
+                           out[start * M: stop * M])
+        if stop - start == block:  # full block: refresh coefficients from it
+            estimate = estimate_block(blocks, config, tone_freq)
+            bank = FilterBank.design(estimate.profile, M, spec)
+    return out[(block + spec.group_delay) * M:], bank, estimate
+
+
+def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
+                       freq: float = None) -> ScenarioResult:
+    """Calibrate a capture with the scenario's filter and coefficient mode,
+    and measure its first n_fft samples before and after at freq (default:
+    the scenario's tone). The capture's own config scales the codes."""
+    config = capture.config
+    M = config.n_channels
+    if scenario.config.n_channels != M:
+        raise ConfigError(f"scenario has {scenario.config.n_channels} "
+                          f"channels, capture has {M}")
+    f = scenario.tone.freq_rel if freq is None else freq
+    n_fft = scenario.n_fft
+    uncal = dequantize_stream(capture.interleaved[:n_fft], config)
+    report_uncal = spectrum_report(uncal, f, n_fft, M, config.full_scale)
+    if scenario.mode == MODE_TRUTH:
+        bank = FilterBank.design(scenario.profile, M, scenario.filter_spec)
+        cal = calibrate_capture(capture, bank)
+        estimate = None
+    else:
+        cal, bank, estimate = _calibrate_background(capture, scenario)
+    report_cal = spectrum_report(cal, f, n_fft, M, config.full_scale)
+    return ScenarioResult(scenario=scenario, report_uncal=report_uncal,
+                          report_cal=report_cal, estimate=estimate,
+                          bank=bank, calibrated=cal)
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
@@ -114,50 +136,27 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     With out_dir set, writes before/after spectra, the coefficient table,
     and a one-line summary CSV.
     """
-    capture = simulate_scenario(scenario)
-    config = scenario.config
-    uncal = dequantize_stream(capture.interleaved, config)
-    if scenario.mode == MODE_TRUTH:
-        cal = _calibrate_truth(capture, scenario)
-        estimate = None
-    else:
-        cal_full, measure_start, estimate = _calibrate_background(capture, scenario)
-        cal = cal_full[measure_start:]
-    f = scenario.tone.freq_rel
-    report_uncal = spectrum_report(uncal, f, scenario.n_fft,
-                                   config.n_channels, config.full_scale)
-    report_cal = spectrum_report(cal, f, scenario.n_fft,
-                                 config.n_channels, config.full_scale)
-
-    outputs = {}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        base = os.path.join(out_dir, scenario.name)
-        outputs["spectrum_uncal"] = base + "_spectrum_uncal.csv"
-        outputs["spectrum_cal"] = base + "_spectrum_cal.csv"
-        outputs["summary"] = base + "_summary.csv"
-        outputs["coefficients"] = base + "_coefficients.csv"
-        write_spectrum_csv(outputs["spectrum_uncal"], report_uncal.magnitudes_dbfs)
-        write_spectrum_csv(outputs["spectrum_cal"], report_cal.magnitudes_dbfs)
-        profile = scenario.profile
-        if estimate is not None:
-            profile = MismatchProfile(offsets=estimate.offsets,
-                                      gains=estimate.gains, skews=estimate.skews)
-        write_coefficients_csv(
-            outputs["coefficients"],
-            FilterBank.design(profile, config.n_channels, scenario.filter_spec))
-        with open(outputs["summary"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "mode", "freq_rel", "sinad_uncal_db",
-                             "sinad_cal_db", "enob_uncal", "enob_cal"])
-            writer.writerow([scenario.name, scenario.mode, f"{f:.10g}",
-                             f"{report_uncal.sinad_db:.4f}",
-                             f"{report_cal.sinad_db:.4f}",
-                             f"{report_uncal.enob:.4f}",
-                             f"{report_cal.enob:.4f}"])
-    return ScenarioResult(scenario=scenario, report_uncal=report_uncal,
-                          report_cal=report_cal, estimate=estimate,
-                          outputs=outputs)
+    result = calibrate_scenario(simulate_scenario(scenario), scenario)
+    if out_dir is None:
+        return result
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, scenario.name)
+    outputs = {name: f"{base}_{name}.csv" for name in
+               ("spectrum_uncal", "spectrum_cal", "summary", "coefficients")}
+    report_uncal, report_cal = result.report_uncal, result.report_cal
+    write_spectrum_csv(outputs["spectrum_uncal"], report_uncal.magnitudes_dbfs)
+    write_spectrum_csv(outputs["spectrum_cal"], report_cal.magnitudes_dbfs)
+    write_coefficients_csv(outputs["coefficients"], result.bank)
+    with open(outputs["summary"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "mode", "freq_rel", "sinad_uncal_db",
+                         "sinad_cal_db", "enob_uncal", "enob_cal"])
+        writer.writerow([scenario.name, scenario.mode,
+                         f"{scenario.tone.freq_rel:.10g}"]
+                        + [f"{v:.4f}" for v in (
+                            report_uncal.sinad_db, report_cal.sinad_db,
+                            report_uncal.enob, report_cal.enob)])
+    return replace(result, outputs=outputs)
 
 
 @dataclass(frozen=True)
@@ -184,15 +183,13 @@ def run_sweep(scenario: Scenario, axis: str = None, values=None,
     for value in values:
         point = apply_sweep_value(scenario, axis, value)
         result = run_scenario(point)
-        worst_u = worst_image_spur(result.report_uncal.spurs)
-        cal_levels = {(s.kind, s.bin_index): s.level_dbfs
-                      for s in result.report_cal.spurs}
+        worst, after = result.worst_image()
         rows.append(SweepRow(
             value=float(value),
             sinad_uncal_db=result.sinad_uncal_db,
             sinad_cal_db=result.sinad_cal_db,
-            worst_image_uncal_dbfs=worst_u.level_dbfs,
-            worst_image_cal_dbfs=cal_levels[("image", worst_u.bin_index)],
+            worst_image_uncal_dbfs=worst.level_dbfs,
+            worst_image_cal_dbfs=after,
         ))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

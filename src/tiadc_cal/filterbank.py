@@ -368,12 +368,10 @@ class StreamCalibrator:
         return accs
 
 
-def merge_accumulators(accs, scale: float, out=None) -> np.ndarray:
-    """Scale per-channel accumulators to amplitude units and interleave,
-    into out if given."""
+def merge_accumulators(accs, scale: float, out: np.ndarray) -> np.ndarray:
+    """Scale per-channel accumulators to amplitude units and interleave
+    them into out."""
     M = len(accs)
-    if out is None:
-        out = np.empty(M * len(accs[0]))
     for m, acc in enumerate(accs):
         np.multiply(acc, scale, out=out[m::M])
     return out

@@ -85,6 +85,9 @@ def power_spectrum(stream, n_fft: int, full_scale: float = 1.0) -> np.ndarray:
 
 def _signal_bin(signal_freq_rel: float, n_fft: int) -> int:
     k = signal_freq_rel * n_fft
+    if not np.isfinite(k):
+        raise ConfigError(f"signal frequency {signal_freq_rel} is not finite "
+                          f"in {n_fft} bins")
     k_int = int(round(k))
     if not 0 < k_int < n_fft // 2:
         raise ConfigError(

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
+MAX_CHANNELS = 0xFFFF  # the capture header's u16 channel count
+
 
 @dataclass(frozen=True)
 class TiadcConfig:
@@ -30,8 +32,9 @@ class TiadcConfig:
     full_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_channels < 2:
-            raise ConfigError(f"need at least 2 channels, got {self.n_channels}")
+        if not 2 <= self.n_channels <= MAX_CHANNELS:
+            raise ConfigError(f"channel count must be in 2..{MAX_CHANNELS}, "
+                              f"got {self.n_channels}")
         if not 2 <= self.bits <= 24:
             raise ConfigError(f"bits must be in 2..24, got {self.bits}")
         if not 0 < self.fs < math.inf:
@@ -176,11 +179,6 @@ def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
 def dequantize_stream(codes, config: TiadcConfig) -> np.ndarray:
     """Map integer codes back to amplitude units (inverse of the code scale)."""
     return np.asarray(codes, dtype=float) * (config.full_scale / config.code_half_range)
-
-
-def quantize_value(value: float, config: TiadcConfig) -> int:
-    """Quantize a scalar with the same rule as quantize_stream."""
-    return int(quantize_stream(np.array([value]), config)[0])
 
 
 def interleave_channels(per_channel) -> np.ndarray:

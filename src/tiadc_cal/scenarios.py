@@ -31,8 +31,6 @@ MODE_EST = "est"      # estimate mismatches from the data, blockwise
 
 SWEEP_AXES = ("coeff_bits", "n_taps", "gain", "skew", "freq")
 
-EST_BLOCK_PER_CHANNEL = 4096
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -21,10 +21,13 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFitError,
                      PhaseAmbiguityError)
-from .model import ChannelCapture, TiadcConfig, dequantize_stream
+from .model import ChannelCapture, MismatchProfile, TiadcConfig, dequantize_stream
 
 _OMEGA_TOL = 1e-12
 _MAX_ITERATIONS = 50
+
+EST_BLOCK_PER_CHANNEL = 4096  # samples per channel in one estimation block
+_DETECT_SAMPLES = 1 << 16  # prefix read by tone detection's DFT and fit
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,12 @@ class MismatchEstimate:
     offsets: tuple
     gains: tuple
     skews: tuple
-    reference_channel: int = 0
+
+    @property
+    def profile(self) -> MismatchProfile:
+        """The estimate as a profile that filter banks can be designed from."""
+        return MismatchProfile(offsets=self.offsets, gains=self.gains,
+                               skews=self.skews)
 
 
 def _three_param_solve(y, n, omega):
@@ -235,15 +243,15 @@ def derive_mismatches(fits, config: TiadcConfig,
 def detect_tone_freq(capture: ChannelCapture) -> float:
     """Recover the tone frequency (aggregate units) from a capture alone.
 
-    A windowed-DFT peak of the interleaved stream gives a coarse value
-    (good to a small fraction of a bin); a four-parameter fit of channel 0
-    then pins the sub-rate alias, and the coarse value selects which
-    aggregate-band copy that alias came from.
+    A windowed-DFT peak of the first 65 536 interleaved samples gives a
+    coarse value (good to a small fraction of a bin); a four-parameter fit
+    of the first 65 536 samples of channel 0 then pins the sub-rate alias,
+    and the coarse value selects which aggregate-band copy that alias came
+    from. Longer captures cost no more.
     """
     config = capture.config
-    stream = dequantize_stream(capture.interleaved, config)
-    n = min(len(stream), 1 << 16)
-    seg = np.asarray(stream[:n], dtype=float)
+    seg = dequantize_stream(capture.interleaved[:_DETECT_SAMPLES], config)
+    n = len(seg)
     mags = np.abs(np.fft.rfft(seg * np.hanning(n)))
     if len(mags) < 4:
         raise ConfigError("capture too short for frequency detection")
@@ -261,7 +269,7 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     reflected = alias_coarse > 0.5
     guess_sub = 1.0 - alias_coarse if reflected else alias_coarse
     guess_sub = min(max(guess_sub, 1e-6), 0.5 - 1e-6)
-    ch0 = dequantize_stream(capture.per_channel[0], config)
+    ch0 = dequantize_stream(capture.per_channel[0][:_DETECT_SAMPLES], config)
     fit = sine_fit_four_param(ch0, guess_sub)
     alias_fine = 1.0 - fit.freq_rel if reflected else fit.freq_rel
     band = round(coarse * M - alias_fine)
@@ -271,20 +279,28 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     return freq
 
 
-def estimate_from_capture(capture: ChannelCapture, tone_freq_rel: float = None,
-                          block_samples: int = 4096) -> MismatchEstimate:
-    """Estimate all mismatches from one capture.
-
-    Uses the first block_samples of each channel (or the whole channel if
-    shorter). When tone_freq_rel is omitted it is detected from the data.
+def estimate_block(blocks, config: TiadcConfig,
+                   tone_freq_rel: float) -> MismatchEstimate:
+    """Estimate all mismatches from one block of codes per channel: fit
+    each channel at the tone's sub-rate alias and compare with channel 0.
+    The one-shot estimate and every block of background calibration run it.
     """
-    config = capture.config
-    if tone_freq_rel is None:
-        tone_freq_rel = detect_tone_freq(capture)
     f_sub, _ = alias_to_subrate(tone_freq_rel, config.n_channels)
     f_sub = min(max(f_sub, 1e-6), 0.5 - 1e-6)
-    fits = []
-    for codes in capture.per_channel:
-        values = dequantize_stream(codes[:block_samples], config)
-        fits.append(sine_fit_four_param(values, f_sub))
+    fits = [sine_fit_four_param(dequantize_stream(codes, config), f_sub)
+            for codes in blocks]
     return derive_mismatches(fits, config, tone_freq_rel)
+
+
+def estimate_from_capture(capture: ChannelCapture,
+                          tone_freq_rel: float = None) -> MismatchEstimate:
+    """Estimate all mismatches once, from the start of a capture.
+
+    Uses the first EST_BLOCK_PER_CHANNEL samples of each channel (or the
+    whole channel if shorter). When tone_freq_rel is omitted it is detected
+    from the data.
+    """
+    if tone_freq_rel is None:
+        tone_freq_rel = detect_tone_freq(capture)
+    blocks = [codes[:EST_BLOCK_PER_CHANNEL] for codes in capture.per_channel]
+    return estimate_block(blocks, capture.config, tone_freq_rel)

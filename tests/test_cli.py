@@ -57,6 +57,16 @@ class TestSimulate:
         assert code == 2
         assert "seed" in err
 
+    def test_channel_count_above_u16_exit_2(self, tmp_path, capsys):
+        # rejected while parsing, before anything is simulated
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("channels = 70000\nn_samples = 70000\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "channel count" in err
+        assert not (tmp_path / "wide_capture.bin").exists()
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--config", "nope",
                            "--out", str(tmp_path))
@@ -147,6 +157,16 @@ class TestCalibrate:
         assert code == 0
         assert "(est coefficients, N=14, W=24)" in out
 
+    def test_est_mode_five_channels(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "simulate", "--config", "fig7",
+                         "--out", str(tmp_path))
+        assert code == 0
+        code, out, _ = run(capsys, "calibrate",
+                           str(tmp_path / "fig7_capture.bin"), "--mode", "est")
+        assert code == 0
+        _, cal = self.parse_sinads(out)
+        assert cal >= 66.0
+
     def test_corrupt_capture_exit_3(self, tmp_path, capsys):
         path = simulate_fig6(tmp_path, capsys)
         raw = bytearray(path.read_bytes())
@@ -172,6 +192,15 @@ class TestCalibrate:
         code, _, err = run(capsys, "calibrate", str(tmp_path / "nc_capture.bin"))
         assert code == 4
         assert "numeric failure" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["calibrate", "spectrum"])
+def test_non_finite_freq_exit_2(tmp_path, capsys, command, value):
+    path = simulate_fig6(tmp_path, capsys)
+    code, out, err = run(capsys, command, str(path), f"--freq={value}")
+    assert code == 2
+    assert "not finite" in err and out == ""
 
 
 class TestSweep:
@@ -231,10 +260,16 @@ class TestUsage:
         assert run(capsys)[0] == 2
 
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+        import tiadc_cal
+        # the child finds the package where this process imported it from
+        src = os.path.dirname(os.path.dirname(tiadc_cal.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "tiadc_cal", "simulate", "--config", "zero",
-             "--out", str(tmp_path)], capture_output=True, text=True)
+             "--out", str(tmp_path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "zero_capture.bin").exists()

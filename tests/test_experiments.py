@@ -1,10 +1,19 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tiadc_cal import ConfigError
-from tiadc_cal.experiments import run_scenario, run_sweep, simulate_scenario
+from tiadc_cal import ChannelCapture, ConfigError, FilterBank
+from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
+                                   simulate_scenario)
 from tiadc_cal.scenarios import MODE_EST, load_scenario
+from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL
+
+
+def assert_same_bank(a, b):
+    assert a.spec == b.spec and a.offsets == b.offsets
+    for x, y in zip(a.taps_fixed + a.taps_real, b.taps_fixed + b.taps_real):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestRunScenario:
@@ -50,10 +59,62 @@ class TestRunScenario:
         coeff_lines = (tmp_path / "fig6_coefficients.csv").read_text().splitlines()
         assert len(coeff_lines) == 1 + 2 * 30
 
+    def test_result_carries_bank_and_stream(self):
+        scenario = load_scenario("fig6")
+        M, spec = scenario.config.n_channels, scenario.filter_spec
+        truth = run_scenario(scenario)
+        assert_same_bank(truth.bank,
+                         FilterBank.design(scenario.profile, M, spec))
+        trim = 2 * spec.group_delay * M
+        assert len(truth.calibrated) == scenario.n_samples - trim
+        est = run_scenario(replace(scenario, mode=MODE_EST))
+        assert_same_bank(est.bank,
+                         FilterBank.design(est.estimate.profile, M, spec))
+        worst, after = truth.worst_image()
+        assert worst.kind == "image"
+        assert truth.largest_image_reduction_db() == worst.level_dbfs - after
+
+    def test_channel_count_must_match_capture(self):
+        capture = simulate_scenario(load_scenario("fig7"))
+        with pytest.raises(ConfigError, match="channels"):
+            calibrate_scenario(capture, load_scenario("fig6"))
+
     def test_simulate_scenario_shape(self):
         capture = simulate_scenario(load_scenario("fig7"))
         assert capture.config.n_channels == 5
         assert len(capture.interleaved) == 20480
+
+
+class TestShortFinalBlock:
+    """Estimated mode on captures whose last block is shorter than
+    EST_BLOCK_PER_CHANNEL: it is corrected but not estimated from."""
+
+    n_full = 65536
+
+    @pytest.fixture(scope="class")
+    def longest(self):
+        scenario = replace(load_scenario("fig6"), mode=MODE_EST,
+                           n_samples=2 * (self.n_full + 4095))
+        return scenario, simulate_scenario(scenario)
+
+    def calibrated(self, longest, n):
+        scenario, capture = longest
+        M = scenario.config.n_channels
+        per_channel = tuple(c[:n] for c in capture.per_channel)
+        short = ChannelCapture(capture.config, per_channel,
+                               capture.interleaved[:n * M])
+        return calibrate_scenario(short, replace(scenario, n_samples=n * M))
+
+    @pytest.mark.parametrize("t", [0, 1, 2047, 4095])
+    def test_length_and_prefix(self, longest, t):
+        scenario, _ = longest
+        M, d = scenario.config.n_channels, scenario.filter_spec.group_delay
+        n = self.n_full + t
+        result = self.calibrated(longest, n)
+        assert len(result.calibrated) == (n - EST_BLOCK_PER_CHANNEL - d) * M
+        whole = self.calibrated(longest, self.n_full).calibrated
+        np.testing.assert_array_equal(result.calibrated[:len(whole)], whole)
+        assert result.sinad_cal_db >= 66.0
 
 
 class TestRunSweep:

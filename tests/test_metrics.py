@@ -109,6 +109,15 @@ class TestSinad:
     def test_enob_formula(self):
         assert enob(74.0) == pytest.approx((74.0 - 1.76) / 6.02)
 
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf"),
+                                      float("-inf"), 1e308])
+    def test_non_finite_signal_bin_rejected(self, freq):
+        x = coherent_sine(0.5, F77)
+        with pytest.raises(ConfigError, match="not finite"):
+            sinad(x, freq, N_FFT)
+        with pytest.raises(ConfigError, match="not finite"):
+            spectrum_report(x, freq, N_FFT, 2)
+
     def test_unknown_window_rejected(self):
         with pytest.raises(ConfigError):
             sinad(coherent_sine(0.9, F77), F77, N_FFT, window="hann")

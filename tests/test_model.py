@@ -15,6 +15,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TiadcConfig(n_channels=1)
 
+    def test_channel_count_fits_the_capture_header(self):
+        # capture files store M as a u16
+        TiadcConfig(n_channels=65535)
+        with pytest.raises(ConfigError, match="65535"):
+            TiadcConfig(n_channels=65536)
+
     @pytest.mark.parametrize("bits", [1, 0, 25, 30])
     def test_bits_range(self, bits):
         with pytest.raises(ConfigError):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from tiadc_cal import (ConfigError, ConvergenceError, DegenerateFitError,
-                       MismatchProfile, PhaseAmbiguityError, SineFitResult,
-                       TiadcConfig, ToneSpec, alias_to_subrate,
-                       derive_mismatches, detect_tone_freq,
-                       estimate_from_capture, sine_fit_four_param,
-                       simulate_capture)
+from tiadc_cal import (ChannelCapture, ConfigError, ConvergenceError,
+                       DegenerateFitError, MismatchProfile,
+                       PhaseAmbiguityError, SineFitResult, TiadcConfig,
+                       ToneSpec, alias_to_subrate, derive_mismatches,
+                       detect_tone_freq, estimate_block,
+                       estimate_from_capture, interleave_channels,
+                       sine_fit_four_param, simulate_capture)
+from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
 CFG16 = TiadcConfig(n_channels=2, bits=16)
@@ -183,6 +185,39 @@ class TestEndToEnd:
         profile = MismatchProfile((0, 0.0), (0, 0.005), (0, 0.005))
         cap = self.capture(CFG16, profile, freq, 16384)
         assert detect_tone_freq(cap) == pytest.approx(freq, abs=1e-8)
+
+    def test_detect_tone_freq_reads_only_a_prefix(self):
+        # channel 0 of b differs from a only after sample 65 536
+        freq = 77 / 4096
+        profile = MismatchProfile((0, 0.001), (0, 0.01), (0, 0.01))
+        a = self.capture(CFG12, profile, freq, 2 * 70000)
+        ch0 = a.per_channel[0].copy()
+        tail = 70000 - (1 << 16)
+        ch0[1 << 16:] += np.random.default_rng(5).integers(-2, 3, tail)
+        per_channel = (ch0, a.per_channel[1])
+        b = ChannelCapture(CFG12, per_channel, interleave_channels(per_channel))
+        assert detect_tone_freq(b) == detect_tone_freq(a)
+        assert detect_tone_freq(a) == pytest.approx(freq, abs=1e-8)
+
+    def test_estimate_from_capture_is_one_block_estimate(self):
+        # the one-shot estimate reads the first block of each channel only
+        profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
+        cap = self.capture(CFG12, profile, 77 / 4096, 16384)
+        first = [c[:EST_BLOCK_PER_CHANNEL] for c in cap.per_channel]
+        est = estimate_from_capture(cap, 77 / 4096)
+        assert est == estimate_block(first, CFG12, 77 / 4096)
+        per_channel = tuple(np.concatenate((c[:EST_BLOCK_PER_CHANNEL],
+                                            -c[EST_BLOCK_PER_CHANNEL:]))
+                            for c in cap.per_channel)
+        other = ChannelCapture(CFG12, per_channel,
+                               interleave_channels(per_channel))
+        assert estimate_from_capture(other, 77 / 4096) == est
+
+    def test_estimate_profile(self):
+        profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
+        est = estimate_from_capture(self.capture(CFG12, profile, 77 / 4096,
+                                                 16384))
+        assert est.profile == MismatchProfile(est.offsets, est.gains, est.skews)
 
     def test_estimate_recovers_profile_12bit(self):
         profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
