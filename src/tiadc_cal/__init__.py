@@ -3,7 +3,7 @@
 Layered API, bottom up:
 
     model       the M-channel converter with offset/gain/skew mismatches
-    sinefit     four-parameter sine fitting and mismatch estimation
+    sinefit     tone detection, one shared-frequency solve per block, mismatches
     filterbank  first-order FIR correctors, fixed-point rules, calibration
     polyphase   exact serial integer convolution; the parallel-lane hardware model
     metrics     spectra, SINAD/ENOB, mismatch-spur tables

@@ -27,6 +27,8 @@ from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
                         with_seed)
 from .sinefit import detect_tone_freq, estimate_from_capture
 
+_CSV_CHUNK = 1 << 16  # calibrated samples formatted per write
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -158,6 +160,17 @@ def _load_calibrate_scenario(args):
     return _apply_overrides(load_scenario(source), args)
 
 
+def _write_calibrated_csv(path: str, samples) -> None:
+    """index,value rows with CRLF line ends, the csv module's dialect,
+    formatted and written a chunk of samples at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write("index,value\r\n")
+        for start in range(0, len(samples), _CSV_CHUNK):
+            chunk = samples[start:start + _CSV_CHUNK].tolist()
+            fh.write("".join(f"{i},{v:.12g}\r\n"
+                             for i, v in enumerate(chunk, start)))
+
+
 def _cmd_calibrate(args) -> int:
     capture = read_capture(args.capture)
     if args.mode == MODE_TRUTH:
@@ -187,11 +200,7 @@ def _cmd_calibrate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.capture))[0]
         cal_path = os.path.join(args.out, stem + "_calibrated.csv")
-        with open(cal_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "value"])
-            for i, v in enumerate(result.calibrated):
-                writer.writerow([i, f"{v:.12g}"])
+        _write_calibrated_csv(cal_path, result.calibrated)
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_cal.csv"),
                            rep_c.magnitudes_dbfs)
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_uncal.csv"),

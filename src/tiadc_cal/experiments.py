@@ -170,7 +170,8 @@ class SweepRow:
 
 def run_sweep(scenario: Scenario, axis: str = None, values=None,
               out_dir=None) -> list:
-    """Run the scenario once per axis value; one SweepRow each.
+    """Run the scenario once per axis value; one SweepRow each. Points that
+    share the previous point's simulation inputs reuse its capture.
 
     axis/values default to the scenario's own sweep definition. With
     out_dir set, writes <name>_sweep_<axis>.csv.
@@ -180,9 +181,15 @@ def run_sweep(scenario: Scenario, axis: str = None, values=None,
     if axis is None or values is None or not len(values):
         raise ConfigError("sweep needs an axis and a non-empty value list")
     rows = []
+    capture, inputs = None, None
     for value in values:
         point = apply_sweep_value(scenario, axis, value)
-        result = run_scenario(point)
+        # a point whose simulation inputs equal the previous point's (the
+        # coeff_bits and n_taps axes) calibrates the same capture again
+        point_inputs = (point.tone, point.config, point.profile, point.n_samples)
+        if point_inputs != inputs:
+            capture, inputs = simulate_scenario(point), point_inputs
+        result = calibrate_scenario(capture, point)
         worst, after = result.worst_image()
         rows.append(SweepRow(
             value=float(value),

@@ -1,12 +1,15 @@
-"""Four-parameter sine fitting and per-channel mismatch estimation.
+"""Sine fitting and per-channel mismatch estimation.
 
 Each sub-channel of an M-way interleaved converter sees the common test tone
 aliased to its own rate: a tone at relative frequency f (fraction of the
 aggregate rate) appears in channel data at f_sub = (f*M) mod 1, reflected
-about the sub-rate Nyquist when that alias lands above 0.5. Fitting
-A*sin + B*cos + C with frequency refinement to every channel gives per-channel
-amplitude, phase, and dc; mismatches follow by comparing against channel 0,
-which is defined to be the reference (all its mismatches are zero).
+about the sub-rate Nyquist when that alias lands above 0.5. Tone detection
+pins f once, with a four-parameter fit (A*sin + B*cos + C with frequency
+refinement) of channel 0. Every estimation block then needs only one linear
+three-parameter solve at that shared f_sub: a cached pseudo-inverse of the
+[sin, cos, 1] basis gives all channels' amplitude, phase, and dc in one
+matrix product. Mismatches follow by comparing against channel 0, which is
+defined to be the reference (all its mismatches are zero).
 
 The skew estimate comes from the phase difference: channel m's carrier phase
 leads channel 0's by 2*pi*f*(m + dt_m), known only modulo 2*pi, so the branch
@@ -14,13 +17,14 @@ is chosen to make |dt_m| smallest; mismatches are assumed well below one
 sample period.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFitError,
-                     PhaseAmbiguityError)
+                     PhaseAmbiguityError, ShapeError)
 from .model import ChannelCapture, MismatchProfile, TiadcConfig, dequantize_stream
 
 _OMEGA_TOL = 1e-12
@@ -82,6 +86,55 @@ def _result(a, b, c, omega, y, n, iterations) -> SineFitResult:
                          phase=phase, dc=float(c),
                          rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                          iterations=iterations)
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_basis(length: int, freq_rel: float) -> tuple:
+    """Read-only [sin, cos, 1] basis (length x 3) at freq_rel cycles per
+    sample, and its pseudo-inverse. Every block of a run has the same length
+    and frequency, so both are built once."""
+    n = np.arange(length, dtype=float)
+    omega = 2.0 * math.pi * freq_rel
+    basis = np.column_stack([np.sin(omega * n), np.cos(omega * n),
+                             np.ones(length)])
+    u, s, vt = np.linalg.svd(basis, full_matrices=False)
+    # the rank cut-off np.linalg.lstsq applies with rcond=None
+    if np.count_nonzero(s > s[0] * length * np.finfo(float).eps) < 3:
+        raise DegenerateFitError("normal equations singular in 3-parameter solve")
+    pinv = (vt.T / s) @ u.T
+    basis.setflags(write=False)
+    pinv.setflags(write=False)
+    return basis, pinv
+
+
+def _fit_rows(y, freq_rel: float) -> tuple:
+    """Fit A*sin + B*cos + C at one known frequency to every row (channel)
+    of the 2-D array y: one matrix product gives all rows' (A, B, C), one
+    more their residuals. Returns one SineFitResult per row."""
+    length = y.shape[1]
+    if length < 16:
+        raise ConfigError(f"need at least 16 samples, got {length}")
+    if not 0.0 < freq_rel < 0.5:
+        raise ConfigError(f"sub-rate frequency must be in (0, 0.5), got {freq_rel}")
+    span = np.max(y, axis=1) - np.min(y, axis=1)
+    if np.any(span == 0.0):
+        raise DegenerateFitError(f"channel {int(np.flatnonzero(span == 0.0)[0])} "
+                                 "is constant and has no sine component")
+    basis, pinv = _shared_basis(length, freq_rel)
+    coeffs = y @ pinv.T
+    rms = np.sqrt(np.mean((y - coeffs @ basis.T) ** 2, axis=1))
+    a, b, c = coeffs.T
+    amplitude = np.hypot(a, b)
+    if np.any(amplitude <= 1e-12 * span):
+        raise DegenerateFitError(
+            f"channel {int(np.flatnonzero(amplitude <= 1e-12 * span)[0])}: "
+            "fitted amplitude is zero")
+    phase = np.arctan2(b, a)
+    phase[phase <= -math.pi] += 2.0 * math.pi
+    return tuple(SineFitResult(amplitude=float(amplitude[m]), freq_rel=freq_rel,
+                               phase=float(phase[m]), dc=float(c[m]),
+                               rms_residual=float(rms[m]), iterations=0)
+                 for m in range(len(y)))
 
 
 def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
@@ -170,6 +223,8 @@ def alias_to_subrate(freq_rel: float, n_channels: int) -> tuple:
     Returns (f_sub, reflected): the sub-rate frequency in (0, 0.5) and
     whether the alias is spectrally reflected (which negates phase).
     """
+    if not 0.0 < freq_rel < 0.5:
+        raise ConfigError(f"tone frequency must be in (0, 0.5) of fs, got {freq_rel}")
     a = (freq_rel * n_channels) % 1.0
     if min(a, 1.0 - a, abs(a - 0.5)) < 1e-9:
         raise ConfigError(
@@ -209,8 +264,6 @@ def derive_mismatches(fits, config: TiadcConfig,
     M = config.n_channels
     if len(fits) != M:
         raise ConfigError(f"{len(fits)} fits for {M} channels")
-    if not 0.0 < tone_freq_rel < 0.5:
-        raise ConfigError(f"tone_freq_rel must be in (0, 0.5), got {tone_freq_rel}")
     _, reflected = alias_to_subrate(tone_freq_rel, M)
     amps = np.array([f.amplitude for f in fits])
     if amps[0] <= 0.0:
@@ -281,14 +334,21 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
 
 def estimate_block(blocks, config: TiadcConfig,
                    tone_freq_rel: float) -> MismatchEstimate:
-    """Estimate all mismatches from one block of codes per channel: fit
-    each channel at the tone's sub-rate alias and compare with channel 0.
+    """Estimate all mismatches from one equal-length block of codes per
+    channel: one three-parameter solve fits every channel at the tone's
+    sub-rate alias, and the fits are compared with channel 0.
+
+    The solve does not refine the frequency, so tone_freq_rel must be
+    accurate (detect_tone_freq's value is); its fits report iterations = 0.
     The one-shot estimate and every block of background calibration run it.
     """
-    f_sub, _ = alias_to_subrate(tone_freq_rel, config.n_channels)
-    f_sub = min(max(f_sub, 1e-6), 0.5 - 1e-6)
-    fits = [sine_fit_four_param(dequantize_stream(codes, config), f_sub)
-            for codes in blocks]
+    M = config.n_channels
+    f_sub, _ = alias_to_subrate(tone_freq_rel, M)
+    lengths = [len(codes) for codes in blocks]
+    if len(lengths) != M or len(set(lengths)) != 1:
+        raise ShapeError(f"need {M} equal-length channel blocks, got lengths "
+                         f"{lengths}")
+    fits = _fit_rows(dequantize_stream(np.stack(blocks), config), f_sub)
     return derive_mismatches(fits, config, tone_freq_rel)
 
 

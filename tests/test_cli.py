@@ -203,6 +203,17 @@ def test_non_finite_freq_exit_2(tmp_path, capsys, command, value):
     assert "not finite" in err and out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"]])
+def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,
+                                                   value):
+    path = simulate_fig6(tmp_path, capsys)
+    code, out, err = run(capsys, *command, str(path), f"--freq={value}")
+    assert code == 2
+    assert f"tone frequency must be in (0, 0.5) of fs, got {value}" in err
+    assert out == ""
+
+
 class TestSweep:
     def test_range_values_row_count(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--config", "fig9",

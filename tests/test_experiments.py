@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tiadc_cal import ChannelCapture, ConfigError, FilterBank
+from tiadc_cal import ChannelCapture, ConfigError, FilterBank, experiments
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
 from tiadc_cal.scenarios import MODE_EST, load_scenario
@@ -134,3 +134,19 @@ class TestRunSweep:
     def test_missing_axis_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(load_scenario("fig6"))
+
+    @pytest.mark.parametrize("name, mode, simulations", [
+        ("fig9", "truth", 1), ("fig10", "truth", 1), ("fig9", MODE_EST, 1),
+        ("fig8", "truth", 3), ("fig11", "truth", 3)])
+    def test_simulates_each_distinct_capture_once(self, monkeypatch, name,
+                                                  mode, simulations):
+        # the coeff_bits and n_taps axes leave the capture unchanged
+        scenario = replace(load_scenario(name), mode=mode)
+        axis, values = scenario.sweep_axis, scenario.sweep_values[:3]
+        one_by_one = [run_sweep(scenario, axis, [v])[0] for v in values]
+        calls = []
+        real = experiments.simulate_capture
+        monkeypatch.setattr(experiments, "simulate_capture",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_sweep(scenario, axis, values) == one_by_one
+        assert len(calls) == simulations

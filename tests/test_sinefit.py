@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from tiadc_cal import (ChannelCapture, ConfigError, ConvergenceError,
                        DegenerateFitError, MismatchProfile,
-                       PhaseAmbiguityError, SineFitResult, TiadcConfig,
+                       PhaseAmbiguityError, ShapeError, SineFitResult,
+                       TiadcConfig,
                        ToneSpec, alias_to_subrate, derive_mismatches,
                        detect_tone_freq, estimate_block,
                        estimate_from_capture, interleave_channels,
                        sine_fit_four_param, simulate_capture)
-from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL
+from tiadc_cal import experiments, scenarios, sinefit
+from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL, _fit_rows
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
 CFG16 = TiadcConfig(n_channels=2, bits=16)
@@ -110,6 +114,71 @@ class TestSineFit:
         fit = sine_fit_four_param(data, 0.09)
         assert fit.amplitude == pytest.approx(0.4, rel=1e-10)
         assert fit.phase == pytest.approx(0.5 - math.pi, abs=1e-9)
+
+
+class TestSharedSolve:
+    NOISE = 1e-3
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    @pytest.mark.parametrize("freq", [0.013, 0.2, 0.47])
+    def test_agrees_with_four_param_fit_at_true_frequency(self, n, freq):
+        rng = np.random.default_rng(n + int(1e4 * freq))
+        truth = [(rng.uniform(0.2, 0.9), rng.uniform(-3, 3), rng.uniform(-0.1, 0.1))
+                 for _ in range(3)]
+        rows = np.stack([make_sine(n, a, freq, p, c)
+                         + rng.normal(0.0, self.NOISE, n) for a, p, c in truth])
+        # both fits see the same noise; only the four-parameter fit moves
+        # the frequency, by an amount that shrinks with the record length
+        tol = 50 * self.NOISE / math.sqrt(n)
+        for row, fit in zip(rows, _fit_rows(rows, freq)):
+            ref = sine_fit_four_param(row, freq)
+            assert (fit.freq_rel, fit.iterations) == (freq, 0)
+            assert fit.amplitude == pytest.approx(ref.amplitude, abs=tol)
+            assert fit.phase == pytest.approx(ref.phase, abs=tol)
+            assert fit.dc == pytest.approx(ref.dc, abs=tol)
+            # the frequency is one more parameter to absorb noise with
+            excess = fit.rms_residual ** 2 - ref.rms_residual ** 2
+            assert -1e-15 <= excess <= 25 * self.NOISE ** 2 / n
+
+    def test_constant_channel_degenerate(self):
+        cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
+                               MismatchProfile.zero(2), 8192)
+        blocks = [cap.per_channel[0], np.full(4096, 17)]
+        with pytest.raises(DegenerateFitError, match="channel 1"):
+            estimate_block(blocks, CFG12, 77 / 4096)
+
+    def test_block_preconditions(self):
+        cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
+                               MismatchProfile.zero(2), 8192)
+        with pytest.raises(ConfigError, match="at least 16"):
+            estimate_block([c[:15] for c in cap.per_channel], CFG12, 77 / 4096)
+        with pytest.raises(ShapeError):
+            estimate_block([cap.per_channel[0], cap.per_channel[1][:-1]],
+                           CFG12, 77 / 4096)
+        with pytest.raises(ShapeError):
+            estimate_block(cap.per_channel[:1], CFG12, 77 / 4096)
+
+    def fig7_background(self, monkeypatch):
+        scenario = replace(scenarios.load_scenario("fig7"),
+                           mode=scenarios.MODE_EST,
+                           n_samples=5 * 4 * EST_BLOCK_PER_CHANNEL)
+        calls = []
+        real = sinefit.sine_fit_four_param
+        monkeypatch.setattr(sinefit, "sine_fit_four_param",
+                            lambda *args: calls.append(args) or real(*args))
+        return scenario, experiments.run_scenario(scenario), calls
+
+    def test_background_loop_makes_one_four_param_fit(self, monkeypatch):
+        # tone detection's; every block is one shared three-parameter solve
+        _, _, calls = self.fig7_background(monkeypatch)
+        assert len(calls) == 1
+
+    def test_background_estimate_within_c08_tolerance(self, monkeypatch):
+        scenario, result, _ = self.fig7_background(monkeypatch)
+        for what in ("offsets", "gains", "skews"):
+            np.testing.assert_allclose(getattr(result.estimate, what),
+                                       getattr(scenario.profile, what),
+                                       rtol=0, atol=5e-4)
 
 
 class TestAliasToSubrate:
