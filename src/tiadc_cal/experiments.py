@@ -20,14 +20,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
-                         merge_accumulators, write_coefficients_csv)
+from .filterbank import (_CHUNK, FilterBank, StreamCalibrator,
+                         calibrate_capture, design_banks, merge_accumulators,
+                         write_coefficients_csv)
 from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
                       write_spectrum_csv)
 from .model import ChannelCapture, dequantize_stream, simulate_capture
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
 from .sinefit import (EST_BLOCK_PER_CHANNEL, MismatchEstimate,
-                      detect_tone_freq, estimate_block)
+                      detect_tone_freq, estimate_blocks)
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,18 @@ def simulate_scenario(scenario: Scenario) -> ChannelCapture:
 
 
 def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
-    """Blockwise estimate-then-apply loop.
+    """Feed-forward estimate-then-apply loop over blocks of
+    EST_BLOCK_PER_CHANNEL samples per channel.
 
-    The bank estimated from each full block of EST_BLOCK_PER_CHANNEL samples
-    applies from the next block on; the first block passes through the
-    identity bank, and a short final block is corrected but not estimated
-    from. Returns (calibrated stream from the second block on, the bank
-    designed from the last estimate, that estimate).
+    The bank estimated from each full block applies to the next block; the
+    first block passes through the identity bank, and a short final block
+    is corrected but not estimated from. Each estimate reads raw codes
+    only, so the capture runs in whole steps of _CHUNK samples per channel
+    (a whole number of blocks, so temporary memory stays bounded): one fit
+    of every block of the chunk, one design of their banks, and one
+    StreamCalibrator step with one bank per block. Returns (calibrated
+    stream from the second block on, the bank designed from the last
+    estimate, that estimate).
     """
     config = capture.config
     M = config.n_channels
@@ -89,17 +95,24 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
             f"(two estimation blocks), got {n_per_channel}")
     tone_freq = detect_tone_freq(capture)
 
-    bank = FilterBank.identity(M, spec)
+    chunk = _CHUNK - _CHUNK % block
+    bank, estimate = FilterBank.identity(M, spec), None
     stream = StreamCalibrator(config, spec)
     out = np.empty(n_per_channel * M)
-    for start in range(0, n_per_channel, block):
-        stop = min(start + block, n_per_channel)
-        blocks = [codes[start:stop] for codes in capture.per_channel]
-        merge_accumulators(stream.process(blocks, bank), stream.scale,
-                           out[start * M: stop * M])
-        if stop - start == block:  # full block: refresh coefficients from it
-            estimate = estimate_block(blocks, config, tone_freq)
-            bank = FilterBank.design(estimate.profile, M, spec)
+    for start in range(0, n_per_channel, chunk):
+        codes = [c[start: start + chunk] for c in capture.per_channel]
+        width = len(codes[0])
+        n_full = width // block
+        estimates = estimate_blocks(
+            np.stack([c[:n_full * block].reshape(n_full, block) for c in codes],
+                     axis=1), config, tone_freq)
+        # each block runs the bank estimated from the block before it
+        banks = [bank] + design_banks([e.profile for e in estimates], M, spec)
+        n_blocks = -(-width // block)  # a short last block included
+        merge_accumulators(stream.process(codes, banks[:n_blocks], block),
+                           stream.scale, out[start * M: (start + width) * M])
+        bank = banks[-1]
+        estimate = estimates[-1] if estimates else estimate
     return out[(block + spec.group_delay) * M:], bank, estimate
 
 

@@ -42,13 +42,14 @@ spent per output sample.
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import ChannelCapture, MismatchProfile, TiadcConfig
-from .polyphase import _guard_sum, _max_abs, convolve_serial
+from .polyphase import _guard_sums, convolve_serial
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -98,15 +99,15 @@ def _gain_trim(gain, variant: str):
     return 1.0 - gain if variant == SUBTRACT_GAIN else 1.0 / (1.0 + gain)
 
 
-def design_taps(gain: float, skew: float, n_channels: int,
-                spec: FilterSpec) -> np.ndarray:
-    """The paper's real-valued sub-rate corrector taps for one channel.
+def design_taps(gain, skew, n_channels: int, spec: FilterSpec) -> np.ndarray:
+    """The paper's real-valued sub-rate corrector taps.
 
     Parameters
     ----------
-    gain, skew : float
+    gain, skew : float or array
         The channel's mismatches dg (dimensionless) and dt (units of Ts),
-        both magnitude < 0.5.
+        both magnitude < 0.5. Arrays broadcast together, one channel per
+        element.
     n_channels : int
         M; the skew term is dt/M because the channel runs at fs/M.
     spec : FilterSpec
@@ -115,17 +116,38 @@ def design_taps(gain: float, skew: float, n_channels: int,
 
     Returns
     -------
-    ndarray, length spec.n_taps, ordered by tap_indices(spec.n_taps).
+    ndarray of shape (..., spec.n_taps): the broadcast shape of gain and
+    skew, then the taps ordered by tap_indices(spec.n_taps).
     """
-    if abs(gain) >= 0.5 or abs(skew) >= 0.5:
+    gain, skew = np.broadcast_arrays(np.asarray(gain, dtype=float),
+                                     np.asarray(skew, dtype=float))
+    if np.any(np.abs(gain) >= 0.5) or np.any(np.abs(skew) >= 0.5):
         raise ConfigError(f"|gain| and |skew| must be < 0.5, got {gain}, {skew}")
     if n_channels < 2:
         raise ConfigError(f"n_channels must be >= 2, got {n_channels}")
     n = tap_indices(spec.n_taps)
-    w = np.zeros(spec.n_taps)
+    w = np.zeros(gain.shape + (spec.n_taps,))
     nz = n != 0
-    w[nz] = ((-1.0) ** (n[nz] + 1)) / n[nz] * (skew / n_channels)
-    w[n == 0] = _gain_trim(gain, spec.variant)
+    w[..., nz] = ((-1.0) ** (n[nz] + 1)) / n[nz] * (skew[..., None] / n_channels)
+    w[..., n == 0] = _gain_trim(gain, spec.variant)[..., None]
+    return w
+
+
+def _fullrate_taps(gains, skews, spec: FilterSpec) -> np.ndarray:
+    """Full-rate taps of every output channel: gains and skews of shape
+    (..., M) give taps of shape (..., M, N)."""
+    M = gains.shape[-1]
+    n = tap_indices(spec.n_taps)
+    half = spec.group_delay + 1
+    trims = _gain_trim(gains, spec.variant)
+    w = np.zeros(gains.shape + (spec.n_taps,))
+    inner = (n != 0) & (np.abs(n) < half)
+    ni = n[inner]
+    window = 0.5 * (1.0 + np.cos(np.pi * ni / half))
+    source = (np.arange(M)[:, None] - ni) % M
+    w[..., inner] = (skews[..., None] * trims[..., source]
+                     * ((-1.0) ** (ni + 1)) / ni * window)
+    w[..., n == 0] = trims[..., None]
     return w
 
 
@@ -147,17 +169,8 @@ def design_fullrate_taps(profile: MismatchProfile, channel: int,
         raise ConfigError(f"n_channels must be >= 2, got {M}")
     if not 0 <= channel < M:
         raise ConfigError(f"channel {channel} out of range for {M} channels")
-    n = tap_indices(spec.n_taps)
-    half = spec.group_delay + 1
-    trims = _gain_trim(np.asarray(profile.gains), spec.variant)
-    w = np.zeros(spec.n_taps)
-    inner = (n != 0) & (np.abs(n) < half)
-    ni = n[inner]
-    window = 0.5 * (1.0 + np.cos(np.pi * ni / half))
-    w[inner] = (profile.skews[channel] * trims[(channel - ni) % M]
-                * ((-1.0) ** (ni + 1)) / ni * window)
-    w[n == 0] = trims[channel]
-    return w
+    return _fullrate_taps(np.asarray(profile.gains), np.asarray(profile.skews),
+                          spec)[channel]
 
 
 def _round_half_away(x):
@@ -165,10 +178,11 @@ def _round_half_away(x):
 
 
 def quantize_taps(taps, coeff_bits: int) -> np.ndarray:
-    """Round taps half-away-from-zero into Q2.(W-2) integers."""
+    """Round taps (an array of any shape) half-away-from-zero into Q2.(W-2)
+    integers."""
     taps = np.asarray(taps, dtype=float)
     if np.any(np.abs(taps) >= 2.0):
-        worst = taps[np.argmax(np.abs(taps))]
+        worst = taps.flat[np.argmax(np.abs(taps))]
         raise TapOverflowError(f"tap {worst} outside Q2 range (-2, 2)")
     fx = _round_half_away(taps * (1 << (coeff_bits - 2))).astype(np.int64)
     limit = 1 << (coeff_bits - 1)
@@ -227,20 +241,9 @@ class FilterBank:
     @classmethod
     def design(cls, profile: MismatchProfile, n_channels: int,
                spec: FilterSpec) -> "FilterBank":
-        """Build correctors from a mismatch profile (truth or estimate)."""
-        if len(profile) != n_channels:
-            raise ConfigError(
-                f"profile has {len(profile)} channels, expected {n_channels}")
-        if spec.structure == FULLRATE:
-            real = tuple(design_fullrate_taps(profile, m, spec)
-                         for m in range(n_channels))
-        else:
-            real = tuple(design_taps(profile.gains[m], profile.skews[m],
-                                     n_channels, spec)
-                         for m in range(n_channels))
-        fixed = tuple(quantize_taps(w, spec.coeff_bits) for w in real)
-        return cls(spec=spec, taps_real=real, taps_fixed=fixed,
-                   offsets=profile.offsets)
+        """Build correctors from a mismatch profile (truth or estimate); the
+        one-profile case of design_banks."""
+        return design_banks((profile,), n_channels, spec)[0]
 
     @classmethod
     def identity(cls, n_channels: int, spec: FilterSpec) -> "FilterBank":
@@ -260,36 +263,86 @@ class FilterBank:
         N multiply-accumulates. Every lag + len(taps) is at most N: N-1
         samples of history per channel are enough.
         """
-        spec = self.spec
-        M = self.n_channels
-        n = tap_indices(spec.n_taps)
-        d = spec.group_delay
-        slot = np.arange(M)[:, None]
-        if spec.structure == FULLRATE:
-            # slot m holds aggregate sample q = k*M + m - D, corrected by
-            # its own channel's taps; tap n reads sample q - n
-            channel = (slot - d) % M
-            source = (slot - d - n) % M
-            lag = (d + n + source - slot) // M
-        else:
-            channel = slot
-            source = np.broadcast_to(slot, (M, len(n)))
-            lag = np.broadcast_to(n + d, (M, len(n)))
-        dense = np.zeros((M, M, spec.n_taps), dtype=np.int64)
-        dense[np.broadcast_to(slot, source.shape), source, lag] = \
-            np.asarray(self.taps_fixed, dtype=np.int64)[channel[:, 0]]
-        used = dense != 0
-        first = used.argmax(axis=2).tolist()
-        stop = (spec.n_taps - used[..., ::-1].argmax(axis=2)).tolist()
-        live = used.any(axis=2).tolist()
-        return tuple(tuple((s, first[m][s], dense[m, s, first[m][s]:stop[m][s]])
-                           for s in range(M) if live[m][s])
-                     for m in range(M))
+        dense = _dense_taps(np.asarray(self.taps_fixed, dtype=np.int64)[None],
+                            self.spec)[0]
+        terms = _live_terms(dense != 0)
+        return tuple(tuple((s, lo, dense[m, s, lo:hi])
+                           for slot, s, lo, hi in terms if slot == m)
+                     for m in range(self.n_channels))
 
 
-def _offset_code(offset: float, config: TiadcConfig) -> int:
-    return int(_round_half_away(offset / config.full_scale
-                                * config.code_half_range))
+def design_banks(profiles, n_channels: int, spec: FilterSpec) -> list:
+    """One bank per mismatch profile, all of them designed and quantized
+    in one vectorized pass; FilterBank.design is the one-profile case."""
+    profiles = tuple(profiles)
+    for profile in profiles:
+        if len(profile) != n_channels:
+            raise ConfigError(
+                f"profile has {len(profile)} channels, expected {n_channels}")
+    shape = (len(profiles), n_channels)
+    gains = np.array([p.gains for p in profiles]).reshape(shape)
+    skews = np.array([p.skews for p in profiles]).reshape(shape)
+    if spec.structure == FULLRATE:
+        if n_channels < 2:
+            raise ConfigError(f"n_channels must be >= 2, got {n_channels}")
+        real = _fullrate_taps(gains, skews, spec)
+    else:
+        real = design_taps(gains, skews, n_channels, spec)
+    fixed = quantize_taps(real, spec.coeff_bits)
+    return [FilterBank(spec=spec, taps_real=tuple(r), taps_fixed=tuple(f),
+                       offsets=p.offsets)
+            for r, f, p in zip(real, fixed, profiles)]
+
+
+@functools.lru_cache(maxsize=8)
+def _term_layout(spec: FilterSpec, n_channels: int) -> tuple:
+    """Where each tap of a bank lands among the sub-rate convolutions:
+    read-only (channel, source, lag). Output slot m holds the correction
+    by channel[m]'s taps, and that channel's tap j multiplies source
+    channel source[m, j]'s sample lag[m, j] sub-rate steps back. Built
+    once per spec and channel count."""
+    M = n_channels
+    n = tap_indices(spec.n_taps)
+    d = spec.group_delay
+    slot = np.broadcast_to(np.arange(M)[:, None], (M, len(n)))
+    if spec.structure == FULLRATE:
+        # slot m holds aggregate sample q = k*M + m - D, corrected by
+        # its own channel's taps; tap n reads sample q - n
+        source = (slot - d - n) % M
+        layout = ((slot[:, 0] - d) % M, source, (d + n + source - slot) // M)
+    else:
+        layout = (slot[:, 0], slot, np.broadcast_to(n + d, (M, len(n))))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _dense_taps(taps_fixed, spec: FilterSpec) -> np.ndarray:
+    """(B, M, N) fixed-point taps of B banks as (B, slot, source, lag)
+    integer arrays: entry [b, m, s, j] multiplies source s's sample j
+    sub-rate steps back in slot m's accumulator."""
+    B, M, N = taps_fixed.shape
+    channel, source, lag = _term_layout(spec, M)
+    dense = np.zeros((B, M, M, N), dtype=np.int64)
+    dense[:, np.arange(M)[:, None], source, lag] = taps_fixed[:, channel]
+    return dense
+
+
+def _live_terms(used) -> list:
+    """(slot, source, first lag, stop lag) of every (slot, source) pair
+    with a nonzero tap in the (M, M, N) mask used, trimmed to the span of
+    nonzero lags."""
+    N = used.shape[2]
+    first = used.argmax(axis=2).tolist()
+    stop = (N - used[..., ::-1].argmax(axis=2)).tolist()
+    return [(m, s, first[m][s], stop[m][s])
+            for m, s in zip(*(i.tolist() for i in np.nonzero(used.any(axis=2))))]
+
+
+def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
+    """Offsets in full-scale units, quantized to int64 codes."""
+    return _round_half_away(np.asarray(offsets, dtype=float) / config.full_scale
+                            * config.code_half_range).astype(np.int64)
 
 
 def calibrate_channel(stream_codes, taps_fx, offset: float, spec: FilterSpec,
@@ -307,65 +360,104 @@ def calibrate_channel(stream_codes, taps_fx, offset: float, spec: FilterSpec,
     if len(codes) < spec.n_taps:
         raise ShapeError(
             f"stream length {len(codes)} shorter than {spec.n_taps} taps")
-    off_code = _offset_code(offset, config)
+    off_code = int(_offset_codes(offset, config))
     acc = convolve_serial(codes - off_code, np.asarray(taps_fx, dtype=np.int64))
     scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
     return acc * scale
 
 
 class StreamCalibrator:
-    """Runs filter banks over a capture block by block.
+    """Runs filter banks over a capture a chunk of samples at a time.
 
-    process() takes one block of every channel's codes and returns that
-    block's integer accumulators. Each channel carries its last N-1
-    offset-corrected samples into the next block, so feeding blocks
-    b0, b1, ... gives exactly the accumulators of one whole-stream pass,
-    even if the bank changes between blocks: a new bank applies from the
-    first sample of the new block, and history samples keep the offset
-    correction they were fed with. Every convolution is convolve_serial;
-    the polyphase lanes are bit-exact with it but only model hardware.
+    process() takes a chunk of every channel's codes and one bank per block
+    of that chunk, and returns the chunk's integer accumulators. Each
+    channel carries its last N-1 offset-corrected samples into the next
+    chunk, so feeding chunks c0, c1, ... gives exactly the accumulators of
+    one whole-stream pass, wherever the chunk and block edges fall and even
+    if every block has a bank of its own: a bank applies from the first
+    sample of its block, and history samples keep the offset correction
+    they were fed with. Each block's sums are np.convolve in exact int64,
+    the rule of convolve_serial; the polyphase lanes are bit-exact with it
+    but only model hardware.
     """
 
     def __init__(self, config: TiadcConfig, spec: FilterSpec):
         self.config = config
         self.spec = spec
         self.scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
-        self._history = [np.zeros(0, dtype=np.int64)] * config.n_channels
+        # zeros before the stream start: the same sums as no history
+        self._history = np.zeros((config.n_channels, spec.n_taps - 1),
+                                 dtype=np.int64)
+        self._banks, self._plan = (), None
 
-    def process(self, blocks, bank: FilterBank) -> list:
-        """Accumulators of one block: M int64 arrays, one per output slot
-        (see FilterBank.convolution_terms)."""
+    def _prepare(self, banks: tuple) -> tuple:
+        """Dense taps, per-(slot, source) sums of |taps|, offset codes and
+        live terms of the banks; reused while the same bank objects come
+        back, as they do for every chunk of a one-bank capture."""
+        if len(banks) == len(self._banks) and all(
+                a is b for a, b in zip(banks, self._banks)):
+            return self._plan
         M = self.config.n_channels
-        if bank.n_channels != M or len(blocks) != M:
-            raise ConfigError(f"bank has {bank.n_channels} channels and "
-                              f"{len(blocks)} blocks were given, expected {M}")
-        if bank.spec != self.spec:
-            raise ConfigError(f"bank spec {bank.spec} differs from the "
-                              f"calibrator's {self.spec}")
-        width = len(blocks[0])
-        if any(len(b) != width for b in blocks):
-            raise ShapeError(f"ragged blocks: {[len(b) for b in blocks]}")
-        # ext[s][j] is channel s's sample (block start) + j - len(history)
-        ext = [np.concatenate((h, np.subtract(b, _offset_code(off, self.config),
-                                              dtype=np.int64)))
-               for h, b, off in zip(self._history, blocks, bank.offsets)]
-        peaks = [_max_abs(e) for e in ext]
-        terms = bank.convolution_terms()
-        accs = []
-        for m in range(M):
-            _guard_sum([(peaks[s], taps) for s, _, taps in terms[m]])
-            acc = np.zeros(width, dtype=np.int64)
-            for s, lag, taps in terms[m]:
-                lo = len(self._history[s]) - lag
-                conv = convolve_serial(ext[s], taps)
-                if lo >= 0:
-                    acc += conv[lo: lo + width]
-                else:  # reaches before the stream start: zero history
-                    acc[-lo:] += conv[: width + lo]
-            accs.append(acc)
-        keep = self.spec.n_taps - 1
-        self._history = [e[max(len(e) - keep, 0):].copy() for e in ext]
-        return accs
+        for bank in banks:
+            if bank.n_channels != M:
+                raise ConfigError(f"bank has {bank.n_channels} channels, "
+                                  f"expected {M}")
+            if bank.spec != self.spec:
+                raise ConfigError(f"bank spec {bank.spec} differs from the "
+                                  f"calibrator's {self.spec}")
+        dense = _dense_taps(np.array([bank.taps_fixed for bank in banks],
+                                     dtype=np.int64), self.spec)
+        offsets = _offset_codes([bank.offsets for bank in banks], self.config)
+        self._plan = (dense, np.abs(dense).sum(axis=3), offsets,
+                      _live_terms((dense != 0).any(axis=0)))
+        self._banks = banks
+        return self._plan
+
+    def process(self, chunk, banks, block_len: int = None) -> np.ndarray:
+        """Accumulators of one chunk: an (M, width) int64 array, row m for
+        output slot m (see FilterBank.convolution_terms).
+
+        chunk holds M equal-length code arrays, one per channel. banks is
+        one FilterBank, or one per block_len samples of the chunk (the last
+        block may be shorter); block_len defaults to the chunk length.
+        """
+        M = self.config.n_channels
+        if len(chunk) != M:
+            raise ConfigError(f"{len(chunk)} channels were given, expected {M}")
+        width = len(chunk[0])
+        if any(len(c) != width for c in chunk):
+            raise ShapeError(f"ragged chunk: {[len(c) for c in chunk]}")
+        banks = (banks,) if isinstance(banks, FilterBank) else tuple(banks)
+        block_len = block_len or max(width, 1)
+        starts = range(0, max(width, 1), block_len)
+        if len(banks) != len(starts):
+            raise ConfigError(f"{len(banks)} banks for {len(starts)} blocks of "
+                              f"{block_len} in {width} samples")
+        dense, tap_sums, offsets, terms = self._prepare(banks)
+        if width == 0:
+            return np.zeros((M, 0), dtype=np.int64)
+        hist = self.spec.n_taps - 1
+        # x[s, hist + j] is channel s's offset-corrected sample j of the chunk
+        x = np.empty((M, hist + width), dtype=np.int64)
+        x[:, :hist] = self._history
+        for s, codes in enumerate(chunk):
+            x[s, hist:] = codes
+        for b, a in enumerate(starts):
+            x[:, hist + a: hist + a + block_len] -= offsets[b][:, None]
+        # largest |code| each block's sums read: its samples and history
+        edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
+        edges[0::2] = starts
+        edges[1::2] = np.add(starts[1:], hist)
+        peaks = np.maximum.reduceat(np.abs(x), edges, axis=1)[:, 0::2]
+        _guard_sums(peaks.T, tap_sums)
+        acc = np.zeros((M, width), dtype=np.int64)
+        for b, a in enumerate(starts):
+            e = min(a + block_len, width)
+            for m, s, lo, hi in terms:
+                acc[m, a:e] += np.convolve(x[s, hist + a + 1 - hi: hist + e - lo],
+                                           dense[b, m, s, lo:hi], "valid")
+        self._history = x[:, width:].copy()
+        return acc
 
 
 def merge_accumulators(accs, scale: float, out: np.ndarray) -> np.ndarray:
@@ -391,7 +483,7 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
     bank, whose first floor(N/2)*M outputs still lack part of their
     history, and of input sample j + D*(M-1) for the full-rate bank, whose
     output is free of filter transients. The capture runs through one
-    StreamCalibrator, a chunk of samples at a time.
+    StreamCalibrator, a chunk of samples at a time, with the one bank.
     """
     spec = bank.spec
     M = capture.config.n_channels

@@ -149,31 +149,58 @@ def sample_channels(tone: ToneSpec, config: TiadcConfig,
     Returns
     -------
     list of ndarray
-        M float arrays of length n_per_channel. Channel m sample k equals
-        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m.
+        M float arrays of length n_per_channel (the rows of one array).
+        Channel m sample k equals (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m.
     """
+    return list(_sample(tone, config, profile, n_per_channel))
+
+
+def _sample(tone: ToneSpec, config: TiadcConfig, profile: MismatchProfile,
+            n_per_channel: int) -> np.ndarray:
+    """sample_channels as one (M, n_per_channel) array, each row computed
+    in place."""
     M = config.n_channels
     if len(profile) != M:
         raise ConfigError(
             f"profile has {len(profile)} channels, config expects {M}")
     if n_per_channel < 1:
         raise ConfigError("n_per_channel must be >= 1")
-    k = np.arange(n_per_channel, dtype=float)
-    out = []
-    for m in range(M):
-        t = k * M + m + profile.skews[m]  # in units of Ts
-        x = tone.dc + tone.amplitude * np.sin(
-            2.0 * np.pi * tone.freq_rel * t + tone.phase)
-        out.append((1.0 + profile.gains[m]) * x + profile.offsets[m])
+    kM = np.arange(n_per_channel, dtype=float) * M
+    omega = 2.0 * np.pi * tone.freq_rel
+    out = np.empty((M, n_per_channel))
+    for m, row in enumerate(out):
+        # the operations, in order, of
+        # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do
+        np.add(kM, m, out=row)
+        row += profile.skews[m]  # t in units of Ts
+        row *= omega
+        row += tone.phase
+        np.sin(row, out=row)
+        row *= tone.amplitude
+        row += tone.dc
+        row *= 1.0 + profile.gains[m]
+        row += profile.offsets[m]
     return out
+
+
+def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
+    """quantize_stream's codes as integral floats, computed in the float
+    array samples, which they overwrite."""
+    half = config.code_half_range
+    samples /= config.full_scale
+    samples *= half
+    negative = np.signbit(samples)
+    np.abs(samples, out=samples)
+    samples += 0.5
+    np.floor(samples, out=samples)
+    np.negative(samples, out=samples, where=negative)
+    return np.clip(samples, -half, half - 1, out=samples)
 
 
 def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
     """Mid-rise saturating quantizer, round half away from zero."""
-    half = config.code_half_range
-    scaled = np.asarray(samples, dtype=float) / config.full_scale * half
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return np.clip(codes, -half, half - 1).astype(np.int64)
+    return _quantize_in_place(np.array(samples, dtype=float),
+                              config).astype(np.int64)
 
 
 def dequantize_stream(codes, config: TiadcConfig) -> np.ndarray:
@@ -206,14 +233,19 @@ def deinterleave(stream, n_channels: int) -> list:
 
 def simulate_capture(tone: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> ChannelCapture:
-    """Full capture: sample through the mismatch model, quantize, interleave."""
+    """Full capture: sample through the mismatch model, quantize, interleave.
+
+    The codes are written straight into the interleaved array; per_channel
+    holds strided views of it.
+    """
     M = config.n_channels
     if n_total % M:
         raise ShapeError(f"n_total {n_total} not divisible by {M} channels")
-    analog = sample_channels(tone, config, profile, n_total // M)
-    per_channel = tuple(quantize_stream(ch, config) for ch in analog)
-    return ChannelCapture(config, per_channel,
-                          interleave_channels(per_channel), origin="simulated")
+    analog = _sample(tone, config, profile, n_total // M)
+    interleaved = np.empty(n_total, dtype=np.int64)
+    interleaved.reshape(-1, M)[...] = _quantize_in_place(analog, config).T
+    return ChannelCapture(config, tuple(deinterleave(interleaved, M)),
+                          interleaved, origin="simulated")
 
 
 def ideal_capture(tone: ToneSpec, config: TiadcConfig, n_total: int) -> ChannelCapture:

@@ -1,8 +1,10 @@
 """Exact integer convolution: the serial rule every calibration runs, and
 the polyphase lane decomposition that models a parallel hardware realization.
 
-The calibration filters run as sub-rate FIRs through convolve_serial; that
-is the only execution path. The paper notes that the filter bank can be
+The calibration filters run as sub-rate FIRs under convolve_serial's rule:
+filterbank.StreamCalibrator applies it with np.convolve, one call per
+block and sub-rate term, behind the range guards defined here; that is the
+only execution path. The paper notes that the filter bank can be
 computed in parallel in hardware by splitting a sub-channel stream into L
 interleaved lanes (samples at indices j mod L), convolving each lane
 independently and merging the lane outputs. parallel_convolve models that
@@ -45,6 +47,21 @@ def _guard_sum(terms) -> None:
     """
     peak = sum(code_peak * int(np.abs(taps).sum())
                for code_peak, taps in terms)
+    if peak >= _ACC_LIMIT:
+        raise NumericError(
+            f"worst-case accumulator {peak} would overflow 64-bit integers")
+
+
+def _guard_sums(peaks, tap_sums) -> None:
+    """_guard_sum for many accumulators at once, in exact integers.
+
+    peaks[..., s] is source s's largest |code| and tap_sums[..., k, s] the
+    sum of |taps| by which source s feeds accumulator k; accumulator k's
+    bound is the sum over s of their products.
+    """
+    bound = (np.asarray(tap_sums, dtype=object)
+             * np.asarray(peaks, dtype=object)[..., None, :]).sum(axis=-1)
+    peak = max(bound.flat, default=0)
     if peak >= _ACC_LIMIT:
         raise NumericError(
             f"worst-case accumulator {peak} would overflow 64-bit integers")

@@ -107,34 +107,43 @@ def _shared_basis(length: int, freq_rel: float) -> tuple:
     return basis, pinv
 
 
+def _row_name(index: int, shape: tuple) -> str:
+    """'channel m', or 'block b channel m' for a (B, M, L) fit."""
+    *block, m = np.unravel_index(index, shape[:-1])
+    return "".join(f"block {b} " for b in block) + f"channel {m}"
+
+
 def _fit_rows(y, freq_rel: float) -> tuple:
-    """Fit A*sin + B*cos + C at one known frequency to every row (channel)
-    of the 2-D array y: one matrix product gives all rows' (A, B, C), one
-    more their residuals. Returns one SineFitResult per row."""
-    length = y.shape[1]
+    """Fit A*sin + B*cos + C at one known frequency to every row of y, an
+    (M, L) array of channels or a (B, M, L) array of blocks: one matrix
+    product gives all rows' (A, B, C), one more their residuals. Returns
+    one SineFitResult per row, in row-major order."""
+    length = y.shape[-1]
     if length < 16:
         raise ConfigError(f"need at least 16 samples, got {length}")
     if not 0.0 < freq_rel < 0.5:
         raise ConfigError(f"sub-rate frequency must be in (0, 0.5), got {freq_rel}")
-    span = np.max(y, axis=1) - np.min(y, axis=1)
+    rows = y.reshape(-1, length)
+    span = np.max(rows, axis=1) - np.min(rows, axis=1)
     if np.any(span == 0.0):
-        raise DegenerateFitError(f"channel {int(np.flatnonzero(span == 0.0)[0])} "
-                                 "is constant and has no sine component")
+        raise DegenerateFitError(
+            f"{_row_name(np.flatnonzero(span == 0.0)[0], y.shape)} "
+            "is constant and has no sine component")
     basis, pinv = _shared_basis(length, freq_rel)
-    coeffs = y @ pinv.T
-    rms = np.sqrt(np.mean((y - coeffs @ basis.T) ** 2, axis=1))
+    coeffs = rows @ pinv.T
+    rms = np.sqrt(np.mean((rows - coeffs @ basis.T) ** 2, axis=1))
     a, b, c = coeffs.T
     amplitude = np.hypot(a, b)
     if np.any(amplitude <= 1e-12 * span):
         raise DegenerateFitError(
-            f"channel {int(np.flatnonzero(amplitude <= 1e-12 * span)[0])}: "
-            "fitted amplitude is zero")
+            f"{_row_name(np.flatnonzero(amplitude <= 1e-12 * span)[0], y.shape)}"
+            ": fitted amplitude is zero")
     phase = np.arctan2(b, a)
     phase[phase <= -math.pi] += 2.0 * math.pi
-    return tuple(SineFitResult(amplitude=float(amplitude[m]), freq_rel=freq_rel,
-                               phase=float(phase[m]), dc=float(c[m]),
-                               rms_residual=float(rms[m]), iterations=0)
-                 for m in range(len(y)))
+    return tuple(SineFitResult(amplitude=amp, freq_rel=freq_rel, phase=ph,
+                               dc=dc, rms_residual=r, iterations=0)
+                 for amp, ph, dc, r in zip(amplitude.tolist(), phase.tolist(),
+                                           c.tolist(), rms.tolist()))
 
 
 def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
@@ -305,9 +314,10 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     config = capture.config
     seg = dequantize_stream(capture.interleaved[:_DETECT_SAMPLES], config)
     n = len(seg)
+    if n // 2 + 1 < 4:  # the peak and both its neighbours, off the dc bin
+        raise ConfigError(f"capture too short for frequency detection: "
+                          f"{n} samples")
     mags = np.abs(np.fft.rfft(seg * np.hanning(n)))
-    if len(mags) < 4:
-        raise ConfigError("capture too short for frequency detection")
     k = 1 + int(np.argmax(mags[1:-1]))
     lo, mid, hi = (math.log(mags[k - 1] + 1e-300), math.log(mags[k] + 1e-300),
                    math.log(mags[k + 1] + 1e-300))
@@ -332,24 +342,41 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     return freq
 
 
-def estimate_block(blocks, config: TiadcConfig,
-                   tone_freq_rel: float) -> MismatchEstimate:
-    """Estimate all mismatches from one equal-length block of codes per
-    channel: one three-parameter solve fits every channel at the tone's
-    sub-rate alias, and the fits are compared with channel 0.
+def estimate_blocks(blocks, config: TiadcConfig,
+                    tone_freq_rel: float) -> list:
+    """Estimate all mismatches from each of B blocks at once.
+
+    blocks is a (B, M, L) array of codes: B blocks of one equal-length
+    block per channel. One matrix product fits every channel of every block
+    at the tone's sub-rate alias, and each block's fits are compared with
+    its channel 0. Returns B MismatchEstimates, in block order.
 
     The solve does not refine the frequency, so tone_freq_rel must be
     accurate (detect_tone_freq's value is); its fits report iterations = 0.
-    The one-shot estimate and every block of background calibration run it.
+    Background calibration runs it on every chunk of its capture.
     """
     M = config.n_channels
     f_sub, _ = alias_to_subrate(tone_freq_rel, M)
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 3 or blocks.shape[1] != M:
+        raise ShapeError(f"need a (blocks, {M}, length) array of codes, got "
+                         f"shape {blocks.shape}")
+    fits = _fit_rows(dequantize_stream(blocks, config), f_sub)
+    return [derive_mismatches(fits[i: i + M], config, tone_freq_rel)
+            for i in range(0, len(fits), M)]
+
+
+def estimate_block(blocks, config: TiadcConfig,
+                   tone_freq_rel: float) -> MismatchEstimate:
+    """Estimate all mismatches from one equal-length block of codes per
+    channel: the one-block case of estimate_blocks. The one-shot estimate
+    runs it."""
+    M = config.n_channels
     lengths = [len(codes) for codes in blocks]
     if len(lengths) != M or len(set(lengths)) != 1:
         raise ShapeError(f"need {M} equal-length channel blocks, got lengths "
                          f"{lengths}")
-    fits = _fit_rows(dequantize_stream(np.stack(blocks), config), f_sub)
-    return derive_mismatches(fits, config, tone_freq_rel)
+    return estimate_blocks(np.stack(blocks)[None], config, tone_freq_rel)[0]
 
 
 def estimate_from_capture(capture: ChannelCapture,

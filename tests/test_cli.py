@@ -203,6 +203,21 @@ def test_non_finite_freq_exit_2(tmp_path, capsys, command, value):
     assert "not finite" in err and out == ""
 
 
+@pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"],
+                                     ["spectrum"]])
+def test_zero_sample_capture_exit_2(tmp_path, capsys, command):
+    """A valid header with a sample count of 0 and no payload: tone
+    detection has nothing to look at."""
+    path = simulate_fig6(tmp_path, capsys)
+    header = bytearray(path.read_bytes()[:HEADER_SIZE])
+    header[18:26] = struct.pack("<Q", 0)
+    path.write_bytes(bytes(header))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert "too short for frequency detection: 0 samples" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"]])
 def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,

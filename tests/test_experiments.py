@@ -6,8 +6,11 @@ import pytest
 from tiadc_cal import ChannelCapture, ConfigError, FilterBank, experiments
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
+from tiadc_cal.filterbank import StreamCalibrator, merge_accumulators
+from tiadc_cal.model import deinterleave
 from tiadc_cal.scenarios import MODE_EST, load_scenario
-from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL
+from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, detect_tone_freq,
+                               estimate_block, estimate_blocks)
 
 
 def assert_same_bank(a, b):
@@ -150,3 +153,82 @@ class TestRunSweep:
                             lambda *args: calls.append(args) or real(*args))
         assert run_sweep(scenario, axis, values) == one_by_one
         assert len(calls) == simulations
+
+
+def background_by_block(capture, scenario):
+    """Reference for the background loop: one estimate_block, one
+    FilterBank.design and one one-bank StreamCalibrator step per block.
+    Returns the calibrated stream, the last bank and every estimate."""
+    config, spec = capture.config, scenario.filter_spec
+    M, block = config.n_channels, EST_BLOCK_PER_CHANNEL
+    n = capture.n_per_channel
+    tone_freq = detect_tone_freq(capture)
+    bank, estimates = FilterBank.identity(M, spec), []
+    stream = StreamCalibrator(config, spec)
+    out = np.empty(n * M)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        blocks = [codes[start:stop] for codes in capture.per_channel]
+        merge_accumulators(stream.process(blocks, bank), stream.scale,
+                           out[start * M: stop * M])
+        if stop - start == block:
+            estimates.append(estimate_block(blocks, config, tone_freq))
+            bank = FilterBank.design(estimates[-1].profile, M, spec)
+    return out[(block + spec.group_delay) * M:], bank, estimates
+
+
+class TestBackgroundSteps:
+    """The chunked background loop against the block-by-block reference,
+    on a capture whose blocks all differ: simulated fig7 codes plus seeded
+    +/-1 LSB dither, over two whole chunks, one more full block and a
+    short block."""
+
+    @pytest.fixture(scope="class")
+    def dithered(self):
+        n_per_channel = 2 * 65536 + EST_BLOCK_PER_CHANNEL + 1000
+        scenario = replace(load_scenario("fig7"), mode=MODE_EST,
+                           n_samples=5 * n_per_channel)
+        clean = simulate_scenario(scenario)
+        half = clean.config.code_half_range
+        rng = np.random.default_rng(2024)
+        codes = np.clip(clean.interleaved + rng.integers(-1, 2, len(clean.interleaved)),
+                        -half, half - 1)
+        capture = ChannelCapture(clean.config, tuple(deinterleave(codes, 5)),
+                                 codes)
+        return scenario, capture
+
+    def test_stream_bit_identical(self, dithered):
+        scenario, capture = dithered
+        got, bank, estimate = experiments._calibrate_background(capture,
+                                                                 scenario)
+        want, want_bank, estimates = background_by_block(capture, scenario)
+        assert len(estimates) == 2 * 16 + 1
+        assert len({e.gains for e in estimates}) == len(estimates)
+        np.testing.assert_array_equal(got, want)
+        assert_same_bank(bank, want_bank)
+        assert_close_fits(estimate, estimates[-1])
+
+    def test_block_estimates_within_a_few_ulps(self, dithered):
+        scenario, capture = dithered
+        block, M = EST_BLOCK_PER_CHANNEL, 5
+        n_full = capture.n_per_channel // block
+        blocks = np.stack([c[:n_full * block].reshape(n_full, block)
+                           for c in capture.per_channel], axis=1)
+        tone_freq = detect_tone_freq(capture)
+        batched = estimate_blocks(blocks, capture.config, tone_freq)
+        for b, est in enumerate(batched):
+            one = estimate_block(list(blocks[b]), capture.config, tone_freq)
+            assert_close_fits(est, one)
+
+
+def assert_close_fits(a, b, ulps=16):
+    """Fits equal to a few units in the last place of the scale each
+    parameter is computed at: the amplitude itself, pi for the phase and
+    the amplitude for the dc. The batched and the one-block products sum
+    the same 4096 terms per parameter, but BLAS may block the sums
+    differently."""
+    eps = ulps * np.finfo(float).eps
+    for x, y in zip(a.fits, b.fits):
+        assert abs(x.amplitude - y.amplitude) <= eps * y.amplitude
+        assert abs(x.phase - y.phase) <= eps * np.pi
+        assert abs(x.dc - y.dc) <= eps * y.amplitude

@@ -12,8 +12,9 @@ from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        filter_frequency_response, ideal_capture,
                        ideal_frequency_response, quantize_taps, sinad,
                        simulate_capture, tap_indices)
-from tiadc_cal.filterbank import (FULLRATE, StreamCalibrator,
-                                  design_fullrate_taps, write_coefficients_csv)
+from tiadc_cal.filterbank import (FULLRATE, SUBRATE, StreamCalibrator,
+                                  design_banks, design_fullrate_taps,
+                                  write_coefficients_csv)
 from tiadc_cal.model import ChannelCapture, interleave_channels
 from tiadc_cal.polyphase import PolyphasePlan, parallel_convolve_stream
 
@@ -435,3 +436,137 @@ class TestFullRateBank:
         stream = StreamCalibrator(config, spec)
         with pytest.raises(NumericError):
             stream.process([np.full(64, code, dtype=np.int64)] * 2, bank)
+
+
+def random_banks(rng, n_banks, n_channels, spec):
+    """Banks of independent random profiles: every block differs."""
+    profiles = [MismatchProfile(offsets=rng.uniform(-0.01, 0.01, n_channels),
+                                gains=rng.uniform(-0.03, 0.03, n_channels),
+                                skews=rng.uniform(-0.03, 0.03, n_channels))
+                for _ in range(n_banks)]
+    return design_banks(profiles, n_channels, spec)
+
+
+class TestMultiBankStep:
+    """One StreamCalibrator step over a chunk with a bank per block against
+    the same calibrator fed one block at a time."""
+
+    @staticmethod
+    def by_block(config, spec, per_channel, segments):
+        """Reference: one process call, with its one bank, per segment."""
+        stream = StreamCalibrator(config, spec)
+        return np.concatenate(
+            [stream.process([c[a:b] for c in per_channel], bank)
+             for a, b, bank in segments], axis=1)
+
+    @pytest.mark.parametrize("structure", [SUBRATE, FULLRATE])
+    @pytest.mark.parametrize("n_channels", [2, 3, 5])
+    @pytest.mark.parametrize("n_taps", [1, 2, 7, 30, 31])
+    @pytest.mark.parametrize("block_len", [4, 16])
+    def test_matches_block_by_block(self, structure, n_channels, n_taps,
+                                    block_len):
+        rng = np.random.default_rng(1000 * n_taps + 10 * n_channels + block_len)
+        spec = FilterSpec(n_taps=n_taps, coeff_bits=26, structure=structure)
+        # chunk edges that are not block edges, and a short final block
+        chunks = [(0, 37), (37, 38), (38, 38 + 4 * block_len),
+                  (38 + 4 * block_len, 197)]
+        cap = random_capture(rng, n_channels, chunks[-1][1])
+        stream = StreamCalibrator(cap.config, spec)
+        got, segments = [], []
+        for a, b in chunks:
+            starts = range(a, b, block_len)
+            banks = random_banks(rng, len(starts), n_channels, spec)
+            segments += [(s, min(s + block_len, b), bank)
+                         for s, bank in zip(starts, banks)]
+            got.append(stream.process([c[a:b] for c in cap.per_channel],
+                                      banks, block_len))
+        np.testing.assert_array_equal(
+            np.concatenate(got, axis=1),
+            self.by_block(cap.config, spec, cap.per_channel, segments))
+
+    def test_one_bank_is_one_block(self):
+        rng = np.random.default_rng(11)
+        cap = random_capture(rng, 3, 100)
+        bank = random_banks(rng, 1, 3, FULL30)[0]
+        one = StreamCalibrator(cap.config, FULL30).process(cap.per_channel, bank)
+        listed = StreamCalibrator(cap.config, FULL30).process(
+            cap.per_channel, [bank], 100)
+        np.testing.assert_array_equal(one, listed)
+
+    def test_bank_count_must_match_blocks(self):
+        rng = np.random.default_rng(12)
+        cap = random_capture(rng, 2, 40)
+        banks = random_banks(rng, 3, 2, FULL30)
+        with pytest.raises(ConfigError, match="3 banks for 4 blocks"):
+            StreamCalibrator(cap.config, FULL30).process(cap.per_channel,
+                                                         banks, 10)
+
+    # a bank whose slot sums of |taps| reach well above the identity's 2^30
+    WIDE = FilterSpec(n_taps=8, coeff_bits=32, structure=FULLRATE)
+    CONFIG = TiadcConfig(n_channels=2, bits=24)
+
+    def guard_case(self):
+        big = FilterBank.design(MismatchProfile((0, 0), (0, -0.4), (0, 0.4)),
+                                2, self.WIDE)
+        ident = FilterBank.identity(2, self.WIDE)
+        worst = max(sum(int(np.abs(taps).sum()) for _, _, taps in terms)
+                    for terms in big.convolution_terms())
+        code = (1 << 62) // worst + 1   # wraps with big, not with ident
+        assert code * (1 << 30) < 1 << 62 <= code * worst
+        return big, ident, code
+
+    def test_guard_trips_on_the_one_block_that_can_wrap(self):
+        big, ident, code = self.guard_case()
+        codes = [np.full(48, code, dtype=np.int64)] * 2
+        StreamCalibrator(self.CONFIG, self.WIDE).process(codes, [ident] * 3, 16)
+        with pytest.raises(NumericError):
+            StreamCalibrator(self.CONFIG, self.WIDE).process(
+                codes, [ident, big, ident], 16)
+        with pytest.raises(NumericError):
+            self.by_block(self.CONFIG, self.WIDE, codes,
+                          [(0, 16, ident), (16, 32, big)])
+
+    def test_guard_bounds_each_block_on_its_own(self):
+        # the large codes sit in block 0, which runs the identity bank,
+        # more than N-1 samples before block 1, which runs the wide bank:
+        # no block can wrap, although the largest code times the widest
+        # bank would
+        big, ident, code = self.guard_case()
+        codes = [np.concatenate((np.full(8, code), np.ones(40, dtype=np.int64)))
+                 for _ in range(2)]
+        got = StreamCalibrator(self.CONFIG, self.WIDE).process(
+            codes, [ident, big, ident], 16)
+        np.testing.assert_array_equal(got, self.by_block(
+            self.CONFIG, self.WIDE, codes,
+            [(0, 16, ident), (16, 32, big), (32, 48, ident)]))
+
+
+class TestDesignBanks:
+    @pytest.mark.parametrize("structure", [SUBRATE, FULLRATE])
+    def test_each_bank_is_its_one_profile_design(self, structure):
+        rng = np.random.default_rng(13)
+        spec = FilterSpec(n_taps=31, coeff_bits=24, structure=structure,
+                          variant="div")
+        profiles = [MismatchProfile(rng.uniform(-0.01, 0.01, 4),
+                                    rng.uniform(-0.03, 0.03, 4),
+                                    rng.uniform(-0.03, 0.03, 4))
+                    for _ in range(6)]
+        for bank, profile in zip(design_banks(profiles, 4, spec), profiles):
+            one = FilterBank.design(profile, 4, spec)
+            assert bank.offsets == one.offsets
+            for x, y in zip(bank.taps_real + bank.taps_fixed,
+                            one.taps_real + one.taps_fixed):
+                np.testing.assert_array_equal(x, y)
+            if structure == FULLRATE:
+                for m in range(4):
+                    np.testing.assert_array_equal(
+                        bank.taps_real[m], design_fullrate_taps(profile, m, spec))
+            else:
+                for m in range(4):
+                    np.testing.assert_array_equal(
+                        bank.taps_real[m], design_taps(profile.gains[m],
+                                                       profile.skews[m], 4, spec))
+
+    def test_channel_count_checked(self):
+        with pytest.raises(ConfigError):
+            design_banks([MismatchProfile.zero(3)], 2, FULL30)

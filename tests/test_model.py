@@ -217,3 +217,44 @@ class TestCaptures:
         with pytest.raises(ShapeError):
             ChannelCapture(CFG12, (np.zeros(3, np.int64), np.zeros(2, np.int64)),
                            np.zeros(5, np.int64))
+
+
+def out_of_place_codes(tone, config, profile, n_total):
+    """Reference: each channel sampled and quantized with fresh arrays at
+    every step, in the order the model's formula is written."""
+    M, half = config.n_channels, config.code_half_range
+    k = np.arange(n_total // M, dtype=float)
+    channels = []
+    for m in range(M):
+        t = k * M + m + profile.skews[m]
+        x = tone.dc + tone.amplitude * np.sin(
+            2.0 * np.pi * tone.freq_rel * t + tone.phase)
+        scaled = ((1.0 + profile.gains[m]) * x + profile.offsets[m]) \
+            / config.full_scale * half
+        codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+        channels.append(np.clip(codes, -half, half - 1).astype(np.int64))
+    return channels
+
+
+class TestInPlaceSimulation:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_codes_identical_to_out_of_place_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        M = int(rng.integers(2, 7))
+        config = TiadcConfig(n_channels=M, bits=int(rng.integers(2, 17)),
+                             full_scale=float(rng.uniform(0.5, 2.0)))
+        profile = MismatchProfile(rng.uniform(-0.1, 0.1, M),
+                                  rng.uniform(-0.3, 0.3, M),
+                                  rng.uniform(-0.4, 0.4, M))
+        tone = ToneSpec(float(rng.uniform(0.1, 1.5)),
+                        float(rng.uniform(0.001, 0.499)),
+                        float(rng.uniform(-3, 3)), float(rng.uniform(-0.3, 0.3)))
+        n_total = M * int(rng.integers(1, 3000))
+        want = out_of_place_codes(tone, config, profile, n_total)
+        cap = simulate_capture(tone, config, profile, n_total)
+        for m in range(M):
+            np.testing.assert_array_equal(cap.per_channel[m], want[m])
+            assert np.shares_memory(cap.per_channel[m], cap.interleaved)
+            np.testing.assert_array_equal(quantize_stream(
+                sample_channels(tone, config, profile, n_total // M)[m],
+                config), want[m])
