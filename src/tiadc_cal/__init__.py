@@ -25,8 +25,7 @@ from .sinefit import (MismatchEstimate, SineFitResult, alias_to_subrate,
                       derive_mismatches, detect_tone_freq, estimate_block,
                       estimate_blocks, estimate_from_capture, sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
-                         calibrate_channel, design_banks, design_taps,
-                         dequantize_taps,
+                         design_banks, design_taps, dequantize_taps,
                          filter_frequency_response, ideal_frequency_response,
                          quantize_taps, tap_indices)
 from .polyphase import (BlockConvolver, PolyphasePlan, convolve_serial,

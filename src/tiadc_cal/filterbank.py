@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import ChannelCapture, MismatchProfile, TiadcConfig
-from .polyphase import _guard_sums, convolve_serial
+from .polyphase import _guard_sums
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -345,27 +345,6 @@ def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
                             * config.code_half_range).astype(np.int64)
 
 
-def calibrate_channel(stream_codes, taps_fx, offset: float, spec: FilterSpec,
-                      config: TiadcConfig) -> np.ndarray:
-    """Correct one channel's code stream with the paper's sub-rate taps;
-    output in amplitude units.
-
-    Subtracts the quantized offset code, convolves with the fixed-point taps
-    in exact integer arithmetic, then applies the single combined scaling
-    2^-(W-2) * full_scale / 2^(B-1). Output sample k corresponds to input
-    sample k - D; the first and last D samples are filter transient and are
-    excluded from metrics by the capture-level wrapper.
-    """
-    codes = np.asarray(stream_codes, dtype=np.int64)
-    if len(codes) < spec.n_taps:
-        raise ShapeError(
-            f"stream length {len(codes)} shorter than {spec.n_taps} taps")
-    off_code = int(_offset_codes(offset, config))
-    acc = convolve_serial(codes - off_code, np.asarray(taps_fx, dtype=np.int64))
-    scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
-    return acc * scale
-
-
 class StreamCalibrator:
     """Runs filter banks over a capture a chunk of samples at a time.
 
@@ -376,8 +355,11 @@ class StreamCalibrator:
     one whole-stream pass, wherever the chunk and block edges fall and even
     if every block has a bank of its own: a bank applies from the first
     sample of its block, and history samples keep the offset correction
-    they were fed with. Each block's sums are np.convolve in exact int64,
-    the rule of convolve_serial; the polyphase lanes are bit-exact with it
+    they were fed with. This is the one place the fixed-point rule runs:
+    subtract each channel's offset code, convolve in exact int64 behind
+    polyphase._guard_sums, and let the caller scale once by self.scale.
+    Each block's sums are np.convolve, the rule of
+    polyphase.convolve_serial; the polyphase lanes are bit-exact with it
     but only model hardware.
     """
 

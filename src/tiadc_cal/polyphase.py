@@ -3,7 +3,7 @@ the polyphase lane decomposition that models a parallel hardware realization.
 
 The calibration filters run as sub-rate FIRs under convolve_serial's rule:
 filterbank.StreamCalibrator applies it with np.convolve, one call per
-block and sub-rate term, behind the range guards defined here; that is the
+block and sub-rate term, behind the range guard defined here; that is the
 only execution path. The paper notes that the filter bank can be
 computed in parallel in hardware by splitting a sub-channel stream into L
 interleaved lanes (samples at indices j mod L), convolving each lane
@@ -14,8 +14,10 @@ rules. It is a model to check that claim against, not a faster path: in
 software L lanes cost about L times the per-output overhead of one serial
 numpy convolution.
 
-All convolutions here are exact int64 multiply-accumulate; a range guard
-rejects inputs that could wrap 64-bit accumulation.
+All convolutions here are exact int64 multiply-accumulate. Every integer
+route, StreamCalibrator's included, states its overflow bound through
+_guard_sums alone: summed over the sources of one accumulator, the largest
+|code| times the sum of |taps| must stay below 2^62.
 """
 
 from dataclasses import dataclass
@@ -39,25 +41,14 @@ def _max_abs(codes: np.ndarray) -> int:
     return max(int(codes.max()), -int(codes.min())) if len(codes) else 0
 
 
-def _guard_sum(terms) -> None:
-    """Reject convolutions whose sum could wrap 64-bit accumulation.
-
-    terms holds (largest |code|, taps) pairs, one per convolution summed
-    into the same accumulator.
-    """
-    peak = sum(code_peak * int(np.abs(taps).sum())
-               for code_peak, taps in terms)
-    if peak >= _ACC_LIMIT:
-        raise NumericError(
-            f"worst-case accumulator {peak} would overflow 64-bit integers")
-
-
 def _guard_sums(peaks, tap_sums) -> None:
-    """_guard_sum for many accumulators at once, in exact integers.
+    """Reject accumulations whose sums could wrap 64-bit integers: the one
+    statement of the bound, checked in exact integers.
 
     peaks[..., s] is source s's largest |code| and tap_sums[..., k, s] the
     sum of |taps| by which source s feeds accumulator k; accumulator k's
-    bound is the sum over s of their products.
+    bound is the sum over s of their products, and it must stay below
+    _ACC_LIMIT.
     """
     bound = (np.asarray(tap_sums, dtype=object)
              * np.asarray(peaks, dtype=object)[..., None, :]).sum(axis=-1)
@@ -65,10 +56,6 @@ def _guard_sums(peaks, tap_sums) -> None:
     if peak >= _ACC_LIMIT:
         raise NumericError(
             f"worst-case accumulator {peak} would overflow 64-bit integers")
-
-
-def _guard_accumulator(codes: np.ndarray, taps: np.ndarray) -> None:
-    _guard_sum([(_max_abs(codes), taps)])
 
 
 def convolve_serial(codes, taps_fx) -> np.ndarray:
@@ -79,7 +66,7 @@ def convolve_serial(codes, taps_fx) -> np.ndarray:
     """
     codes = _as_int64(codes, "codes")
     taps = _as_int64(taps_fx, "taps")
-    _guard_accumulator(codes, taps)
+    _guard_sums([_max_abs(codes)], [[int(np.abs(taps).sum())]])
     if len(codes) == 0:
         return codes
     return np.convolve(codes, taps)[: len(codes)]
@@ -147,7 +134,8 @@ def parallel_convolve(substreams, taps_fx, plan: PolyphasePlan) -> list:
     if [len(s) for s in subs] != _expected_lengths(total, lanes):
         raise ShapeError(f"inconsistent lane lengths {[len(s) for s in subs]}")
     taps = _as_int64(taps_fx, "taps")
-    _guard_sum([(max(map(_max_abs, subs), default=0), taps)])
+    _guard_sums([max(map(_max_abs, subs), default=0)],
+                [[int(np.abs(taps).sum())]])
     phases = [taps[u::lanes] for u in range(lanes)]
 
     def one_lane(r: int) -> np.ndarray:
@@ -201,7 +189,7 @@ class BlockConvolver:
                 f"taps length {len(taps)} does not match convolver history "
                 f"({len(self._history) + 1} expected)")
         ext = np.concatenate((self._history, codes))
-        _guard_accumulator(ext, taps)
+        _guard_sums([_max_abs(ext)], [[int(np.abs(taps).sum())]])
         hist = len(self._history)
         out = np.convolve(ext, taps)[hist: hist + len(codes)]
         if hist:

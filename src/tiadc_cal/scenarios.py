@@ -180,8 +180,6 @@ def build_scenario(values: dict) -> Scenario:
         phase = _phase_from_seed(values["seed"])
     tone = ToneSpec(amplitude=values["amplitude"], freq_rel=freq,
                     phase=phase, dc=values["dc"])
-    if tone.amplitude + abs(tone.dc) > config.full_scale:
-        raise ConfigError("amplitude + |dc| exceeds full_scale (would clip)")
 
     def vector(key):
         v = values[key]
@@ -193,6 +191,10 @@ def build_scenario(values: dict) -> Scenario:
 
     profile = MismatchProfile(offsets=vector("offsets"), gains=vector("gains"),
                               skews=vector("skews"))
+    if (tone.amplitude + abs(tone.dc) + max(map(abs, profile.offsets))
+            > config.full_scale):
+        raise ConfigError("amplitude + |dc| + largest |offset| exceeds "
+                          "full_scale (would clip)")
     filter_spec = FilterSpec(n_taps=values["taps"],
                              coeff_bits=values["coeff_bits"],
                              variant=values["variant"], structure=FULLRATE)

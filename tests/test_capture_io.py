@@ -154,3 +154,46 @@ class TestReadErrors:
         path.write_bytes(b"")
         with pytest.raises(DataFormatError):
             read_capture(path)
+
+
+class TestReaderFuzz:
+    """Whatever the bytes, read_capture returns a capture, which writes
+    back to the same bytes, or raises DataFormatError; nothing else."""
+
+    @staticmethod
+    def valid(tmp_path_factory):
+        path = tmp_path_factory.mktemp("valid") / "cap.bin"
+        return valid_bytes(path, bits=10, n_channels=3, n_total=24)[0]
+
+    @staticmethod
+    def read_or_format_error(tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "cap.bin"
+        path.write_bytes(raw)
+        try:
+            cap = read_capture(path)
+        except DataFormatError:
+            return
+        again = path.with_name("again.bin")
+        write_capture(cap, again)
+        assert again.read_bytes() == raw
+
+    @given(raw=st.one_of(st.binary(max_size=128),
+                         st.binary(max_size=128).map(lambda b: MAGIC + b)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes(self, tmp_path_factory, raw):
+        self.read_or_format_error(tmp_path_factory, raw)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncations(self, tmp_path_factory, data):
+        raw = self.valid(tmp_path_factory)
+        cut = data.draw(st.integers(0, len(raw)))
+        self.read_or_format_error(tmp_path_factory, raw[:cut])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_byte_corruptions(self, tmp_path_factory, data):
+        raw = bytearray(self.valid(tmp_path_factory))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(
+            st.integers(0, 255))
+        self.read_or_format_error(tmp_path_factory, bytes(raw))

@@ -229,6 +229,23 @@ def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("offsets", ["0,1e300", "0,0.5"])
+def test_offset_beyond_full_scale_exit_2(tmp_path, capsys, offsets):
+    """With the default amplitude of 0.9, either offset would clip the
+    channel: simulate and calibrate --config both refuse the config."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"name = bad\noffsets = {offsets}\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert "would clip" in err and out == ""
+    assert not (tmp_path / "bad_capture.bin").exists()
+    path = simulate_fig6(tmp_path, capsys)
+    code, out, err = run(capsys, "calibrate", str(path), "--config", str(cfg))
+    assert code == 2
+    assert "would clip" in err and out == ""
+
+
 class TestSweep:
     def test_range_values_row_count(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--config", "fig9",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        NumericError, ShapeError, TapOverflowError,
                        TiadcConfig, ToneSpec, calibrate_capture,
-                       calibrate_channel, design_taps,
+                       convolve_serial, design_taps,
                        dequantize_stream, dequantize_taps,
                        filter_frequency_response, ideal_capture,
                        ideal_frequency_response, quantize_taps, sinad,
@@ -177,27 +177,51 @@ class TestFrequencyResponse:
 
 
 class TestCalibrateChannel:
+    """One channel's fixed-point rule, run through calibrate_capture with
+    the paper's sub-rate bank."""
+
     def test_identity_is_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=0.11, phase=0.4)
         cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 256)
-        taps_fx = quantize_taps(design_taps(0, 0, 2, SPEC30), 30)
-        out = calibrate_channel(cap.per_channel[0], taps_fx, 0.0, SPEC30, CFG12)
+        bank = FilterBank.identity(2, SPEC30)
+        out = calibrate_capture(cap, bank)
+        want = dequantize_stream(cap.interleaved, CFG12)
         d = SPEC30.group_delay
-        want = dequantize_stream(cap.per_channel[0], CFG12)
-        np.testing.assert_allclose(out[d:], want[:len(want) - d], rtol=0, atol=0)
-        np.testing.assert_allclose(out[:d], 0.0, atol=0)  # transient region
+        # output j is input j: every channel is delayed by D of its samples
+        assert len(out) == len(want) - 2 * d * 2
+        np.testing.assert_array_equal(out, want[:len(out)])
+        # the trimmed transient: with zero history, the first D sums are 0
+        stream = StreamCalibrator(CFG12, SPEC30)
+        acc = stream.process(cap.per_channel, bank)
+        np.testing.assert_array_equal(acc[:, :d], 0)
+        np.testing.assert_array_equal(acc[:, d:] * stream.scale,
+                                      [dequantize_stream(c[:len(c) - d], CFG12)
+                                       for c in cap.per_channel])
 
     def test_offset_subtraction_nulls_constant(self):
-        c = 100 / 2048  # exactly 100 codes
-        stream = np.full(64, 100, dtype=np.int64)
-        taps_fx = quantize_taps(design_taps(0, 0, 2, SPEC30), 30)
-        out = calibrate_channel(stream, taps_fx, c, SPEC30, CFG12)
-        np.testing.assert_allclose(out, 0.0, atol=0)
+        # exactly 100 and -37 codes on the two channels
+        per_channel = (np.full(64, 100, dtype=np.int64),
+                       np.full(64, -37, dtype=np.int64))
+        cap = ChannelCapture(CFG12, per_channel,
+                             interleave_channels(per_channel))
+        bank = FilterBank.design(MismatchProfile((100 / 2048, -37 / 2048),
+                                                 (0, 0), (0, 0)), 2, SPEC30)
+        np.testing.assert_array_equal(calibrate_capture(cap, bank), 0.0)
+        # an offset that does not match leaves the difference, exactly
+        bank = FilterBank.design(MismatchProfile((0, -40 / 2048), (0, 0),
+                                                 (0, 0)), 2, SPEC30)
+        out = calibrate_capture(cap, bank)
+        np.testing.assert_array_equal(out[0::2], 100 * CFG12.lsb)
+        np.testing.assert_array_equal(out[1::2], 3 * CFG12.lsb)
 
     def test_short_stream_rejected(self):
-        taps_fx = quantize_taps(design_taps(0, 0, 2, SPEC30), 30)
+        bank = FilterBank.identity(2, SPEC30)
+        rng = np.random.default_rng(4)
         with pytest.raises(ShapeError):
-            calibrate_channel(np.zeros(10, np.int64), taps_fx, 0.0, SPEC30, CFG12)
+            calibrate_capture(random_capture(rng, 2, 10), bank)
+        with pytest.raises(ShapeError):
+            calibrate_capture(random_capture(rng, 2, 29), bank)
+        assert len(calibrate_capture(random_capture(rng, 2, 30), bank)) == 4
 
 
 class TestCalibrateCapture:
@@ -395,12 +419,16 @@ class TestFullRateBank:
                 np.testing.assert_array_equal(lanes, whole[m])
 
     def test_subrate_bank_matches_per_channel_route(self):
+        # the reference rule itself: convolve_serial of each channel's
+        # offset-corrected codes, scaled once
         cap = random_capture(np.random.default_rng(3), 2, 300)
         bank = FilterBank.design(MismatchProfile((0, 0.002), (0, 0.01),
                                                  (0, 0.01)), 2, SPEC30)
-        chans = [calibrate_channel(cap.per_channel[m], bank.taps_fixed[m],
-                                   bank.offsets[m], SPEC30, cap.config)
-                 for m in range(2)]
+        scale = 2.0 ** -(SPEC30.coeff_bits - 2) * cap.config.lsb
+        chans = [convolve_serial(codes - off, taps) * scale
+                 for codes, off, taps in zip(cap.per_channel,
+                                             offset_codes(bank, cap.config),
+                                             bank.taps_fixed)]
         d = SPEC30.group_delay * 2
         np.testing.assert_array_equal(calibrate_capture(cap, bank),
                                       interleave_channels(chans)[d:-d])

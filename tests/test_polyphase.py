@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import (BlockConvolver, ConfigError, NumericError, PolyphasePlan,
-                       ShapeError, convolve_serial, decompose, parallel_convolve,
+from tiadc_cal import (BlockConvolver, ConfigError, FilterBank, FilterSpec,
+                       NumericError, PolyphasePlan, ShapeError, TiadcConfig,
+                       convolve_serial, decompose, parallel_convolve,
                        parallel_convolve_stream, recompose)
+from tiadc_cal.filterbank import StreamCalibrator
 
 
 def naive_convolve(codes, taps):
@@ -173,3 +175,46 @@ class TestBlockConvolver:
         conv = BlockConvolver(8)
         with pytest.raises(ConfigError):
             conv.process(np.arange(16), np.arange(4))
+
+
+def stream_calibrator_route(codes, taps):
+    """StreamCalibrator with a hand-built two-channel sub-rate bank whose
+    channels both carry these taps; returns channel 0's accumulators."""
+    spec = FilterSpec(n_taps=len(taps), coeff_bits=32)
+    fixed = (np.asarray(taps, dtype=np.int64),) * 2
+    bank = FilterBank(spec=spec, taps_real=(np.zeros(len(taps)),) * 2,
+                      taps_fixed=fixed, offsets=(0.0, 0.0))
+    stream = StreamCalibrator(TiadcConfig(n_channels=2, bits=24), spec)
+    return stream.process([codes, codes], bank)[0]
+
+
+class TestOneOverflowRule:
+    """Every integer route rejects exactly the inputs whose bound, largest
+    |code| times the sum of |taps|, reaches 2^62."""
+
+    ROUTES = {
+        "convolve_serial": convolve_serial,
+        "parallel_convolve_stream":
+            lambda codes, taps: parallel_convolve_stream(codes, taps,
+                                                         PolyphasePlan(3)),
+        "BlockConvolver.process":
+            lambda codes, taps: BlockConvolver(len(taps)).process(codes, taps),
+        "StreamCalibrator.process": stream_calibrator_route,
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bound_just_below_the_limit_passes(self, route):
+        # (2^31 - 1) * (2^31 + 1) = 2^62 - 1, with the peak on a negative code
+        peak = (1 << 31) - 1
+        codes = np.array([3, -peak, peak - 1, 0, 1, -5, peak], dtype=np.int64)
+        taps = np.array([1 << 30, -(1 << 30) - 1], dtype=np.int64)
+        np.testing.assert_array_equal(self.ROUTES[route](codes, taps),
+                                      naive_convolve(codes, taps))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_bound_at_the_limit_raises(self, route):
+        # 2^31 * 2^31 = 2^62; |-2^31| is the peak
+        codes = np.array([3, -(1 << 31), 7, 0, 1, -5, 2], dtype=np.int64)
+        taps = np.array([1 << 30, -(1 << 30)], dtype=np.int64)
+        with pytest.raises(NumericError):
+            self.ROUTES[route](codes, taps)

@@ -101,6 +101,16 @@ class TestSineFit:
         for d_ph in (-1e-6, 1e-6):
             assert best <= rss(fit.amplitude, fit.freq_rel, fit.phase + d_ph, fit.dc) + 1e-12
 
+    def test_scan_solution_seeds_the_refinement(self, monkeypatch):
+        # five scan solves and no sixth at the frequency they picked
+        calls = []
+        real = sinefit._three_param_solve
+        monkeypatch.setattr(sinefit, "_three_param_solve",
+                            lambda *args: calls.append(args) or real(*args))
+        fit = sine_fit_four_param(make_sine(2048, 0.7, 0.123, 0.2, 0.01), 0.123)
+        assert len(calls) == 5
+        assert fit.freq_rel == pytest.approx(0.123, abs=1e-12)
+
     def test_phase_convention_range(self):
         for phase in (3.0, -3.0, 0.0, 1.5):
             data = make_sine(2048, 1.0, 0.07, phase, 0.0)
@@ -179,6 +189,30 @@ class TestSharedSolve:
             np.testing.assert_allclose(getattr(result.estimate, what),
                                        getattr(scenario.profile, what),
                                        rtol=0, atol=5e-4)
+
+
+class TestFitRowsResidual:
+    """_fit_rows's RMS residuals against a per-row lstsq route."""
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 24])
+    def test_matches_direct_residual(self, bits):
+        config = TiadcConfig(n_channels=5, bits=bits)
+        profile = MismatchProfile((0, 0.001, -0.002, 0.003, 0),
+                                  (0, 0.01, -0.01, 0.02, -0.02),
+                                  (0, 0.01, 0.02, -0.01, -0.02))
+        freq = 77 / 4096
+        cap = simulate_capture(ToneSpec(0.9, freq, 0.3), config, profile,
+                               5 * 3 * 1000)
+        f_sub, _ = alias_to_subrate(freq, 5)
+        blocks = np.stack([c.reshape(3, 1000) for c in cap.per_channel], 1)
+        rows = blocks.reshape(-1, 1000) * config.lsb
+        n = np.arange(1000)
+        basis = np.column_stack([np.sin(2 * np.pi * f_sub * n),
+                                 np.cos(2 * np.pi * f_sub * n), np.ones(1000)])
+        for row, fit in zip(rows, _fit_rows(blocks * config.lsb, f_sub)):
+            coeffs = np.linalg.lstsq(basis, row, rcond=None)[0]
+            direct = math.sqrt(np.mean((row - basis @ coeffs) ** 2))
+            assert fit.rms_residual == pytest.approx(direct, rel=1e-6)
 
 
 class TestAliasToSubrate:
