@@ -23,8 +23,7 @@ from .experiments import calibrate_scenario, run_sweep, simulate_scenario
 from .metrics import spectrum_report, write_spectrum_csv
 from .model import dequantize_stream
 from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
-                        load_scenario, parse_value_list, scenario_to_text,
-                        with_seed)
+                        load_scenario, scenario_settings, scenario_to_text)
 from .sinefit import detect_tone_freq, estimate_from_capture
 
 _CSV_CHUNK = 1 << 16  # calibrated samples formatted per write
@@ -89,21 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario, args):
+# CLI flag -> the scenario setting it overrides
+_FLAG_SETTINGS = {"seed": "seed", "taps": "taps", "coeff_bits": "coeff_bits",
+                  "variant": "variant", "mode": "mode", "axis": "sweep_axis",
+                  "values": "sweep_values"}
+
+
+def _apply_overrides(settings: dict, args):
+    """Build the scenario of settings with every given flag copied in; a
+    new seed re-draws the tone phase, as with_seed does."""
+    for flag, key in _FLAG_SETTINGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[key] = value
     if getattr(args, "seed", None) is not None:
-        scenario = with_seed(scenario, args.seed)
-    fs = scenario.filter_spec
-    if getattr(args, "taps", None) is not None:
-        fs = replace(fs, n_taps=args.taps)
-    if getattr(args, "coeff_bits", None) is not None:
-        fs = replace(fs, coeff_bits=args.coeff_bits)
-    if getattr(args, "variant", None) is not None:
-        fs = replace(fs, variant=args.variant)
-    if fs is not scenario.filter_spec:
-        scenario = replace(scenario, filter_spec=fs)
-    if getattr(args, "mode", None) is not None:
-        scenario = replace(scenario, mode=args.mode)
-    return scenario
+        settings["phase"] = "auto"
+    return build_scenario(settings)
 
 
 def _sidecar_path(capture_path: str) -> str:
@@ -112,7 +112,8 @@ def _sidecar_path(capture_path: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.config), args)
+    settings = scenario_settings(load_scenario(args.config))
+    scenario = _apply_overrides(settings, args)
     capture = simulate_scenario(scenario)
     os.makedirs(args.out, exist_ok=True)
     capture_path = os.path.join(args.out, f"{scenario.name}_capture.bin")
@@ -157,7 +158,7 @@ def _load_calibrate_scenario(args):
                 f"no --config given and no sidecar at {sidecar}; "
                 "supply --config or use --mode est")
         source = sidecar
-    return _apply_overrides(load_scenario(source), args)
+    return _apply_overrides(scenario_settings(load_scenario(source)), args)
 
 
 def _write_calibrated_csv(path: str, samples) -> None:
@@ -179,10 +180,11 @@ def _cmd_calibrate(args) -> int:
     else:
         # no scenario: correct with a one-shot estimate from the first block
         config = capture.config
-        values = dict(DEFAULTS, channels=config.n_channels, bits=config.bits,
-                      fs=config.fs)
-        scenario = _apply_overrides(build_scenario(values), args)
+        scenario = _apply_overrides(dict(DEFAULTS, channels=config.n_channels,
+                                         bits=config.bits, fs=config.fs), args)
         freq = args.freq if args.freq is not None else detect_tone_freq(capture)
+        # the default tone is a placeholder: no clip check judges the
+        # estimate against it
         scenario = replace(scenario, mode=MODE_TRUTH,
                            profile=estimate_from_capture(capture, freq).profile)
     result = calibrate_scenario(capture, scenario, freq)
@@ -210,16 +212,12 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.config), args)
-    axis = args.axis if args.axis is not None else scenario.sweep_axis
+    settings = scenario_settings(load_scenario(args.config))
+    scenario = _apply_overrides(settings, args)
+    axis = scenario.sweep_axis
     if axis is None:
         raise ConfigError("no sweep axis: pass --axis or use a sweep scenario")
-    if args.values is not None:
-        values = parse_value_list(args.values,
-                                  integer=axis in ("coeff_bits", "n_taps"))
-    else:
-        values = scenario.sweep_values
-    rows = run_sweep(scenario, axis, values, out_dir=args.out)
+    rows = run_sweep(scenario, out_dir=args.out)
     print(f"{axis:>12} {'SINAD uncal':>12} {'SINAD cal':>12} "
           f"{'image uncal':>12} {'image cal':>12}")
     for row in rows:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .filterbank import (_CHUNK, FilterBank, StreamCalibrator,
                          calibrate_capture, design_banks, merge_accumulators,
                          write_coefficients_csv)
@@ -126,6 +126,10 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     if scenario.config.n_channels != M:
         raise ConfigError(f"scenario has {scenario.config.n_channels} "
                           f"channels, capture has {M}")
+    # checked before any tap design, whose arrays grow with the tap count
+    if capture.n_per_channel < scenario.filter_spec.n_taps:
+        raise ShapeError(f"channel length {capture.n_per_channel} shorter "
+                         f"than {scenario.filter_spec.n_taps} taps")
     f = scenario.tone.freq_rel if freq is None else freq
     n_fft = scenario.n_fft
     uncal = dequantize_stream(capture.interleaved[:n_fft], config)
@@ -195,8 +199,9 @@ def run_sweep(scenario: Scenario, axis: str = None, values=None,
         raise ConfigError("sweep needs an axis and a non-empty value list")
     rows = []
     capture, inputs = None, None
-    for value in values:
-        point = apply_sweep_value(scenario, axis, value)
+    # every point is built, and so checked, before any of them runs
+    points = [apply_sweep_value(scenario, axis, value) for value in values]
+    for value, point in zip(values, points):
         # a point whose simulation inputs equal the previous point's (the
         # coeff_bits and n_taps axes) calibrates the same capture again
         point_inputs = (point.tone, point.config, point.profile, point.n_samples)

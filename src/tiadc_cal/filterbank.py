@@ -42,14 +42,13 @@ spent per output sample.
 """
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import ChannelCapture, MismatchProfile, TiadcConfig
-from .polyphase import _guard_sums
+from .polyphase import _guard_sums, _magnitudes
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -84,10 +83,6 @@ class FilterSpec:
         """D = ceil(N/2)-1: the sub-rate bank's delay in each channel's own
         samples, and the full-rate bank's in aggregate samples."""
         return (self.n_taps + 1) // 2 - 1
-
-    @property
-    def frac_bits(self) -> int:
-        return self.coeff_bits - 2
 
 
 def tap_indices(n_taps: int) -> np.ndarray:
@@ -185,11 +180,15 @@ def quantize_taps(taps, coeff_bits: int) -> np.ndarray:
         worst = taps.flat[np.argmax(np.abs(taps))]
         raise TapOverflowError(f"tap {worst} outside Q2 range (-2, 2)")
     fx = _round_half_away(taps * (1 << (coeff_bits - 2))).astype(np.int64)
-    limit = 1 << (coeff_bits - 1)
-    if np.any(fx >= limit) or np.any(fx < -limit):
-        raise TapOverflowError(
-            f"quantized tap exceeds {coeff_bits}-bit two's complement")
+    _check_word_length(fx, coeff_bits)
     return fx
+
+
+def _check_word_length(taps_fx, coeff_bits: int) -> None:
+    limit = 1 << (coeff_bits - 1)
+    if np.any(taps_fx >= limit) or np.any(taps_fx < -limit):
+        raise TapOverflowError(
+            f"fixed-point tap exceeds {coeff_bits}-bit two's complement")
 
 
 def dequantize_taps(taps_fx, coeff_bits: int) -> np.ndarray:
@@ -219,7 +218,8 @@ def ideal_frequency_response(gain: float, skew: float, n_channels: int, omega,
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Immutable per-channel corrector set (real + fixed-point views)."""
+    """Immutable per-channel corrector set (real + fixed-point views); every
+    fixed-point tap fits spec.coeff_bits two's complement."""
 
     spec: FilterSpec
     taps_real: tuple
@@ -229,6 +229,7 @@ class FilterBank:
     def __post_init__(self):
         if not (len(self.taps_real) == len(self.taps_fixed) == len(self.offsets)):
             raise ConfigError("per-channel field lengths disagree")
+        _check_word_length(np.asarray(self.taps_fixed), self.spec.coeff_bits)
 
     @property
     def n_channels(self) -> int:
@@ -294,13 +295,11 @@ def design_banks(profiles, n_channels: int, spec: FilterSpec) -> list:
             for r, f, p in zip(real, fixed, profiles)]
 
 
-@functools.lru_cache(maxsize=8)
 def _term_layout(spec: FilterSpec, n_channels: int) -> tuple:
     """Where each tap of a bank lands among the sub-rate convolutions:
-    read-only (channel, source, lag). Output slot m holds the correction
-    by channel[m]'s taps, and that channel's tap j multiplies source
-    channel source[m, j]'s sample lag[m, j] sub-rate steps back. Built
-    once per spec and channel count."""
+    (channel, source, lag). Output slot m holds the correction by
+    channel[m]'s taps, and that channel's tap j multiplies source channel
+    source[m, j]'s sample lag[m, j] sub-rate steps back."""
     M = n_channels
     n = tap_indices(spec.n_taps)
     d = spec.group_delay
@@ -309,12 +308,8 @@ def _term_layout(spec: FilterSpec, n_channels: int) -> tuple:
         # slot m holds aggregate sample q = k*M + m - D, corrected by
         # its own channel's taps; tap n reads sample q - n
         source = (slot - d - n) % M
-        layout = ((slot[:, 0] - d) % M, source, (d + n + source - slot) // M)
-    else:
-        layout = (slot[:, 0], slot, np.broadcast_to(n + d, (M, len(n))))
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
+        return (slot[:, 0] - d) % M, source, (d + n + source - slot) // M
+    return slot[:, 0], slot, np.broadcast_to(n + d, (M, len(n)))
 
 
 def _dense_taps(taps_fixed, spec: FilterSpec) -> np.ndarray:
@@ -390,7 +385,8 @@ class StreamCalibrator:
         dense = _dense_taps(np.array([bank.taps_fixed for bank in banks],
                                      dtype=np.int64), self.spec)
         offsets = _offset_codes([bank.offsets for bank in banks], self.config)
-        self._plan = (dense, np.abs(dense).sum(axis=3), offsets,
+        # FilterBank keeps |taps| <= 2^31, so these uint64 sums cannot wrap
+        self._plan = (dense, _magnitudes(dense).sum(axis=3), offsets,
                       _live_terms((dense != 0).any(axis=0)))
         self._banks = banks
         return self._plan
@@ -426,12 +422,14 @@ class StreamCalibrator:
             x[s, hist:] = codes
         for b, a in enumerate(starts):
             x[:, hist + a: hist + a + block_len] -= offsets[b][:, None]
-        # largest |code| each block's sums read: its samples and history
+        # largest |code| each block's sums read (its samples and history),
+        # in Python integers
         edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
         edges[0::2] = starts
         edges[1::2] = np.add(starts[1:], hist)
-        peaks = np.maximum.reduceat(np.abs(x), edges, axis=1)[:, 0::2]
-        _guard_sums(peaks.T, tap_sums)
+        hi = np.maximum.reduceat(x, edges, axis=1)[:, 0::2].astype(object)
+        lo = np.minimum.reduceat(x, edges, axis=1)[:, 0::2].astype(object)
+        _guard_sums(np.maximum(hi, -lo).T, tap_sums)
         acc = np.zeros((M, width), dtype=np.int64)
         for b, a in enumerate(starts):
             e = min(a + block_len, width)

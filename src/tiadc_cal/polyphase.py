@@ -41,6 +41,18 @@ def _max_abs(codes: np.ndarray) -> int:
     return max(int(codes.max()), -int(codes.min())) if len(codes) else 0
 
 
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|values| of an int64 array as uint64: exact even for -2^63, which
+    int64 abs wraps to itself."""
+    bits = values.view(np.uint64)
+    return np.where(values < 0, -bits, bits)
+
+
+def _abs_sum(taps: np.ndarray) -> int:
+    """Exact sum of |taps|, in Python integers."""
+    return int(_magnitudes(taps).sum(dtype=object))
+
+
 def _guard_sums(peaks, tap_sums) -> None:
     """Reject accumulations whose sums could wrap 64-bit integers: the one
     statement of the bound, checked in exact integers.
@@ -48,7 +60,8 @@ def _guard_sums(peaks, tap_sums) -> None:
     peaks[..., s] is source s's largest |code| and tap_sums[..., k, s] the
     sum of |taps| by which source s feeds accumulator k; accumulator k's
     bound is the sum over s of their products, and it must stay below
-    _ACC_LIMIT.
+    _ACC_LIMIT. Both must be exact (see _max_abs and _magnitudes): int64
+    abs wraps -2^63 to itself, and an int64 sum of |taps| can wrap.
     """
     bound = (np.asarray(tap_sums, dtype=object)
              * np.asarray(peaks, dtype=object)[..., None, :]).sum(axis=-1)
@@ -66,7 +79,7 @@ def convolve_serial(codes, taps_fx) -> np.ndarray:
     """
     codes = _as_int64(codes, "codes")
     taps = _as_int64(taps_fx, "taps")
-    _guard_sums([_max_abs(codes)], [[int(np.abs(taps).sum())]])
+    _guard_sums([_max_abs(codes)], [[_abs_sum(taps)]])
     if len(codes) == 0:
         return codes
     return np.convolve(codes, taps)[: len(codes)]
@@ -134,8 +147,7 @@ def parallel_convolve(substreams, taps_fx, plan: PolyphasePlan) -> list:
     if [len(s) for s in subs] != _expected_lengths(total, lanes):
         raise ShapeError(f"inconsistent lane lengths {[len(s) for s in subs]}")
     taps = _as_int64(taps_fx, "taps")
-    _guard_sums([max(map(_max_abs, subs), default=0)],
-                [[int(np.abs(taps).sum())]])
+    _guard_sums([max(map(_max_abs, subs), default=0)], [[_abs_sum(taps)]])
     phases = [taps[u::lanes] for u in range(lanes)]
 
     def one_lane(r: int) -> np.ndarray:
@@ -189,7 +201,7 @@ class BlockConvolver:
                 f"taps length {len(taps)} does not match convolver history "
                 f"({len(self._history) + 1} expected)")
         ext = np.concatenate((self._history, codes))
-        _guard_sums([_max_abs(ext)], [[int(np.abs(taps).sum())]])
+        _guard_sums([_max_abs(ext)], [[_abs_sum(taps)]])
         hist = len(self._history)
         out = np.convolve(ext, taps)[hist: hist + len(codes)]
         if hist:

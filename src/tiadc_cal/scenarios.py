@@ -15,10 +15,14 @@ these retired keys, and they are ignored. Keys and defaults are in DEFAULTS
 below; `freq` is a nominal relative frequency that is snapped to the
 nearest odd coherent bin of n_fft unless `coherent = false`. `phase = auto`
 draws the tone phase from the scenario seed.
+
+build_scenario makes every Scenario: a sweep point, a reseed or a CLI
+override edits scenario_settings of an existing one and builds them again,
+so each check on a config key holds for it too.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +34,8 @@ MODE_TRUTH = "truth"  # design correctors from the injected profile
 MODE_EST = "est"      # estimate mismatches from the data, blockwise
 
 SWEEP_AXES = ("coeff_bits", "n_taps", "gain", "skew", "freq")
+# integer sweep axes and the setting each one sets
+_INT_AXES = {"coeff_bits": "coeff_bits", "n_taps": "taps"}
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,11 @@ def build_scenario(values: dict) -> Scenario:
 
     profile = MismatchProfile(offsets=vector("offsets"), gains=vector("gains"),
                               skews=vector("skews"))
-    if (tone.amplitude + abs(tone.dc) + max(map(abs, profile.offsets))
-            > config.full_scale):
-        raise ConfigError("amplitude + |dc| + largest |offset| exceeds "
-                          "full_scale (would clip)")
+    # channel m's input peaks at (1 + |g_m|)(amplitude + |dc|) + |o_m|
+    if max((1.0 + abs(g)) * (tone.amplitude + abs(tone.dc)) + abs(o)
+           for g, o in zip(profile.gains, profile.offsets)) > config.full_scale:
+        raise ConfigError("(1 + |gain|)(amplitude + |dc|) + |offset| exceeds "
+                          "full_scale on a channel (would clip)")
     filter_spec = FilterSpec(n_taps=values["taps"],
                              coeff_bits=values["coeff_bits"],
                              variant=values["variant"], structure=FULLRATE)
@@ -215,8 +222,8 @@ def build_scenario(values: dict) -> Scenario:
         if axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {axis!r}")
         if isinstance(sweep_values, str):
-            sweep_values = parse_value_list(
-                sweep_values, integer=axis in ("coeff_bits", "n_taps"))
+            sweep_values = parse_value_list(sweep_values,
+                                            integer=axis in _INT_AXES)
         if sweep_values is not None:
             sweep_values = tuple(sweep_values)
     elif sweep_values is not None:
@@ -228,44 +235,47 @@ def build_scenario(values: dict) -> Scenario:
                     n_fft=n_fft, sweep_axis=axis, sweep_values=sweep_values)
 
 
-def scenario_to_text(scenario: Scenario) -> str:
-    """Serialize with all values resolved (reload gives the same scenario)."""
+def scenario_settings(scenario: Scenario) -> dict:
+    """The DEFAULTS-schema settings that build_scenario turns back into
+    this scenario. freq is already snapped, so coherent is False. A derived
+    scenario is made by editing these settings and building them again."""
     s = scenario
-    lines = [
-        f"name = {s.name}",
-        f"channels = {s.config.n_channels}",
-        f"bits = {s.config.bits}",
-        f"fs = {s.config.fs!r}",
-        f"full_scale = {s.config.full_scale!r}",
-        f"amplitude = {s.tone.amplitude!r}",
-        f"freq = {s.tone.freq_rel!r}",
-        "coherent = false",  # freq above is already exact
-        f"phase = {s.tone.phase!r}",
-        f"dc = {s.tone.dc!r}",
-        "offsets = " + ",".join(repr(v) for v in s.profile.offsets),
-        "gains = " + ",".join(repr(v) for v in s.profile.gains),
-        "skews = " + ",".join(repr(v) for v in s.profile.skews),
-        f"taps = {s.filter_spec.n_taps}",
-        f"coeff_bits = {s.filter_spec.coeff_bits}",
-        f"variant = {s.filter_spec.variant}",
-        f"mode = {s.mode}",
-        f"seed = {s.seed}",
-        f"n_samples = {s.n_samples}",
-        f"n_fft = {s.n_fft}",
-    ]
-    if s.sweep_axis is not None:
-        lines.append(f"sweep_axis = {s.sweep_axis}")
-        if s.sweep_values is not None:
-            lines.append("sweep_values = " + ",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in s.sweep_values))
+    if s.filter_spec.structure != FULLRATE:
+        raise ConfigError(f"a scenario with a {s.filter_spec.structure} bank "
+                          f"has no settings: scenarios use {FULLRATE!r}")
+    return {
+        "name": s.name, "channels": s.config.n_channels, "bits": s.config.bits,
+        "fs": s.config.fs, "full_scale": s.config.full_scale,
+        "amplitude": s.tone.amplitude, "freq": s.tone.freq_rel,
+        "coherent": False, "phase": s.tone.phase, "dc": s.tone.dc,
+        "offsets": s.profile.offsets, "gains": s.profile.gains,
+        "skews": s.profile.skews, "taps": s.filter_spec.n_taps,
+        "coeff_bits": s.filter_spec.coeff_bits,
+        "variant": s.filter_spec.variant, "mode": s.mode, "seed": s.seed,
+        "n_samples": s.n_samples, "n_fft": s.n_fft,
+        "sweep_axis": s.sweep_axis, "sweep_values": s.sweep_values,
+    }
+
+
+def scenario_to_text(scenario: Scenario) -> str:
+    """Serialize with all values resolved (reload gives the same scenario);
+    the sweep keys are written only when set."""
+    lines = []
+    for key, value in scenario_settings(scenario).items():
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    """Clone with a new seed, re-drawing the tone phase from it."""
-    return replace(scenario, seed=seed,
-                   tone=replace(scenario.tone, phase=_phase_from_seed(seed)))
+    """Rebuild with a new seed, re-drawing the tone phase from it."""
+    return build_scenario(dict(scenario_settings(scenario), seed=seed,
+                               phase="auto"))
 
 
 def _builtin(name, **overrides) -> Scenario:
@@ -361,25 +371,15 @@ def load_scenario(source: str) -> Scenario:
 
 
 def apply_sweep_value(scenario: Scenario, axis: str, value) -> Scenario:
-    """Clone the scenario with one sweep-axis value substituted."""
-    s = scenario
-    if axis == "coeff_bits":
-        return replace(s, filter_spec=replace(s.filter_spec, coeff_bits=int(value)))
-    if axis == "n_taps":
-        return replace(s, filter_spec=replace(s.filter_spec, n_taps=int(value)))
-    if axis == "gain":
-        M = s.config.n_channels
-        profile = MismatchProfile(offsets=s.profile.offsets,
-                                  gains=(0.0,) + (float(value),) * (M - 1),
-                                  skews=s.profile.skews)
-        return replace(s, profile=profile)
-    if axis == "skew":
-        M = s.config.n_channels
-        profile = MismatchProfile(offsets=s.profile.offsets,
-                                  gains=s.profile.gains,
-                                  skews=(0.0,) + (float(value),) * (M - 1))
-        return replace(s, profile=profile)
-    if axis == "freq":
-        freq = coherent_freq(float(value), s.n_fft)
-        return replace(s, tone=replace(s.tone, freq_rel=freq))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    """Rebuild the scenario with one sweep-axis value substituted."""
+    settings = scenario_settings(scenario)
+    if axis in _INT_AXES:
+        settings[_INT_AXES[axis]] = int(value)
+    elif axis in ("gain", "skew"):
+        M = scenario.config.n_channels
+        settings[axis + "s"] = (0.0,) + (float(value),) * (M - 1)
+    elif axis == "freq":
+        settings.update(freq=float(value), coherent=True)
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    return build_scenario(settings)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import re
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiadc_cal.cli import main
 from tiadc_cal.capture_io import HEADER_SIZE
@@ -316,3 +319,81 @@ class TestUsage:
             env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "zero_capture.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "CFG"],
+    ["sweep", "--config", "fig6", "--axis", "gain", "--values", "0.01,0.2"],
+])
+def test_gain_that_clips_exit_2(tmp_path, capsys, argv):
+    """A gain of 0.2 at the default amplitude of 0.9 drives channel 1 past
+    full scale, whether a config file or a sweep value sets it."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("name = bad\ngains = 0,0.2\n")
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert "would clip" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# each flag takes a valid value, three times in four, or one of every other
+# kind: negative, zero, huge, non-numeric, non-finite or empty
+_MUTANT = st.sampled_from(["-1", "0", "0.3", "1e400", str(1 << 70), "nan",
+                           "inf", "-inf", "abc", ""])
+_VALID = {
+    "--config": ["fig6", "fig7", "fig12", "nope"],
+    "--seed": ["1", "7", "123"],
+    "--mode": ["truth", "est", "offline"],
+    "--freq": ["0.018798828125", "0.25", "0.5"],
+    "--taps": ["2", "14", "31"],
+    "--coeff-bits": ["12", "24", "32"],
+    "--variant": ["sub", "div", "mul"],
+    "--axis": ["coeff_bits", "n_taps", "gain", "skew", "freq", "phase"],
+    "--values": ["0.001,0.01", "12:14", "2,6", "3:1", "0,nan", "0.2"],
+}
+_COMMAND_FLAGS = {
+    "simulate": ("--config", "--seed", "--bogus"),
+    "calibrate": ("--config", "--mode", "--freq", "--taps", "--coeff-bits",
+                  "--variant", "--bogus"),
+    "sweep": ("--config", "--axis", "--values", "--seed", "--mode", "--taps",
+              "--coeff-bits", "--variant", "--bogus"),
+}
+
+
+@st.composite
+def mutated_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]),
+                          unique=True, max_size=4))
+    if command != "calibrate" and "--config" not in flags:
+        flags.insert(0, "--config")
+    argv = [command]
+    for flag in flags:
+        valid = st.sampled_from(_VALID.get(flag, ["1"]))
+        value = draw(valid if draw(st.integers(0, 3)) else _MUTANT)
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fig6_capture(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fig6")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", "fig6", "--out", str(out)]) == 0
+    return out / "fig6_capture.bin"
+
+
+@given(mutated_argv())
+@settings(max_examples=60, deadline=None)
+def test_mutated_argv_keeps_the_exit_code_contract(fig6_capture, argv):
+    """Whatever the flags, main returns a documented exit code, and a
+    failure says why on stderr instead of raising."""
+    if argv[0] == "calibrate":
+        argv.insert(1, str(fig6_capture))
+    argv += ["--out", str(fig6_capture.parent / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert code == 0 or err.getvalue().strip(), argv

@@ -130,6 +130,29 @@ class TestQuantizeTaps:
                                    atol=0.5 * 2.0 ** -(bits - 2) + 1e-18)
 
 
+class TestBankWordLength:
+    """A hand-built bank takes only taps that quantize_taps could give it:
+    each fits coeff_bits two's complement."""
+
+    @staticmethod
+    def bank(taps):
+        return FilterBank(spec=FilterSpec(n_taps=2, coeff_bits=8),
+                          taps_real=(np.zeros(2),) * 2,
+                          taps_fixed=(taps, [0, 0]), offsets=(0.0, 0.0))
+
+    def test_extremes_of_the_word_fit(self):
+        assert self.bank(np.array([-128, 127])).taps_fixed[0].tolist() == \
+            [-128, 127]
+
+    @pytest.mark.parametrize("taps", [[128, 0], [0, -129],
+                                      np.array([-(1 << 63), 0]),
+                                      [1 << 70, 0]],
+                             ids=["128", "-129", "-2^63", "2^70"])
+    def test_outside_the_word_raises(self, taps):
+        with pytest.raises(TapOverflowError):
+            self.bank(taps)
+
+
 class TestFrequencyResponse:
     def test_unit_impulse_flat(self):
         taps = design_taps(0.0, 0.0, 2, FilterSpec(n_taps=9))

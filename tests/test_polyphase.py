@@ -218,3 +218,16 @@ class TestOneOverflowRule:
         taps = np.array([1 << 30, -(1 << 30)], dtype=np.int64)
         with pytest.raises(NumericError):
             self.ROUTES[route](codes, taps)
+
+    @pytest.mark.parametrize("codes,taps", [
+        ([3, 1], [-(1 << 63), 5]),     # int64 abs leaves this tap negative
+        ([1, 1], [1 << 62, 1 << 62]),  # the int64 sum of |taps| wraps
+        ([-(1 << 63), 5], [1, 0]),     # int64 abs leaves this code negative
+    ], ids=["most-negative-tap", "tap-sum-wraps", "most-negative-code"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_int64_extremes_raise(self, route, codes, taps):
+        # a hand-built bank refuses the two tap cases itself, with
+        # TapOverflowError
+        with pytest.raises(NumericError):
+            self.ROUTES[route](np.array(codes, dtype=np.int64),
+                               np.array(taps, dtype=np.int64))

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import ConfigError
+from tiadc_cal import ConfigError, experiments
+from tiadc_cal.experiments import run_sweep
 from tiadc_cal.scenarios import (BUILTIN_SCENARIOS, DEFAULTS, SWEEP_AXES,
                                  Scenario, apply_sweep_value, build_scenario,
                                  coherent_freq, load_scenario,
                                  parse_scenario_text, parse_value_list,
-                                 scenario_to_text, with_seed)
+                                 scenario_settings, scenario_to_text,
+                                 with_seed)
 
 
 class TestCoherentFreq:
@@ -97,6 +101,7 @@ class TestParseScenarioText:
         except ConfigError:
             return
         assert isinstance(result, Scenario)
+        assert_round_trips(result)
 
     def test_comments_and_blanks_ignored(self):
         scenario = parse_scenario_text(
@@ -122,6 +127,24 @@ class TestParseScenarioText:
     def test_clipping_tone_rejected(self):
         with pytest.raises(ConfigError, match="full_scale"):
             parse_scenario_text("amplitude = 0.9\ndc = 0.2\n")
+
+    def test_gain_that_clips_rejected(self):
+        # (1 + 0.2) * 0.9 = 1.08 of full scale on channel 1
+        with pytest.raises(ConfigError, match="would clip"):
+            parse_scenario_text("gains = 0,0.2\n")
+        with pytest.raises(ConfigError, match="would clip"):
+            parse_scenario_text("gains = 0,-0.2\n")
+
+    def test_clip_rule_is_per_channel(self):
+        # (1 + 0.25) * (0.5 + 0.25) + 0.0625 = 1.0 exactly: no clipping
+        scenario = parse_scenario_text(
+            "amplitude = 0.5\ndc = -0.25\ngains = 0,0.25\noffsets = 0,0.0625\n")
+        assert scenario.profile.gains == (0.0, 0.25)
+        with pytest.raises(ConfigError, match="would clip"):
+            parse_scenario_text("amplitude = 0.5\ndc = -0.25\n"
+                                "gains = 0,0.25\noffsets = 0,0.0626\n")
+        # the largest gain and the largest offset sit on different channels
+        parse_scenario_text("amplitude = 0.5\ngains = 0,0.25\noffsets = 0.5,0\n")
 
     def test_sample_count_must_cover_fft(self):
         with pytest.raises(ConfigError, match="n_fft"):
@@ -216,6 +239,21 @@ class TestSweepAndSeed:
         s = apply_sweep_value(load_scenario("fig8"), "freq", 0.266)
         assert s.tone.freq_rel == 1089 / 4096
 
+    def test_sweep_value_that_clips_rejected(self):
+        fig6 = load_scenario("fig6")
+        with pytest.raises(ConfigError, match="would clip"):
+            apply_sweep_value(fig6, "gain", 0.2)
+        with pytest.raises(ConfigError, match="would clip"):
+            run_sweep(fig6, "gain", (0.2,))
+
+    def test_sweep_checks_every_point_before_running_one(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "calibrate_scenario",
+                            lambda *args: ran.append(args))
+        with pytest.raises(ConfigError, match="coeff_bits"):
+            run_sweep(load_scenario("fig9"), "coeff_bits", (12, 30, 33))
+        assert ran == []
+
     def test_with_seed_redraws_phase(self):
         base = load_scenario("fig6")
         a = with_seed(base, 1)
@@ -228,3 +266,43 @@ class TestSweepAndSeed:
         scenario = build_scenario(dict(DEFAULTS))
         assert scenario.mode == "truth"
         assert scenario.n_samples == 16384
+
+
+def derived_scenarios(name):
+    """A builtin, every point of its sweep and three reseeds of it."""
+    scenario = load_scenario(name)
+    yield scenario
+    for value in scenario.sweep_values or ():
+        yield apply_sweep_value(scenario, scenario.sweep_axis, value)
+    for seed in (1, 2, 3):
+        yield with_seed(scenario, seed)
+
+
+def assert_round_trips(scenario):
+    assert build_scenario(scenario_settings(scenario)) == scenario
+    again = parse_scenario_text(scenario_to_text(scenario))
+    # nan sweep values (never read by a run) compare equal only by text
+    assert again == scenario or repr(again) == repr(scenario)
+
+
+class TestScenarioSettings:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_round_trip_of_builtins_sweeps_and_reseeds(self, name):
+        for scenario in derived_scenarios(name):
+            assert_round_trips(scenario)
+
+    def test_settings_follow_the_defaults_schema(self):
+        values = scenario_settings(load_scenario("fig8"))
+        assert list(values) == list(DEFAULTS)
+        assert values["coherent"] is False
+        assert values["freq"] == 77 / 4096
+
+    def test_subrate_scenario_has_no_settings(self):
+        fig6 = load_scenario("fig6")
+        subrate = replace(fig6, filter_spec=replace(fig6.filter_spec,
+                                                    structure="subrate"))
+        for derive in (scenario_settings, scenario_to_text,
+                       lambda s: with_seed(s, 1),
+                       lambda s: apply_sweep_value(s, "gain", 0.01)):
+            with pytest.raises(ConfigError, match="subrate"):
+                derive(subrate)
