@@ -19,11 +19,10 @@ from .errors import (ConfigError, ConvergenceError, CoherenceError,
                      TiadcError)
 from .model import (ChannelCapture, MismatchProfile, TiadcConfig, ToneSpec,
                     dequantize_stream, ideal_capture, interleave_channels,
-                    deinterleave, quantize_stream, sample_channels,
-                    simulate_capture)
+                    quantize_stream, sample_channels, simulate_capture)
 from .sinefit import (MismatchEstimate, SineFitResult, alias_to_subrate,
-                      derive_mismatches, detect_tone_freq, estimate_block,
-                      estimate_blocks, estimate_from_capture, sine_fit_four_param)
+                      derive_mismatches, detect_tone_freq, estimate_blocks,
+                      estimate_from_capture, sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
                          design_banks, design_taps, dequantize_taps,
                          filter_frequency_response, ideal_frequency_response,

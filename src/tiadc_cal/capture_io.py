@@ -12,7 +12,8 @@ Layout (little-endian, 26-byte header):
 
 The payload is exactly 2*sample_count bytes. Codes must lie within the
 B-bit two's-complement range. Captures with B > 16 cannot be stored in
-this format.
+this format. read_capture returns the payload as the capture's one int64
+code array, in the file's interleaved order.
 """
 
 import struct
@@ -20,7 +21,7 @@ import struct
 import numpy as np
 
 from .errors import DataFormatError
-from .model import ChannelCapture, TiadcConfig, deinterleave
+from .model import ChannelCapture, TiadcConfig
 
 MAGIC = b"TIAD"
 VERSION = 1
@@ -81,6 +82,4 @@ def read_capture(path) -> ChannelCapture:
             f"code {codes[i]} at sample {i} outside {bits}-bit range "
             f"(byte offset {HEADER_SIZE + 2 * i})")
     config = TiadcConfig(n_channels=n_channels, fs=fs, bits=bits)
-    return ChannelCapture(config=config,
-                          per_channel=tuple(deinterleave(codes, n_channels)),
-                          interleaved=codes, origin="file")
+    return ChannelCapture(config=config, interleaved=codes)

@@ -100,12 +100,13 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     stream = StreamCalibrator(config, spec)
     out = np.empty(n_per_channel * M)
     for start in range(0, n_per_channel, chunk):
-        codes = [c[start: start + chunk] for c in capture.per_channel]
-        width = len(codes[0])
+        codes = capture.per_channel[:, start: start + chunk]
+        width = codes.shape[1]
         n_full = width // block
+        # (n_full, M, block) view: block b of every channel
         estimates = estimate_blocks(
-            np.stack([c[:n_full * block].reshape(n_full, block) for c in codes],
-                     axis=1), config, tone_freq)
+            codes[:, :n_full * block].reshape(M, n_full, block).swapaxes(0, 1),
+            config, tone_freq)
         # each block runs the bank estimated from the block before it
         banks = [bank] + design_banks([e.profile for e in estimates], M, spec)
         n_blocks = -(-width // block)  # a short last block included

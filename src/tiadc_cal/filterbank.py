@@ -395,9 +395,11 @@ class StreamCalibrator:
         """Accumulators of one chunk: an (M, width) int64 array, row m for
         output slot m (see FilterBank.convolution_terms).
 
-        chunk holds M equal-length code arrays, one per channel. banks is
-        one FilterBank, or one per block_len samples of the chunk (the last
-        block may be shorter); block_len defaults to the chunk length.
+        chunk holds M equal-length code arrays, one per channel: an
+        (M, width) array such as a slice of ChannelCapture.per_channel, or
+        a sequence of rows. banks is one FilterBank, or one per block_len
+        samples of the chunk (the last block may be shorter); block_len
+        defaults to the chunk length.
         """
         M = self.config.n_channels
         if len(chunk) != M:
@@ -418,8 +420,7 @@ class StreamCalibrator:
         # x[s, hist + j] is channel s's offset-corrected sample j of the chunk
         x = np.empty((M, hist + width), dtype=np.int64)
         x[:, :hist] = self._history
-        for s, codes in enumerate(chunk):
-            x[s, hist:] = codes
+        x[:, hist:] = chunk
         for b, a in enumerate(starts):
             x[:, hist + a: hist + a + block_len] -= offsets[b][:, None]
         # largest |code| each block's sums read (its samples and history),
@@ -478,7 +479,7 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
     merged = np.empty(n * M)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        accs = stream.process([c[start:stop] for c in capture.per_channel], bank)
+        accs = stream.process(capture.per_channel[:, start:stop], bank)
         merge_accumulators(accs, stream.scale, out=merged[start * M: stop * M])
     trim = spec.group_delay * M
     return merged[trim: len(merged) - trim] if trim else merged

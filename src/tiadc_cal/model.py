@@ -5,11 +5,13 @@ sub-ADCs, each converting at fs/M. Real converter channels disagree slightly:
 channel m applies a gain error (1 + dg_m), samples at a skewed instant
 (k*M + m + dt_m)*Ts instead of the nominal grid point, and adds a constant
 offset do_m. This module synthesizes such captures (and their ideal
-zero-mismatch counterparts) with a saturating mid-rise quantizer.
+zero-mismatch counterparts) with a saturating mid-rise quantizer. A capture
+keeps its codes in one interleaved array; channel m is its stride-M slice,
+and ChannelCapture.per_channel shows all M of them as the rows of one view.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,27 +114,40 @@ class MismatchProfile:
 
 @dataclass(frozen=True)
 class ChannelCapture:
-    """Quantized per-channel streams plus the interleaved output."""
+    """A converter's interleaved integer codes and the config they came from.
+
+    interleaved is the 1-D code array, sample k*M + m from channel m.
+    per_channel is not stored: it is the (M, n_per_channel) view of the
+    same memory, row m being channel m.
+    """
 
     config: TiadcConfig
-    per_channel: tuple
     interleaved: np.ndarray
-    origin: str = "simulated"
 
     def __post_init__(self):
-        lengths = {len(c) for c in self.per_channel}
-        if len(lengths) != 1:
-            raise ShapeError("per-channel streams must share one length")
-        if len(self.interleaved) != len(self.per_channel) * lengths.pop():
-            raise ShapeError("interleaved length inconsistent with channels")
+        codes = np.asarray(self.interleaved)
+        if codes.dtype.kind not in "iu":
+            raise ConfigError(f"codes must be integers, got dtype {codes.dtype}")
+        if codes.ndim != 1:
+            raise ShapeError(f"interleaved codes must be 1-D, got shape "
+                             f"{codes.shape}")
+        if len(codes) % self.config.n_channels:
+            raise ShapeError(f"{len(codes)} codes not divisible by "
+                             f"{self.config.n_channels} channels")
+        object.__setattr__(self, "interleaved", codes)
+
+    @property
+    def per_channel(self) -> np.ndarray:
+        """(M, n_per_channel) view of interleaved: row m is channel m."""
+        return self.interleaved.reshape(-1, self.config.n_channels).T
 
     @property
     def n_per_channel(self) -> int:
-        return len(self.per_channel[0])
+        return len(self.interleaved) // self.config.n_channels
 
 
 def sample_channels(tone: ToneSpec, config: TiadcConfig,
-                    profile: MismatchProfile, n_per_channel: int) -> list:
+                    profile: MismatchProfile, n_per_channel: int) -> np.ndarray:
     """Sample the tone through the mismatched channel model, pre-quantization.
 
     Parameters
@@ -148,17 +163,10 @@ def sample_channels(tone: ToneSpec, config: TiadcConfig,
 
     Returns
     -------
-    list of ndarray
-        M float arrays of length n_per_channel (the rows of one array).
-        Channel m sample k equals (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m.
+    ndarray of shape (n_channels, n_per_channel)
+        Row m is channel m, computed in place: sample k equals
+        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m.
     """
-    return list(_sample(tone, config, profile, n_per_channel))
-
-
-def _sample(tone: ToneSpec, config: TiadcConfig, profile: MismatchProfile,
-            n_per_channel: int) -> np.ndarray:
-    """sample_channels as one (M, n_per_channel) array, each row computed
-    in place."""
     M = config.n_channels
     if len(profile) != M:
         raise ConfigError(
@@ -222,30 +230,20 @@ def interleave_channels(per_channel) -> np.ndarray:
     return out
 
 
-def deinterleave(stream, n_channels: int) -> list:
-    """Inverse of interleave_channels."""
-    stream = np.asarray(stream)
-    if len(stream) % n_channels:
-        raise ShapeError(
-            f"stream length {len(stream)} not divisible by {n_channels}")
-    return [stream[m::n_channels] for m in range(n_channels)]
-
-
 def simulate_capture(tone: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> ChannelCapture:
     """Full capture: sample through the mismatch model, quantize, interleave.
 
-    The codes are written straight into the interleaved array; per_channel
-    holds strided views of it.
+    The codes are written straight into the interleaved array, of which
+    the capture's per_channel is a view.
     """
     M = config.n_channels
     if n_total % M:
         raise ShapeError(f"n_total {n_total} not divisible by {M} channels")
-    analog = _sample(tone, config, profile, n_total // M)
+    analog = sample_channels(tone, config, profile, n_total // M)
     interleaved = np.empty(n_total, dtype=np.int64)
     interleaved.reshape(-1, M)[...] = _quantize_in_place(analog, config).T
-    return ChannelCapture(config, tuple(deinterleave(interleaved, M)),
-                          interleaved, origin="simulated")
+    return ChannelCapture(config, interleaved)
 
 
 def ideal_capture(tone: ToneSpec, config: TiadcConfig, n_total: int) -> ChannelCapture:

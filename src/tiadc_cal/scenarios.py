@@ -172,6 +172,13 @@ def _phase_from_seed(seed: int) -> float:
 
 def build_scenario(values: dict) -> Scenario:
     """Resolve a raw value dict (DEFAULTS schema) into a Scenario."""
+    name = values["name"]
+    # the config format would cut the name at '#' or a line break and
+    # strip its edges, so scenario_to_text could not carry it
+    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ConfigError(f"scenario name {name!r} holds '#', a line break or "
+                          "edge whitespace, which a config file cannot carry; "
+                          "add a 'name' key")
     M = values["channels"]
     config = TiadcConfig(n_channels=M, fs=values["fs"], bits=values["bits"],
                          full_scale=values["full_scale"])
@@ -229,7 +236,7 @@ def build_scenario(values: dict) -> Scenario:
     elif sweep_values is not None:
         raise ConfigError("sweep_values given without sweep_axis")
 
-    return Scenario(name=values["name"], config=config, tone=tone,
+    return Scenario(name=name, config=config, tone=tone,
                     profile=profile, filter_spec=filter_spec,
                     mode=mode, seed=values["seed"], n_samples=n_samples,
                     n_fft=n_fft, sweep_axis=axis, sweep_values=sweep_values)

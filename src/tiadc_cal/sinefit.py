@@ -124,7 +124,8 @@ def _fit_rows(y, freq_rel: float) -> tuple:
         raise ConfigError(f"need at least 16 samples, got {length}")
     if not 0.0 < freq_rel < 0.5:
         raise ConfigError(f"sub-rate frequency must be in (0, 0.5), got {freq_rel}")
-    rows = y.reshape(-1, length)
+    # C-ordered rows: BLAS sums a strided view's products in another order
+    rows = np.ascontiguousarray(y.reshape(-1, length))
     span = np.max(rows, axis=1) - np.min(rows, axis=1)
     if np.any(span == 0.0):
         raise DegenerateFitError(
@@ -358,7 +359,8 @@ def estimate_blocks(blocks, config: TiadcConfig,
 
     The solve does not refine the frequency, so tone_freq_rel must be
     accurate (detect_tone_freq's value is); its fits report iterations = 0.
-    Background calibration runs it on every chunk of its capture.
+    Background calibration runs it on every chunk of its capture, and
+    estimate_from_capture on a capture's first block.
     """
     M = config.n_channels
     f_sub, _ = alias_to_subrate(tone_freq_rel, M)
@@ -371,28 +373,16 @@ def estimate_blocks(blocks, config: TiadcConfig,
             for i in range(0, len(fits), M)]
 
 
-def estimate_block(blocks, config: TiadcConfig,
-                   tone_freq_rel: float) -> MismatchEstimate:
-    """Estimate all mismatches from one equal-length block of codes per
-    channel: the one-block case of estimate_blocks. The one-shot estimate
-    runs it."""
-    M = config.n_channels
-    lengths = [len(codes) for codes in blocks]
-    if len(lengths) != M or len(set(lengths)) != 1:
-        raise ShapeError(f"need {M} equal-length channel blocks, got lengths "
-                         f"{lengths}")
-    return estimate_blocks(np.stack(blocks)[None], config, tone_freq_rel)[0]
-
-
 def estimate_from_capture(capture: ChannelCapture,
                           tone_freq_rel: float = None) -> MismatchEstimate:
     """Estimate all mismatches once, from the start of a capture.
 
     Uses the first EST_BLOCK_PER_CHANNEL samples of each channel (or the
-    whole channel if shorter). When tone_freq_rel is omitted it is detected
-    from the data.
+    whole channel if shorter): one block of estimate_blocks, read straight
+    from the capture's per_channel view. When tone_freq_rel is omitted it
+    is detected from the data.
     """
     if tone_freq_rel is None:
         tone_freq_rel = detect_tone_freq(capture)
-    blocks = [codes[:EST_BLOCK_PER_CHANNEL] for codes in capture.per_channel]
-    return estimate_block(blocks, capture.config, tone_freq_rel)
+    return estimate_blocks(capture.per_channel[None, :, :EST_BLOCK_PER_CHANNEL],
+                           capture.config, tone_freq_rel)[0]

@@ -221,6 +221,28 @@ def test_zero_sample_capture_exit_2(tmp_path, capsys, command):
     assert out == ""
 
 
+def test_zero_sample_capture_truth_mode_exit_2(tmp_path, capsys):
+    path = simulate_fig6(tmp_path, capsys)
+    path.write_bytes(path.read_bytes()[:18] + struct.pack("<Q", 0))
+    code, out, err = run(capsys, "calibrate", str(path))
+    assert code == 2
+    assert "channel length 0 shorter than" in err and out == ""
+
+
+def test_simulate_config_whose_stem_is_not_a_name_exit_2(tmp_path, capsys):
+    """run#2.cfg without a name key would name the scenario run#2, which
+    its sidecar would write as a comment."""
+    simulate_fig6(tmp_path, capsys)
+    text = (tmp_path / "fig6_capture.cfg").read_text()
+    config = tmp_path / "run#2.cfg"
+    config.write_text(text.replace("name = fig6\n", ""))
+    code, out, err = run(capsys, "simulate", "--config", str(config),
+                         "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "add a 'name' key" in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"]])
 def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,

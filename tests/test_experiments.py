@@ -7,10 +7,9 @@ from tiadc_cal import ChannelCapture, ConfigError, FilterBank, experiments
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
 from tiadc_cal.filterbank import StreamCalibrator, merge_accumulators
-from tiadc_cal.model import deinterleave
 from tiadc_cal.scenarios import MODE_EST, load_scenario
 from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, detect_tone_freq,
-                               estimate_block, estimate_blocks)
+                               estimate_blocks)
 
 
 def assert_same_bank(a, b):
@@ -103,9 +102,7 @@ class TestShortFinalBlock:
     def calibrated(self, longest, n):
         scenario, capture = longest
         M = scenario.config.n_channels
-        per_channel = tuple(c[:n] for c in capture.per_channel)
-        short = ChannelCapture(capture.config, per_channel,
-                               capture.interleaved[:n * M])
+        short = ChannelCapture(capture.config, capture.interleaved[:n * M])
         return calibrate_scenario(short, replace(scenario, n_samples=n * M))
 
     @pytest.mark.parametrize("t", [0, 1, 2047, 4095])
@@ -156,7 +153,7 @@ class TestRunSweep:
 
 
 def background_by_block(capture, scenario):
-    """Reference for the background loop: one estimate_block, one
+    """Reference for the background loop: one single-block estimate_blocks, one
     FilterBank.design and one one-bank StreamCalibrator step per block.
     Returns the calibrated stream, the last bank and every estimate."""
     config, spec = capture.config, scenario.filter_spec
@@ -168,11 +165,12 @@ def background_by_block(capture, scenario):
     out = np.empty(n * M)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        blocks = [codes[start:stop] for codes in capture.per_channel]
+        blocks = capture.per_channel[:, start:stop]
         merge_accumulators(stream.process(blocks, bank), stream.scale,
                            out[start * M: stop * M])
         if stop - start == block:
-            estimates.append(estimate_block(blocks, config, tone_freq))
+            estimates.append(estimate_blocks(blocks[None], config,
+                                             tone_freq)[0])
             bank = FilterBank.design(estimates[-1].profile, M, spec)
     return out[(block + spec.group_delay) * M:], bank, estimates
 
@@ -193,8 +191,7 @@ class TestBackgroundSteps:
         rng = np.random.default_rng(2024)
         codes = np.clip(clean.interleaved + rng.integers(-1, 2, len(clean.interleaved)),
                         -half, half - 1)
-        capture = ChannelCapture(clean.config, tuple(deinterleave(codes, 5)),
-                                 codes)
+        capture = ChannelCapture(clean.config, codes)
         return scenario, capture
 
     def test_stream_bit_identical(self, dithered):
@@ -217,7 +214,8 @@ class TestBackgroundSteps:
         tone_freq = detect_tone_freq(capture)
         batched = estimate_blocks(blocks, capture.config, tone_freq)
         for b, est in enumerate(batched):
-            one = estimate_block(list(blocks[b]), capture.config, tone_freq)
+            one = estimate_blocks(blocks[b:b + 1], capture.config,
+                                  tone_freq)[0]
             assert_close_fits(est, one)
 
 

@@ -223,10 +223,9 @@ class TestCalibrateChannel:
 
     def test_offset_subtraction_nulls_constant(self):
         # exactly 100 and -37 codes on the two channels
-        per_channel = (np.full(64, 100, dtype=np.int64),
-                       np.full(64, -37, dtype=np.int64))
-        cap = ChannelCapture(CFG12, per_channel,
-                             interleave_channels(per_channel))
+        cap = ChannelCapture(CFG12, interleave_channels(
+            (np.full(64, 100, dtype=np.int64),
+             np.full(64, -37, dtype=np.int64))))
         bank = FilterBank.design(MismatchProfile((100 / 2048, -37 / 2048),
                                                  (0, 0), (0, 0)), 2, SPEC30)
         np.testing.assert_array_equal(calibrate_capture(cap, bank), 0.0)
@@ -325,7 +324,7 @@ def random_capture(rng, n_channels, n_per_channel, bits=12):
     per_channel = tuple(rng.integers(-half, half, size=n_per_channel)
                         for _ in range(n_channels))
     return ChannelCapture(TiadcConfig(n_channels=n_channels, bits=bits),
-                          per_channel, interleave_channels(per_channel))
+                          interleave_channels(per_channel))
 
 
 def offset_codes(bank, config):

@@ -123,6 +123,40 @@ class TestSinad:
             sinad(coherent_sine(0.9, F77), F77, N_FFT, window="hann")
 
 
+def time_domain_sinad(x, k):
+    """10*log10(sum s^2 / sum (x - mean - s)^2), s the projection of x onto
+    the sine and cosine of bin k: no transform and no bin weights."""
+    n = len(x)
+    arg = 2 * np.pi * k * np.arange(n) / n
+    s = sum(2 / n * (x @ b) * b for b in (np.sin(arg), np.cos(arg)))
+    return 10 * np.log10(np.sum(s ** 2) / np.sum((x - x.mean() - s) ** 2))
+
+
+@st.composite
+def coherent_records(draw):
+    """(x, k, n): a tone in bin k of n = 2^3..2^12 samples, with dc,
+    Gaussian noise and a (-1)^n term in the Nyquist bin."""
+    n = 1 << draw(st.integers(3, 12))
+    k = draw(st.integers(1, n // 2 - 1))
+    amplitude = draw(st.floats(1e-3, 10.0))
+    phase = draw(st.floats(-np.pi, np.pi))
+    dc, nyquist = (amplitude * draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    noise = amplitude * draw(st.floats(1e-3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = np.arange(n)
+    x = (dc + amplitude * np.sin(2 * np.pi * k * t / n + phase)
+         + nyquist * (-1.0) ** t + rng.normal(scale=noise, size=n))
+    return x, k, n
+
+
+@given(coherent_records())
+@settings(max_examples=200, deadline=None)
+def test_sinad_equals_time_domain_definition(record):
+    x, k, n = record
+    assert sinad(x, k / n, n) == pytest.approx(time_domain_sinad(x, k),
+                                               abs=1e-8)
+
+
 class TestSpurLevels:
     def test_two_channel_low_tone(self):
         spec = power_spectrum(coherent_sine(0.9, F77), N_FFT)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tiadc_cal import (ChannelCapture, ConfigError, MismatchProfile, ShapeError,
-                       TiadcConfig, ToneSpec, deinterleave, dequantize_stream,
+                       TiadcConfig, ToneSpec, dequantize_stream,
                        ideal_capture, interleave_channels, quantize_stream,
                        sample_channels, simulate_capture)
 
@@ -171,15 +171,19 @@ class TestInterleave:
 
     @given(st.integers(2, 6), st.integers(1, 40), st.integers(0, 2 ** 31))
     def test_roundtrip(self, m, k, seed):
+        # a capture's per_channel view inverts interleave_channels
         rng = np.random.default_rng(seed)
         chs = [rng.integers(-2048, 2048, size=k) for _ in range(m)]
-        back = deinterleave(interleave_channels(chs), m)
-        for a, b in zip(chs, back):
-            np.testing.assert_array_equal(a, b)
+        cap = ChannelCapture(TiadcConfig(n_channels=m),
+                             interleave_channels(chs))
+        np.testing.assert_array_equal(cap.per_channel, chs)
 
-    def test_deinterleave_length_check(self):
-        with pytest.raises(ShapeError):
-            deinterleave([1, 2, 3], 2)
+    def test_capture_length_check(self):
+        with pytest.raises(ShapeError, match="not divisible"):
+            ChannelCapture(CFG12, np.array([1, 2, 3]))
+        with pytest.raises(ShapeError, match="not divisible"):
+            ChannelCapture(TiadcConfig(n_channels=3),
+                           np.zeros(10, dtype=np.int64))
 
 
 class TestCaptures:
@@ -188,8 +192,7 @@ class TestCaptures:
         a = ideal_capture(tone, CFG12, 512)
         b = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 512)
         np.testing.assert_array_equal(a.interleaved, b.interleaved)
-        for x, y in zip(a.per_channel, b.per_channel):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.per_channel, b.per_channel)
 
     def test_indivisible_total_rejected(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=0.1)
@@ -204,7 +207,6 @@ class TestCaptures:
             np.testing.assert_array_equal(cap.interleaved[m::2],
                                           cap.per_channel[m])
         assert cap.n_per_channel == 32
-        assert cap.origin == "simulated"
 
     def test_codes_within_range(self):
         tone = ToneSpec(amplitude=1.0, freq_rel=0.2, phase=0.1)
@@ -213,10 +215,31 @@ class TestCaptures:
         assert cap.interleaved.max() <= 2047
         assert cap.interleaved.min() >= -2048
 
+    # a capture is its config plus one 1-D integer code array; per_channel
+    # is an (M, K) view of that array
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_rows_are_strided_views(self, M):
+        codes = np.arange(7 * M, dtype=np.int64) - 3
+        cap = ChannelCapture(TiadcConfig(n_channels=M), codes)
+        assert cap.interleaved is codes
+        assert cap.per_channel.shape == (M, 7) and cap.n_per_channel == 7
+        for m in range(M):
+            np.testing.assert_array_equal(cap.per_channel[m], codes[m::M])
+            assert np.shares_memory(cap.per_channel[m], codes)
+
     def test_capture_shape_invariants(self):
-        with pytest.raises(ShapeError):
-            ChannelCapture(CFG12, (np.zeros(3, np.int64), np.zeros(2, np.int64)),
-                           np.zeros(5, np.int64))
+        with pytest.raises(ShapeError, match="1-D"):
+            ChannelCapture(CFG12, np.zeros((2, 4), dtype=np.int64))
+
+    def test_rejects_float_codes(self):
+        with pytest.raises(ConfigError, match="integers"):
+            ChannelCapture(CFG12, np.zeros(8))
+
+    def test_zero_samples(self):
+        cap = ChannelCapture(TiadcConfig(n_channels=3),
+                             np.zeros(0, dtype=np.int16))
+        assert cap.per_channel.shape == (3, 0)
+        assert cap.n_per_channel == 0
 
 
 def out_of_place_codes(tone, config, profile, n_total):

@@ -213,6 +213,28 @@ class TestBuiltins:
         path.write_text(scenario_to_text(load_scenario("fig6")))
         assert load_scenario(str(path)).tone == load_scenario("fig6").tone
 
+    @pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb", " a", "a "])
+    def test_name_the_config_format_cannot_carry_rejected(self, name):
+        with pytest.raises(ConfigError, match="add a 'name' key"):
+            build_scenario(dict(DEFAULTS, name=name))
+
+    def test_file_stem_with_hash_needs_a_name_key(self, tmp_path):
+        text = scenario_to_text(load_scenario("fig6")).replace(
+            "name = fig6\n", "")
+        path = tmp_path / "run#2.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="'run#2'"):
+            load_scenario(str(path))
+        path.write_text("name = run2\n" + text)
+        named = load_scenario(str(path))
+        assert named.name == "run2"
+        assert parse_scenario_text(scenario_to_text(named)) == named
+
+    def test_inner_space_and_empty_names_round_trip(self):
+        for name in ("my run", ""):
+            scenario = build_scenario(dict(DEFAULTS, name=name))
+            assert parse_scenario_text(scenario_to_text(scenario)) == scenario
+
 
 class TestSweepAndSeed:
     def test_axes_registry(self):

@@ -10,7 +10,7 @@ from tiadc_cal import (ChannelCapture, ConfigError, ConvergenceError,
                        PhaseAmbiguityError, ShapeError, SineFitResult,
                        TiadcConfig,
                        ToneSpec, alias_to_subrate, derive_mismatches,
-                       detect_tone_freq, estimate_block,
+                       detect_tone_freq, estimate_blocks,
                        estimate_from_capture, interleave_channels,
                        sine_fit_four_param, simulate_capture)
 from tiadc_cal import experiments, scenarios, sinefit
@@ -153,20 +153,19 @@ class TestSharedSolve:
     def test_constant_channel_degenerate(self):
         cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
                                MismatchProfile.zero(2), 8192)
-        blocks = [cap.per_channel[0], np.full(4096, 17)]
+        blocks = np.stack([cap.per_channel[0], np.full(4096, 17)])[None]
         with pytest.raises(DegenerateFitError, match="channel 1"):
-            estimate_block(blocks, CFG12, 77 / 4096)
+            estimate_blocks(blocks, CFG12, 77 / 4096)
 
     def test_block_preconditions(self):
         cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
                                MismatchProfile.zero(2), 8192)
         with pytest.raises(ConfigError, match="at least 16"):
-            estimate_block([c[:15] for c in cap.per_channel], CFG12, 77 / 4096)
+            estimate_blocks(cap.per_channel[None, :, :15], CFG12, 77 / 4096)
         with pytest.raises(ShapeError):
-            estimate_block([cap.per_channel[0], cap.per_channel[1][:-1]],
-                           CFG12, 77 / 4096)
+            estimate_blocks(cap.per_channel, CFG12, 77 / 4096)
         with pytest.raises(ShapeError):
-            estimate_block(cap.per_channel[:1], CFG12, 77 / 4096)
+            estimate_blocks(cap.per_channel[None, :1], CFG12, 77 / 4096)
 
     def fig7_background(self, monkeypatch):
         scenario = replace(scenarios.load_scenario("fig7"),
@@ -297,8 +296,7 @@ class TestEndToEnd:
         ch0 = a.per_channel[0].copy()
         tail = 70000 - (1 << 16)
         ch0[1 << 16:] += np.random.default_rng(5).integers(-2, 3, tail)
-        per_channel = (ch0, a.per_channel[1])
-        b = ChannelCapture(CFG12, per_channel, interleave_channels(per_channel))
+        b = ChannelCapture(CFG12, interleave_channels((ch0, a.per_channel[1])))
         assert detect_tone_freq(b) == detect_tone_freq(a)
         assert detect_tone_freq(a) == pytest.approx(freq, abs=1e-8)
 
@@ -306,14 +304,14 @@ class TestEndToEnd:
         # the one-shot estimate reads the first block of each channel only
         profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
         cap = self.capture(CFG12, profile, 77 / 4096, 16384)
-        first = [c[:EST_BLOCK_PER_CHANNEL] for c in cap.per_channel]
+        # a C-ordered copy: the fits must not depend on the view's strides
+        first = np.stack([c[:EST_BLOCK_PER_CHANNEL] for c in cap.per_channel])
         est = estimate_from_capture(cap, 77 / 4096)
-        assert est == estimate_block(first, CFG12, 77 / 4096)
-        per_channel = tuple(np.concatenate((c[:EST_BLOCK_PER_CHANNEL],
-                                            -c[EST_BLOCK_PER_CHANNEL:]))
-                            for c in cap.per_channel)
-        other = ChannelCapture(CFG12, per_channel,
-                               interleave_channels(per_channel))
+        assert est == estimate_blocks(first[None], CFG12, 77 / 4096)[0]
+        other = ChannelCapture(CFG12, interleave_channels(
+            [np.concatenate((c[:EST_BLOCK_PER_CHANNEL],
+                             -c[EST_BLOCK_PER_CHANNEL:]))
+             for c in cap.per_channel]))
         assert estimate_from_capture(other, 77 / 4096) == est
 
     def test_estimate_profile(self):
