@@ -27,9 +27,9 @@ from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
                          design_banks, design_taps, dequantize_taps,
                          filter_frequency_response, ideal_frequency_response,
                          quantize_taps, tap_indices)
-from .polyphase import (BlockConvolver, PolyphasePlan, convolve_serial,
-                        decompose, parallel_convolve,
-                        parallel_convolve_stream, recompose)
+from .polyphase import (BlockConvolver, convolve_serial, decompose,
+                        parallel_convolve, parallel_convolve_stream,
+                        recompose)
 from .metrics import (SpectrumReport, SpurLevel, enob, fold_frequency,
                       power_spectrum, sinad, spectrum_report, spur_levels,
                       worst_image_spur)

@@ -11,9 +11,14 @@ Layout (little-endian, 26-byte header):
     offset 26  payload  signed 16-bit codes, interleaved channel order
 
 The payload is exactly 2*sample_count bytes. Codes must lie within the
-B-bit two's-complement range. Captures with B > 16 cannot be stored in
-this format. read_capture returns the payload as the capture's one int64
-code array, in the file's interleaved order.
+B-bit two's-complement range: write_capture checks them before it opens
+the file, and read_capture after it reads it. Captures with B > 16 cannot
+be stored in this format. read_capture returns the payload as the
+capture's one int64 code array, in the file's interleaved order.
+
+The header holds no full_scale, so read_capture's config has the default
+1.0; a caller that knows the converter's full scale (the calibrate
+command, from the scenario sidecar) scales the codes with its own config.
 """
 
 import struct
@@ -29,13 +34,27 @@ _HEADER = struct.Struct("<4sHHHdQ")
 HEADER_SIZE = _HEADER.size  # 26
 
 
+def _check_code_range(codes: np.ndarray, bits: int) -> None:
+    """DataFormatError naming the first code outside the bits-bit
+    two's-complement range; one min/max pass when every code fits."""
+    half = 1 << (bits - 1)
+    if len(codes) == 0 or (codes.min() >= -half and codes.max() < half):
+        return
+    i = int(np.argmax((codes < -half) | (codes >= half)))
+    raise DataFormatError(
+        f"code {codes[i]} at sample {i} outside {bits}-bit range "
+        f"(byte offset {HEADER_SIZE + 2 * i})")
+
+
 def write_capture(capture: ChannelCapture, path) -> None:
-    """Serialize a capture; inverse of read_capture."""
+    """Serialize a capture; inverse of read_capture. Codes outside the
+    config's bit range raise DataFormatError, and no file is written."""
     config = capture.config
     if config.bits > 16:
         raise DataFormatError(
             f"{config.bits}-bit codes do not fit the 16-bit payload format")
     codes = np.asarray(capture.interleaved, dtype=np.int64)
+    _check_code_range(codes, config.bits)
     header = _HEADER.pack(MAGIC, VERSION, config.n_channels, config.bits,
                           float(config.fs), len(codes))
     with open(path, "wb") as fh:
@@ -74,12 +93,6 @@ def read_capture(path) -> ChannelCapture:
             f"sample count {count} not divisible by {n_channels} channels "
             "(byte offset 18)")
     codes = np.frombuffer(blob, dtype="<i2", offset=HEADER_SIZE).astype(np.int64)
-    half = 1 << (bits - 1)
-    bad = np.nonzero((codes < -half) | (codes > half - 1))[0]
-    if len(bad):
-        i = int(bad[0])
-        raise DataFormatError(
-            f"code {codes[i]} at sample {i} outside {bits}-bit range "
-            f"(byte offset {HEADER_SIZE + 2 * i})")
+    _check_code_range(codes, bits)
     config = TiadcConfig(n_channels=n_channels, fs=fs, bits=bits)
     return ChannelCapture(config=config, interleaved=codes)

@@ -121,12 +121,19 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
                        freq: float = None) -> ScenarioResult:
     """Calibrate a capture with the scenario's filter and coefficient mode,
     and measure its first n_fft samples before and after at freq (default:
-    the scenario's tone). The capture's own config scales the codes."""
-    config = capture.config
+    the scenario's tone).
+
+    The scenario's config scales the codes: a capture file does not store
+    full_scale, so only the scenario knows it. The capture's channel count
+    and bits must equal the scenario's (ConfigError otherwise).
+    """
+    config = scenario.config
     M = config.n_channels
-    if scenario.config.n_channels != M:
-        raise ConfigError(f"scenario has {scenario.config.n_channels} "
-                          f"channels, capture has {M}")
+    theirs = capture.config
+    if (theirs.n_channels, theirs.bits) != (M, config.bits):
+        raise ConfigError(f"scenario has {M} channels of {config.bits} bits, "
+                          f"capture has {theirs.n_channels} of {theirs.bits}")
+    capture = ChannelCapture(config, capture.interleaved)
     # checked before any tap design, whose arrays grow with the tap count
     if capture.n_per_channel < scenario.filter_spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "

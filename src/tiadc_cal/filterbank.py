@@ -146,28 +146,6 @@ def _fullrate_taps(gains, skews, spec: FilterSpec) -> np.ndarray:
     return w
 
 
-def design_fullrate_taps(profile: MismatchProfile, channel: int,
-                         spec: FilterSpec) -> np.ndarray:
-    """Real-valued full-rate corrector taps for one output channel.
-
-    Tap n multiplies the aggregate sample n positions before the output,
-    which channel (channel - n) mod M took, so the differentiator taps carry
-    that source channel's gain trim as well as this channel's skew.
-
-    Returns
-    -------
-    ndarray, length spec.n_taps, ordered by tap_indices(spec.n_taps); the
-    tap at n = N/2 of an even N is zero.
-    """
-    M = len(profile)
-    if M < 2:
-        raise ConfigError(f"n_channels must be >= 2, got {M}")
-    if not 0 <= channel < M:
-        raise ConfigError(f"channel {channel} out of range for {M} channels")
-    return _fullrate_taps(np.asarray(profile.gains), np.asarray(profile.skews),
-                          spec)[channel]
-
-
 def _round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
@@ -355,7 +333,8 @@ class StreamCalibrator:
     polyphase._guard_sums, and let the caller scale once by self.scale.
     Each block's sums are np.convolve, the rule of
     polyphase.convolve_serial; the polyphase lanes are bit-exact with it
-    but only model hardware.
+    but only model hardware. The history is the calibrator's only state:
+    each call lays out the taps of the banks it is given afresh.
     """
 
     def __init__(self, config: TiadcConfig, spec: FilterSpec):
@@ -365,15 +344,10 @@ class StreamCalibrator:
         # zeros before the stream start: the same sums as no history
         self._history = np.zeros((config.n_channels, spec.n_taps - 1),
                                  dtype=np.int64)
-        self._banks, self._plan = (), None
 
     def _prepare(self, banks: tuple) -> tuple:
         """Dense taps, per-(slot, source) sums of |taps|, offset codes and
-        live terms of the banks; reused while the same bank objects come
-        back, as they do for every chunk of a one-bank capture."""
-        if len(banks) == len(self._banks) and all(
-                a is b for a, b in zip(banks, self._banks)):
-            return self._plan
+        live terms of the banks."""
         M = self.config.n_channels
         for bank in banks:
             if bank.n_channels != M:
@@ -386,10 +360,8 @@ class StreamCalibrator:
                                      dtype=np.int64), self.spec)
         offsets = _offset_codes([bank.offsets for bank in banks], self.config)
         # FilterBank keeps |taps| <= 2^31, so these uint64 sums cannot wrap
-        self._plan = (dense, _magnitudes(dense).sum(axis=3), offsets,
-                      _live_terms((dense != 0).any(axis=0)))
-        self._banks = banks
-        return self._plan
+        return (dense, _magnitudes(dense).sum(axis=3), offsets,
+                _live_terms((dense != 0).any(axis=0)))
 
     def process(self, chunk, banks, block_len: int = None) -> np.ndarray:
         """Accumulators of one chunk: an (M, width) int64 array, row m for

@@ -12,15 +12,15 @@ decomposition; its merge is bit-exact with the serial integer convolution
 for every L, which is what makes the decomposition safe under fixed-point
 rules. It is a model to check that claim against, not a faster path: in
 software L lanes cost about L times the per-output overhead of one serial
-numpy convolution.
+numpy convolution. The lane count L is a plain integer: decompose and
+parallel_convolve_stream take it, and parallel_convolve reads it from the
+number of lanes it is given; each rejects L < 1 with ConfigError.
 
 All convolutions here are exact int64 multiply-accumulate. Every integer
 route, StreamCalibrator's included, states its overflow bound through
 _guard_sums alone: summed over the sources of one accumulator, the largest
 |code| times the sum of |taps| must stay below 2^62.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,22 +85,6 @@ def convolve_serial(codes, taps_fx) -> np.ndarray:
     return np.convolve(codes, taps)[: len(codes)]
 
 
-@dataclass(frozen=True)
-class PolyphasePlan:
-    """Lane count L of the hardware model."""
-
-    lanes: int
-
-    def __post_init__(self):
-        if self.lanes < 1:
-            raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
-
-    @classmethod
-    def for_filter(cls, lanes: int, n_taps: int) -> "PolyphasePlan":
-        """Plan for a length-N FIR; every lane count works for every N."""
-        return cls(lanes=lanes)
-
-
 def decompose(stream, lanes: int) -> list:
     """Split into L lanes: lane j holds samples at indices j mod L."""
     if lanes < 1:
@@ -130,8 +114,9 @@ def recompose(substreams) -> np.ndarray:
     return out
 
 
-def parallel_convolve(substreams, taps_fx, plan: PolyphasePlan) -> list:
-    """Convolve decomposed lanes so recompose(output) matches the serial rule.
+def parallel_convolve(substreams, taps_fx) -> list:
+    """Convolve the L = len(substreams) lanes of decompose so that
+    recompose(output) matches the serial rule.
 
     Output lane r collects y[qL+r] = sum_u (h_u * x_u)[q] where h_u is the
     u-th phase of the taps (h_u[p] = h[pL+u]) and x_u is lane (r-u) mod L,
@@ -141,8 +126,8 @@ def parallel_convolve(substreams, taps_fx, plan: PolyphasePlan) -> list:
     """
     subs = [_as_int64(s, "substream") for s in substreams]
     lanes = len(subs)
-    if lanes != plan.lanes:
-        raise ConfigError(f"{lanes} substreams but plan.lanes={plan.lanes}")
+    if lanes < 1:
+        raise ConfigError("no substreams: lanes must be >= 1")
     total = sum(len(s) for s in subs)
     if [len(s) for s in subs] != _expected_lengths(total, lanes):
         raise ShapeError(f"inconsistent lane lengths {[len(s) for s in subs]}")
@@ -171,10 +156,9 @@ def parallel_convolve(substreams, taps_fx, plan: PolyphasePlan) -> list:
     return [one_lane(r) for r in range(lanes)]
 
 
-def parallel_convolve_stream(codes, taps_fx, plan: PolyphasePlan) -> np.ndarray:
-    """One-call parallel path: decompose, convolve lanes, recompose."""
-    return recompose(parallel_convolve(decompose(codes, plan.lanes),
-                                       taps_fx, plan))
+def parallel_convolve_stream(codes, taps_fx, lanes: int) -> np.ndarray:
+    """One-call parallel path: decompose into lanes, convolve, recompose."""
+    return recompose(parallel_convolve(decompose(codes, lanes), taps_fx))
 
 
 class BlockConvolver:

@@ -86,7 +86,7 @@ DEFAULTS = {
     "skews": None,
     "taps": 30,
     "coeff_bits": 30,
-    "variant": "sub",
+    "variant": "div",
     "mode": MODE_TRUTH,
     "seed": 12345,
     "n_samples": None,  # None -> 8192 * channels
@@ -174,11 +174,13 @@ def build_scenario(values: dict) -> Scenario:
     """Resolve a raw value dict (DEFAULTS schema) into a Scenario."""
     name = values["name"]
     # the config format would cut the name at '#' or a line break and
-    # strip its edges, so scenario_to_text could not carry it
-    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
-        raise ConfigError(f"scenario name {name!r} holds '#', a line break or "
-                          "edge whitespace, which a config file cannot carry; "
-                          "add a 'name' key")
+    # strip its edges, so scenario_to_text could not carry it; and simulate
+    # names its files after it, which a path separator would move
+    if (any(c in name for c in "#/\\") or name != name.strip()
+            or len(name.splitlines()) > 1):
+        raise ConfigError(f"scenario name {name!r} holds '#', '/', '\\', a "
+                          "line break or edge whitespace, which a config file "
+                          "or a file name cannot carry; add a 'name' key")
     M = values["channels"]
     config = TiadcConfig(n_channels=M, fs=values["fs"], bits=values["bits"],
                          full_scale=values["full_scale"])

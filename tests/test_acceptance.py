@@ -20,7 +20,6 @@ from tiadc_cal.capture_io import HEADER_SIZE
 from tiadc_cal.cli import main as cli_main
 from tiadc_cal.experiments import run_scenario, run_sweep
 from tiadc_cal.metrics import worst_image_spur
-from tiadc_cal.polyphase import PolyphasePlan
 from tiadc_cal.scenarios import coherent_freq, load_scenario
 from tiadc_cal.sinefit import estimate_from_capture
 
@@ -191,8 +190,7 @@ def test_c09_parallel_convolution_is_bit_exact():
             n_taps = int(rng.integers(1, 41))
             codes = rng.integers(-(1 << 15), 1 << 15, size=n_codes, dtype=np.int64)
             taps = rng.integers(-(1 << 28), 1 << 28, size=n_taps, dtype=np.int64)
-            plan = PolyphasePlan.for_filter(lanes, n_taps)
-            got = parallel_convolve_stream(codes, taps, plan)
+            got = parallel_convolve_stream(codes, taps, lanes)
             want = convolve_serial(codes, taps)
             assert np.array_equal(got, want), \
                 f"lanes={lanes} n_codes={n_codes} n_taps={n_taps} mismatch"

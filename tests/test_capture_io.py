@@ -79,6 +79,28 @@ class TestWriteErrors:
         with pytest.raises(DataFormatError):
             write_capture(cap, tmp_path / "cap.bin")
 
+    @pytest.mark.parametrize("bits,code", [(16, 40000), (12, 3000),
+                                           (12, -2049)])
+    def test_code_outside_bit_range_rejected(self, tmp_path, bits, code):
+        # a 16-bit 40000 would wrap to -25536 in the payload
+        cap = sample_capture(bits=bits)
+        codes = cap.interleaved.copy()
+        codes[5] = code
+        cap = type(cap)(config=cap.config, interleaved=codes)
+        path = tmp_path / "cap.bin"
+        with pytest.raises(DataFormatError,
+                           match=f"code {code} at sample 5 outside {bits}-bit"):
+            write_capture(cap, path)
+        assert not path.exists()
+
+    def test_codes_at_the_range_edges_written(self, tmp_path):
+        cap = sample_capture(bits=12)
+        codes = cap.interleaved.copy()
+        codes[:2] = (-2048, 2047)
+        path = tmp_path / "cap.bin"
+        write_capture(type(cap)(config=cap.config, interleaved=codes), path)
+        np.testing.assert_array_equal(read_capture(path).interleaved, codes)
+
 
 class TestReadErrors:
     def corrupt(self, tmp_path, mutate):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiadc_cal.cli import main
 from tiadc_cal.capture_io import HEADER_SIZE
+from tiadc_cal.experiments import run_scenario
+from tiadc_cal.scenarios import load_scenario
 
 
 def run(capsys, *argv):
@@ -241,6 +243,52 @@ def test_simulate_config_whose_stem_is_not_a_name_exit_2(tmp_path, capsys):
     assert code == 2
     assert "add a 'name' key" in err and out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../esc", "a/b", "a\\b"])
+def test_simulate_name_with_a_path_separator_exit_2(tmp_path, capsys, name):
+    """simulate names its files after the scenario, so a separator in the
+    name would write them outside --out."""
+    config = tmp_path / "cfg" / "sep.cfg"
+    config.parent.mkdir()
+    config.write_text(f"name = {name}\n")
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "simulate", "--config", str(config),
+                         "--out", str(out_dir))
+    assert code == 2
+    assert "add a 'name' key" in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
+
+
+FULL_SCALE_2 = ("name = fs2\nfull_scale = 2.0\namplitude = 1.8\n"
+                "offsets = 0,0.02\ngains = 0,0.01\nskews = 0,0.01\n"
+                "n_samples = 16384\n")
+
+
+def test_calibrate_scales_codes_by_the_sidecar_full_scale(tmp_path, capsys):
+    """The capture file stores no full_scale; calibrate takes it from the
+    sidecar, so the CLI run measures what run_scenario measures."""
+    config = tmp_path / "fs2.cfg"
+    config.write_text(FULL_SCALE_2)
+    want = run_scenario(load_scenario(str(config)))
+    code, _, _ = run(capsys, "simulate", "--config", str(config),
+                     "--out", str(tmp_path))
+    assert code == 0
+    code, out, _ = run(capsys, "calibrate", str(tmp_path / "fs2_capture.bin"))
+    assert code == 0
+    assert (f"SINAD uncalibrated = {want.sinad_uncal_db:.2f} dB" in out
+            and f"SINAD calibrated   = {want.sinad_cal_db:.2f} dB" in out)
+    assert want.sinad_cal_db > want.sinad_uncal_db + 20
+
+
+def test_calibrate_config_with_other_bits_exit_2(tmp_path, capsys):
+    path = simulate_fig6(tmp_path, capsys)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text((tmp_path / "fig6_capture.cfg").read_text()
+                   .replace("bits = 12", "bits = 14"))
+    code, out, err = run(capsys, "calibrate", str(path), "--config", str(cfg))
+    assert code == 2
+    assert "bits" in err and out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

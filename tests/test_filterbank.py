@@ -13,10 +13,9 @@ from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        ideal_frequency_response, quantize_taps, sinad,
                        simulate_capture, tap_indices)
 from tiadc_cal.filterbank import (FULLRATE, SUBRATE, StreamCalibrator,
-                                  design_banks, design_fullrate_taps,
-                                  write_coefficients_csv)
+                                  design_banks, write_coefficients_csv)
 from tiadc_cal.model import ChannelCapture, interleave_channels
-from tiadc_cal.polyphase import PolyphasePlan, parallel_convolve_stream
+from tiadc_cal.polyphase import parallel_convolve_stream
 
 SPEC30 = FilterSpec(n_taps=30, coeff_bits=30)
 CFG12 = TiadcConfig(n_channels=2, bits=12)
@@ -356,7 +355,7 @@ class TestFullRateBank:
 
     def test_tap_formula(self):
         # channel 1 of 3, N=30 (K=14): tap n reads channel (1 - n) mod 3
-        taps = design_fullrate_taps(self.PROFILE, 1, FULL30)
+        taps = FilterBank.design(self.PROFILE, 3, FULL30).taps_real[1]
         by_index = dict(zip(tap_indices(30), taps))
         trim = {0: 1.0, 1: 0.99, 2: 1.02}
         assert by_index[0] == pytest.approx(0.99, abs=1e-15)
@@ -370,7 +369,7 @@ class TestFullRateBank:
         profile = MismatchProfile((0, 0), (0, 0), (0, 0.02))
         for n_taps in (2, 6, 7, 30, 31):
             spec = FilterSpec(n_taps=n_taps, structure=FULLRATE)
-            taps = design_fullrate_taps(profile, 1, spec)
+            taps = FilterBank.design(profile, 2, spec).taps_real[1]
             by_index = dict(zip(tap_indices(n_taps), taps))
             k = spec.group_delay
             assert by_index.get(k + 1, 0.0) == 0.0
@@ -435,8 +434,7 @@ class TestFullRateBank:
             for m, terms in enumerate(bank.convolution_terms()):
                 lanes = np.zeros(600, dtype=np.int64)
                 for s, lag, taps in terms:
-                    conv = parallel_convolve_stream(sources[s], taps,
-                                                    PolyphasePlan(3))
+                    conv = parallel_convolve_stream(sources[s], taps, 3)
                     lanes[lag:] += conv[: 600 - lag]
                 np.testing.assert_array_equal(lanes, whole[m])
 
@@ -607,11 +605,7 @@ class TestDesignBanks:
             for x, y in zip(bank.taps_real + bank.taps_fixed,
                             one.taps_real + one.taps_fixed):
                 np.testing.assert_array_equal(x, y)
-            if structure == FULLRATE:
-                for m in range(4):
-                    np.testing.assert_array_equal(
-                        bank.taps_real[m], design_fullrate_taps(profile, m, spec))
-            else:
+            if structure == SUBRATE:
                 for m in range(4):
                     np.testing.assert_array_equal(
                         bank.taps_real[m], design_taps(profile.gains[m],

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiadc_cal import (BlockConvolver, ConfigError, FilterBank, FilterSpec,
-                       NumericError, PolyphasePlan, ShapeError, TiadcConfig,
-                       convolve_serial, decompose, parallel_convolve,
-                       parallel_convolve_stream, recompose)
+                       NumericError, ShapeError, TiadcConfig, convolve_serial,
+                       decompose, parallel_convolve, parallel_convolve_stream,
+                       recompose)
 from tiadc_cal.filterbank import StreamCalibrator
 
 
@@ -84,20 +84,10 @@ class TestDecomposeRecompose:
         np.testing.assert_array_equal(recompose(decompose(stream, lanes)), stream)
 
 
-class TestPlan:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PolyphasePlan(lanes=0)
-
-    def test_for_filter(self):
-        assert PolyphasePlan.for_filter(4, 30) == PolyphasePlan(4)
-
-
 class TestParallelConvolve:
     def test_identity_taps_pass_through(self):
         subs = decompose(np.arange(10, dtype=np.int64), 2)
-        plan = PolyphasePlan.for_filter(2, 1)
-        outs = parallel_convolve(subs, np.array([1], dtype=np.int64), plan)
+        outs = parallel_convolve(subs, np.array([1], dtype=np.int64))
         for got, want in zip(outs, subs):
             np.testing.assert_array_equal(got, want)
 
@@ -106,18 +96,20 @@ class TestParallelConvolve:
         taps = np.array([2, -3, 5, 7], dtype=np.int64)
         want = naive_convolve(codes, taps)
         for lanes in (1, 2, 3, 4, 8):
-            got = parallel_convolve_stream(codes, taps, PolyphasePlan(lanes))
+            got = parallel_convolve_stream(codes, taps, lanes)
             np.testing.assert_array_equal(got, want, err_msg=f"lanes={lanes}")
 
-    def test_lane_count_must_match_plan(self):
-        subs = decompose(np.arange(8, dtype=np.int64), 2)
+    def test_at_least_one_lane(self):
+        taps = np.array([1], dtype=np.int64)
         with pytest.raises(ConfigError):
-            parallel_convolve(subs, np.array([1]), PolyphasePlan(3))
+            parallel_convolve_stream(np.arange(8, dtype=np.int64), taps, 0)
+        with pytest.raises(ConfigError):
+            parallel_convolve([], taps)
 
     def test_inconsistent_lane_lengths_rejected(self):
         subs = [np.array([1, 2], dtype=np.int64), np.array([], dtype=np.int64)]
         with pytest.raises(ShapeError):
-            parallel_convolve(subs, np.array([1]), PolyphasePlan(2))
+            parallel_convolve(subs, np.array([1]))
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 8),
            st.integers(0, 120), st.integers(1, 40))
@@ -127,18 +119,17 @@ class TestParallelConvolve:
         codes = rng.integers(-(1 << 15), 1 << 15, size=length)
         taps = rng.integers(-(1 << 28), 1 << 28, size=n_taps)
         want = convolve_serial(codes, taps)
-        got = parallel_convolve_stream(codes, taps, PolyphasePlan(lanes))
+        got = parallel_convolve_stream(codes, taps, lanes)
         np.testing.assert_array_equal(got, want)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(11)
         codes = rng.integers(-2048, 2048, size=1000)
         taps = rng.integers(-(1 << 27), 1 << 27, size=30)
-        plan = PolyphasePlan.for_filter(8, 30)
-        first = parallel_convolve_stream(codes, taps, plan)
+        first = parallel_convolve_stream(codes, taps, 8)
         for _ in range(3):
             np.testing.assert_array_equal(
-                parallel_convolve_stream(codes, taps, plan), first)
+                parallel_convolve_stream(codes, taps, 8), first)
 
 
 class TestBlockConvolver:
@@ -195,8 +186,7 @@ class TestOneOverflowRule:
     ROUTES = {
         "convolve_serial": convolve_serial,
         "parallel_convolve_stream":
-            lambda codes, taps: parallel_convolve_stream(codes, taps,
-                                                         PolyphasePlan(3)),
+            lambda codes, taps: parallel_convolve_stream(codes, taps, 3),
         "BlockConvolver.process":
             lambda codes, taps: BlockConvolver(len(taps)).process(codes, taps),
         "StreamCalibrator.process": stream_calibrator_route,
