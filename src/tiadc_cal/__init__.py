@@ -18,15 +18,14 @@ from .errors import (ConfigError, ConvergenceError, CoherenceError,
                      PhaseAmbiguityError, ShapeError, TapOverflowError,
                      TiadcError)
 from .model import (ChannelCapture, MismatchProfile, TiadcConfig, ToneSpec,
-                    dequantize_stream, ideal_capture, interleave_channels,
-                    quantize_stream, sample_channels, simulate_capture)
+                    dequantize_stream, interleave_channels, quantize_stream,
+                    sample_channels, simulate_capture)
 from .sinefit import (MismatchEstimate, SineFitResult, alias_to_subrate,
                       derive_mismatches, detect_tone_freq, estimate_blocks,
                       estimate_from_capture, sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
-                         design_banks, design_taps, dequantize_taps,
-                         filter_frequency_response, ideal_frequency_response,
-                         quantize_taps, tap_indices)
+                         design_banks, design_taps, filter_frequency_response,
+                         ideal_frequency_response, quantize_taps, tap_indices)
 from .polyphase import (BlockConvolver, convolve_serial, decompose,
                         parallel_convolve, parallel_convolve_stream,
                         recompose)

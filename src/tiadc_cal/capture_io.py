@@ -13,14 +13,20 @@ Layout (little-endian, 26-byte header):
 The payload is exactly 2*sample_count bytes. Codes must lie within the
 B-bit two's-complement range: write_capture checks them before it opens
 the file, and read_capture after it reads it. Captures with B > 16 cannot
-be stored in this format. read_capture returns the payload as the
-capture's one int64 code array, in the file's interleaved order.
+be stored in this format. read_capture reads a regular file's payload
+once, straight into the capture's one code array: a writable little-endian
+int16 array in the file's interleaved order, which nothing widens before
+the calibrator. A pipe, which has no size to check the header against, is
+read whole first.
 
 The header holds no full_scale, so read_capture's config has the default
-1.0; a caller that knows the converter's full scale (the calibrate
-command, from the scenario sidecar) scales the codes with its own config.
+1.0; a caller that knows the converter's full scale (the estimate,
+calibrate and spectrum commands, from --config or the scenario sidecar)
+scales the codes with its own config, through ChannelCapture.with_config.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -53,46 +59,61 @@ def write_capture(capture: ChannelCapture, path) -> None:
     if config.bits > 16:
         raise DataFormatError(
             f"{config.bits}-bit codes do not fit the 16-bit payload format")
-    codes = np.asarray(capture.interleaved, dtype=np.int64)
+    codes = capture.interleaved
     _check_code_range(codes, config.bits)
     header = _HEADER.pack(MAGIC, VERSION, config.n_channels, config.bits,
                           float(config.fs), len(codes))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(codes.astype("<i2").tobytes())
+        # no copy for contiguous int16 codes, the simulator's and reader's
+        fh.write(np.ascontiguousarray(codes, dtype="<i2"))
 
 
 def read_capture(path) -> ChannelCapture:
-    """Parse a capture file, validating header and payload byte-exactly."""
+    """Parse a capture file, validating header and payload byte-exactly.
+    A regular file's payload is read once, straight into the capture's
+    code array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < HEADER_SIZE:
-        raise DataFormatError(
-            f"truncated header: need {HEADER_SIZE} bytes, got {len(blob)} "
-            "(byte offset 0)")
-    magic, version, n_channels, bits, fs, count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise DataFormatError(f"bad magic {magic!r} (byte offset 0)")
-    if version != VERSION:
-        raise DataFormatError(f"unsupported version {version} (byte offset 4)")
-    if n_channels < 2:
-        raise DataFormatError(
-            f"channel count {n_channels} must be >= 2 (byte offset 6)")
-    if not 2 <= bits <= 16:
-        raise DataFormatError(f"bits {bits} outside 2..16 (byte offset 8)")
-    if not (fs > 0 and np.isfinite(fs)):
-        raise DataFormatError(f"sample rate {fs} not positive (byte offset 10)")
-    expected = 2 * count
-    actual = len(blob) - HEADER_SIZE
-    if actual != expected:
-        raise DataFormatError(
-            f"payload: expected {expected} bytes, got {actual} "
-            f"(byte offset {HEADER_SIZE})")
-    if count % n_channels:
-        raise DataFormatError(
-            f"sample count {count} not divisible by {n_channels} channels "
-            "(byte offset 18)")
-    codes = np.frombuffer(blob, dtype="<i2", offset=HEADER_SIZE).astype(np.int64)
+        header = fh.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise DataFormatError(
+                f"truncated header: need {HEADER_SIZE} bytes, got "
+                f"{len(header)} (byte offset 0)")
+        magic, version, n_channels, bits, fs, count = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise DataFormatError(f"bad magic {magic!r} (byte offset 0)")
+        if version != VERSION:
+            raise DataFormatError(
+                f"unsupported version {version} (byte offset 4)")
+        if n_channels < 2:
+            raise DataFormatError(
+                f"channel count {n_channels} must be >= 2 (byte offset 6)")
+        if not 2 <= bits <= 16:
+            raise DataFormatError(f"bits {bits} outside 2..16 (byte offset 8)")
+        if not (fs > 0 and np.isfinite(fs)):
+            raise DataFormatError(
+                f"sample rate {fs} not positive (byte offset 10)")
+        expected = 2 * count
+        info = os.fstat(fh.fileno())
+        # a pipe has no size: its payload is read whole to learn it
+        rest = None if stat.S_ISREG(info.st_mode) else fh.read()
+        actual = info.st_size - HEADER_SIZE if rest is None else len(rest)
+        if actual != expected:
+            raise DataFormatError(
+                f"payload: expected {expected} bytes, got {actual} "
+                f"(byte offset {HEADER_SIZE})")
+        if count % n_channels:
+            raise DataFormatError(
+                f"sample count {count} not divisible by {n_channels} channels "
+                "(byte offset 18)")
+        if rest is not None:
+            codes = np.frombuffer(rest, dtype="<i2").copy()
+        else:
+            codes = np.empty(count, dtype="<i2")
+            if fh.readinto(codes) != expected:
+                raise DataFormatError(
+                    f"payload changed while it was read (byte offset "
+                    f"{HEADER_SIZE})")
     _check_code_range(codes, bits)
     config = TiadcConfig(n_channels=n_channels, fs=fs, bits=bits)
     return ChannelCapture(config=config, interleaved=codes)

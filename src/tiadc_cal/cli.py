@@ -36,6 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "a time-interleaved ADC.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_config_flag(p, help_text):
+        p.add_argument("--config",
+                       help=help_text + "; defaults to the capture's .cfg "
+                            "sidecar, then to the header alone (full scale "
+                            "1.0)")
+
     def add_filter_flags(p):
         p.add_argument("--taps", type=int, help="FIR tap count N")
         p.add_argument("--coeff-bits", type=int,
@@ -51,15 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate mismatches from a capture")
     est.add_argument("capture", help="capture file path")
+    add_config_flag(est, "scenario supplying the converter's full scale")
     est.add_argument("--freq", type=float,
                      help="tone frequency relative to fs; detected if omitted")
     est.add_argument("--out", help="output directory for the estimate CSV")
 
     cal = sub.add_parser("calibrate", help="calibrate a capture file")
     cal.add_argument("capture", help="capture file path")
-    cal.add_argument("--config",
-                     help="scenario supplying the truth-mode profile; "
-                          "defaults to the capture's .cfg sidecar")
+    add_config_flag(cal, "scenario supplying the converter's full scale "
+                         "and, in truth mode, the profile and filter")
     cal.add_argument("--mode", choices=["truth", "est"], default="truth",
                      help="coefficient source: injected profile or estimate")
     cal.add_argument("--freq", type=float,
@@ -80,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", help="spectrum and SINAD of a capture")
     spec.add_argument("capture")
+    add_config_flag(spec, "scenario supplying the converter's full scale")
     spec.add_argument("--n-fft", type=int, default=4096)
     spec.add_argument("--freq", type=float,
                       help="signal frequency relative to fs; detected if omitted")
@@ -127,8 +134,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _load_capture(args):
+    """The capture file args.capture under the config that scales its
+    codes, and the scenario that config came from: --config wins, then the
+    capture's .cfg sidecar. With neither, the scenario is None and the
+    header's config (full scale 1.0) stays. A scenario whose channel count
+    or bits differ from the header's raises ConfigError."""
     capture = read_capture(args.capture)
+    source = args.config
+    if source is None and os.path.exists(_sidecar_path(args.capture)):
+        source = _sidecar_path(args.capture)
+    if source is None:
+        return capture, None
+    scenario = _apply_overrides(scenario_settings(load_scenario(source)), args)
+    return capture.with_config(scenario.config), scenario
+
+
+def _cmd_estimate(args) -> int:
+    capture, _ = _load_capture(args)
     estimate = estimate_from_capture(capture, args.freq)
     print(f"{'channel':>7} {'offset':>12} {'gain':>12} {'skew (Ts)':>12}")
     for m in range(capture.config.n_channels):
@@ -149,18 +172,6 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _load_calibrate_scenario(args):
-    source = args.config
-    if source is None:
-        sidecar = _sidecar_path(args.capture)
-        if not os.path.exists(sidecar):
-            raise ConfigError(
-                f"no --config given and no sidecar at {sidecar}; "
-                "supply --config or use --mode est")
-        source = sidecar
-    return _apply_overrides(scenario_settings(load_scenario(source)), args)
-
-
 def _write_calibrated_csv(path: str, samples) -> None:
     """index,value rows with CRLF line ends, the csv module's dialect,
     formatted and written a chunk of samples at a time."""
@@ -173,19 +184,24 @@ def _write_calibrated_csv(path: str, samples) -> None:
 
 
 def _cmd_calibrate(args) -> int:
-    capture = read_capture(args.capture)
+    capture, scenario = _load_capture(args)
     if args.mode == MODE_TRUTH:
-        scenario = _load_calibrate_scenario(args)
+        if scenario is None:
+            raise ConfigError(
+                f"no --config given and no sidecar at "
+                f"{_sidecar_path(args.capture)}; supply --config or use "
+                "--mode est")
         freq = args.freq if args.freq is not None else scenario.tone.freq_rel
     else:
-        # no scenario: correct with a one-shot estimate from the first block
+        # no profile: correct with a one-shot estimate from the first block,
+        # the default filter and the loaded config's full scale
         config = capture.config
         scenario = _apply_overrides(dict(DEFAULTS, channels=config.n_channels,
                                          bits=config.bits, fs=config.fs), args)
         freq = args.freq if args.freq is not None else detect_tone_freq(capture)
         # the default tone is a placeholder: no clip check judges the
         # estimate against it
-        scenario = replace(scenario, mode=MODE_TRUTH,
+        scenario = replace(scenario, config=config, mode=MODE_TRUTH,
                            profile=estimate_from_capture(capture, freq).profile)
     result = calibrate_scenario(capture, scenario, freq)
     spec = scenario.filter_spec
@@ -231,7 +247,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    capture = read_capture(args.capture)
+    capture, _ = _load_capture(args)
     config = capture.config
     stream = dequantize_stream(capture.interleaved[:args.n_fft], config)
     freq = args.freq if args.freq is not None else detect_tone_freq(capture)

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .filterbank import (_CHUNK, FilterBank, StreamCalibrator,
-                         calibrate_capture, design_banks, merge_accumulators,
+from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
+                         design_banks, merge_accumulators,
                          write_coefficients_csv)
 from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
                       write_spectrum_csv)
-from .model import ChannelCapture, dequantize_stream, simulate_capture
+from .model import _CHUNK, ChannelCapture, dequantize_stream, simulate_capture
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
 from .sinefit import (EST_BLOCK_PER_CHANNEL, MismatchEstimate,
                       detect_tone_freq, estimate_blocks)
@@ -129,11 +129,7 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     """
     config = scenario.config
     M = config.n_channels
-    theirs = capture.config
-    if (theirs.n_channels, theirs.bits) != (M, config.bits):
-        raise ConfigError(f"scenario has {M} channels of {config.bits} bits, "
-                          f"capture has {theirs.n_channels} of {theirs.bits}")
-    capture = ChannelCapture(config, capture.interleaved)
+    capture = capture.with_config(config)
     # checked before any tap design, whose arrays grow with the tap count
     if capture.n_per_channel < scenario.filter_spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
-from .model import ChannelCapture, MismatchProfile, TiadcConfig
+from .model import _CHUNK, ChannelCapture, MismatchProfile, TiadcConfig
 from .polyphase import _guard_sums, _magnitudes
 
 SUBTRACT_GAIN = "sub"
@@ -167,10 +167,6 @@ def _check_word_length(taps_fx, coeff_bits: int) -> None:
     if np.any(taps_fx >= limit) or np.any(taps_fx < -limit):
         raise TapOverflowError(
             f"fixed-point tap exceeds {coeff_bits}-bit two's complement")
-
-
-def dequantize_taps(taps_fx, coeff_bits: int) -> np.ndarray:
-    return np.asarray(taps_fx, dtype=float) / (1 << (coeff_bits - 2))
 
 
 def filter_frequency_response(taps, omega):
@@ -369,9 +365,12 @@ class StreamCalibrator:
 
         chunk holds M equal-length code arrays, one per channel: an
         (M, width) array such as a slice of ChannelCapture.per_channel, or
-        a sequence of rows. banks is one FilterBank, or one per block_len
-        samples of the chunk (the last block may be shorter); block_len
-        defaults to the chunk length.
+        a sequence of rows, of any integer type. This is where the codes
+        are widened to int64: they are copied into the calibrator's int64
+        buffer behind its history, so a capture stays int16 (or int32) and
+        only one chunk is ever wide. banks is one FilterBank, or one per
+        block_len samples of the chunk (the last block may be shorter);
+        block_len defaults to the chunk length.
         """
         M = self.config.n_channels
         if len(chunk) != M:
@@ -420,12 +419,6 @@ def merge_accumulators(accs, scale: float, out: np.ndarray) -> np.ndarray:
     for m, acc in enumerate(accs):
         np.multiply(acc, scale, out=out[m::M])
     return out
-
-
-# samples per channel that calibrate_capture feeds through at a time: the
-# working set stays in cache and temporary memory does not grow with the
-# capture
-_CHUNK = 1 << 16
 
 
 def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:

@@ -4,10 +4,12 @@ An M-channel TIADC realizes an aggregate rate fs by rotating through M
 sub-ADCs, each converting at fs/M. Real converter channels disagree slightly:
 channel m applies a gain error (1 + dg_m), samples at a skewed instant
 (k*M + m + dt_m)*Ts instead of the nominal grid point, and adds a constant
-offset do_m. This module synthesizes such captures (and their ideal
-zero-mismatch counterparts) with a saturating mid-rise quantizer. A capture
-keeps its codes in one interleaved array; channel m is its stride-M slice,
-and ChannelCapture.per_channel shows all M of them as the rows of one view.
+offset do_m. This module synthesizes such captures with a saturating
+mid-rise quantizer. A capture keeps its codes in one interleaved array of
+their narrowest integer type (int16 up to 16 bits, int32 above); channel m
+is its stride-M slice, and ChannelCapture.per_channel shows all M of them as
+the rows of one view. Only filterbank.StreamCalibrator widens codes to
+int64, a chunk at a time, for its exact accumulation.
 """
 
 import math
@@ -18,6 +20,11 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 MAX_CHANNELS = 0xFFFF  # the capture header's u16 channel count
+
+# samples per channel that simulate_capture and filterbank.calibrate_capture
+# handle at a time: the working set stays in cache and temporary memory does
+# not grow with the capture
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,11 @@ class MismatchProfile:
 class ChannelCapture:
     """A converter's interleaved integer codes and the config they came from.
 
-    interleaved is the 1-D code array, sample k*M + m from channel m.
-    per_channel is not stored: it is the (M, n_per_channel) view of the
-    same memory, row m being channel m.
+    interleaved is the 1-D code array, sample k*M + m from channel m, of
+    any integer type: simulate_capture and read_capture give int16 (int32
+    for more than 16 bits), and nothing widens it before
+    filterbank.StreamCalibrator. per_channel is not stored: it is the
+    (M, n_per_channel) view of the same memory, row m being channel m.
     """
 
     config: TiadcConfig
@@ -135,6 +144,17 @@ class ChannelCapture:
             raise ShapeError(f"{len(codes)} codes not divisible by "
                              f"{self.config.n_channels} channels")
         object.__setattr__(self, "interleaved", codes)
+
+    def with_config(self, config: TiadcConfig) -> "ChannelCapture":
+        """The same codes under config, which must have this capture's
+        channel count and bits (ConfigError otherwise). A capture file
+        stores no full_scale: a scenario's config supplies it."""
+        mine = self.config
+        if (config.n_channels, config.bits) != (mine.n_channels, mine.bits):
+            raise ConfigError(
+                f"scenario has {config.n_channels} channels of {config.bits} "
+                f"bits, capture has {mine.n_channels} of {mine.bits}")
+        return ChannelCapture(config, self.interleaved)
 
     @property
     def per_channel(self) -> np.ndarray:
@@ -164,18 +184,33 @@ def sample_channels(tone: ToneSpec, config: TiadcConfig,
     Returns
     -------
     ndarray of shape (n_channels, n_per_channel)
-        Row m is channel m, computed in place: sample k equals
-        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m.
+        Row m is channel m: sample k equals
+        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m. This is the whole-record
+        case of the block that simulate_capture samples a chunk at a time,
+        so the two agree bit for bit.
     """
+    _check_sampling(config, profile, n_per_channel)
+    return _sample_block(tone, profile, 0,
+                         np.empty((config.n_channels, n_per_channel)))
+
+
+def _check_sampling(config: TiadcConfig, profile: MismatchProfile,
+                    n_per_channel: int) -> None:
     M = config.n_channels
     if len(profile) != M:
         raise ConfigError(
             f"profile has {len(profile)} channels, config expects {M}")
     if n_per_channel < 1:
         raise ConfigError("n_per_channel must be >= 1")
-    kM = np.arange(n_per_channel, dtype=float) * M
+
+
+def _sample_block(tone: ToneSpec, profile: MismatchProfile, start: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill out, an (M, w) float array, with samples start .. start + w - 1
+    of every channel, computed in place."""
+    M, w = out.shape
+    kM = np.arange(start, start + w, dtype=float) * M
     omega = 2.0 * np.pi * tone.freq_rel
-    out = np.empty((M, n_per_channel))
     for m, row in enumerate(out):
         # the operations, in order, of
         # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do
@@ -234,19 +269,22 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> ChannelCapture:
     """Full capture: sample through the mismatch model, quantize, interleave.
 
-    The codes are written straight into the interleaved array, of which
-    the capture's per_channel is a view.
+    The codes are int16 for up to 16 bits and int32 above. They are made
+    _CHUNK samples per channel at a time, in one reused float buffer, and
+    written straight into the interleaved array, so the memory beyond the
+    codes does not grow with the capture.
     """
     M = config.n_channels
     if n_total % M:
         raise ShapeError(f"n_total {n_total} not divisible by {M} channels")
-    analog = sample_channels(tone, config, profile, n_total // M)
-    interleaved = np.empty(n_total, dtype=np.int64)
-    interleaved.reshape(-1, M)[...] = _quantize_in_place(analog, config).T
+    n = n_total // M
+    _check_sampling(config, profile, n)
+    interleaved = np.empty(n_total,
+                           dtype=np.int16 if config.bits <= 16 else np.int32)
+    rows = interleaved.reshape(-1, M).T
+    buffer = np.empty((M, min(n, _CHUNK)))
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        block = _sample_block(tone, profile, start, buffer[:, :stop - start])
+        rows[:, start:stop] = _quantize_in_place(block, config)
     return ChannelCapture(config, interleaved)
-
-
-def ideal_capture(tone: ToneSpec, config: TiadcConfig, n_total: int) -> ChannelCapture:
-    """Capture of the same tone with a perfectly matched channel bank."""
-    return simulate_capture(tone, config,
-                            MismatchProfile.zero(config.n_channels), n_total)

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +74,61 @@ class TestRoundTrip:
         assert p2.read_bytes() == raw
 
 
+class TestMemory:
+    """Codes stay int16 from file to capture and back: the payload is read
+    once, into the capture's array, and written from it."""
+
+    N_TOTAL = 1 << 20
+
+    @staticmethod
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_read_peak_is_the_payload(self, tmp_path):
+        path = tmp_path / "cap.bin"
+        write_capture(sample_capture(n_total=self.N_TOTAL), path)
+        cap, peak = self.peak_of(lambda: read_capture(path))
+        assert peak - 2 * self.N_TOTAL < 1 << 20
+
+    def test_read_returns_writable_int16_codes(self, tmp_path):
+        path = tmp_path / "cap.bin"
+        raw, want = valid_bytes(path, n_total=256)
+        codes = read_capture(path).interleaved
+        assert codes.dtype == np.dtype("<i2") and codes.flags.writeable
+        codes[0] += 1
+        assert path.read_bytes() == raw
+
+    def test_pipe_is_read_whole(self, tmp_path):
+        """A pipe has no size to check the header against: its payload
+        is read to learn it."""
+        path = tmp_path / "cap.bin"
+        raw, cap = valid_bytes(path, n_total=4096)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,),
+                                  daemon=True)
+        writer.start()
+        try:
+            back = read_capture(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(back.interleaved, cap.interleaved)
+        assert back.interleaved.flags.writeable
+
+    def test_write_makes_no_copy_of_int16_codes(self, tmp_path):
+        cap = sample_capture(n_total=self.N_TOTAL)
+        assert cap.interleaved.dtype == np.int16
+        _, peak = self.peak_of(lambda: write_capture(cap, tmp_path / "c.bin"))
+        assert peak < 1 << 20
+
+
 class TestWriteErrors:
     def test_wide_samples_rejected(self, tmp_path):
         cap = sample_capture(bits=16)
@@ -84,7 +142,7 @@ class TestWriteErrors:
     def test_code_outside_bit_range_rejected(self, tmp_path, bits, code):
         # a 16-bit 40000 would wrap to -25536 in the payload
         cap = sample_capture(bits=bits)
-        codes = cap.interleaved.copy()
+        codes = cap.interleaved.astype(np.int64)
         codes[5] = code
         cap = type(cap)(config=cap.config, interleaved=codes)
         path = tmp_path / "cap.bin"

@@ -291,6 +291,81 @@ def test_calibrate_config_with_other_bits_exit_2(tmp_path, capsys):
     assert "bits" in err and out == ""
 
 
+def simulate_full_scale_2(tmp_path, capsys):
+    config = tmp_path / "fs2.cfg"
+    config.write_text(FULL_SCALE_2)
+    code, _, _ = run(capsys, "simulate", "--config", str(config),
+                     "--out", str(tmp_path))
+    assert code == 0
+    return tmp_path / "fs2_capture.bin", config
+
+
+def estimated_offset(out, channel):
+    row = out.splitlines()[1 + channel].split()
+    assert int(row[0]) == channel
+    return float(row[1])
+
+
+@pytest.mark.parametrize("source", ["sidecar", "config"])
+def test_estimate_scales_offsets_by_the_full_scale(tmp_path, capsys, source):
+    """Offsets are in full-scale units, so estimate needs the full scale
+    the header does not store: from the sidecar, or from --config."""
+    path, config = simulate_full_scale_2(tmp_path, capsys)
+    flags = []
+    if source == "config":
+        path.with_suffix(".cfg").unlink()
+        flags = ["--config", str(config)]
+    code, out, _ = run(capsys, "estimate", str(path), *flags)
+    assert code == 0
+    assert estimated_offset(out, 1) == pytest.approx(0.02, abs=1e-4)
+
+
+def test_spectrum_levels_agree_with_calibrate(tmp_path, capsys):
+    """dBFS is relative to the full scale, so spectrum under the sidecar's
+    full scale reports the image spur that calibrate measures."""
+    path, _ = simulate_full_scale_2(tmp_path, capsys)
+    _, out_cal, _ = run(capsys, "calibrate", str(path))
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0
+    level = re.search(r"image spur at [\d.]+ fs: ([-\d.]+) dBFS", out).group(1)
+    assert re.search(rf"largest image spur at [\d.]+ fs: {level} ->", out_cal)
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["spectrum"], ["calibrate"],
+                                     ["calibrate", "--mode", "est"]])
+@pytest.mark.parametrize("text", ["bits = 14\n", "channels = 4\n"],
+                         ids=["bits", "channels"])
+def test_config_that_does_not_match_the_header_exit_2(tmp_path, capsys,
+                                                      command, text):
+    path = simulate_fig6(tmp_path, capsys)
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *command, str(path), "--config", str(cfg))
+    assert code == 2
+    assert "config error: scenario has" in err and out == ""
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["spectrum"],
+                                     ["calibrate", "--mode", "est"]])
+def test_full_scale_1_outputs_do_not_depend_on_the_sidecar(tmp_path, capsys,
+                                                           command):
+    """With full scale 1.0, reading the sidecar changes nothing: stdout and
+    every CSV equal those of the header alone."""
+    path = simulate_fig6(tmp_path, capsys)
+    outputs = []
+    for run_dir in ("with", "without"):
+        if run_dir == "without":
+            (tmp_path / "fig6_capture.cfg").unlink()
+        code, out, _ = run(capsys, *command, str(path),
+                           "--out", str(tmp_path / run_dir))
+        assert code == 0
+        files = sorted((tmp_path / run_dir).iterdir())
+        outputs.append((out.replace(run_dir, "DIR"),
+                        [(f.name, f.read_bytes()) for f in files]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"]])
 def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        NumericError, ShapeError, TapOverflowError,
                        TiadcConfig, ToneSpec, calibrate_capture,
-                       convolve_serial, design_taps,
-                       dequantize_stream, dequantize_taps,
-                       filter_frequency_response, ideal_capture,
-                       ideal_frequency_response, quantize_taps, sinad,
-                       simulate_capture, tap_indices)
+                       convolve_serial, design_taps, dequantize_stream,
+                       filter_frequency_response, ideal_frequency_response,
+                       quantize_taps, sinad, simulate_capture, tap_indices)
 from tiadc_cal.filterbank import (FULLRATE, SUBRATE, StreamCalibrator,
                                   design_banks, write_coefficients_csv)
 from tiadc_cal.model import ChannelCapture, interleave_channels
@@ -124,7 +122,7 @@ class TestQuantizeTaps:
            st.integers(8, 32))
     def test_dequantize_within_half_lsb(self, taps, bits):
         fx = quantize_taps(taps, bits)
-        back = dequantize_taps(fx, bits)
+        back = fx / (1 << (bits - 2))
         np.testing.assert_allclose(back, taps, rtol=0,
                                    atol=0.5 * 2.0 ** -(bits - 2) + 1e-18)
 
@@ -253,7 +251,7 @@ class TestCalibrateCapture:
 
     def test_zero_mismatch_identity_bank_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.2)
-        cap = ideal_capture(tone, CFG12, 4096)
+        cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 4096)
         bank = FilterBank.identity(2, SPEC30)
         out = calibrate_capture(cap, bank)
         d = SPEC30.group_delay * 2
@@ -378,7 +376,7 @@ class TestFullRateBank:
 
     def test_identity_bank_is_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.2)
-        cap = ideal_capture(tone, CFG12, 4096)
+        cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 4096)
         out = calibrate_capture(cap, FilterBank.identity(2, FULL30))
         want = dequantize_stream(cap.interleaved, CFG12)
         # output j is input sample j + D*(M-1)

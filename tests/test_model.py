@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tiadc_cal import (ChannelCapture, ConfigError, MismatchProfile, ShapeError,
                        TiadcConfig, ToneSpec, dequantize_stream,
-                       ideal_capture, interleave_channels, quantize_stream,
-                       sample_channels, simulate_capture)
+                       interleave_channels, quantize_stream, sample_channels,
+                       simulate_capture)
+
+from tiadc_cal.model import _CHUNK
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
 
@@ -187,17 +191,10 @@ class TestInterleave:
 
 
 class TestCaptures:
-    def test_ideal_equals_zero_profile_bit_for_bit(self):
-        tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.3)
-        a = ideal_capture(tone, CFG12, 512)
-        b = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 512)
-        np.testing.assert_array_equal(a.interleaved, b.interleaved)
-        np.testing.assert_array_equal(a.per_channel, b.per_channel)
-
     def test_indivisible_total_rejected(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=0.1)
         with pytest.raises(ShapeError):
-            ideal_capture(tone, CFG12, 7)
+            simulate_capture(tone, CFG12, MismatchProfile.zero(2), 7)
 
     def test_interleaved_matches_per_channel(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=0.1, phase=0.5)
@@ -281,3 +278,43 @@ class TestInPlaceSimulation:
             np.testing.assert_array_equal(quantize_stream(
                 sample_channels(tone, config, profile, n_total // M)[m],
                 config), want[m])
+
+
+class TestChunkedSimulation:
+    """simulate_capture makes its codes _CHUNK samples per channel at a
+    time, in their narrowest integer type."""
+
+    TONE = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4, dc=0.01)
+    PROFILE = MismatchProfile((0, 0.003, -0.002), (0, 0.02, -0.01),
+                              (0, 0.03, -0.02))
+
+    @pytest.mark.parametrize("K", [1000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
+    def test_codes_equal_the_whole_array_reference(self, K):
+        config = TiadcConfig(n_channels=3, bits=12)
+        cap = simulate_capture(self.TONE, config, self.PROFILE, 3 * K)
+        want = quantize_stream(
+            sample_channels(self.TONE, config, self.PROFILE, K), config)
+        np.testing.assert_array_equal(cap.per_channel, want)
+
+    @pytest.mark.parametrize("bits,dtype", [(12, np.int16), (16, np.int16),
+                                            (24, np.int32)])
+    def test_code_dtype(self, bits, dtype):
+        config = TiadcConfig(n_channels=3, bits=bits)
+        K = _CHUNK + 5
+        cap = simulate_capture(self.TONE, config, self.PROFILE, 3 * K)
+        assert cap.interleaved.dtype == dtype
+        want = quantize_stream(
+            sample_channels(self.TONE, config, self.PROFILE, K), config)
+        np.testing.assert_array_equal(cap.per_channel, want)
+
+    @pytest.mark.parametrize("n_total", [1 << 20, 1 << 22])
+    def test_memory_beyond_the_codes_stays_small(self, n_total):
+        # a whole-record float64 pass would take 8 bytes per sample more
+        tracemalloc.start()
+        try:
+            cap = simulate_capture(self.TONE, CFG12, MismatchProfile(
+                (0, 0.003), (0, 0.02), (0, 0.03)), n_total)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - cap.interleaved.nbytes < 4 << 20
