@@ -20,9 +20,9 @@ the calibrator. A pipe, which has no size to check the header against, is
 read whole first.
 
 The header holds no full_scale, so read_capture's config has the default
-1.0; a caller that knows the converter's full scale (the estimate,
-calibrate and spectrum commands, from --config or the scenario sidecar)
-scales the codes with its own config, through ChannelCapture.with_config.
+1.0; a caller that knows the converter's full scale (the estimate and
+calibrate commands, from --config or the scenario sidecar) scales the
+codes with its own config, through ChannelCapture.with_config.
 """
 
 import os

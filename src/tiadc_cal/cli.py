@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", help="spectrum and SINAD of a capture")
     spec.add_argument("capture")
-    add_config_flag(spec, "scenario supplying the converter's full scale")
     spec.add_argument("--n-fft", type=int, default=4096)
     spec.add_argument("--freq", type=float,
                       help="signal frequency relative to fs; detected if omitted")
@@ -136,17 +135,17 @@ def _cmd_simulate(args) -> int:
 
 def _load_capture(args):
     """The capture file args.capture under the config that scales its
-    codes, and the scenario that config came from: --config wins, then the
-    capture's .cfg sidecar. With neither, the scenario is None and the
-    header's config (full scale 1.0) stays. A scenario whose channel count
-    or bits differ from the header's raises ConfigError."""
+    codes, and the scenario that config came from, as loaded: --config
+    wins, then the capture's .cfg sidecar. With neither, the scenario is
+    None and the header's config (full scale 1.0) stays. A scenario whose
+    channel count or bits differ from the header's raises ConfigError."""
     capture = read_capture(args.capture)
     source = args.config
     if source is None and os.path.exists(_sidecar_path(args.capture)):
         source = _sidecar_path(args.capture)
     if source is None:
         return capture, None
-    scenario = _apply_overrides(scenario_settings(load_scenario(source)), args)
+    scenario = load_scenario(source)
     return capture.with_config(scenario.config), scenario
 
 
@@ -191,6 +190,7 @@ def _cmd_calibrate(args) -> int:
                 f"no --config given and no sidecar at "
                 f"{_sidecar_path(args.capture)}; supply --config or use "
                 "--mode est")
+        scenario = _apply_overrides(scenario_settings(scenario), args)
         freq = args.freq if args.freq is not None else scenario.tone.freq_rel
     else:
         # no profile: correct with a one-shot estimate from the first block,
@@ -247,7 +247,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    capture, _ = _load_capture(args)
+    capture = read_capture(args.capture)
     config = capture.config
     stream = dequantize_stream(capture.interleaved[:args.n_fft], config)
     freq = args.freq if args.freq is not None else detect_tone_freq(capture)

@@ -321,8 +321,9 @@ def test_estimate_scales_offsets_by_the_full_scale(tmp_path, capsys, source):
 
 
 def test_spectrum_levels_agree_with_calibrate(tmp_path, capsys):
-    """dBFS is relative to the full scale, so spectrum under the sidecar's
-    full scale reports the image spur that calibrate measures."""
+    """dBFS is relative to the full scale, so spectrum, which reads the
+    header alone, reports the image spur that calibrate measures under the
+    sidecar's full scale 2.0."""
     path, _ = simulate_full_scale_2(tmp_path, capsys)
     _, out_cal, _ = run(capsys, "calibrate", str(path))
     code, out, _ = run(capsys, "spectrum", str(path))
@@ -331,7 +332,7 @@ def test_spectrum_levels_agree_with_calibrate(tmp_path, capsys):
     assert re.search(rf"largest image spur at [\d.]+ fs: {level} ->", out_cal)
 
 
-@pytest.mark.parametrize("command", [["estimate"], ["spectrum"], ["calibrate"],
+@pytest.mark.parametrize("command", [["estimate"], ["calibrate"],
                                      ["calibrate", "--mode", "est"]])
 @pytest.mark.parametrize("text", ["bits = 14\n", "channels = 4\n"],
                          ids=["bits", "channels"])
@@ -345,7 +346,7 @@ def test_config_that_does_not_match_the_header_exit_2(tmp_path, capsys,
     assert "config error: scenario has" in err and out == ""
 
 
-@pytest.mark.parametrize("command", [["estimate"], ["spectrum"],
+@pytest.mark.parametrize("command", [["estimate"],
                                      ["calibrate", "--mode", "est"]])
 def test_full_scale_1_outputs_do_not_depend_on_the_sidecar(tmp_path, capsys,
                                                            command):
@@ -364,6 +365,33 @@ def test_full_scale_1_outputs_do_not_depend_on_the_sidecar(tmp_path, capsys,
                         [(f.name, f.read_bytes()) for f in files]))
     assert outputs[0] == outputs[1]
     assert outputs[0][1]
+
+
+@pytest.mark.parametrize("command", [["estimate"],
+                                     ["calibrate", "--mode", "est"]])
+def test_sidecar_that_does_not_load_exit_2_unless_config_given(tmp_path, capsys,
+                                                               command):
+    """The sidecar supplies the full scale, so one that does not parse stops
+    the command; --config wins over it."""
+    path = simulate_fig6(tmp_path, capsys)
+    (tmp_path / "fig6_capture.cfg").write_text("not a setting\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert "config error: line 1" in err and out == ""
+    code, _, _ = run(capsys, *command, str(path), "--config", "fig6")
+    assert code == 0
+
+
+def test_spectrum_reads_the_header_alone(tmp_path, capsys):
+    """dBFS needs no full scale, so spectrum neither takes --config nor
+    reads the sidecar."""
+    path = simulate_fig6(tmp_path, capsys)
+    _, before, _ = run(capsys, "spectrum", str(path))
+    (tmp_path / "fig6_capture.cfg").write_text("not a setting\n")
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0 and out == before
+    code, _, err = run(capsys, "spectrum", str(path), "--config", "fig6")
+    assert code == 2 and "--config" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
