@@ -79,10 +79,10 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     is corrected but not estimated from. Each estimate reads raw codes
     only, so the capture runs in whole steps of _CHUNK samples per channel
     (a whole number of blocks, so temporary memory stays bounded): one fit
-    of every block of the chunk, one design of their banks, and one
-    StreamCalibrator step with one bank per block. Returns (calibrated
-    stream from the second block on, the bank designed from the last
-    estimate, that estimate).
+    of every block of the chunk, one design of their taps, and one
+    StreamCalibrator step with the stacked taps and offsets of one bank
+    per block. Returns (calibrated stream from the second block on, the
+    FilterBank designed from the last estimate, that estimate).
     """
     config = capture.config
     M = config.n_channels
@@ -96,7 +96,10 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     tone_freq = detect_tone_freq(capture)
 
     chunk = _CHUNK - _CHUNK % block
-    bank, estimate = FilterBank.identity(M, spec), None
+    # the bank of the block before the chunk, as a one-bank stack: the
+    # identity before the first block
+    taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
+    offsets, estimate = np.zeros((1, M)), None
     stream = StreamCalibrator(config, spec)
     out = np.empty(n_per_channel * M)
     for start in range(0, n_per_channel, chunk):
@@ -107,13 +110,18 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
         estimates = estimate_blocks(
             codes[:, :n_full * block].reshape(M, n_full, block).swapaxes(0, 1),
             config, tone_freq)
+        gains, skews, offs = np.array(
+            [(e.profile.gains, e.profile.skews, e.profile.offsets)
+             for e in estimates]).reshape(-1, 3, M).swapaxes(0, 1)
         # each block runs the bank estimated from the block before it
-        banks = [bank] + design_banks([e.profile for e in estimates], M, spec)
+        taps = np.concatenate((taps[-1:], design_banks(gains, skews, spec)[1]))
+        offsets = np.concatenate((offsets[-1:], offs))
         n_blocks = -(-width // block)  # a short last block included
-        merge_accumulators(stream.process(codes, banks[:n_blocks], block),
-                           stream.scale, out[start * M: (start + width) * M])
-        bank = banks[-1]
+        merge_accumulators(
+            stream.process(codes, taps[:n_blocks], offsets[:n_blocks], block),
+            stream.scale, out[start * M: (start + width) * M])
         estimate = estimates[-1] if estimates else estimate
+    bank = FilterBank.design(estimate.profile, M, spec)
     return out[(block + spec.group_delay) * M:], bank, estimate
 
 

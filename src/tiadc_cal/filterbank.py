@@ -3,23 +3,12 @@
 Channel m of an M-way interleaved converter with gain error dg and sampling
 skew dt (units of the aggregate period Ts) is corrected, to first order in
 the mismatches, by a gain trim c = 1 - dg ("sub" variant) or 1/(1 + dg)
-("div" variant) plus a fractional-delay differentiator scaled by dt. Two
-structures realize this; FilterSpec.structure selects one.
+("div" variant) plus a fractional-delay differentiator scaled by dt.
 
-"subrate", the paper's per-channel bank, filters channel m's own fs/M
-stream with
-
-    w[0] = c_m,   w[n] = (-1)^(n+1) / n * dt_m / M      for n != 0
-
-truncated rectangularly to n in [-ceil(N/2)+1, floor(N/2)]. Its response
-approximates c - j*omega*dt/M, but only for input frequencies below
-fs/(2M): above that the sub-rate stream is aliased and the differentiator
-takes the wrong branch.
-
-"fullrate" differentiates the interleaved stream at the aggregate rate, so
-output channel m also uses the other channels' samples. Tap n of channel m
-acts on the aggregate sample n positions earlier, from channel
-s = (m - n) mod M, whose gain it trims:
+The library designs and runs one bank. It differentiates the interleaved
+stream at the aggregate rate, so output channel m also uses the other
+channels' samples. Tap n of channel m acts on the aggregate sample n
+positions earlier, from channel s = (m - n) mod M, whose gain it trims:
 
     t_m[0] = c_m
     t_m[n] = dt_m * c_s * (-1)^(n+1) / n * (1 + cos(pi*n/(K+1))) / 2
@@ -31,14 +20,24 @@ no partner, is zero. This is the windowed differentiator of Laakso et al.,
 cascade of Matsuno et al. (IEEE TCAS-I 2013), with each source channel's
 gain trimmed inside the differentiator.
 
-Both structures index taps by n in tap_indices(N) and run causally: the
-sub-rate bank delays every channel by D = ceil(N/2)-1 of its own samples,
-the full-rate bank the interleaved stream by D aggregate samples, and a
-calibrated capture loses D*M samples at each end either way. Coefficients
-are quantized to two's-complement Q2.(W-2); a bank runs as a sum of sub-rate
+The paper's own bank, which filters channel m's own fs/M stream with
+
+    w[0] = c_m,   w[n] = (-1)^(n+1) / n * dt_m / M      for n != 0,
+
+is kept as a reference formula, design_taps. Its response approximates
+c - j*omega*dt/M only below fs/(2M): above that the sub-rate stream is
+aliased and the differentiator takes the wrong branch. It runs by the
+reference rule: quantize_taps, then polyphase.convolve_serial on each
+channel's offset-corrected codes, then one scaling.
+
+Taps are indexed by n in tap_indices(N), and the bank runs causally,
+delaying the interleaved stream by D = ceil(N/2)-1 aggregate samples; a
+calibrated capture loses D*M samples at each end. Coefficients are
+quantized to two's-complement Q2.(W-2); a bank runs as a sum of sub-rate
 integer convolutions (FilterBank.convolution_terms) with one final scaling,
 so results are bit-reproducible and at most N multiply-accumulates are
-spent per output sample.
+spent per output sample. design_banks and StreamCalibrator.process work on
+tap and offset arrays; FilterBank is the record of one bank.
 """
 
 import csv
@@ -53,19 +52,15 @@ from .polyphase import _guard_sums, _magnitudes
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
 
-SUBRATE = "subrate"    # the paper's per-channel bank
-FULLRATE = "fullrate"  # windowed cross-channel bank at the aggregate rate
-
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Corrector shape: tap count N, coefficient word length W, gain variant
-    and bank structure."""
+    """Corrector shape: tap count N, coefficient word length W and gain
+    variant."""
 
     n_taps: int
     coeff_bits: int = 30
     variant: str = SUBTRACT_GAIN
-    structure: str = SUBRATE
 
     def __post_init__(self):
         if self.n_taps < 1:
@@ -74,14 +69,10 @@ class FilterSpec:
             raise ConfigError(f"coeff_bits must be in 8..32, got {self.coeff_bits}")
         if self.variant not in (SUBTRACT_GAIN, DIVIDE_GAIN):
             raise ConfigError(f"variant must be 'sub' or 'div', got {self.variant!r}")
-        if self.structure not in (SUBRATE, FULLRATE):
-            raise ConfigError(f"structure must be {SUBRATE!r} or {FULLRATE!r}, "
-                              f"got {self.structure!r}")
 
     @property
     def group_delay(self) -> int:
-        """D = ceil(N/2)-1: the sub-rate bank's delay in each channel's own
-        samples, and the full-rate bank's in aggregate samples."""
+        """D = ceil(N/2)-1: the bank's delay in aggregate samples."""
         return (self.n_taps + 1) // 2 - 1
 
 
@@ -95,7 +86,10 @@ def _gain_trim(gain, variant: str):
 
 
 def design_taps(gain, skew, n_channels: int, spec: FilterSpec) -> np.ndarray:
-    """The paper's real-valued sub-rate corrector taps.
+    """The paper's real-valued sub-rate corrector taps: the reference
+    formula, which filters each channel's own fs/M stream. The library's
+    bank is design_banks'; these taps run by the reference rule (see the
+    module docstring).
 
     Parameters
     ----------
@@ -106,8 +100,7 @@ def design_taps(gain, skew, n_channels: int, spec: FilterSpec) -> np.ndarray:
     n_channels : int
         M; the skew term is dt/M because the channel runs at fs/M.
     spec : FilterSpec
-        Tap count and gain variant; coeff_bits and structure are not used
-        here.
+        Tap count and gain variant; coeff_bits is not used here.
 
     Returns
     -------
@@ -125,24 +118,6 @@ def design_taps(gain, skew, n_channels: int, spec: FilterSpec) -> np.ndarray:
     nz = n != 0
     w[..., nz] = ((-1.0) ** (n[nz] + 1)) / n[nz] * (skew[..., None] / n_channels)
     w[..., n == 0] = _gain_trim(gain, spec.variant)[..., None]
-    return w
-
-
-def _fullrate_taps(gains, skews, spec: FilterSpec) -> np.ndarray:
-    """Full-rate taps of every output channel: gains and skews of shape
-    (..., M) give taps of shape (..., M, N)."""
-    M = gains.shape[-1]
-    n = tap_indices(spec.n_taps)
-    half = spec.group_delay + 1
-    trims = _gain_trim(gains, spec.variant)
-    w = np.zeros(gains.shape + (spec.n_taps,))
-    inner = (n != 0) & (np.abs(n) < half)
-    ni = n[inner]
-    window = 0.5 * (1.0 + np.cos(np.pi * ni / half))
-    source = (np.arange(M)[:, None] - ni) % M
-    w[..., inner] = (skews[..., None] * trims[..., source]
-                     * ((-1.0) ** (ni + 1)) / ni * window)
-    w[..., n == 0] = trims[..., None]
     return w
 
 
@@ -192,8 +167,10 @@ def ideal_frequency_response(gain: float, skew: float, n_channels: int, omega,
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Immutable per-channel corrector set (real + fixed-point views); every
-    fixed-point tap fits spec.coeff_bits two's complement."""
+    """One bank as an immutable record: per-channel real and fixed-point
+    taps and offsets; every fixed-point tap fits spec.coeff_bits two's
+    complement. Truth mode, ScenarioResult.bank, the coefficient CSV and
+    convolution_terms use it; the calibrator itself takes arrays."""
 
     spec: FilterSpec
     taps_real: tuple
@@ -218,7 +195,12 @@ class FilterBank:
                spec: FilterSpec) -> "FilterBank":
         """Build correctors from a mismatch profile (truth or estimate); the
         one-profile case of design_banks."""
-        return design_banks((profile,), n_channels, spec)[0]
+        if len(profile) != n_channels:
+            raise ConfigError(
+                f"profile has {len(profile)} channels, expected {n_channels}")
+        real, fixed = design_banks(profile.gains, profile.skews, spec)
+        return cls(spec=spec, taps_real=tuple(real), taps_fixed=tuple(fixed),
+                   offsets=profile.offsets)
 
     @classmethod
     def identity(cls, n_channels: int, spec: FilterSpec) -> "FilterBank":
@@ -232,66 +214,72 @@ class FilterBank:
         sub-rate index k is the sum over its triples of
         sum_i taps[i] * x_s[k - lag - i], where x_s is source channel s's
         offset-corrected code stream. It holds the correction of aggregate
-        sample k*M + m - D*M for the sub-rate bank and k*M + m - D for the
-        full-rate bank. Zero taps at either end of a triple are dropped and
-        all-zero triples are left out, so each output sample costs at most
-        N multiply-accumulates. Every lag + len(taps) is at most N: N-1
+        sample k*M + m - D. Zero taps at either end of a triple are dropped
+        and all-zero triples are left out, so each output sample costs at
+        most N multiply-accumulates. Every lag + len(taps) is at most N: N-1
         samples of history per channel are enough.
         """
-        dense = _dense_taps(np.asarray(self.taps_fixed, dtype=np.int64)[None],
-                            self.spec)[0]
+        dense = _dense_taps(np.asarray(self.taps_fixed,
+                                       dtype=np.int64)[None])[0]
         terms = _live_terms(dense != 0)
         return tuple(tuple((s, lo, dense[m, s, lo:hi])
                            for slot, s, lo, hi in terms if slot == m)
                      for m in range(self.n_channels))
 
 
-def design_banks(profiles, n_channels: int, spec: FilterSpec) -> list:
-    """One bank per mismatch profile, all of them designed and quantized
-    in one vectorized pass; FilterBank.design is the one-profile case."""
-    profiles = tuple(profiles)
-    for profile in profiles:
-        if len(profile) != n_channels:
-            raise ConfigError(
-                f"profile has {len(profile)} channels, expected {n_channels}")
-    shape = (len(profiles), n_channels)
-    gains = np.array([p.gains for p in profiles]).reshape(shape)
-    skews = np.array([p.skews for p in profiles]).reshape(shape)
-    if spec.structure == FULLRATE:
-        if n_channels < 2:
-            raise ConfigError(f"n_channels must be >= 2, got {n_channels}")
-        real = _fullrate_taps(gains, skews, spec)
-    else:
-        real = design_taps(gains, skews, n_channels, spec)
-    fixed = quantize_taps(real, spec.coeff_bits)
-    return [FilterBank(spec=spec, taps_real=tuple(r), taps_fixed=tuple(f),
-                       offsets=p.offsets)
-            for r, f, p in zip(real, fixed, profiles)]
+def design_banks(gains, skews, spec: FilterSpec) -> tuple:
+    """Real and fixed-point taps of the banks for gains and skews of shape
+    (..., M): two arrays of shape (..., M, N), taps ordered by
+    tap_indices(N). FilterBank.design is the one-profile case.
+
+    Every gain and skew must be finite with magnitude < 0.5, and M >= 2
+    (ConfigError otherwise).
+    """
+    gains = np.asarray(gains, dtype=float)
+    skews = np.asarray(skews, dtype=float)
+    if gains.ndim == 0 or gains.shape != skews.shape:
+        raise ConfigError(f"gains {gains.shape} and skews {skews.shape} must "
+                          "be arrays of one shape (..., M)")
+    M = gains.shape[-1]
+    if M < 2:
+        raise ConfigError(f"n_channels must be >= 2, got {M}")
+    for name, v in (("gains", gains), ("skews", skews)):
+        if not np.all(np.abs(v) < 0.5):  # NaN fails the comparison too
+            raise ConfigError(f"{name} must be finite with magnitude < 0.5")
+    n = tap_indices(spec.n_taps)
+    half = spec.group_delay + 1
+    trims = _gain_trim(gains, spec.variant)
+    real = np.zeros(gains.shape + (spec.n_taps,))
+    inner = (n != 0) & (np.abs(n) < half)
+    ni = n[inner]
+    window = 0.5 * (1.0 + np.cos(np.pi * ni / half))
+    source = (np.arange(M)[:, None] - ni) % M
+    real[..., inner] = (skews[..., None] * trims[..., source]
+                        * ((-1.0) ** (ni + 1)) / ni * window)
+    real[..., n == 0] = trims[..., None]
+    return real, quantize_taps(real, spec.coeff_bits)
 
 
-def _term_layout(spec: FilterSpec, n_channels: int) -> tuple:
+def _term_layout(n_channels: int, n_taps: int) -> tuple:
     """Where each tap of a bank lands among the sub-rate convolutions:
-    (channel, source, lag). Output slot m holds the correction by
-    channel[m]'s taps, and that channel's tap j multiplies source channel
+    (channel, source, lag). Output slot m holds aggregate sample
+    q = k*M + m - D, corrected by channel[m]'s taps; that channel's tap j
+    (tap index n) reads sample q - n, which is source channel
     source[m, j]'s sample lag[m, j] sub-rate steps back."""
     M = n_channels
-    n = tap_indices(spec.n_taps)
-    d = spec.group_delay
-    slot = np.broadcast_to(np.arange(M)[:, None], (M, len(n)))
-    if spec.structure == FULLRATE:
-        # slot m holds aggregate sample q = k*M + m - D, corrected by
-        # its own channel's taps; tap n reads sample q - n
-        source = (slot - d - n) % M
-        return (slot[:, 0] - d) % M, source, (d + n + source - slot) // M
-    return slot[:, 0], slot, np.broadcast_to(n + d, (M, len(n)))
+    n = tap_indices(n_taps)
+    d = -n[0]
+    slot = np.arange(M)[:, None]
+    source = (slot - d - n) % M
+    return (slot[:, 0] - d) % M, source, (d + n + source - slot) // M
 
 
-def _dense_taps(taps_fixed, spec: FilterSpec) -> np.ndarray:
+def _dense_taps(taps_fixed) -> np.ndarray:
     """(B, M, N) fixed-point taps of B banks as (B, slot, source, lag)
     integer arrays: entry [b, m, s, j] multiplies source s's sample j
     sub-rate steps back in slot m's accumulator."""
     B, M, N = taps_fixed.shape
-    channel, source, lag = _term_layout(spec, M)
+    channel, source, lag = _term_layout(M, N)
     dense = np.zeros((B, M, M, N), dtype=np.int64)
     dense[:, np.arange(M)[:, None], source, lag] = taps_fixed[:, channel]
     return dense
@@ -317,20 +305,21 @@ def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
 class StreamCalibrator:
     """Runs filter banks over a capture a chunk of samples at a time.
 
-    process() takes a chunk of every channel's codes and one bank per block
-    of that chunk, and returns the chunk's integer accumulators. Each
-    channel carries its last N-1 offset-corrected samples into the next
-    chunk, so feeding chunks c0, c1, ... gives exactly the accumulators of
-    one whole-stream pass, wherever the chunk and block edges fall and even
-    if every block has a bank of its own: a bank applies from the first
-    sample of its block, and history samples keep the offset correction
-    they were fed with. This is the one place the fixed-point rule runs:
-    subtract each channel's offset code, convolve in exact int64 behind
+    process() takes a chunk of every channel's codes and the taps and
+    offsets of one bank per block of that chunk, and returns the chunk's
+    integer accumulators. Each channel carries its last N-1
+    offset-corrected samples into the next chunk, so feeding chunks c0,
+    c1, ... gives exactly the accumulators of one whole-stream pass,
+    wherever the chunk and block edges fall and even if every block has a
+    bank of its own: a bank applies from the first sample of its block,
+    and history samples keep the offset correction they were fed with.
+    This is the one place the fixed-point rule runs: subtract each
+    channel's offset code, convolve in exact int64 behind
     polyphase._guard_sums, and let the caller scale once by self.scale.
     Each block's sums are np.convolve, the rule of
     polyphase.convolve_serial; the polyphase lanes are bit-exact with it
     but only model hardware. The history is the calibrator's only state:
-    each call lays out the taps of the banks it is given afresh.
+    each call lays out the taps it is given afresh.
     """
 
     def __init__(self, config: TiadcConfig, spec: FilterSpec):
@@ -341,25 +330,8 @@ class StreamCalibrator:
         self._history = np.zeros((config.n_channels, spec.n_taps - 1),
                                  dtype=np.int64)
 
-    def _prepare(self, banks: tuple) -> tuple:
-        """Dense taps, per-(slot, source) sums of |taps|, offset codes and
-        live terms of the banks."""
-        M = self.config.n_channels
-        for bank in banks:
-            if bank.n_channels != M:
-                raise ConfigError(f"bank has {bank.n_channels} channels, "
-                                  f"expected {M}")
-            if bank.spec != self.spec:
-                raise ConfigError(f"bank spec {bank.spec} differs from the "
-                                  f"calibrator's {self.spec}")
-        dense = _dense_taps(np.array([bank.taps_fixed for bank in banks],
-                                     dtype=np.int64), self.spec)
-        offsets = _offset_codes([bank.offsets for bank in banks], self.config)
-        # FilterBank keeps |taps| <= 2^31, so these uint64 sums cannot wrap
-        return (dense, _magnitudes(dense).sum(axis=3), offsets,
-                _live_terms((dense != 0).any(axis=0)))
-
-    def process(self, chunk, banks, block_len: int = None) -> np.ndarray:
+    def process(self, chunk, taps_fixed, offsets,
+                block_len: int = None) -> np.ndarray:
         """Accumulators of one chunk: an (M, width) int64 array, row m for
         output slot m (see FilterBank.convolution_terms).
 
@@ -368,9 +340,12 @@ class StreamCalibrator:
         a sequence of rows, of any integer type. This is where the codes
         are widened to int64: they are copied into the calibrator's int64
         buffer behind its history, so a capture stays int16 (or int32) and
-        only one chunk is ever wide. banks is one FilterBank, or one per
-        block_len samples of the chunk (the last block may be shorter);
-        block_len defaults to the chunk length.
+        only one chunk is ever wide. taps_fixed and offsets are one bank,
+        (M, N) integer taps and (M,) offsets in full-scale units as in
+        FilterBank, or B banks, (B, M, N) and (B, M), one per block_len
+        samples of the chunk (the last block may be shorter); block_len
+        defaults to the chunk length. Taps outside the spec's coeff_bits
+        raise TapOverflowError.
         """
         M = self.config.n_channels
         if len(chunk) != M:
@@ -378,13 +353,30 @@ class StreamCalibrator:
         width = len(chunk[0])
         if any(len(c) != width for c in chunk):
             raise ShapeError(f"ragged chunk: {[len(c) for c in chunk]}")
-        banks = (banks,) if isinstance(banks, FilterBank) else tuple(banks)
+        taps = np.asarray(taps_fixed)
+        offsets = np.asarray(offsets, dtype=float)
+        if taps.ndim == 2:
+            taps, offsets = taps[None], offsets[None]
+        if (taps.ndim != 3 or taps.shape[1:] != (M, self.spec.n_taps)
+                or offsets.shape != taps.shape[:2]):
+            raise ConfigError(
+                f"taps {taps.shape} and offsets {offsets.shape} do not fit "
+                f"(M, N) = {(M, self.spec.n_taps)} and (M,), or (B, M, N) "
+                "and (B, M)")
+        if taps.dtype.kind not in "iu":
+            raise ConfigError(f"taps must be integers, got dtype {taps.dtype}")
+        # taps within the word keep |taps| <= 2^31, so the uint64 sums of
+        # |taps| below cannot wrap
+        _check_word_length(taps, self.spec.coeff_bits)
         block_len = block_len or max(width, 1)
         starts = range(0, max(width, 1), block_len)
-        if len(banks) != len(starts):
-            raise ConfigError(f"{len(banks)} banks for {len(starts)} blocks of "
+        if len(taps) != len(starts):
+            raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
                               f"{block_len} in {width} samples")
-        dense, tap_sums, offsets, terms = self._prepare(banks)
+        dense = _dense_taps(taps.astype(np.int64))
+        tap_sums = _magnitudes(dense).sum(axis=3)
+        offsets = _offset_codes(offsets, self.config)
+        terms = _live_terms((dense != 0).any(axis=0))
         if width == 0:
             return np.zeros((M, 0), dtype=np.int64)
         hist = self.spec.n_taps - 1
@@ -425,11 +417,10 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
     """Correct every channel and re-interleave, trimming the transient.
 
     D*M samples are trimmed from both ends of the merged output. Output
-    sample j is then the correction of input sample j for the sub-rate
-    bank, whose first floor(N/2)*M outputs still lack part of their
-    history, and of input sample j + D*(M-1) for the full-rate bank, whose
+    sample j is then the correction of input sample j + D*(M-1), and the
     output is free of filter transients. The capture runs through one
-    StreamCalibrator, a chunk of samples at a time, with the one bank.
+    StreamCalibrator, a chunk of samples at a time, with the bank's taps
+    and offsets.
     """
     spec = bank.spec
     M = capture.config.n_channels
@@ -440,11 +431,13 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "
                          f"than {spec.n_taps} taps")
     stream = StreamCalibrator(capture.config, spec)
+    taps = np.asarray(bank.taps_fixed)
     n = capture.n_per_channel
     merged = np.empty(n * M)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        accs = stream.process(capture.per_channel[:, start:stop], bank)
+        accs = stream.process(capture.per_channel[:, start:stop], taps,
+                              bank.offsets)
         merge_accumulators(accs, stream.scale, out=merged[start * M: stop * M])
     trim = spec.group_delay * M
     return merged[trim: len(merged) - trim] if trim else merged

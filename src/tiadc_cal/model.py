@@ -115,9 +115,6 @@ class MismatchProfile:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.offsets + self.gains + self.skews)
-
 
 @dataclass(frozen=True)
 class ChannelCapture:

@@ -2,9 +2,7 @@
 
 A scenario bundles everything one run needs: converter geometry, test tone,
 injected mismatches, corrector shape, coefficient mode, and record sizes.
-Every scenario corrects with the full-rate filter bank (see filterbank);
-the paper's sub-rate bank stays available to library callers through
-FilterSpec.structure. Built-ins cover the standard demonstration set (see
+Built-ins cover the standard demonstration set (see
 BUILTIN_SCENARIOS); any of them can be dumped to a config file, edited, and
 loaded back.
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .filterbank import FULLRATE, FilterSpec
+from .filterbank import FilterSpec
 from .model import MismatchProfile, TiadcConfig, ToneSpec
 
 MODE_TRUTH = "truth"  # design correctors from the injected profile
@@ -213,7 +211,7 @@ def build_scenario(values: dict) -> Scenario:
                           "full_scale on a channel (would clip)")
     filter_spec = FilterSpec(n_taps=values["taps"],
                              coeff_bits=values["coeff_bits"],
-                             variant=values["variant"], structure=FULLRATE)
+                             variant=values["variant"])
     mode = values["mode"]
     if mode not in (MODE_TRUTH, MODE_EST):
         raise ConfigError(f"mode must be 'truth' or 'est', got {mode!r}")
@@ -249,9 +247,6 @@ def scenario_settings(scenario: Scenario) -> dict:
     this scenario. freq is already snapped, so coherent is False. A derived
     scenario is made by editing these settings and building them again."""
     s = scenario
-    if s.filter_spec.structure != FULLRATE:
-        raise ConfigError(f"a scenario with a {s.filter_spec.structure} bank "
-                          f"has no settings: scenarios use {FULLRATE!r}")
     return {
         "name": s.name, "channels": s.config.n_channels, "bits": s.config.bits,
         "fs": s.config.fs, "full_scale": s.config.full_scale,

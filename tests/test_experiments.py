@@ -166,7 +166,8 @@ def background_by_block(capture, scenario):
     for start in range(0, n, block):
         stop = min(start + block, n)
         blocks = capture.per_channel[:, start:stop]
-        merge_accumulators(stream.process(blocks, bank), stream.scale,
+        merge_accumulators(stream.process(blocks, np.asarray(bank.taps_fixed),
+                                          bank.offsets), stream.scale,
                            out[start * M: stop * M])
         if stop - start == block:
             estimates.append(estimate_blocks(blocks[None], config,

@@ -10,8 +10,8 @@ from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        convolve_serial, design_taps, dequantize_stream,
                        filter_frequency_response, ideal_frequency_response,
                        quantize_taps, sinad, simulate_capture, tap_indices)
-from tiadc_cal.filterbank import (FULLRATE, SUBRATE, StreamCalibrator,
-                                  design_banks, write_coefficients_csv)
+from tiadc_cal.filterbank import (StreamCalibrator, design_banks,
+                                  write_coefficients_csv)
 from tiadc_cal.model import ChannelCapture, interleave_channels
 from tiadc_cal.polyphase import parallel_convolve_stream
 
@@ -49,11 +49,6 @@ class TestSpecAndIndices:
             FilterSpec(n_taps=4, coeff_bits=33)
         with pytest.raises(ConfigError):
             FilterSpec(n_taps=4, variant="mul")
-
-    def test_structure_defaults_to_the_paper_bank(self):
-        assert FilterSpec(n_taps=4).structure == "subrate"
-        with pytest.raises(ConfigError):
-            FilterSpec(n_taps=4, structure="polyphase")
 
 
 class TestDesignTaps:
@@ -197,8 +192,7 @@ class TestFrequencyResponse:
 
 
 class TestCalibrateChannel:
-    """One channel's fixed-point rule, run through calibrate_capture with
-    the paper's sub-rate bank."""
+    """One channel's fixed-point rule, run through calibrate_capture."""
 
     def test_identity_is_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=0.11, phase=0.4)
@@ -207,16 +201,17 @@ class TestCalibrateChannel:
         out = calibrate_capture(cap, bank)
         want = dequantize_stream(cap.interleaved, CFG12)
         d = SPEC30.group_delay
-        # output j is input j: every channel is delayed by D of its samples
+        # output j is input j + D*(M-1): the interleaved stream is delayed
+        # by D aggregate samples, and D*M are trimmed from the front
         assert len(out) == len(want) - 2 * d * 2
-        np.testing.assert_array_equal(out, want[:len(out)])
+        np.testing.assert_array_equal(out, want[d: d + len(out)])
         # the trimmed transient: with zero history, the first D sums are 0
         stream = StreamCalibrator(CFG12, SPEC30)
-        acc = stream.process(cap.per_channel, bank)
-        np.testing.assert_array_equal(acc[:, :d], 0)
-        np.testing.assert_array_equal(acc[:, d:] * stream.scale,
-                                      [dequantize_stream(c[:len(c) - d], CFG12)
-                                       for c in cap.per_channel])
+        acc = interleave_channels(stream.process(
+            cap.per_channel, np.asarray(bank.taps_fixed), bank.offsets))
+        np.testing.assert_array_equal(acc[:d], 0)
+        np.testing.assert_array_equal(acc[d:] * stream.scale,
+                                      want[:len(want) - d])
 
     def test_offset_subtraction_nulls_constant(self):
         # exactly 100 and -37 codes on the two channels
@@ -250,13 +245,17 @@ class TestCalibrateCapture:
         return simulate_capture(tone, CFG12, profile, 16384), tone, profile
 
     def test_zero_mismatch_identity_bank_pure_delay(self):
+        # three channels and an odd N: output j is input j + D*(M-1)
         tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.2)
-        cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 4096)
-        bank = FilterBank.identity(2, SPEC30)
-        out = calibrate_capture(cap, bank)
-        d = SPEC30.group_delay * 2
-        want = dequantize_stream(cap.interleaved, CFG12)
-        np.testing.assert_allclose(out, want[:len(want) - 2 * d], rtol=0, atol=0)
+        config = TiadcConfig(n_channels=3, bits=12)
+        spec = FilterSpec(n_taps=7)
+        cap = simulate_capture(tone, config, MismatchProfile.zero(3), 4095)
+        out = calibrate_capture(cap, FilterBank.identity(3, spec))
+        d = spec.group_delay
+        want = dequantize_stream(cap.interleaved, config)
+        assert len(out) == len(want) - 2 * d * 3
+        np.testing.assert_allclose(out, want[2 * d: 2 * d + len(out)],
+                                   rtol=0, atol=0)
 
     def test_two_channel_correction_raises_sinad(self):
         cap, tone, profile = self.make_fig6_like()
@@ -277,14 +276,16 @@ class TestCalibrateCapture:
         cap, tone, profile = self.make_fig6_like()
         bank = FilterBank.design(profile, 2, SPEC30)
         fixed = calibrate_capture(cap, bank)
-        # real-coefficient route, built independently of the bank plumbing
-        chans = []
+        # real-coefficient route, built independently of the bank plumbing:
+        # a float convolution of the interleaved stream with each channel's
+        # real taps, keeping that channel's positions
+        vals = dequantize_stream(cap.interleaved, CFG12)
+        d = SPEC30.group_delay
+        y = np.empty(len(vals))
         for m in range(2):
-            taps = design_taps(profile.gains[m], profile.skews[m], 2, SPEC30)
-            vals = dequantize_stream(cap.per_channel[m], CFG12)
-            chans.append(np.convolve(vals, taps)[:len(vals)])
-        d = SPEC30.group_delay * 2
-        real = interleave_channels(chans)[d:-d]
+            full = np.convolve(vals, bank.taps_real[m])  # full[q + d]: q
+            y[m::2] = full[d + m: d + len(vals): 2]
+        real = y[d: d + len(fixed)]
         diff = abs(sinad(fixed, tone.freq_rel, 4096)
                    - sinad(real, tone.freq_rel, 4096))
         assert diff <= 0.1
@@ -311,9 +312,6 @@ class TestCoefficientsCsv:
         ch, n, real, fx, bits, tag = lines[1].split(",")
         assert (ch, bits, tag) == ("0", "16", "Q2.14")
         assert int(fx) == round(float(real) * (1 << 14))
-
-
-FULL30 = FilterSpec(n_taps=30, coeff_bits=30, structure=FULLRATE)
 
 
 def random_capture(rng, n_channels, n_per_channel, bits=12):
@@ -353,7 +351,7 @@ class TestFullRateBank:
 
     def test_tap_formula(self):
         # channel 1 of 3, N=30 (K=14): tap n reads channel (1 - n) mod 3
-        taps = FilterBank.design(self.PROFILE, 3, FULL30).taps_real[1]
+        taps = FilterBank.design(self.PROFILE, 3, SPEC30).taps_real[1]
         by_index = dict(zip(tap_indices(30), taps))
         trim = {0: 1.0, 1: 0.99, 2: 1.02}
         assert by_index[0] == pytest.approx(0.99, abs=1e-15)
@@ -366,7 +364,7 @@ class TestFullRateBank:
     def test_unpaired_tap_zero_and_taps_antisymmetric(self):
         profile = MismatchProfile((0, 0), (0, 0), (0, 0.02))
         for n_taps in (2, 6, 7, 30, 31):
-            spec = FilterSpec(n_taps=n_taps, structure=FULLRATE)
+            spec = FilterSpec(n_taps=n_taps)
             taps = FilterBank.design(profile, 2, spec).taps_real[1]
             by_index = dict(zip(tap_indices(n_taps), taps))
             k = spec.group_delay
@@ -377,10 +375,10 @@ class TestFullRateBank:
     def test_identity_bank_is_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.2)
         cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 4096)
-        out = calibrate_capture(cap, FilterBank.identity(2, FULL30))
+        out = calibrate_capture(cap, FilterBank.identity(2, SPEC30))
         want = dequantize_stream(cap.interleaved, CFG12)
         # output j is input sample j + D*(M-1)
-        shift = FULL30.group_delay
+        shift = SPEC30.group_delay
         np.testing.assert_array_equal(out, want[shift: shift + len(out)])
 
     @pytest.mark.parametrize("n_channels,n_taps", [(2, 30), (3, 7), (3, 8),
@@ -392,7 +390,7 @@ class TestFullRateBank:
             offsets=rng.uniform(-0.01, 0.01, n_channels),
             gains=rng.uniform(-0.03, 0.03, n_channels),
             skews=rng.uniform(-0.03, 0.03, n_channels))
-        spec = FilterSpec(n_taps=n_taps, coeff_bits=26, structure=FULLRATE)
+        spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
         bank = FilterBank.design(profile, n_channels, spec)
         got = calibrate_capture(cap, bank)
         stream = StreamCalibrator(cap.config, spec)
@@ -403,7 +401,7 @@ class TestFullRateBank:
 
     def test_at_most_n_macs_per_output(self):
         for n_taps in (1, 2, 7, 30, 31):
-            spec = FilterSpec(n_taps=n_taps, structure=FULLRATE)
+            spec = FilterSpec(n_taps=n_taps)
             bank = FilterBank.design(self.PROFILE, 3, spec)
             for terms in bank.convolution_terms():
                 assert sum(len(taps) for _, _, taps in terms) <= n_taps
@@ -416,13 +414,15 @@ class TestFullRateBank:
         of the hardware model, summed over each slot's convolutions."""
         rng = np.random.default_rng(7)
         cap = random_capture(rng, 3, 600)
-        for spec in (FilterSpec(n_taps=14, coeff_bits=24, structure=FULLRATE),
+        for spec in (FilterSpec(n_taps=14, coeff_bits=24),
                      FilterSpec(n_taps=9, coeff_bits=24)):
             bank = FilterBank.design(self.PROFILE, 3, spec)
+            taps = np.asarray(bank.taps_fixed)
             whole = StreamCalibrator(cap.config, spec).process(
-                cap.per_channel, bank)
+                cap.per_channel, taps, bank.offsets)
             blocks = StreamCalibrator(cap.config, spec)
-            pieces = [blocks.process([c[a:b] for c in cap.per_channel], bank)
+            pieces = [blocks.process([c[a:b] for c in cap.per_channel], taps,
+                                     bank.offsets)
                       for a, b in ((0, 5), (5, 6), (6, 200), (200, 600))]
             for m in range(3):
                 np.testing.assert_array_equal(
@@ -436,41 +436,32 @@ class TestFullRateBank:
                     lanes[lag:] += conv[: 600 - lag]
                 np.testing.assert_array_equal(lanes, whole[m])
 
-    def test_subrate_bank_matches_per_channel_route(self):
-        # the reference rule itself: convolve_serial of each channel's
-        # offset-corrected codes, scaled once
-        cap = random_capture(np.random.default_rng(3), 2, 300)
-        bank = FilterBank.design(MismatchProfile((0, 0.002), (0, 0.01),
-                                                 (0, 0.01)), 2, SPEC30)
-        scale = 2.0 ** -(SPEC30.coeff_bits - 2) * cap.config.lsb
-        chans = [convolve_serial(codes - off, taps) * scale
-                 for codes, off, taps in zip(cap.per_channel,
-                                             offset_codes(bank, cap.config),
-                                             bank.taps_fixed)]
-        d = SPEC30.group_delay * 2
-        np.testing.assert_array_equal(calibrate_capture(cap, bank),
-                                      interleave_channels(chans)[d:-d])
-
     def test_corrects_above_quarter_rate(self):
-        # 0.399 fs: the sub-rate bank's differentiator takes the wrong
-        # branch there, the full-rate one does not
+        # 0.399 fs: the paper's sub-rate bank's differentiator takes the
+        # wrong branch there, the library's bank does not
         tone = ToneSpec(amplitude=0.9, freq_rel=1635 / 4096, phase=0.3)
         profile = MismatchProfile((0, 0), (0, 0.01), (0, 0.01))
         cap = simulate_capture(tone, CFG12, profile, 16384)
         before = sinad(dequantize_stream(cap.interleaved, CFG12),
                        tone.freq_rel, 4096)
-        results = {}
-        for spec in (SPEC30, FULL30):
-            bank = FilterBank.design(profile, 2, spec)
-            results[spec.structure] = sinad(calibrate_capture(cap, bank),
-                                            tone.freq_rel, 4096)
-        assert results["fullrate"] >= before + 30.0
-        assert results["subrate"] < before + 10.0
+        bank = FilterBank.design(profile, 2, SPEC30)
+        fullrate = sinad(calibrate_capture(cap, bank), tone.freq_rel, 4096)
+        # the paper's bank by the reference rule: convolve_serial of each
+        # channel's codes (its offsets are zero), scaled once
+        paper = quantize_taps(design_taps(profile.gains, profile.skews, 2,
+                                          SPEC30), SPEC30.coeff_bits)
+        scale = 2.0 ** -(SPEC30.coeff_bits - 2) * CFG12.lsb
+        chans = [convolve_serial(codes, taps) * scale
+                 for codes, taps in zip(cap.per_channel, paper)]
+        d = SPEC30.group_delay * 2
+        subrate = sinad(interleave_channels(chans)[d:-d], tone.freq_rel, 4096)
+        assert fullrate >= before + 30.0
+        assert subrate < before + 10.0
 
     def test_overflow_guard_covers_the_sum_of_terms(self):
         # codes that no single sub-rate convolution of the slot can wrap,
         # but their sum can
-        spec = FilterSpec(n_taps=8, coeff_bits=32, structure=FULLRATE)
+        spec = FilterSpec(n_taps=8, coeff_bits=32)
         bank = FilterBank.design(MismatchProfile((0, 0), (0, -0.4),
                                                  (0, 0.4)), 2, spec)
         sums = [[int(np.sum(np.abs(taps))) for _, _, taps in terms]
@@ -481,16 +472,24 @@ class TestFullRateBank:
         config = TiadcConfig(n_channels=2, bits=24)
         stream = StreamCalibrator(config, spec)
         with pytest.raises(NumericError):
-            stream.process([np.full(64, code, dtype=np.int64)] * 2, bank)
+            stream.process([np.full(64, code, dtype=np.int64)] * 2,
+                           np.asarray(bank.taps_fixed), bank.offsets)
 
 
 def random_banks(rng, n_banks, n_channels, spec):
-    """Banks of independent random profiles: every block differs."""
-    profiles = [MismatchProfile(offsets=rng.uniform(-0.01, 0.01, n_channels),
-                                gains=rng.uniform(-0.03, 0.03, n_channels),
-                                skews=rng.uniform(-0.03, 0.03, n_channels))
-                for _ in range(n_banks)]
-    return design_banks(profiles, n_channels, spec)
+    """Fixed-point taps (B, M, N) and offsets (B, M) of banks of
+    independent random mismatches: every block differs."""
+    offsets, gains, skews = np.array(
+        [(rng.uniform(-0.01, 0.01, n_channels),
+          rng.uniform(-0.03, 0.03, n_channels),
+          rng.uniform(-0.03, 0.03, n_channels))
+         for _ in range(n_banks)]).swapaxes(0, 1)
+    return design_banks(gains, skews, spec)[1], offsets
+
+
+def one_bank(bank):
+    """A FilterBank's taps and offsets, as StreamCalibrator takes them."""
+    return np.asarray(bank.taps_fixed), bank.offsets
 
 
 class TestMultiBankStep:
@@ -502,17 +501,15 @@ class TestMultiBankStep:
         """Reference: one process call, with its one bank, per segment."""
         stream = StreamCalibrator(config, spec)
         return np.concatenate(
-            [stream.process([c[a:b] for c in per_channel], bank)
-             for a, b, bank in segments], axis=1)
+            [stream.process([c[a:b] for c in per_channel], taps, offsets)
+             for a, b, (taps, offsets) in segments], axis=1)
 
-    @pytest.mark.parametrize("structure", [SUBRATE, FULLRATE])
     @pytest.mark.parametrize("n_channels", [2, 3, 5])
     @pytest.mark.parametrize("n_taps", [1, 2, 7, 30, 31])
     @pytest.mark.parametrize("block_len", [4, 16])
-    def test_matches_block_by_block(self, structure, n_channels, n_taps,
-                                    block_len):
+    def test_matches_block_by_block(self, n_channels, n_taps, block_len):
         rng = np.random.default_rng(1000 * n_taps + 10 * n_channels + block_len)
-        spec = FilterSpec(n_taps=n_taps, coeff_bits=26, structure=structure)
+        spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
         # chunk edges that are not block edges, and a short final block
         chunks = [(0, 37), (37, 38), (38, 38 + 4 * block_len),
                   (38 + 4 * block_len, 197)]
@@ -521,11 +518,11 @@ class TestMultiBankStep:
         got, segments = [], []
         for a, b in chunks:
             starts = range(a, b, block_len)
-            banks = random_banks(rng, len(starts), n_channels, spec)
+            taps, offsets = random_banks(rng, len(starts), n_channels, spec)
             segments += [(s, min(s + block_len, b), bank)
-                         for s, bank in zip(starts, banks)]
+                         for s, bank in zip(starts, zip(taps, offsets))]
             got.append(stream.process([c[a:b] for c in cap.per_channel],
-                                      banks, block_len))
+                                      taps, offsets, block_len))
         np.testing.assert_array_equal(
             np.concatenate(got, axis=1),
             self.by_block(cap.config, spec, cap.per_channel, segments))
@@ -533,22 +530,23 @@ class TestMultiBankStep:
     def test_one_bank_is_one_block(self):
         rng = np.random.default_rng(11)
         cap = random_capture(rng, 3, 100)
-        bank = random_banks(rng, 1, 3, FULL30)[0]
-        one = StreamCalibrator(cap.config, FULL30).process(cap.per_channel, bank)
-        listed = StreamCalibrator(cap.config, FULL30).process(
-            cap.per_channel, [bank], 100)
+        taps, offsets = random_banks(rng, 1, 3, SPEC30)
+        one = StreamCalibrator(cap.config, SPEC30).process(
+            cap.per_channel, taps[0], offsets[0])
+        listed = StreamCalibrator(cap.config, SPEC30).process(
+            cap.per_channel, taps, offsets, 100)
         np.testing.assert_array_equal(one, listed)
 
     def test_bank_count_must_match_blocks(self):
         rng = np.random.default_rng(12)
         cap = random_capture(rng, 2, 40)
-        banks = random_banks(rng, 3, 2, FULL30)
+        taps, offsets = random_banks(rng, 3, 2, SPEC30)
         with pytest.raises(ConfigError, match="3 banks for 4 blocks"):
-            StreamCalibrator(cap.config, FULL30).process(cap.per_channel,
-                                                         banks, 10)
+            StreamCalibrator(cap.config, SPEC30).process(cap.per_channel,
+                                                         taps, offsets, 10)
 
     # a bank whose slot sums of |taps| reach well above the identity's 2^30
-    WIDE = FilterSpec(n_taps=8, coeff_bits=32, structure=FULLRATE)
+    WIDE = FilterSpec(n_taps=8, coeff_bits=32)
     CONFIG = TiadcConfig(n_channels=2, bits=24)
 
     def guard_case(self):
@@ -559,15 +557,21 @@ class TestMultiBankStep:
                     for terms in big.convolution_terms())
         code = (1 << 62) // worst + 1   # wraps with big, not with ident
         assert code * (1 << 30) < 1 << 62 <= code * worst
-        return big, ident, code
+        return one_bank(big), one_bank(ident), code
+
+    @staticmethod
+    def stack(*banks):
+        """(B, M, N) taps and (B, M) offsets of (taps, offsets) pairs."""
+        return tuple(np.array(field) for field in zip(*banks))
 
     def test_guard_trips_on_the_one_block_that_can_wrap(self):
         big, ident, code = self.guard_case()
         codes = [np.full(48, code, dtype=np.int64)] * 2
-        StreamCalibrator(self.CONFIG, self.WIDE).process(codes, [ident] * 3, 16)
+        StreamCalibrator(self.CONFIG, self.WIDE).process(
+            codes, *self.stack(ident, ident, ident), 16)
         with pytest.raises(NumericError):
             StreamCalibrator(self.CONFIG, self.WIDE).process(
-                codes, [ident, big, ident], 16)
+                codes, *self.stack(ident, big, ident), 16)
         with pytest.raises(NumericError):
             self.by_block(self.CONFIG, self.WIDE, codes,
                           [(0, 16, ident), (16, 32, big)])
@@ -581,34 +585,80 @@ class TestMultiBankStep:
         codes = [np.concatenate((np.full(8, code), np.ones(40, dtype=np.int64)))
                  for _ in range(2)]
         got = StreamCalibrator(self.CONFIG, self.WIDE).process(
-            codes, [ident, big, ident], 16)
+            codes, *self.stack(ident, big, ident), 16)
         np.testing.assert_array_equal(got, self.by_block(
             self.CONFIG, self.WIDE, codes,
             [(0, 16, ident), (16, 32, big), (32, 48, ident)]))
 
 
+class TestProcessArguments:
+    """StreamCalibrator.process checks the taps and offsets it is given."""
+
+    SPEC = FilterSpec(n_taps=4, coeff_bits=8)
+
+    def run(self, taps, offsets, block_len=None):
+        codes = np.zeros((2, 8), dtype=np.int64)
+        return StreamCalibrator(CFG12, self.SPEC).process(codes, taps, offsets,
+                                                          block_len)
+
+    @pytest.mark.parametrize("taps_shape,offsets_shape", [
+        ((2, 5), (2,)),          # N does not fit the spec
+        ((3, 4), (3,)),          # M does not fit the config
+        ((4,), ()),              # one channel's taps
+        ((2, 4), (3,)),          # offsets of another M
+        ((2, 4), (1, 2)),        # one bank's taps, a stack's offsets
+        ((2, 2, 4), (2,)),       # a stack's taps, one bank's offsets
+        ((2, 2, 4), (3, 2)),     # stacks of different depths
+        ((1, 1, 2, 4), (1, 1, 2)),
+    ])
+    def test_shapes_that_do_not_fit_raise(self, taps_shape, offsets_shape):
+        with pytest.raises(ConfigError):
+            self.run(np.zeros(taps_shape, dtype=np.int64),
+                     np.zeros(offsets_shape), 4)
+
+    def test_taps_must_be_integers(self):
+        with pytest.raises(ConfigError):
+            self.run(np.zeros((2, 4)), np.zeros(2))
+
+    @pytest.mark.parametrize("tap", [128, -129, 1 << 40],
+                             ids=["128", "-129", "2^40"])
+    def test_taps_outside_the_word_raise(self, tap):
+        taps = np.zeros((2, 2, 4), dtype=np.int64)
+        taps[1, 0, 1] = tap
+        with pytest.raises(TapOverflowError):
+            self.run(taps, np.zeros((2, 2)), 4)
+
+
 class TestDesignBanks:
-    @pytest.mark.parametrize("structure", [SUBRATE, FULLRATE])
-    def test_each_bank_is_its_one_profile_design(self, structure):
+    def test_each_bank_is_its_one_profile_design(self):
         rng = np.random.default_rng(13)
-        spec = FilterSpec(n_taps=31, coeff_bits=24, structure=structure,
-                          variant="div")
+        spec = FilterSpec(n_taps=31, coeff_bits=24, variant="div")
         profiles = [MismatchProfile(rng.uniform(-0.01, 0.01, 4),
                                     rng.uniform(-0.03, 0.03, 4),
                                     rng.uniform(-0.03, 0.03, 4))
                     for _ in range(6)]
-        for bank, profile in zip(design_banks(profiles, 4, spec), profiles):
+        real, fixed = design_banks([p.gains for p in profiles],
+                                   [p.skews for p in profiles], spec)
+        assert real.shape == fixed.shape == (6, 4, 31)
+        for r, f, profile in zip(real, fixed, profiles):
             one = FilterBank.design(profile, 4, spec)
-            assert bank.offsets == one.offsets
-            for x, y in zip(bank.taps_real + bank.taps_fixed,
-                            one.taps_real + one.taps_fixed):
-                np.testing.assert_array_equal(x, y)
-            if structure == SUBRATE:
-                for m in range(4):
-                    np.testing.assert_array_equal(
-                        bank.taps_real[m], design_taps(profile.gains[m],
-                                                       profile.skews[m], 4, spec))
+            np.testing.assert_array_equal(r, one.taps_real)
+            np.testing.assert_array_equal(f, one.taps_fixed)
 
     def test_channel_count_checked(self):
         with pytest.raises(ConfigError):
-            design_banks([MismatchProfile.zero(3)], 2, FULL30)
+            FilterBank.design(MismatchProfile.zero(3), 2, SPEC30)
+        with pytest.raises(ConfigError):
+            design_banks([0.0, 0.0, 0.0], [0.0, 0.0], SPEC30)
+        with pytest.raises(ConfigError):
+            design_banks([0.0], [0.0], SPEC30)
+
+    @pytest.mark.parametrize("field", ["gains", "skews"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       0.5, -0.5, 0.7],
+                             ids=["nan", "+inf", "-inf", "0.5", "-0.5", "0.7"])
+    def test_mismatches_outside_the_model_raise(self, field, value):
+        arrays = {"gains": np.zeros((3, 2)), "skews": np.zeros((3, 2))}
+        arrays[field][2, 1] = value
+        with pytest.raises(ConfigError):
+            design_banks(arrays["gains"], arrays["skews"], SPEC30)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import (BlockConvolver, ConfigError, FilterBank, FilterSpec,
+from tiadc_cal import (BlockConvolver, ConfigError, FilterSpec,
                        NumericError, ShapeError, TiadcConfig, convolve_serial,
                        decompose, parallel_convolve, parallel_convolve_stream,
                        recompose)
@@ -169,14 +169,15 @@ class TestBlockConvolver:
 
 
 def stream_calibrator_route(codes, taps):
-    """StreamCalibrator with a hand-built two-channel sub-rate bank whose
-    channels both carry these taps; returns channel 0's accumulators."""
-    spec = FilterSpec(n_taps=len(taps), coeff_bits=32)
-    fixed = (np.asarray(taps, dtype=np.int64),) * 2
-    bank = FilterBank(spec=spec, taps_real=(np.zeros(len(taps)),) * 2,
-                      taps_fixed=fixed, offsets=(0.0, 0.0))
+    """StreamCalibrator with a hand-built two-channel bank whose slot 0 is
+    a plain convolution of channel 0 with these L taps; returns slot 0's
+    accumulators. Of its 2L-1 taps, tap j sits at position 2j of channel
+    D % 2, the channel that slot 0 corrects, so each reads channel 0."""
+    spec = FilterSpec(n_taps=2 * len(taps) - 1, coeff_bits=32)
+    fixed = np.zeros((2, spec.n_taps), dtype=np.int64)
+    fixed[spec.group_delay % 2, 0::2] = taps
     stream = StreamCalibrator(TiadcConfig(n_channels=2, bits=24), spec)
-    return stream.process([codes, codes], bank)[0]
+    return stream.process([codes, codes], fixed, (0.0, 0.0))[0]
 
 
 class TestOneOverflowRule:
@@ -216,7 +217,7 @@ class TestOneOverflowRule:
     ], ids=["most-negative-tap", "tap-sum-wraps", "most-negative-code"])
     @pytest.mark.parametrize("route", ROUTES)
     def test_int64_extremes_raise(self, route, codes, taps):
-        # a hand-built bank refuses the two tap cases itself, with
+        # StreamCalibrator.process refuses the two tap cases itself, with
         # TapOverflowError
         with pytest.raises(NumericError):
             self.ROUTES[route](np.array(codes, dtype=np.int64),

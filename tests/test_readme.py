@@ -1,7 +1,10 @@
-"""The README's quick-start output and config listing match the program."""
+"""The README's quick-start output and config listing match the program,
+and its python examples run."""
 
 import re
 from pathlib import Path
+
+import pytest
 
 from tiadc_cal.cli import main
 from tiadc_cal.scenarios import DEFAULTS
@@ -43,3 +46,17 @@ def test_config_listing_matches_defaults():
             assert value == str(default).lower(), key
         else:
             assert type(default)(value) == default, key
+
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+
+
+def test_readme_has_python_examples():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(PYTHON_BLOCKS)))
+def test_python_example_runs(index):
+    code = compile(PYTHON_BLOCKS[index], f"README.md python block {index}",
+                   "exec")
+    exec(code, {"__name__": "readme_example"})

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import ConfigError, experiments
+from tiadc_cal import ConfigError, MismatchProfile, experiments
 from tiadc_cal.experiments import run_sweep
 from tiadc_cal.scenarios import (BUILTIN_SCENARIOS, DEFAULTS, SWEEP_AXES,
                                  Scenario, apply_sweep_value, build_scenario,
@@ -198,12 +196,8 @@ class TestBuiltins:
             assert s.sweep_axis == axis
             assert len(s.sweep_values) >= 4
 
-    def test_builtins_use_the_fullrate_bank(self):
-        for name in BUILTIN_SCENARIOS:
-            assert load_scenario(name).filter_spec.structure == "fullrate"
-
     def test_zero_and_ideal(self):
-        assert load_scenario("zero").profile.is_zero()
+        assert load_scenario("zero").profile == MismatchProfile.zero(2)
         assert load_scenario("ideal").tone.amplitude == 1.0
 
     def test_unknown_source_lists_builtins(self):
@@ -321,12 +315,3 @@ class TestScenarioSettings:
         assert values["coherent"] is False
         assert values["freq"] == 77 / 4096
 
-    def test_subrate_scenario_has_no_settings(self):
-        fig6 = load_scenario("fig6")
-        subrate = replace(fig6, filter_spec=replace(fig6.filter_spec,
-                                                    structure="subrate"))
-        for derive in (scenario_settings, scenario_to_text,
-                       lambda s: with_seed(s, 1),
-                       lambda s: apply_sweep_value(s, "gain", 0.01)):
-            with pytest.raises(ConfigError, match="subrate"):
-                derive(subrate)
