@@ -476,15 +476,40 @@ class TestFullRateBank:
                            np.asarray(bank.taps_fixed), bank.offsets)
 
 
-def random_banks(rng, n_banks, n_channels, spec):
+def paper_taps_fullrate(gains, skews, spec):
+    """The paper's sub-rate taps (design_taps, quantized) laid out as a
+    full-rate bank of spec.n_taps taps, shape (..., M, N): its tap n_s on
+    channel m's own fs/M stream reads the aggregate sample M*n_s back, so
+    it sits at tap index M*n_s. It keeps the most sub-rate taps that fit;
+    every other tap is zero, and each slot reads only its own channel."""
+    M = gains.shape[-1]
+    n = tap_indices(spec.n_taps)
+    lo, hi = -n[0] // M, n[-1] // M
+    sub = FilterSpec(n_taps=2 * lo + 1 + (hi > lo), coeff_bits=spec.coeff_bits,
+                     variant=spec.variant)
+    fixed = np.zeros(gains.shape + (spec.n_taps,), dtype=np.int64)
+    fixed[..., M * tap_indices(sub.n_taps) - n[0]] = quantize_taps(
+        design_taps(gains, skews, M, sub), spec.coeff_bits)
+    return fixed
+
+
+TAP_SOURCES = {
+    "fullrate": lambda gains, skews, spec: design_banks(gains, skews, spec)[1],
+    "subrate": paper_taps_fullrate,
+}
+
+
+def random_banks(rng, n_banks, n_channels, spec, source="fullrate"):
     """Fixed-point taps (B, M, N) and offsets (B, M) of banks of
-    independent random mismatches: every block differs."""
+    independent random mismatches: every block differs. The taps are
+    design_banks' ("fullrate") or the paper's ("subrate", see
+    paper_taps_fullrate)."""
     offsets, gains, skews = np.array(
         [(rng.uniform(-0.01, 0.01, n_channels),
           rng.uniform(-0.03, 0.03, n_channels),
           rng.uniform(-0.03, 0.03, n_channels))
          for _ in range(n_banks)]).swapaxes(0, 1)
-    return design_banks(gains, skews, spec)[1], offsets
+    return TAP_SOURCES[source](gains, skews, spec), offsets
 
 
 def one_bank(bank):
@@ -504,10 +529,14 @@ class TestMultiBankStep:
             [stream.process([c[a:b] for c in per_channel], taps, offsets)
              for a, b, (taps, offsets) in segments], axis=1)
 
+    # the paper's taps leave most (slot, source) pairs without a live term,
+    # the library's bank leaves none
+    @pytest.mark.parametrize("source", ["subrate", "fullrate"])
     @pytest.mark.parametrize("n_channels", [2, 3, 5])
     @pytest.mark.parametrize("n_taps", [1, 2, 7, 30, 31])
     @pytest.mark.parametrize("block_len", [4, 16])
-    def test_matches_block_by_block(self, n_channels, n_taps, block_len):
+    def test_matches_block_by_block(self, source, n_channels, n_taps,
+                                    block_len):
         rng = np.random.default_rng(1000 * n_taps + 10 * n_channels + block_len)
         spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
         # chunk edges that are not block edges, and a short final block
@@ -518,7 +547,8 @@ class TestMultiBankStep:
         got, segments = [], []
         for a, b in chunks:
             starts = range(a, b, block_len)
-            taps, offsets = random_banks(rng, len(starts), n_channels, spec)
+            taps, offsets = random_banks(rng, len(starts), n_channels, spec,
+                                         source)
             segments += [(s, min(s + block_len, b), bank)
                          for s, bank in zip(starts, zip(taps, offsets))]
             got.append(stream.process([c[a:b] for c in cap.per_channel],
