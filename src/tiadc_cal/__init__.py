@@ -20,9 +20,9 @@ from .errors import (ConfigError, ConvergenceError, CoherenceError,
 from .model import (ChannelCapture, MismatchProfile, TiadcConfig, ToneSpec,
                     dequantize_stream, interleave_channels, quantize_stream,
                     sample_channels, simulate_capture)
-from .sinefit import (MismatchEstimate, SineFitResult, alias_to_subrate,
-                      derive_mismatches, detect_tone_freq, estimate_blocks,
-                      estimate_from_capture, sine_fit_four_param)
+from .sinefit import (SineFitResult, alias_to_subrate, derive_mismatches,
+                      detect_tone_freq, estimate_blocks, estimate_from_capture,
+                      sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
                          design_banks, design_taps, filter_frequency_response,
                          ideal_frequency_response, quantize_taps, tap_indices)

@@ -202,7 +202,7 @@ def _cmd_calibrate(args) -> int:
         # the default tone is a placeholder: no clip check judges the
         # estimate against it
         scenario = replace(scenario, config=config, mode=MODE_TRUTH,
-                           profile=estimate_from_capture(capture, freq).profile)
+                           profile=estimate_from_capture(capture, freq))
     result = calibrate_scenario(capture, scenario, freq)
     spec = scenario.filter_spec
     rep_u, rep_c = result.report_uncal, result.report_cal

@@ -25,10 +25,10 @@ from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
                          write_coefficients_csv)
 from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
                       write_spectrum_csv)
-from .model import _CHUNK, ChannelCapture, dequantize_stream, simulate_capture
+from .model import (_CHUNK, ChannelCapture, MismatchProfile,
+                    dequantize_stream, simulate_capture)
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
-from .sinefit import (EST_BLOCK_PER_CHANNEL, MismatchEstimate,
-                      detect_tone_freq, estimate_blocks)
+from .sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq, estimate_blocks
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ScenarioResult:
     scenario: Scenario
     report_uncal: SpectrumReport
     report_cal: SpectrumReport
-    estimate: MismatchEstimate
+    estimate: MismatchProfile
     bank: FilterBank
     calibrated: np.ndarray
     outputs: dict = field(default_factory=dict)
@@ -82,7 +82,8 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     of every block of the chunk, one design of their taps, and one
     StreamCalibrator step with the stacked taps and offsets of one bank
     per block. Returns (calibrated stream from the second block on, the
-    FilterBank designed from the last estimate, that estimate).
+    FilterBank designed from the last estimate, that estimate as a
+    MismatchProfile).
     """
     config = capture.config
     M = config.n_channels
@@ -95,24 +96,20 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
             f"(two estimation blocks), got {n_per_channel}")
     tone_freq = detect_tone_freq(capture)
 
-    chunk = _CHUNK - _CHUNK % block
     # the bank of the block before the chunk, as a one-bank stack: the
     # identity before the first block
     taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
-    offsets, estimate = np.zeros((1, M)), None
+    offsets = np.zeros((1, M))
     stream = StreamCalibrator(config, spec)
     out = np.empty(n_per_channel * M)
-    for start in range(0, n_per_channel, chunk):
-        codes = capture.per_channel[:, start: start + chunk]
+    for start in range(0, n_per_channel, _CHUNK):
+        codes = capture.per_channel[:, start: start + _CHUNK]
         width = codes.shape[1]
         n_full = width // block
         # (n_full, M, block) view: block b of every channel
-        estimates = estimate_blocks(
+        offs, gains, skews = estimate_blocks(
             codes[:, :n_full * block].reshape(M, n_full, block).swapaxes(0, 1),
             config, tone_freq)
-        gains, skews, offs = np.array(
-            [(e.profile.gains, e.profile.skews, e.profile.offsets)
-             for e in estimates]).reshape(-1, 3, M).swapaxes(0, 1)
         # each block runs the bank estimated from the block before it
         taps = np.concatenate((taps[-1:], design_banks(gains, skews, spec)[1]))
         offsets = np.concatenate((offsets[-1:], offs))
@@ -120,8 +117,10 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
         merge_accumulators(
             stream.process(codes, taps[:n_blocks], offsets[:n_blocks], block),
             stream.scale, out[start * M: (start + width) * M])
-        estimate = estimates[-1] if estimates else estimate
-    bank = FilterBank.design(estimate.profile, M, spec)
+        if n_full:  # always in the first chunk, which has >= 2 blocks
+            last = offs[-1], gains[-1], skews[-1]
+    estimate = MismatchProfile(*last)
+    bank = FilterBank.design(estimate, M, spec)
     return out[(block + spec.group_delay) * M:], bank, estimate
 
 

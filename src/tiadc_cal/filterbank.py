@@ -109,7 +109,8 @@ def design_taps(gain, skew, n_channels: int, spec: FilterSpec) -> np.ndarray:
     """
     gain, skew = np.broadcast_arrays(np.asarray(gain, dtype=float),
                                      np.asarray(skew, dtype=float))
-    if np.any(np.abs(gain) >= 0.5) or np.any(np.abs(skew) >= 0.5):
+    # NaN fails the comparison too
+    if not (np.all(np.abs(gain) < 0.5) and np.all(np.abs(skew) < 0.5)):
         raise ConfigError(f"|gain| and |skew| must be < 0.5, got {gain}, {skew}")
     if n_channels < 2:
         raise ConfigError(f"n_channels must be >= 2, got {n_channels}")
@@ -129,7 +130,7 @@ def quantize_taps(taps, coeff_bits: int) -> np.ndarray:
     """Round taps (an array of any shape) half-away-from-zero into Q2.(W-2)
     integers."""
     taps = np.asarray(taps, dtype=float)
-    if np.any(np.abs(taps) >= 2.0):
+    if not np.all(np.abs(taps) < 2.0):  # NaN fails the comparison too
         worst = taps.flat[np.argmax(np.abs(taps))]
         raise TapOverflowError(f"tap {worst} outside Q2 range (-2, 2)")
     fx = _round_half_away(taps * (1 << (coeff_bits - 2))).astype(np.int64)

@@ -9,7 +9,8 @@ refinement) of channel 0. Every estimation block then needs only one linear
 three-parameter solve at that shared f_sub: a cached pseudo-inverse of the
 [sin, cos, 1] basis gives all channels' amplitude, phase, and dc in one
 matrix product. Mismatches follow by comparing against channel 0, which is
-defined to be the reference (all its mismatches are zero).
+defined to be the reference (all its mismatches are zero), as arrays with
+one row of M channels per block.
 
 The skew estimate comes from the phase difference: channel m's carrier phase
 leads channel 0's by 2*pi*f*(m + dt_m), known only modulo 2*pi, so the branch
@@ -51,22 +52,6 @@ class SineFitResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class MismatchEstimate:
-    """Derived mismatches relative to channel 0, plus the underlying fits."""
-
-    fits: tuple
-    offsets: tuple
-    gains: tuple
-    skews: tuple
-
-    @property
-    def profile(self) -> MismatchProfile:
-        """The estimate as a profile that filter banks can be designed from."""
-        return MismatchProfile(offsets=self.offsets, gains=self.gains,
-                               skews=self.skews)
-
-
 def _three_param_solve(y, n, omega):
     m3 = np.column_stack([np.sin(omega * n), np.cos(omega * n), np.ones_like(n)])
     sol, res, rank, _ = np.linalg.lstsq(m3, y, rcond=None)
@@ -89,10 +74,10 @@ def _result(a, b, c, omega, y, n, iterations) -> SineFitResult:
 
 
 @functools.lru_cache(maxsize=4)
-def _shared_basis(length: int, freq_rel: float) -> tuple:
-    """Read-only [sin, cos, 1] basis (length x 3) at freq_rel cycles per
-    sample, and its pseudo-inverse. Every block of a run has the same length
-    and frequency, so both are built once."""
+def _shared_pinv(length: int, freq_rel: float) -> np.ndarray:
+    """Read-only pseudo-inverse of the [sin, cos, 1] basis (length x 3) at
+    freq_rel cycles per sample. Every block of a run has the same length
+    and frequency, so it is built once."""
     n = np.arange(length, dtype=float)
     omega = 2.0 * math.pi * freq_rel
     basis = np.column_stack([np.sin(omega * n), np.cos(omega * n),
@@ -102,54 +87,45 @@ def _shared_basis(length: int, freq_rel: float) -> tuple:
     if np.count_nonzero(s > s[0] * length * np.finfo(float).eps) < 3:
         raise DegenerateFitError("normal equations singular in 3-parameter solve")
     pinv = (vt.T / s) @ u.T
-    basis.setflags(write=False)
     pinv.setflags(write=False)
-    return basis, pinv
+    return pinv
 
 
 def _row_name(index: int, shape: tuple) -> str:
-    """'channel m', or 'block b channel m' for a (B, M, L) fit."""
-    *block, m = np.unravel_index(index, shape[:-1])
+    """'channel m', or 'block b channel m', for a flat index into an array
+    of shape (M,) or (B, M)."""
+    *block, m = np.unravel_index(index, shape)
     return "".join(f"block {b} " for b in block) + f"channel {m}"
 
 
 def _fit_rows(y, freq_rel: float) -> tuple:
     """Fit A*sin + B*cos + C at one known frequency to every row of y, an
     (M, L) array of channels or a (B, M, L) array of blocks: one matrix
-    product gives all rows' (A, B, C), one more the fitted rows, whose
-    difference from y, formed in place, gives the residuals. Returns one
-    SineFitResult per row, in row-major order."""
+    product gives all rows' (A, B, C). Returns (amplitude, phase, dc),
+    arrays of shape y.shape[:-1], in SineFitResult's convention."""
     length = y.shape[-1]
     if length < 16:
         raise ConfigError(f"need at least 16 samples, got {length}")
     if not 0.0 < freq_rel < 0.5:
         raise ConfigError(f"sub-rate frequency must be in (0, 0.5), got {freq_rel}")
+    rows_shape = y.shape[:-1]
     # C-ordered rows: BLAS sums a strided view's products in another order
     rows = np.ascontiguousarray(y.reshape(-1, length))
     span = np.max(rows, axis=1) - np.min(rows, axis=1)
     if np.any(span == 0.0):
         raise DegenerateFitError(
-            f"{_row_name(np.flatnonzero(span == 0.0)[0], y.shape)} "
+            f"{_row_name(np.flatnonzero(span == 0.0)[0], rows_shape)} "
             "is constant and has no sine component")
-    basis, pinv = _shared_basis(length, freq_rel)
-    coeffs = rows @ pinv.T
-    # not sum(y^2) - coeffs . (basis^T y): that difference cancels to
-    # about 6 digits on 16-bit codes and to none on 24-bit codes
-    resid = coeffs @ basis.T
-    resid -= rows
-    rms = np.sqrt(np.einsum("ij,ij->i", resid, resid) / length)
-    a, b, c = coeffs.T
+    a, b, c = (rows @ _shared_pinv(length, freq_rel).T).T
     amplitude = np.hypot(a, b)
     if np.any(amplitude <= 1e-12 * span):
         raise DegenerateFitError(
-            f"{_row_name(np.flatnonzero(amplitude <= 1e-12 * span)[0], y.shape)}"
+            f"{_row_name(np.flatnonzero(amplitude <= 1e-12 * span)[0], rows_shape)}"
             ": fitted amplitude is zero")
     phase = np.arctan2(b, a)
     phase[phase <= -math.pi] += 2.0 * math.pi
-    return tuple(SineFitResult(amplitude=amp, freq_rel=freq_rel, phase=ph,
-                               dc=dc, rms_residual=r, iterations=0)
-                 for amp, ph, dc, r in zip(amplitude.tolist(), phase.tolist(),
-                                           c.tolist(), rms.tolist()))
+    return (amplitude.reshape(rows_shape), phase.reshape(rows_shape),
+            c.reshape(rows_shape))
 
 
 def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
@@ -250,22 +226,21 @@ def alias_to_subrate(freq_rel: float, n_channels: int) -> tuple:
     return 1.0 - a, True
 
 
-def derive_mismatches(fits, config: TiadcConfig,
-                      tone_freq_rel: float) -> MismatchEstimate:
+def derive_mismatches(amplitudes, phases, dcs, tone_freq_rel: float) -> tuple:
     """Turn per-channel sine fits into offset/gain/skew estimates.
 
     Parameters
     ----------
-    fits : sequence of SineFitResult
-        One per channel, all fitted on captures of the same tone.
-    config : TiadcConfig
-        Supplies the channel count.
+    amplitudes, phases, dcs : arrays of shape (..., M)
+        Fitted parameters of M channels (a SineFitResult's amplitude, phase
+        and dc), each row fitted on captures of the same tone: (M,) for one
+        block, (B, M) for B blocks.
     tone_freq_rel : float
         The tone frequency as a fraction of the aggregate rate, in (0, 0.5).
 
     Returns
     -------
-    MismatchEstimate
+    (offsets, gains, skews), arrays of shape (..., M)
         Channel-0 entries are exactly zero. Gains are amplitude ratios minus
         one, offsets are dc differences, skews come from phase differences
         with the 2*pi branch chosen to minimize |dt|.
@@ -273,39 +248,36 @@ def derive_mismatches(fits, config: TiadcConfig,
     Raises
     ------
     PhaseAmbiguityError
-        Every phase-unwrap branch puts |dt| at or beyond 0.5 Ts.
+        Every phase-unwrap branch puts |dt| at or beyond 0.5 Ts; the message
+        names the first such block and channel.
     """
-    fits = tuple(fits)
-    M = config.n_channels
-    if len(fits) != M:
-        raise ConfigError(f"{len(fits)} fits for {M} channels")
+    amps = np.asarray(amplitudes, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    dcs = np.asarray(dcs, dtype=float)
+    if amps.ndim == 0 or not amps.shape == phases.shape == dcs.shape:
+        raise ShapeError(f"amplitudes {amps.shape}, phases {phases.shape} and "
+                         f"dcs {dcs.shape} must be arrays of one shape (..., M)")
+    M = amps.shape[-1]
     _, reflected = alias_to_subrate(tone_freq_rel, M)
-    amps = np.array([f.amplitude for f in fits])
-    if amps[0] <= 0.0:
+    if np.any(amps[..., 0] <= 0.0):
         raise DegenerateFitError("reference channel amplitude is zero")
-    phases = np.array([f.phase for f in fits])
     # a reflected alias maps carrier phase theta to pi - theta; undo it
     carrier = (math.pi - phases) if reflected else phases
 
-    gains = amps / amps[0] - 1.0
-    offsets = np.array([f.dc for f in fits]) - fits[0].dc
-    skews = np.zeros(M)
-    for m in range(1, M):
-        dphi = carrier[m] - carrier[0]
-        j = np.arange(-(m + 2), m + 3)
-        candidates = (dphi + 2.0 * math.pi * j) / (2.0 * math.pi * tone_freq_rel) - m
-        pick = candidates[np.argmin(np.abs(candidates))]
-        if abs(pick) >= 0.5:
-            raise PhaseAmbiguityError(
-                f"channel {m}: nearest skew branch is {pick:.4f} Ts (>= 0.5); "
-                "phase difference is ambiguous")
-        skews[m] = pick
-    gains[0] = 0.0
-    offsets[0] = 0.0
-    return MismatchEstimate(fits=fits,
-                            offsets=tuple(float(v) for v in offsets),
-                            gains=tuple(float(v) for v in gains),
-                            skews=tuple(float(v) for v in skews))
+    gains = amps / amps[..., :1] - 1.0
+    offsets = dcs - dcs[..., :1]
+    dphi = carrier - carrier[..., :1]
+    m = np.arange(M)
+    # channel m's phase leads by 2*pi*f*(m + dt); the branch j nearest to
+    # f*m - dphi/(2*pi) gives the dt nearest zero
+    j = np.rint(tone_freq_rel * m - dphi / (2.0 * math.pi))
+    skews = (dphi + 2.0 * math.pi * j) / (2.0 * math.pi * tone_freq_rel) - m
+    bad = np.flatnonzero(np.abs(skews) >= 0.5)
+    if bad.size:
+        raise PhaseAmbiguityError(
+            f"{_row_name(bad[0], skews.shape)}: nearest skew branch is "
+            f"{skews.flat[bad[0]]:.4f} Ts (>= 0.5); phase difference is ambiguous")
+    return offsets, gains, skews
 
 
 def detect_tone_freq(capture: ChannelCapture) -> float:
@@ -349,18 +321,19 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
 
 
 def estimate_blocks(blocks, config: TiadcConfig,
-                    tone_freq_rel: float) -> list:
+                    tone_freq_rel: float) -> tuple:
     """Estimate all mismatches from each of B blocks at once.
 
     blocks is a (B, M, L) array of codes: B blocks of one equal-length
     block per channel. One matrix product fits every channel of every block
     at the tone's sub-rate alias, and each block's fits are compared with
-    its channel 0. Returns B MismatchEstimates, in block order.
+    its channel 0. Returns (offsets, gains, skews), (B, M) arrays whose row
+    b is block b's estimate.
 
     The solve does not refine the frequency, so tone_freq_rel must be
-    accurate (detect_tone_freq's value is); its fits report iterations = 0.
-    Background calibration runs it on every chunk of its capture, and
-    estimate_from_capture on a capture's first block.
+    accurate (detect_tone_freq's value is). Background calibration runs it
+    on every chunk of its capture, and estimate_from_capture on a capture's
+    first block.
     """
     M = config.n_channels
     f_sub, _ = alias_to_subrate(tone_freq_rel, M)
@@ -369,20 +342,21 @@ def estimate_blocks(blocks, config: TiadcConfig,
         raise ShapeError(f"need a (blocks, {M}, length) array of codes, got "
                          f"shape {blocks.shape}")
     fits = _fit_rows(dequantize_stream(blocks, config), f_sub)
-    return [derive_mismatches(fits[i: i + M], config, tone_freq_rel)
-            for i in range(0, len(fits), M)]
+    return derive_mismatches(*fits, tone_freq_rel)
 
 
 def estimate_from_capture(capture: ChannelCapture,
-                          tone_freq_rel: float = None) -> MismatchEstimate:
+                          tone_freq_rel: float = None) -> MismatchProfile:
     """Estimate all mismatches once, from the start of a capture.
 
     Uses the first EST_BLOCK_PER_CHANNEL samples of each channel (or the
     whole channel if shorter): one block of estimate_blocks, read straight
     from the capture's per_channel view. When tone_freq_rel is omitted it
-    is detected from the data.
+    is detected from the data. The estimate is a validated MismatchProfile,
+    so a |gain| at or above 0.5 raises ConfigError.
     """
     if tone_freq_rel is None:
         tone_freq_rel = detect_tone_freq(capture)
-    return estimate_blocks(capture.per_channel[None, :, :EST_BLOCK_PER_CHANNEL],
-                           capture.config, tone_freq_rel)[0]
+    estimate = estimate_blocks(capture.per_channel[None, :, :EST_BLOCK_PER_CHANNEL],
+                               capture.config, tone_freq_rel)
+    return MismatchProfile(*(v[0] for v in estimate))

@@ -3,11 +3,13 @@ import io
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiadc_cal import ChannelCapture, TiadcConfig, interleave_channels
 from tiadc_cal.cli import main
-from tiadc_cal.capture_io import HEADER_SIZE
+from tiadc_cal.capture_io import HEADER_SIZE, write_capture
 from tiadc_cal.experiments import run_scenario
 from tiadc_cal.scenarios import load_scenario
 
@@ -403,6 +405,21 @@ def test_non_finite_tone_freq_exit_2_in_estimation(tmp_path, capsys, command,
     assert code == 2
     assert f"tone frequency must be in (0, 0.5) of fs, got {value}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["calibrate", "--mode", "est"]])
+def test_estimated_gain_outside_the_model_exit_2(tmp_path, capsys, command):
+    """A hand-made 12-bit capture whose channels see amplitudes 0.5 and 0.8
+    estimates a gain of 0.6: both estimating commands refuse it."""
+    k = np.arange(8192)
+    channels = [np.round(2048 * amp * np.sin(2 * np.pi * 77 / 4096 * (2 * k + m)))
+                .astype(np.int16) for m, amp in enumerate((0.5, 0.8))]
+    path = tmp_path / "gain_capture.bin"
+    write_capture(ChannelCapture(TiadcConfig(n_channels=2, bits=12),
+                                 interleave_channels(channels)), str(path))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert "gain mismatch magnitude must be < 0.5" in err and out == ""
 
 
 @pytest.mark.parametrize("offsets", ["0,1e300", "0,0.5"])

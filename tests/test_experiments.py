@@ -3,12 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tiadc_cal import ChannelCapture, ConfigError, FilterBank, experiments
+from tiadc_cal import (ChannelCapture, ConfigError, FilterBank,
+                       MismatchProfile, experiments)
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
 from tiadc_cal.filterbank import StreamCalibrator, merge_accumulators
 from tiadc_cal.scenarios import MODE_EST, load_scenario
-from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, detect_tone_freq,
+from tiadc_cal.model import _CHUNK, dequantize_stream
+from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, _fit_rows,
+                               alias_to_subrate, detect_tone_freq,
                                estimate_blocks)
 
 
@@ -71,7 +74,7 @@ class TestRunScenario:
         assert len(truth.calibrated) == scenario.n_samples - trim
         est = run_scenario(replace(scenario, mode=MODE_EST))
         assert_same_bank(est.bank,
-                         FilterBank.design(est.estimate.profile, M, spec))
+                         FilterBank.design(est.estimate, M, spec))
         worst, after = truth.worst_image()
         assert worst.kind == "image"
         assert truth.largest_image_reduction_db() == worst.level_dbfs - after
@@ -155,7 +158,8 @@ class TestRunSweep:
 def background_by_block(capture, scenario):
     """Reference for the background loop: one single-block estimate_blocks, one
     FilterBank.design and one one-bank StreamCalibrator step per block.
-    Returns the calibrated stream, the last bank and every estimate."""
+    Returns the calibrated stream, the last bank and every block's estimate
+    as (B, M) arrays (offsets, gains, skews)."""
     config, spec = capture.config, scenario.filter_spec
     M, block = config.n_channels, EST_BLOCK_PER_CHANNEL
     n = capture.n_per_channel
@@ -170,10 +174,11 @@ def background_by_block(capture, scenario):
                                           bank.offsets), stream.scale,
                            out[start * M: stop * M])
         if stop - start == block:
-            estimates.append(estimate_blocks(blocks[None], config,
-                                             tone_freq)[0])
-            bank = FilterBank.design(estimates[-1].profile, M, spec)
-    return out[(block + spec.group_delay) * M:], bank, estimates
+            estimates.append([v[0] for v in estimate_blocks(
+                blocks[None], config, tone_freq)])
+            bank = FilterBank.design(MismatchProfile(*estimates[-1]), M, spec)
+    offsets, gains, skews = np.array(estimates).swapaxes(0, 1)
+    return out[(block + spec.group_delay) * M:], bank, (offsets, gains, skews)
 
 
 class TestBackgroundSteps:
@@ -199,12 +204,15 @@ class TestBackgroundSteps:
         scenario, capture = dithered
         got, bank, estimate = experiments._calibrate_background(capture,
                                                                  scenario)
-        want, want_bank, estimates = background_by_block(capture, scenario)
-        assert len(estimates) == 2 * 16 + 1
-        assert len({e.gains for e in estimates}) == len(estimates)
+        want, want_bank, (offsets, gains, skews) = background_by_block(
+            capture, scenario)
+        assert gains.shape == (2 * 16 + 1, 5)
+        assert len(np.unique(gains, axis=0)) == len(gains)
         np.testing.assert_array_equal(got, want)
         assert_same_bank(bank, want_bank)
-        assert_close_fits(estimate, estimates[-1])
+        # the last chunk holds one full block, so its estimate is the same
+        # one-block solve as the reference's
+        assert estimate == MismatchProfile(offsets[-1], gains[-1], skews[-1])
 
     def test_block_estimates_within_a_few_ulps(self, dithered):
         scenario, capture = dithered
@@ -212,22 +220,29 @@ class TestBackgroundSteps:
         n_full = capture.n_per_channel // block
         blocks = np.stack([c[:n_full * block].reshape(n_full, block)
                            for c in capture.per_channel], axis=1)
-        tone_freq = detect_tone_freq(capture)
-        batched = estimate_blocks(blocks, capture.config, tone_freq)
-        for b, est in enumerate(batched):
-            one = estimate_blocks(blocks[b:b + 1], capture.config,
-                                  tone_freq)[0]
-            assert_close_fits(est, one)
+        f_sub, _ = alias_to_subrate(detect_tone_freq(capture), M)
+        codes = dequantize_stream(blocks, capture.config)
+        batched = _fit_rows(codes, f_sub)
+        assert batched[0].shape == (n_full, M)
+        one = np.concatenate([_fit_rows(codes[b:b + 1], f_sub)
+                              for b in range(n_full)], axis=1)
+        assert_close_fits(batched, one)
 
 
 def assert_close_fits(a, b, ulps=16):
-    """Fits equal to a few units in the last place of the scale each
-    parameter is computed at: the amplitude itself, pi for the phase and
-    the amplitude for the dc. The batched and the one-block products sum
-    the same 4096 terms per parameter, but BLAS may block the sums
-    differently."""
+    """Fits, (amplitude, phase, dc) arrays of one shape, equal to a few
+    units in the last place of the scale each parameter is computed at:
+    the amplitude itself, pi for the phase and the amplitude for the dc.
+    The batched and the one-block products sum the same 4096 terms per
+    parameter, but BLAS may block the sums differently."""
     eps = ulps * np.finfo(float).eps
-    for x, y in zip(a.fits, b.fits):
-        assert abs(x.amplitude - y.amplitude) <= eps * y.amplitude
-        assert abs(x.phase - y.phase) <= eps * np.pi
-        assert abs(x.dc - y.dc) <= eps * y.amplitude
+    (amp_a, phase_a, dc_a), (amp_b, phase_b, dc_b) = a, b
+    assert amp_a.shape == amp_b.shape
+    assert np.all(np.abs(amp_a - amp_b) <= eps * amp_b)
+    assert np.all(np.abs(phase_a - phase_b) <= eps * np.pi)
+    assert np.all(np.abs(dc_a - dc_b) <= eps * amp_b)
+
+
+def test_estimation_blocks_tile_a_chunk():
+    # the background loop's chunks must hold whole estimation blocks
+    assert _CHUNK % EST_BLOCK_PER_CHANNEL == 0

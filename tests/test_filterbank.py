@@ -78,6 +78,12 @@ class TestDesignTaps:
         with pytest.raises(ConfigError):
             design_taps(0.0, -0.6, 2, SPEC30)
 
+    @pytest.mark.parametrize("gain, skew", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_mismatch_rejected(self, gain, skew):
+        # NaN fails every magnitude comparison, so it must not pass as < 0.5
+        with pytest.raises(ConfigError):
+            design_taps(gain, skew, 2, FilterSpec(n_taps=4))
+
     @given(st.floats(-0.4, 0.4), st.integers(2, 6), st.integers(2, 40))
     def test_timing_part_antisymmetric(self, skew, m, n_taps):
         taps = design_taps(0.0, skew, m, FilterSpec(n_taps=n_taps))
@@ -112,6 +118,10 @@ class TestQuantizeTaps:
         # rounds up to the power of two just out of range
         with pytest.raises(TapOverflowError):
             quantize_taps([2.0 - 2.0 ** -10], 8)
+
+    def test_nan_rejected(self):
+        with pytest.raises(TapOverflowError):
+            quantize_taps([math.nan, 0.1], 30)
 
     @given(st.lists(st.floats(-1.9, 1.9), min_size=1, max_size=32),
            st.integers(8, 32))

@@ -140,14 +140,16 @@ class TestSharedSolve:
         # both fits see the same noise; only the four-parameter fit moves
         # the frequency, by an amount that shrinks with the record length
         tol = 50 * self.NOISE / math.sqrt(n)
-        for row, fit in zip(rows, _fit_rows(rows, freq)):
+        amplitudes, phases, dcs = _fit_rows(rows, freq)
+        assert amplitudes.shape == phases.shape == dcs.shape == (3,)
+        for row, amp, phase, dc in zip(rows, amplitudes, phases, dcs):
             ref = sine_fit_four_param(row, freq)
-            assert (fit.freq_rel, fit.iterations) == (freq, 0)
-            assert fit.amplitude == pytest.approx(ref.amplitude, abs=tol)
-            assert fit.phase == pytest.approx(ref.phase, abs=tol)
-            assert fit.dc == pytest.approx(ref.dc, abs=tol)
+            assert amp == pytest.approx(ref.amplitude, abs=tol)
+            assert phase == pytest.approx(ref.phase, abs=tol)
+            assert dc == pytest.approx(ref.dc, abs=tol)
             # the frequency is one more parameter to absorb noise with
-            excess = fit.rms_residual ** 2 - ref.rms_residual ** 2
+            resid = row - make_sine(n, amp, freq, phase, dc)
+            excess = np.mean(resid ** 2) - ref.rms_residual ** 2
             assert -1e-15 <= excess <= 25 * self.NOISE ** 2 / n
 
     def test_constant_channel_degenerate(self):
@@ -190,30 +192,6 @@ class TestSharedSolve:
                                        rtol=0, atol=5e-4)
 
 
-class TestFitRowsResidual:
-    """_fit_rows's RMS residuals against a per-row lstsq route."""
-
-    @pytest.mark.parametrize("bits", [8, 12, 16, 24])
-    def test_matches_direct_residual(self, bits):
-        config = TiadcConfig(n_channels=5, bits=bits)
-        profile = MismatchProfile((0, 0.001, -0.002, 0.003, 0),
-                                  (0, 0.01, -0.01, 0.02, -0.02),
-                                  (0, 0.01, 0.02, -0.01, -0.02))
-        freq = 77 / 4096
-        cap = simulate_capture(ToneSpec(0.9, freq, 0.3), config, profile,
-                               5 * 3 * 1000)
-        f_sub, _ = alias_to_subrate(freq, 5)
-        blocks = np.stack([c.reshape(3, 1000) for c in cap.per_channel], 1)
-        rows = blocks.reshape(-1, 1000) * config.lsb
-        n = np.arange(1000)
-        basis = np.column_stack([np.sin(2 * np.pi * f_sub * n),
-                                 np.cos(2 * np.pi * f_sub * n), np.ones(1000)])
-        for row, fit in zip(rows, _fit_rows(blocks * config.lsb, f_sub)):
-            coeffs = np.linalg.lstsq(basis, row, rcond=None)[0]
-            direct = math.sqrt(np.mean((row - basis @ coeffs) ** 2))
-            assert fit.rms_residual == pytest.approx(direct, rel=1e-6)
-
-
 class TestAliasToSubrate:
     def test_low_band_two_channels(self):
         f, reflected = alias_to_subrate(0.019, 2)
@@ -235,40 +213,98 @@ class TestAliasToSubrate:
             alias_to_subrate(0.25, 2)
 
 
-class TestDeriveMismatches:
-    def fit(self, amp, freq, phase, dc=0.0):
-        return SineFitResult(amplitude=amp, freq_rel=freq, phase=phase, dc=dc,
-                             rms_residual=0.0, iterations=1)
+def argmin_skews(phases, tone_freq_rel, reflected):
+    """The per-channel branch rule, written out: for each block and channel
+    m >= 1, the least-magnitude skew among the branches j in
+    [-(m+2), m+2]."""
+    carrier = (math.pi - phases) if reflected else phases
+    skews = np.zeros(phases.shape)
+    for b in range(phases.shape[0]):
+        for m in range(1, phases.shape[1]):
+            dphi = carrier[b, m] - carrier[b, 0]
+            j = np.arange(-(m + 2), m + 3)
+            candidates = ((dphi + 2.0 * math.pi * j)
+                          / (2.0 * math.pi * tone_freq_rel) - m)
+            skews[b, m] = candidates[np.argmin(np.abs(candidates))]
+    return skews
 
+
+class TestDeriveMismatches:
     def test_gain_ratio(self):
-        f0 = self.fit(1.0, 0.2, 0.0)
-        f1 = self.fit(1.01, 0.2, 2 * math.pi * 0.1 * 1.0)
-        est = derive_mismatches([f0, f1], CFG12, 0.1)
-        assert est.gains[0] == 0.0
-        assert est.gains[1] == pytest.approx(0.01, rel=1e-12)
+        _, gains, _ = derive_mismatches([1.0, 1.01], [0.0, 2 * math.pi * 0.1],
+                                        [0.0, 0.0], 0.1)
+        assert gains[0] == 0.0
+        assert gains[1] == pytest.approx(0.01, rel=1e-12)
 
     def test_skew_from_phase(self):
-        f0 = self.fit(1.0, 0.2, 0.0)
-        f1 = self.fit(1.0, 0.2, 2 * math.pi * 0.1 * 1.01)
-        est = derive_mismatches([f0, f1], CFG12, 0.1)
-        assert est.skews[1] == pytest.approx(0.01, rel=1e-9)
+        _, _, skews = derive_mismatches(
+            [1.0, 1.0], [0.0, 2 * math.pi * 0.1 * 1.01], [0.0, 0.0], 0.1)
+        assert skews[1] == pytest.approx(0.01, rel=1e-9)
 
     def test_offset_difference(self):
-        f0 = self.fit(1.0, 0.2, 0.0, dc=0.002)
-        f1 = self.fit(1.0, 0.2, 2 * math.pi * 0.1, dc=0.0035)
-        est = derive_mismatches([f0, f1], CFG12, 0.1)
-        assert est.offsets[1] == pytest.approx(0.0015, rel=1e-12)
+        offsets, _, _ = derive_mismatches(
+            [1.0, 1.0], [0.0, 2 * math.pi * 0.1], [0.002, 0.0035], 0.1)
+        assert offsets[1] == pytest.approx(0.0015, rel=1e-12)
 
     def test_ambiguous_phase_rejected(self):
         # branches at f=0.2 are 5 apart; put channel 1 at 2.5, dead between
-        f0 = self.fit(1.0, 0.4, 0.0)
-        f1 = self.fit(1.0, 0.4, 2 * math.pi * 0.2 * (1 + 2.5))
         with pytest.raises(PhaseAmbiguityError):
-            derive_mismatches([f0, f1], CFG12, 0.2)
+            derive_mismatches([1.0, 1.0], [0.0, 2 * math.pi * 0.2 * (1 + 2.5)],
+                              [0.0, 0.0], 0.2)
+
+    def test_ambiguity_names_block_and_channel(self):
+        # three blocks of three channels; only block 2 channel 1 is 0.7 Ts
+        # off, which at f=0.1 is 9.3 Ts from the next branch
+        dt = np.zeros((3, 3))
+        dt[2, 1] = 0.7
+        phases = 2 * math.pi * 0.1 * (np.arange(3) + dt)
+        with pytest.raises(PhaseAmbiguityError, match="block 2 channel 1"):
+            derive_mismatches(np.ones((3, 3)), phases, np.zeros((3, 3)), 0.1)
 
     def test_channel_count_checked(self):
         with pytest.raises(ConfigError):
-            derive_mismatches([self.fit(1, 0.2, 0)], CFG12, 0.1)
+            derive_mismatches([1.0], [0.0, 0.2], [0.0, 0.0], 0.1)
+        with pytest.raises(ConfigError):
+            derive_mismatches(1.0, 0.0, 0.0, 0.1)
+
+    def test_blocks_derive_row_by_row(self):
+        rng = np.random.default_rng(8)
+        amps = rng.uniform(0.8, 0.9, (4, 3))
+        phases = 2 * math.pi * 0.1 * (np.arange(3) + rng.uniform(-0.1, 0.1, (4, 3)))
+        dcs = rng.uniform(-0.01, 0.01, (4, 3))
+        batched = derive_mismatches(amps, phases, dcs, 0.1)
+        for b in range(4):
+            for got, want in zip(batched,
+                                 derive_mismatches(amps[b], phases[b], dcs[b], 0.1)):
+                np.testing.assert_array_equal(got[b], want)
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_nearest_branch_is_the_argmin_branch(self, M, reflected):
+        rng = np.random.default_rng(10 * M + reflected)
+        freq = rng.uniform(0.01, 0.49)
+        while alias_to_subrate(freq, M)[1] != reflected:
+            freq = rng.uniform(0.01, 0.49)
+        B = 64
+        # skews of up to 0.55 Ts, so some blocks have no valid branch
+        dt = rng.uniform(-0.55, 0.55, (B, M))
+        dt[:, 0] = 0.0
+        carrier = (rng.uniform(-math.pi, math.pi, (B, 1))
+                   + 2 * math.pi * freq * (np.arange(M) + dt))
+        # fitted phases in (-pi, pi]; a reflected alias sees pi - carrier
+        phases = np.angle(np.exp(1j * ((math.pi - carrier) if reflected
+                                       else carrier)))
+        want = argmin_skews(phases, freq, reflected)
+        valid = np.all(np.abs(want) < 0.5, axis=1)
+        assert 0 < np.count_nonzero(valid) < B
+        amps, dcs = np.ones((B, M)), np.zeros((B, M))
+        _, _, skews = derive_mismatches(amps[valid], phases[valid],
+                                        dcs[valid], freq)
+        np.testing.assert_array_equal(skews, want[valid])
+        np.testing.assert_allclose(skews, dt[valid], rtol=0, atol=1e-9)
+        for b in np.flatnonzero(~valid):
+            with pytest.raises(PhaseAmbiguityError):
+                derive_mismatches(amps[b], phases[b], dcs[b], freq)
 
 
 class TestEndToEnd:
@@ -307,7 +343,8 @@ class TestEndToEnd:
         # a C-ordered copy: the fits must not depend on the view's strides
         first = np.stack([c[:EST_BLOCK_PER_CHANNEL] for c in cap.per_channel])
         est = estimate_from_capture(cap, 77 / 4096)
-        assert est == estimate_blocks(first[None], CFG12, 77 / 4096)[0]
+        block = estimate_blocks(first[None], CFG12, 77 / 4096)
+        assert est == MismatchProfile(*(v[0] for v in block))
         other = ChannelCapture(CFG12, interleave_channels(
             [np.concatenate((c[:EST_BLOCK_PER_CHANNEL],
                              -c[EST_BLOCK_PER_CHANNEL:]))
@@ -318,7 +355,8 @@ class TestEndToEnd:
         profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
         est = estimate_from_capture(self.capture(CFG12, profile, 77 / 4096,
                                                  16384))
-        assert est.profile == MismatchProfile(est.offsets, est.gains, est.skews)
+        # a validated profile: test_cli's estimated-gain case shows the check
+        assert isinstance(est, MismatchProfile)
 
     def test_estimate_recovers_profile_12bit(self):
         profile = MismatchProfile((0, 0.003), (0, 0.01), (0, 0.01))
