@@ -20,6 +20,7 @@ from dataclasses import replace
 from .capture_io import read_capture, write_capture
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
 from .experiments import calibrate_scenario, run_sweep, simulate_scenario
+from .filterbank import calibrate_capture
 from .metrics import spectrum_report, write_spectrum_csv
 from .model import dequantize_stream
 from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
@@ -171,15 +172,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _write_calibrated_csv(path: str, samples) -> None:
-    """index,value rows with CRLF line ends, the csv module's dialect,
-    formatted and written a chunk of samples at a time."""
+def _write_calibrated_csv(path: str, pieces) -> None:
+    """index,value rows with CRLF line ends, the csv module's dialect, of
+    the samples of the arrays in pieces, one after the other; formatted
+    and written at most _CSV_CHUNK samples at a time."""
+    index = 0
     with open(path, "w", newline="") as fh:
         fh.write("index,value\r\n")
-        for start in range(0, len(samples), _CSV_CHUNK):
-            chunk = samples[start:start + _CSV_CHUNK].tolist()
-            fh.write("".join(f"{i},{v:.12g}\r\n"
-                             for i, v in enumerate(chunk, start)))
+        for piece in pieces:
+            for start in range(0, len(piece), _CSV_CHUNK):
+                chunk = piece[start:start + _CSV_CHUNK].tolist()
+                fh.write("".join(f"{i},{v:.12g}\r\n"
+                                 for i, v in enumerate(chunk, index)))
+                index += len(chunk)
 
 
 def _cmd_calibrate(args) -> int:
@@ -218,7 +223,10 @@ def _cmd_calibrate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.capture))[0]
         cal_path = os.path.join(args.out, stem + "_calibrated.csv")
-        _write_calibrated_csv(cal_path, result.calibrated)
+        # both modes run one bank, so a second pass yields the measured
+        # stream again, without holding it
+        _write_calibrated_csv(cal_path, calibrate_capture(capture,
+                                                          result.bank))
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_cal.csv"),
                            rep_c.magnitudes_dbfs)
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_uncal.csv"),

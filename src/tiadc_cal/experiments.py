@@ -34,8 +34,12 @@ from .sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq, estimate_blocks
 @dataclass(frozen=True)
 class ScenarioResult:
     """Outcome of one calibrate-and-measure step. bank is the corrector (in
-    estimated mode, the one designed from the last estimate), calibrated the
-    measured stream in amplitude units; estimate is None in truth mode."""
+    estimated mode, the one designed from the last estimate); estimate is
+    None in truth mode. calibrated is the window report_cal measures: the
+    first n_fft samples of the calibrated stream, in amplitude units (the
+    whole stream if it is shorter). The rest of the stream is not kept;
+    in truth mode filterbank.calibrate_capture(capture, bank) yields it
+    again."""
 
     scenario: Scenario
     report_uncal: SpectrumReport
@@ -81,9 +85,10 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     (a whole number of blocks, so temporary memory stays bounded): one fit
     of every block of the chunk, one design of their taps, and one
     StreamCalibrator step with the stacked taps and offsets of one bank
-    per block. Returns (calibrated stream from the second block on, the
-    FilterBank designed from the last estimate, that estimate as a
-    MismatchProfile).
+    per block. A generator: it yields the calibrated stream from the
+    second block on as consecutive fresh float64 arrays of at most
+    _CHUNK*M samples, and returns (the FilterBank designed from the last
+    estimate, that estimate as a MismatchProfile).
     """
     config = capture.config
     M = config.n_channels
@@ -101,7 +106,7 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
     offsets = np.zeros((1, M))
     stream = StreamCalibrator(config, spec)
-    out = np.empty(n_per_channel * M)
+    skip = (block + spec.group_delay) * M  # merged samples not yet yielded
     for start in range(0, n_per_channel, _CHUNK):
         codes = capture.per_channel[:, start: start + _CHUNK]
         width = codes.shape[1]
@@ -114,14 +119,18 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
         taps = np.concatenate((taps[-1:], design_banks(gains, skews, spec)[1]))
         offsets = np.concatenate((offsets[-1:], offs))
         n_blocks = -(-width // block)  # a short last block included
-        merge_accumulators(
+        # no name keeps the accumulators across the yield (see
+        # filterbank._calibrated_pieces)
+        merged = merge_accumulators(
             stream.process(codes, taps[:n_blocks], offsets[:n_blocks], block),
-            stream.scale, out[start * M: (start + width) * M])
+            stream.scale, np.empty(width * M))
         if n_full:  # always in the first chunk, which has >= 2 blocks
             last = offs[-1], gains[-1], skews[-1]
+        if skip < width * M:
+            yield merged[skip:]
+        skip = max(skip - width * M, 0)
     estimate = MismatchProfile(*last)
-    bank = FilterBank.design(estimate, M, spec)
-    return out[(block + spec.group_delay) * M:], bank, estimate
+    return FilterBank.design(estimate, M, spec), estimate
 
 
 def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
@@ -147,14 +156,30 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     report_uncal = spectrum_report(uncal, f, n_fft, M, config.full_scale)
     if scenario.mode == MODE_TRUTH:
         bank = FilterBank.design(scenario.profile, M, scenario.filter_spec)
-        cal = calibrate_capture(capture, bank)
+        cal, _ = _first_samples(calibrate_capture(capture, bank), n_fft)
         estimate = None
     else:
-        cal, bank, estimate = _calibrate_background(capture, scenario)
+        cal, (bank, estimate) = _first_samples(
+            _calibrate_background(capture, scenario), n_fft)
     report_cal = spectrum_report(cal, f, n_fft, M, config.full_scale)
     return ScenarioResult(scenario=scenario, report_uncal=report_uncal,
                           report_cal=report_cal, estimate=estimate,
                           bank=bank, calibrated=cal)
+
+
+def _first_samples(pieces, n: int) -> tuple:
+    """Read the iterator pieces of sample arrays to its end. Returns the
+    first n samples of their concatenation (all of them if there are
+    fewer) and the iterator's return value."""
+    kept, have = [], 0
+    while True:
+        try:
+            piece = next(pieces)
+        except StopIteration as stop:
+            return np.concatenate(kept or [np.empty(0)]), stop.value
+        if have < n:  # a copy, so the rest of the piece can go
+            kept.append(piece[:n - have].copy())
+            have += len(kept[-1])
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:

@@ -414,14 +414,19 @@ def merge_accumulators(accs, scale: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
+def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
     """Correct every channel and re-interleave, trimming the transient.
 
     D*M samples are trimmed from both ends of the merged output. Output
     sample j is then the correction of input sample j + D*(M-1), and the
-    output is free of filter transients. The capture runs through one
-    StreamCalibrator, a chunk of samples at a time, with the bank's taps
-    and offsets.
+    output is free of filter transients. The arguments are checked when
+    this is called (ConfigError, ShapeError); the correction runs as the
+    returned iterator is read. It yields the output as consecutive fresh
+    float64 arrays of at most _CHUNK*M samples, one per chunk of the
+    capture that holds output samples, so no step holds the whole stream:
+    np.concatenate(list(...)) is the whole output. Every chunk runs
+    through one StreamCalibrator with the bank's taps and offsets, the
+    trimmed ones too, so the overflow guard sees every sample.
     """
     spec = bank.spec
     M = capture.config.n_channels
@@ -431,17 +436,28 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank) -> np.ndarray:
     if capture.n_per_channel < spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "
                          f"than {spec.n_taps} taps")
-    stream = StreamCalibrator(capture.config, spec)
-    taps = np.asarray(bank.taps_fixed)
+    return _calibrated_pieces(capture, bank)
+
+
+def _calibrated_pieces(capture: ChannelCapture, bank: FilterBank):
+    M = capture.config.n_channels
     n = capture.n_per_channel
-    merged = np.empty(n * M)
+    trim = bank.group_delay * M
+    stream = StreamCalibrator(capture.config, bank.spec)
+    taps = np.asarray(bank.taps_fixed)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        accs = stream.process(capture.per_channel[:, start:stop], taps,
-                              bank.offsets)
-        merge_accumulators(accs, stream.scale, out=merged[start * M: stop * M])
-    trim = spec.group_delay * M
-    return merged[trim: len(merged) - trim] if trim else merged
+        # no name holds the accumulators across the yield: kept alive into
+        # the next chunk, they make glibc grow and trim its heap each chunk
+        merged = merge_accumulators(
+            stream.process(capture.per_channel[:, start:stop], taps,
+                           bank.offsets),
+            stream.scale, np.empty((stop - start) * M))
+        # the part of merged samples [start*M, stop*M) left by the trim
+        lo = max(trim - start * M, 0)
+        hi = min((n - start) * M - trim, (stop - start) * M)
+        if lo < hi:
+            yield merged[lo:hi]
 
 
 def write_coefficients_csv(path, bank: FilterBank) -> None:

@@ -53,3 +53,28 @@ def test_every_reported_span_has_a_traced_function(bench):
               | set(tracer.COUNT_HOOKS))
     assert wanted
     assert sorted(wanted - spans) == []
+
+
+def test_calibrate_capture_is_one_object_in_every_namespace():
+    # the tracer patches a function in every namespace that holds it, and
+    # test_perfbench reads it from these
+    import tiadc_cal
+    from tiadc_cal import cli, experiments, filterbank
+    assert experiments.calibrate_capture is filterbank.calibrate_capture
+    assert tiadc_cal.calibrate_capture is filterbank.calibrate_capture
+    assert cli.calibrate_capture is filterbank.calibrate_capture
+
+
+def test_truth_path_calls_calibrate_capture(monkeypatch):
+    # filterbank.calibrate_capture.s reads 0 if the truth path stops
+    # calling it through experiments' binding
+    from tiadc_cal import experiments
+    from tiadc_cal.scenarios import load_scenario
+    calls = []
+    real = experiments.calibrate_capture
+    monkeypatch.setattr(experiments, "calibrate_capture",
+                        lambda *args: calls.append(1) or real(*args))
+    scenario = load_scenario("fig6")
+    experiments.calibrate_scenario(experiments.simulate_scenario(scenario),
+                                   scenario)
+    assert len(calls) == 1

@@ -2,16 +2,19 @@ import contextlib
 import io
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import ChannelCapture, TiadcConfig, interleave_channels
+from tiadc_cal import (ChannelCapture, TiadcConfig, calibrate_capture, cli,
+                       interleave_channels)
 from tiadc_cal.cli import main
 from tiadc_cal.capture_io import HEADER_SIZE, write_capture
 from tiadc_cal.experiments import run_scenario
-from tiadc_cal.scenarios import load_scenario
+from tiadc_cal.model import _CHUNK
+from tiadc_cal.scenarios import load_scenario, scenario_to_text
 
 
 def run(capsys, *argv):
@@ -115,6 +118,38 @@ class TestCalibrate:
         assert "reduction" in out
         assert (tmp_path / "fig6_capture_calibrated.csv").exists()
         assert (tmp_path / "fig6_capture_spectrum_cal.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["truth", "est"])
+    def test_calibrated_csv_is_the_whole_stream(self, tmp_path, capsys,
+                                                monkeypatch, mode):
+        # two chunks per channel, so the stream arrives in two pieces
+        scenario = replace(load_scenario("fig6"), n_samples=2 * (_CHUNK + 999))
+        config = tmp_path / "long.cfg"
+        config.write_text(scenario_to_text(scenario))
+        assert run(capsys, "simulate", "--config", str(config),
+                   "--out", str(tmp_path))[0] == 0
+        seen = []
+        real = cli.calibrate_scenario
+
+        def recording(capture, scenario, freq):
+            result = real(capture, scenario, freq)
+            seen.append((capture.with_config(scenario.config), result))
+            return result
+
+        monkeypatch.setattr(cli, "calibrate_scenario", recording)
+        code, _, _ = run(capsys, "calibrate", str(tmp_path / "fig6_capture.bin"),
+                         "--mode", mode, "--out", str(tmp_path / "out"))
+        assert code == 0
+        (capture, result), = seen
+        pieces = list(calibrate_capture(capture, result.bank))
+        assert len(pieces) == 2
+        want = np.concatenate(pieces)
+        lines = (tmp_path / "out" / "fig6_capture_calibrated.csv").read_text(
+        ).splitlines()
+        assert lines[0] == "index,value"
+        index, value = zip(*(line.split(",") for line in lines[1:]))
+        assert list(map(int, index)) == list(range(len(want)))
+        assert list(value) == [f"{v:.12g}" for v in want]
 
     def test_est_mode_close_to_truth(self, tmp_path, capsys):
         path = simulate_fig6(tmp_path, capsys)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,26 @@ from tiadc_cal import (ChannelCapture, ConfigError, FilterBank,
                        MismatchProfile, experiments)
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
-from tiadc_cal.filterbank import StreamCalibrator, merge_accumulators
+from tiadc_cal.filterbank import (StreamCalibrator, calibrate_capture,
+                                  merge_accumulators)
+from tiadc_cal.metrics import spectrum_report
 from tiadc_cal.scenarios import MODE_EST, load_scenario
 from tiadc_cal.model import _CHUNK, dequantize_stream
 from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, _fit_rows,
                                alias_to_subrate, detect_tone_freq,
                                estimate_blocks)
+
+
+def background_stream(capture, scenario):
+    """Read experiments._calibrate_background to its end: (the whole
+    calibrated stream, the last bank, the last estimate)."""
+    pieces = experiments._calibrate_background(capture, scenario)
+    kept = []
+    while True:
+        try:
+            kept.append(next(pieces))
+        except StopIteration as stop:
+            return (np.concatenate(kept),) + stop.value
 
 
 def assert_same_bank(a, b):
@@ -67,11 +82,22 @@ class TestRunScenario:
     def test_result_carries_bank_and_stream(self):
         scenario = load_scenario("fig6")
         M, spec = scenario.config.n_channels, scenario.filter_spec
+        config, n_fft = scenario.config, scenario.n_fft
         truth = run_scenario(scenario)
         assert_same_bank(truth.bank,
                          FilterBank.design(scenario.profile, M, spec))
+        stream = np.concatenate(list(calibrate_capture(
+            simulate_scenario(scenario), truth.bank)))
         trim = 2 * spec.group_delay * M
-        assert len(truth.calibrated) == scenario.n_samples - trim
+        assert len(stream) == scenario.n_samples - trim
+        # the result keeps exactly the window it measured
+        np.testing.assert_array_equal(truth.calibrated, stream[:n_fft])
+        again = spectrum_report(truth.calibrated, scenario.tone.freq_rel,
+                                n_fft, M, config.full_scale)
+        np.testing.assert_array_equal(again.magnitudes_dbfs,
+                                      truth.report_cal.magnitudes_dbfs)
+        assert replace(again, magnitudes_dbfs=None) == replace(
+            truth.report_cal, magnitudes_dbfs=None)
         est = run_scenario(replace(scenario, mode=MODE_EST))
         assert_same_bank(est.bank,
                          FilterBank.design(est.estimate, M, spec))
@@ -102,21 +128,22 @@ class TestShortFinalBlock:
                            n_samples=2 * (self.n_full + 4095))
         return scenario, simulate_scenario(scenario)
 
-    def calibrated(self, longest, n):
+    def shortened(self, longest, n):
         scenario, capture = longest
         M = scenario.config.n_channels
         short = ChannelCapture(capture.config, capture.interleaved[:n * M])
-        return calibrate_scenario(short, replace(scenario, n_samples=n * M))
+        return short, replace(scenario, n_samples=n * M)
 
     @pytest.mark.parametrize("t", [0, 1, 2047, 4095])
     def test_length_and_prefix(self, longest, t):
         scenario, _ = longest
         M, d = scenario.config.n_channels, scenario.filter_spec.group_delay
         n = self.n_full + t
-        result = self.calibrated(longest, n)
-        assert len(result.calibrated) == (n - EST_BLOCK_PER_CHANNEL - d) * M
-        whole = self.calibrated(longest, self.n_full).calibrated
-        np.testing.assert_array_equal(result.calibrated[:len(whole)], whole)
+        stream, _, _ = background_stream(*self.shortened(longest, n))
+        assert len(stream) == (n - EST_BLOCK_PER_CHANNEL - d) * M
+        whole, _, _ = background_stream(*self.shortened(longest, self.n_full))
+        np.testing.assert_array_equal(stream[:len(whole)], whole)
+        result = calibrate_scenario(*self.shortened(longest, n))
         assert result.sinad_cal_db >= 66.0
 
 
@@ -202,8 +229,7 @@ class TestBackgroundSteps:
 
     def test_stream_bit_identical(self, dithered):
         scenario, capture = dithered
-        got, bank, estimate = experiments._calibrate_background(capture,
-                                                                 scenario)
+        got, bank, estimate = background_stream(capture, scenario)
         want, want_bank, (offsets, gains, skews) = background_by_block(
             capture, scenario)
         assert gains.shape == (2 * 16 + 1, 5)
@@ -246,3 +272,44 @@ def assert_close_fits(a, b, ulps=16):
 def test_estimation_blocks_tile_a_chunk():
     # the background loop's chunks must hold whole estimation blocks
     assert _CHUNK % EST_BLOCK_PER_CHANNEL == 0
+
+
+class TestStreamedOutput:
+    """calibrate_scenario reads the calibrated stream a chunk at a time:
+    its memory does not grow with the capture, and every chunk of the
+    capture still runs through the calibrator and its overflow guard."""
+
+    @pytest.fixture(scope="class")
+    def fig6_4m(self):
+        scenario = replace(load_scenario("fig6"), n_samples=1 << 22)
+        return scenario, simulate_scenario(scenario)
+
+    def test_peak_memory_independent_of_length(self, fig6_4m):
+        scenario, capture = fig6_4m
+        calibrate_scenario(capture, scenario)  # first-call caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (1 << 20, 1 << 22):
+                short = ChannelCapture(capture.config, capture.interleaved[:n])
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                calibrate_scenario(short, replace(scenario, n_samples=n))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        # the whole float64 stream would add 3 * 2^20 * 8 bytes = 24 MiB
+        assert peaks[1] - peaks[0] <= 2 << 20
+
+    @pytest.mark.parametrize("mode", ["truth", MODE_EST])
+    def test_every_chunk_runs_through_the_calibrator(self, monkeypatch, mode):
+        n_per_channel = 3 * _CHUNK + 100
+        scenario = replace(load_scenario("fig6"), mode=mode,
+                           n_samples=2 * n_per_channel)
+        capture = simulate_scenario(scenario)
+        calls = []
+        real = StreamCalibrator.process
+        monkeypatch.setattr(StreamCalibrator, "process",
+                            lambda *args: calls.append(1) or real(*args))
+        calibrate_scenario(capture, scenario)
+        assert len(calls) == -(-n_per_channel // _CHUNK)

@@ -11,12 +11,17 @@ from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        filter_frequency_response, ideal_frequency_response,
                        quantize_taps, sinad, simulate_capture, tap_indices)
 from tiadc_cal.filterbank import (StreamCalibrator, design_banks,
-                                  write_coefficients_csv)
-from tiadc_cal.model import ChannelCapture, interleave_channels
+                                  merge_accumulators, write_coefficients_csv)
+from tiadc_cal.model import _CHUNK, ChannelCapture, interleave_channels
 from tiadc_cal.polyphase import parallel_convolve_stream
 
 SPEC30 = FilterSpec(n_taps=30, coeff_bits=30)
 CFG12 = TiadcConfig(n_channels=2, bits=12)
+
+
+def calibrated_stream(capture, bank):
+    """The whole output of calibrate_capture, read from its pieces."""
+    return np.concatenate(list(calibrate_capture(capture, bank)))
 
 
 def response_by_loop(taps, omega):
@@ -208,7 +213,7 @@ class TestCalibrateChannel:
         tone = ToneSpec(amplitude=0.9, freq_rel=0.11, phase=0.4)
         cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 256)
         bank = FilterBank.identity(2, SPEC30)
-        out = calibrate_capture(cap, bank)
+        out = calibrated_stream(cap, bank)
         want = dequantize_stream(cap.interleaved, CFG12)
         d = SPEC30.group_delay
         # output j is input j + D*(M-1): the interleaved stream is delayed
@@ -230,11 +235,11 @@ class TestCalibrateChannel:
              np.full(64, -37, dtype=np.int64))))
         bank = FilterBank.design(MismatchProfile((100 / 2048, -37 / 2048),
                                                  (0, 0), (0, 0)), 2, SPEC30)
-        np.testing.assert_array_equal(calibrate_capture(cap, bank), 0.0)
+        np.testing.assert_array_equal(calibrated_stream(cap, bank), 0.0)
         # an offset that does not match leaves the difference, exactly
         bank = FilterBank.design(MismatchProfile((0, -40 / 2048), (0, 0),
                                                  (0, 0)), 2, SPEC30)
-        out = calibrate_capture(cap, bank)
+        out = calibrated_stream(cap, bank)
         np.testing.assert_array_equal(out[0::2], 100 * CFG12.lsb)
         np.testing.assert_array_equal(out[1::2], 3 * CFG12.lsb)
 
@@ -245,7 +250,7 @@ class TestCalibrateChannel:
             calibrate_capture(random_capture(rng, 2, 10), bank)
         with pytest.raises(ShapeError):
             calibrate_capture(random_capture(rng, 2, 29), bank)
-        assert len(calibrate_capture(random_capture(rng, 2, 30), bank)) == 4
+        assert len(calibrated_stream(random_capture(rng, 2, 30), bank)) == 4
 
 
 class TestCalibrateCapture:
@@ -260,7 +265,7 @@ class TestCalibrateCapture:
         config = TiadcConfig(n_channels=3, bits=12)
         spec = FilterSpec(n_taps=7)
         cap = simulate_capture(tone, config, MismatchProfile.zero(3), 4095)
-        out = calibrate_capture(cap, FilterBank.identity(3, spec))
+        out = calibrated_stream(cap, FilterBank.identity(3, spec))
         d = spec.group_delay
         want = dequantize_stream(cap.interleaved, config)
         assert len(out) == len(want) - 2 * d * 3
@@ -271,7 +276,7 @@ class TestCalibrateCapture:
         cap, tone, profile = self.make_fig6_like()
         uncal = dequantize_stream(cap.interleaved, CFG12)
         bank = FilterBank.design(profile, 2, SPEC30)
-        cal = calibrate_capture(cap, bank)
+        cal = calibrated_stream(cap, bank)
         before = sinad(uncal, tone.freq_rel, 4096)
         after = sinad(cal, tone.freq_rel, 4096)
         assert 43.0 <= before <= 47.0
@@ -282,10 +287,32 @@ class TestCalibrateCapture:
         with pytest.raises(ConfigError):
             calibrate_capture(cap, FilterBank.identity(3, SPEC30))
 
+    @pytest.mark.parametrize("tail, n_pieces", [(5, 2), (123, 3)])
+    def test_pieces_are_chunks_of_the_whole_stream(self, tail, n_pieces):
+        # three chunks per channel; a 5-sample last chunk lies wholly in
+        # the trimmed tail, and the trim reaches into the chunk before it
+        rng = np.random.default_rng(tail)
+        cap = random_capture(rng, 3, 2 * _CHUNK + tail)
+        spec = FilterSpec(n_taps=31, coeff_bits=24)
+        bank = FilterBank.design(TestFullRateBank.PROFILE, 3, spec)
+        pieces = list(calibrate_capture(cap, bank))
+        assert len(pieces) == n_pieces
+        for a, piece in enumerate(pieces):
+            assert piece.dtype == np.float64 and len(piece) <= _CHUNK * 3
+            assert not any(np.shares_memory(piece, b) for b in pieces[a + 1:])
+        stream = StreamCalibrator(cap.config, spec)
+        whole = stream.process(cap.per_channel, np.asarray(bank.taps_fixed),
+                               bank.offsets)
+        merged = merge_accumulators(whole, stream.scale,
+                                    np.empty(len(cap.interleaved)))
+        trim = spec.group_delay * 3
+        np.testing.assert_array_equal(np.concatenate(pieces),
+                                      merged[trim:-trim])
+
     def test_fixed_point_tracks_real_within_tenth_db(self):
         cap, tone, profile = self.make_fig6_like()
         bank = FilterBank.design(profile, 2, SPEC30)
-        fixed = calibrate_capture(cap, bank)
+        fixed = calibrated_stream(cap, bank)
         # real-coefficient route, built independently of the bank plumbing:
         # a float convolution of the interleaved stream with each channel's
         # real taps, keeping that channel's positions
@@ -305,7 +332,7 @@ class TestCalibrateCapture:
         vals = []
         for w in (24, 30):
             bank = FilterBank.design(profile, 2, FilterSpec(30, coeff_bits=w))
-            vals.append(sinad(calibrate_capture(cap, bank), tone.freq_rel, 4096))
+            vals.append(sinad(calibrated_stream(cap, bank), tone.freq_rel, 4096))
         assert abs(vals[0] - vals[1]) <= 1.0
 
 
@@ -385,7 +412,7 @@ class TestFullRateBank:
     def test_identity_bank_is_pure_delay(self):
         tone = ToneSpec(amplitude=0.9, freq_rel=77 / 4096, phase=0.2)
         cap = simulate_capture(tone, CFG12, MismatchProfile.zero(2), 4096)
-        out = calibrate_capture(cap, FilterBank.identity(2, SPEC30))
+        out = calibrated_stream(cap, FilterBank.identity(2, SPEC30))
         want = dequantize_stream(cap.interleaved, CFG12)
         # output j is input sample j + D*(M-1)
         shift = SPEC30.group_delay
@@ -402,7 +429,7 @@ class TestFullRateBank:
             skews=rng.uniform(-0.03, 0.03, n_channels))
         spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
         bank = FilterBank.design(profile, n_channels, spec)
-        got = calibrate_capture(cap, bank)
+        got = calibrated_stream(cap, bank)
         stream = StreamCalibrator(cap.config, spec)
         want = direct_fullrate(cap, bank) * stream.scale
         d = spec.group_delay
@@ -455,7 +482,7 @@ class TestFullRateBank:
         before = sinad(dequantize_stream(cap.interleaved, CFG12),
                        tone.freq_rel, 4096)
         bank = FilterBank.design(profile, 2, SPEC30)
-        fullrate = sinad(calibrate_capture(cap, bank), tone.freq_rel, 4096)
+        fullrate = sinad(calibrated_stream(cap, bank), tone.freq_rel, 4096)
         # the paper's bank by the reference rule: convolve_serial of each
         # channel's codes (its offsets are zero), scaled once
         paper = quantize_taps(design_taps(profile.gains, profile.skews, 2,
