@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .filterbank import (FilterBank, StreamCalibrator, calibrate_capture,
-                         design_banks, merge_accumulators,
+from .filterbank import (FilterBank, _chunk_piece, _piece_bytes,
+                         calibrate_capture, design_banks,
                          write_coefficients_csv)
 from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
                       write_spectrum_csv)
-from .model import (_CHUNK, ChannelCapture, MismatchProfile,
+from .model import (_CHUNK, ChannelCapture, MismatchProfile, _chunk_map,
                     dequantize_stream, simulate_capture)
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
 from .sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq, estimate_blocks
@@ -83,12 +83,13 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     is corrected but not estimated from. Each estimate reads raw codes
     only, so the capture runs in whole steps of _CHUNK samples per channel
     (a whole number of blocks, so temporary memory stays bounded): one fit
-    of every block of the chunk, one design of their taps, and one
-    StreamCalibrator step with the stacked taps and offsets of one bank
-    per block. A generator: it yields the calibrated stream from the
-    second block on as consecutive fresh float64 arrays of at most
-    _CHUNK*M samples, and returns (the FilterBank designed from the last
-    estimate, that estimate as a MismatchProfile).
+    of every block of the chunk and one design of their taps, in chunk
+    order on the calling thread, then one StreamCalibrator step with the
+    stacked taps and offsets of one bank per block, on the chunk pool
+    (filterbank._chunk_piece). A generator: it yields the calibrated
+    stream from the second block on as consecutive fresh float64 arrays
+    of at most _CHUNK*M samples, and returns (the FilterBank designed
+    from the last estimate, that estimate as a MismatchProfile).
     """
     config = capture.config
     M = config.n_channels
@@ -100,35 +101,42 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
             f"estimated mode needs >= {2 * block} samples/channel "
             f"(two estimation blocks), got {n_per_channel}")
     tone_freq = detect_tone_freq(capture)
+    skip = (block + spec.group_delay) * M  # merged samples not yielded
+    last = None
 
-    # the bank of the block before the chunk, as a one-bank stack: the
-    # identity before the first block
-    taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
-    offsets = np.zeros((1, M))
-    stream = StreamCalibrator(config, spec)
-    skip = (block + spec.group_delay) * M  # merged samples not yet yielded
-    for start in range(0, n_per_channel, _CHUNK):
-        codes = capture.per_channel[:, start: start + _CHUNK]
-        width = codes.shape[1]
-        n_full = width // block
-        # (n_full, M, block) view: block b of every channel
-        offs, gains, skews = estimate_blocks(
-            codes[:, :n_full * block].reshape(M, n_full, block).swapaxes(0, 1),
-            config, tone_freq)
-        # each block runs the bank estimated from the block before it
-        taps = np.concatenate((taps[-1:], design_banks(gains, skews, spec)[1]))
-        offsets = np.concatenate((offsets[-1:], offs))
-        n_blocks = -(-width // block)  # a short last block included
-        # no name keeps the accumulators across the yield (see
-        # filterbank._calibrated_pieces)
-        merged = merge_accumulators(
-            stream.process(codes, taps[:n_blocks], offsets[:n_blocks], block),
-            stream.scale, np.empty(width * M))
-        if n_full:  # always in the first chunk, which has >= 2 blocks
-            last = offs[-1], gains[-1], skews[-1]
-        if skip < width * M:
-            yield merged[skip:]
-        skip = max(skip - width * M, 0)
+    def chunks():
+        """Estimate and design a chunk's banks; yield its _chunk_piece
+        arguments."""
+        nonlocal last
+        # taps[-1:] is the bank of the block before the chunk (the
+        # identity before the first block); offsets[b] is block row0 + b's
+        taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
+        offsets, row0 = np.zeros((1, M)), 0
+        for start in range(0, n_per_channel, _CHUNK):
+            codes = capture.per_channel[:, start: start + _CHUNK]
+            width = codes.shape[1]
+            n_full = width // block
+            # (n_full, M, block) view: block b of every channel
+            offs, gains, skews = estimate_blocks(
+                codes[:, :n_full * block].reshape(M, n_full, block)
+                .swapaxes(0, 1), config, tone_freq)
+            # each block runs the bank estimated from the block before it
+            taps = np.concatenate((taps[-1:],
+                                   design_banks(gains, skews, spec)[1]))
+            offsets = np.concatenate((offsets, offs))
+            # keep the rows from the block of the chunk's first history
+            # sample on: no later chunk reads further back
+            first = max(start - spec.n_taps + 1, 0) // block
+            offsets, row0 = offsets[first - row0:], first
+            if n_full:  # always in the first chunk, which has >= 2 blocks
+                last = offs[-1], gains[-1], skews[-1]
+            yield (start, start + width, taps[:-(-width // block)], offsets,
+                   row0, block, slice(max(skip - start * M, 0), None))
+
+    # filter keeps no piece alive while the next ones are made
+    yield from filter(len, _chunk_map(
+        lambda args: _chunk_piece(capture, spec, *args), chunks(),
+        _piece_bytes(M, _CHUNK)))
     estimate = MismatchProfile(*last)
     return FilterBank.design(estimate, M, spec), estimate
 
@@ -180,6 +188,7 @@ def _first_samples(pieces, n: int) -> tuple:
         if have < n:  # a copy, so the rest of the piece can go
             kept.append(piece[:n - have].copy())
             have += len(kept[-1])
+        del piece  # so it is gone while the next pieces are made
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
-from .model import _CHUNK, ChannelCapture, MismatchProfile, TiadcConfig
+from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
+                    _chunk_map)
 from .polyphase import _guard_sums, _magnitudes
 
 SUBTRACT_GAIN = "sub"
@@ -78,6 +79,12 @@ class FilterSpec:
 
 def tap_indices(n_taps: int) -> np.ndarray:
     """Tap index range n in [-ceil(N/2)+1, floor(N/2)], length N."""
+    return _tap_indices(n_taps)
+
+
+def _tap_indices(n_taps: int) -> np.ndarray:
+    """tap_indices' range, for code on chunk-pool threads, which may not
+    call a traced public name (see model._chunk_map)."""
     return np.arange(-((n_taps + 1) // 2) + 1, n_taps // 2 + 1)
 
 
@@ -268,7 +275,7 @@ def _term_layout(n_channels: int, n_taps: int) -> tuple:
     (tap index n) reads sample q - n, which is source channel
     source[m, j]'s sample lag[m, j] sub-rate steps back."""
     M = n_channels
-    n = tap_indices(n_taps)
+    n = _tap_indices(n_taps)
     d = -n[0]
     slot = np.arange(M)[:, None]
     source = (slot - d - n) % M
@@ -315,12 +322,18 @@ class StreamCalibrator:
     bank of its own: a bank applies from the first sample of its block,
     and history samples keep the offset correction they were fed with.
     This is the one place the fixed-point rule runs: subtract each
-    channel's offset code, convolve in exact int64 behind
-    polyphase._guard_sums, and let the caller scale once by self.scale.
+    channel's offset code, convolve in int64, return the sums only if
+    polyphase._guard_sums finds them exact, and let the caller scale once
+    by self.scale.
     Each block's sums are np.convolve, the rule of
     polyphase.convolve_serial; the polyphase lanes are bit-exact with it
-    but only model hardware. The history is the calibrator's only state:
-    each call lays out the taps it is given afresh.
+    but only model hardware. The history is the calibrator's only state,
+    and it can be rebuilt from the capture: it is the N-1 codes before
+    the chunk minus the offset codes of their blocks (zeros before the
+    stream start). So a chunk needs no calibrator that ran its
+    predecessors, and calibrate_capture and the background loop run
+    their chunks side by side (_chunk_piece). Each call lays out the
+    taps it is given afresh.
     """
 
     def __init__(self, config: TiadcConfig, spec: FilterSpec):
@@ -339,14 +352,16 @@ class StreamCalibrator:
         chunk holds M equal-length code arrays, one per channel: an
         (M, width) array such as a slice of ChannelCapture.per_channel, or
         a sequence of rows, of any integer type. This is where the codes
-        are widened to int64: they are copied into the calibrator's int64
-        buffer behind its history, so a capture stays int16 (or int32) and
-        only one chunk is ever wide. taps_fixed and offsets are one bank,
-        (M, N) integer taps and (M,) offsets in full-scale units as in
-        FilterBank, or B banks, (B, M, N) and (B, M), one per block_len
-        samples of the chunk (the last block may be shorter); block_len
-        defaults to the chunk length. Taps outside the spec's coeff_bits
-        raise TapOverflowError.
+        are widened to int64: one channel at a time, they are copied into
+        the calibrator's int64 row behind its history, so a capture stays
+        int16 (or int32) and only one channel of one chunk is ever wide.
+        taps_fixed and offsets are one bank, (M, N) integer taps and (M,)
+        offsets in full-scale units as in FilterBank, or B banks,
+        (B, M, N) and (B, M), one per block_len samples of the chunk (the
+        last block may be shorter); block_len defaults to the chunk length
+        and must be at least 1 (ConfigError). Taps outside the spec's
+        coeff_bits raise TapOverflowError. The result's rows lie
+        interleaved in memory, sample k of row m at k*M + m.
         """
         M = self.config.n_channels
         if len(chunk) != M:
@@ -369,7 +384,10 @@ class StreamCalibrator:
         # taps within the word keep |taps| <= 2^31, so the uint64 sums of
         # |taps| below cannot wrap
         _check_word_length(taps, self.spec.coeff_bits)
-        block_len = block_len or max(width, 1)
+        if block_len is None:
+            block_len = max(width, 1)
+        elif block_len < 1:
+            raise ConfigError(f"block_len must be >= 1, got {block_len}")
         starts = range(0, max(width, 1), block_len)
         if len(taps) != len(starts):
             raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
@@ -377,31 +395,48 @@ class StreamCalibrator:
         dense = _dense_taps(taps.astype(np.int64))
         tap_sums = _magnitudes(dense).sum(axis=3)
         offsets = _offset_codes(offsets, self.config)
-        terms = _live_terms((dense != 0).any(axis=0))
+        sources = [[] for _ in range(M)]  # (slot, first lag, stop lag)
+        for m, s, lo, hi in _live_terms((dense != 0).any(axis=0)):
+            sources[s].append((m, lo, hi))
         if width == 0:
             return np.zeros((M, 0), dtype=np.int64)
         hist = self.spec.n_taps - 1
-        # x[s, hist + j] is channel s's offset-corrected sample j of the chunk
-        x = np.empty((M, hist + width), dtype=np.int64)
-        x[:, :hist] = self._history
-        x[:, hist:] = chunk
-        for b, a in enumerate(starts):
-            x[:, hist + a: hist + a + block_len] -= offsets[b][:, None]
-        # largest |code| each block's sums read (its samples and history),
-        # in Python integers
+        # each block's sums read its samples and the hist before them
         edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
         edges[0::2] = starts
         edges[1::2] = np.add(starts[1:], hist)
-        hi = np.maximum.reduceat(x, edges, axis=1)[:, 0::2].astype(object)
-        lo = np.minimum.reduceat(x, edges, axis=1)[:, 0::2].astype(object)
-        _guard_sums(np.maximum(hi, -lo).T, tap_sums)
-        acc = np.zeros((M, width), dtype=np.int64)
-        for b, a in enumerate(starts):
-            e = min(a + block_len, width)
-            for m, s, lo, hi in terms:
-                acc[m, a:e] += np.convolve(x[s, hist + a + 1 - hi: hist + e - lo],
-                                           dense[b, m, s, lo:hi], "valid")
-        self._history = x[:, width:].copy()
+        # row m is slot m, its samples M apart in memory: the rows lie
+        # interleaved, as _scale_in_place needs them
+        acc = np.zeros((width, M), dtype=np.int64).T
+        peaks = np.empty((len(starts), M), dtype=object)
+        history = np.empty_like(self._history)
+        # x[hist + j] is source channel s's offset-corrected sample j of the
+        # chunk: one channel at a time, so only one row is ever int64
+        x = np.empty(hist + width, dtype=np.int64)
+        for s in range(M):
+            x[:hist] = self._history[s]
+            x[hist:] = chunk[s]
+            # each block's offset code: the whole blocks in one step, then
+            # the short last block, if any
+            n_full = width // block_len
+            whole = x[hist: hist + n_full * block_len].reshape(n_full,
+                                                               block_len)
+            whole -= offsets[:n_full, s, None]
+            x[hist + n_full * block_len:] -= offsets[n_full:, s]
+            # the largest |code| each block's sums read, in Python integers
+            top = np.maximum.reduceat(x, edges)[0::2].astype(object)
+            bottom = np.minimum.reduceat(x, edges)[0::2].astype(object)
+            peaks[:, s] = np.maximum(top, -bottom)
+            for b, a in enumerate(starts):
+                e = min(a + block_len, width)
+                for m, lo, hi in sources[s]:
+                    acc[m, a:e] += np.convolve(x[hist + a + 1 - hi: hist + e - lo],
+                                               dense[b, m, s, lo:hi], "valid")
+            history[s] = x[width:]
+        # the sums are exact only within the bound: nothing is returned or
+        # kept unless every block meets it
+        _guard_sums(peaks, tap_sums)
+        self._history = history
         return acc
 
 
@@ -425,8 +460,11 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
     float64 arrays of at most _CHUNK*M samples, one per chunk of the
     capture that holds output samples, so no step holds the whole stream:
     np.concatenate(list(...)) is the whole output. Every chunk runs
-    through one StreamCalibrator with the bank's taps and offsets, the
-    trimmed ones too, so the overflow guard sees every sample.
+    through a StreamCalibrator with the bank's taps and offsets, the
+    trimmed ones too, so the overflow guard sees every sample; the chunks
+    run on the chunk pool (model._chunk_map), each from the capture alone
+    (_chunk_piece), and an error is raised after the pieces of the chunks
+    before the one that raised it.
     """
     spec = bank.spec
     M = capture.config.n_channels
@@ -443,21 +481,71 @@ def _calibrated_pieces(capture: ChannelCapture, bank: FilterBank):
     M = capture.config.n_channels
     n = capture.n_per_channel
     trim = bank.group_delay * M
-    stream = StreamCalibrator(capture.config, bank.spec)
-    taps = np.asarray(bank.taps_fixed)
-    for start in range(0, n, _CHUNK):
+    taps = np.asarray(bank.taps_fixed)[None]
+    offsets = np.asarray(bank.offsets)[None]
+
+    def piece(start):
         stop = min(start + _CHUNK, n)
-        # no name holds the accumulators across the yield: kept alive into
-        # the next chunk, they make glibc grow and trim its heap each chunk
-        merged = merge_accumulators(
-            stream.process(capture.per_channel[:, start:stop], taps,
-                           bank.offsets),
-            stream.scale, np.empty((stop - start) * M))
         # the part of merged samples [start*M, stop*M) left by the trim
         lo = max(trim - start * M, 0)
         hi = min((n - start) * M - trim, (stop - start) * M)
-        if lo < hi:
-            yield merged[lo:hi]
+        return _chunk_piece(capture, bank.spec, start, stop, taps, offsets,
+                            0, n, slice(lo, max(lo, hi)))
+
+    # filter keeps no piece alive while the next ones are made
+    yield from filter(len, _chunk_map(piece, range(0, n, _CHUNK),
+                                      _piece_bytes(M, _CHUNK)))
+
+
+def _piece_bytes(n_channels: int, width: int) -> int:
+    """About the most memory a _chunk_piece of width samples per channel
+    holds while it runs: its int64 accumulators, one widened source row
+    and one convolution's output."""
+    return (n_channels + 2) * 8 * width
+
+
+def _chunk_piece(capture: ChannelCapture, spec: FilterSpec, start: int,
+                 stop: int, taps, offsets, first_block: int, block_len: int,
+                 keep: slice) -> np.ndarray:
+    """The merged samples keep of the calibrated chunk of samples start to
+    stop of every channel, computed from the capture alone: the chunk
+    task of calibrate_capture and the background loop.
+
+    The capture runs in blocks of block_len samples per channel from its
+    first sample, and a block starts at start unless one block holds the
+    whole chunk. taps (B, M, N) are the banks of the chunk's B blocks;
+    row b of offsets (full-scale units) is block first_block + b's, for
+    every block from the one of sample start - N + 1 (or 0) to the chunk's
+    last.
+    """
+    config = capture.config
+    codes = capture.per_channel
+    stream = StreamCalibrator(config, spec)
+    # the history a calibrator fed every sample before start would carry
+    first = max(start - spec.n_taps + 1, 0)
+    if first < start:
+        corrections = _offset_codes(
+            offsets[np.arange(first, start) // block_len - first_block],
+            config)
+        stream._history[:, first - start:] = (codes[:, first:start]
+                                              - corrections.T)
+    bank = start // block_len - first_block
+    acc = stream.process(codes[:, start:stop], taps,
+                         offsets[bank: bank + len(taps)], block_len)
+    return _scale_in_place(acc, stream.scale)[keep]
+
+
+def _scale_in_place(acc, scale: float) -> np.ndarray:
+    """merge_accumulators' interleaved float64 stream, written over the
+    memory of acc, an (M, width) result of StreamCalibrator.process, whose
+    rows lie interleaved there: a chunk holds one array, not two."""
+    flat = acc.T.reshape(-1)
+    merged = flat.view(np.float64)
+    # a cast, then the multiply: one np.multiply casting int64 as it goes
+    # runs about five times slower on 10^5 samples, to the same values
+    np.copyto(merged, flat, casting="unsafe")
+    merged *= scale
+    return merged
 
 
 def write_coefficients_csv(path, bank: FilterBank) -> None:

@@ -9,10 +9,22 @@ mid-rise quantizer. A capture keeps its codes in one interleaved array of
 their narrowest integer type (int16 up to 16 bits, int32 above); channel m
 is its stride-M slice, and ChannelCapture.per_channel shows all M of them as
 the rows of one view. Only filterbank.StreamCalibrator widens codes to
-int64, a chunk at a time, for its exact accumulation.
+int64, one channel of a chunk at a time, for its exact accumulation.
+
+Chunks are independent: simulate_capture and the calibration loops hand
+them to _chunk_map, which runs them on a persistent pool of one worker
+thread per CPU the process may use and gives back their results in chunk
+order. numpy's convolution and ufunc loops release the GIL, so the
+chunks' arithmetic runs on every core. The chunks in flight together hold
+at most _IN_FLIGHT_BYTES, so temporary memory does not grow with the CPU
+count either; where that leaves room for one chunk, or the process has
+one CPU, the chunks run on the calling thread.
 """
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +37,79 @@ MAX_CHANNELS = 0xFFFF  # the capture header's u16 channel count
 # handle at a time: the working set stays in cache and temporary memory does
 # not grow with the capture
 _CHUNK = 1 << 16
+
+# _chunk_map's worker threads: one per CPU the process may use
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
+# the memory the chunks in flight may hold together, on any number of
+# CPUs: the 4 MiB that simulate_capture's temporaries stay within. Two
+# chunks of a two-channel calibration fit, one from three channels up.
+_IN_FLIGHT_BYTES = 4 << 20
+_POOL = None  # (process id, executor), made on first use
+_POOL_LOCK = threading.Lock()
+
+
+def _executor():
+    """The chunk map's thread pool of _WORKERS threads. It is made when
+    first asked for, so importing the package starts no thread, and made
+    afresh in a forked child, whose copy of the pool has no threads."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            # imported here: only a run that maps chunks pays for it
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = os.getpid(), ThreadPoolExecutor(
+                _WORKERS, thread_name_prefix="tiadc-chunk")
+        return _POOL[1]
+
+
+def _chunk_map(task, items, task_bytes: int):
+    """Yield task(item) for each item, in item order, computed on the
+    chunk pool, or on the calling thread when one task is in flight: the
+    same results, and the same errors, as the serial loop over items.
+
+    task_bytes is the most memory one task holds while it runs. At most
+    one task per worker is in flight, and no more than fit together in
+    _IN_FLIGHT_BYTES, but always one. items is read on the calling
+    thread, up to one item per task in flight ahead of the result being
+    yielded, so sequential work (the background loop's estimation)
+    belongs there and overlaps the tasks in flight. An error from
+    task(item) is raised where its result would have been yielded; one
+    from items is raised after the results of the items before it.
+    Closing the iterator cancels the tasks not yet started. task may run
+    on a worker thread, so it must call nothing that perfbench's tracer
+    wraps: the tracer counts calls and nests spans per calling thread.
+    """
+    in_flight = max(1, min(_WORKERS, _IN_FLIGHT_BYTES // task_bytes))
+    if in_flight == 1:
+        # nothing would overlap: a worker would only add two thread
+        # switches per task and move its working set to another core,
+        # about 14 % of a five-channel background calibration
+        yield from map(task, items)
+        return
+    pool = _executor()
+    pending = deque()
+    items = iter(items)
+    try:
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception:
+                while pending:
+                    yield pending.popleft().result()
+                raise
+            pending.append(pool.submit(task, item))
+            if len(pending) == in_flight:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -182,13 +267,16 @@ def sample_channels(tone: ToneSpec, config: TiadcConfig,
     -------
     ndarray of shape (n_channels, n_per_channel)
         Row m is channel m: sample k equals
-        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m. This is the whole-record
-        case of the block that simulate_capture samples a chunk at a time,
-        so the two agree bit for bit.
+        (1 + dg_m) * x((k*M + m + dt_m)*Ts) + do_m. Each row is the
+        whole-record case of the rows that simulate_capture samples a
+        chunk at a time (_sample_row), so the two agree bit for bit.
     """
     _check_sampling(config, profile, n_per_channel)
-    return _sample_block(tone, profile, 0,
-                         np.empty((config.n_channels, n_per_channel)))
+    M = config.n_channels
+    out = np.tile(np.arange(n_per_channel, dtype=float) * M, (M, 1))
+    for m, row in enumerate(out):
+        _sample_row(tone, profile, m, row)
+    return out
 
 
 def _check_sampling(config: TiadcConfig, profile: MismatchProfile,
@@ -201,26 +289,23 @@ def _check_sampling(config: TiadcConfig, profile: MismatchProfile,
         raise ConfigError("n_per_channel must be >= 1")
 
 
-def _sample_block(tone: ToneSpec, profile: MismatchProfile, start: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Fill out, an (M, w) float array, with samples start .. start + w - 1
-    of every channel, computed in place."""
-    M, w = out.shape
-    kM = np.arange(start, start + w, dtype=float) * M
+def _sample_row(tone: ToneSpec, profile: MismatchProfile, m: int,
+                row: np.ndarray) -> np.ndarray:
+    """Turn row, a float array of k*M for the samples k to make, into
+    channel m's samples k, in place."""
     omega = 2.0 * np.pi * tone.freq_rel
-    for m, row in enumerate(out):
-        # the operations, in order, of
-        # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do
-        np.add(kM, m, out=row)
-        row += profile.skews[m]  # t in units of Ts
-        row *= omega
-        row += tone.phase
-        np.sin(row, out=row)
-        row *= tone.amplitude
-        row += tone.dc
-        row *= 1.0 + profile.gains[m]
-        row += profile.offsets[m]
-    return out
+    # the operations, in order, of
+    # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do
+    row += m
+    row += profile.skews[m]  # t in units of Ts
+    row *= omega
+    row += tone.phase
+    np.sin(row, out=row)
+    row *= tone.amplitude
+    row += tone.dc
+    row *= 1.0 + profile.gains[m]
+    row += profile.offsets[m]
+    return row
 
 
 def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
@@ -267,9 +352,10 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
     """Full capture: sample through the mismatch model, quantize, interleave.
 
     The codes are int16 for up to 16 bits and int32 above. They are made
-    _CHUNK samples per channel at a time, in one reused float buffer, and
-    written straight into the interleaved array, so the memory beyond the
-    codes does not grow with the capture.
+    _CHUNK samples per channel at a time, the chunks side by side on the
+    chunk pool (_chunk_map), each one channel at a time in a float row of
+    its own, and written straight into the interleaved array, so the
+    memory beyond the codes does not grow with the capture.
     """
     M = config.n_channels
     if n_total % M:
@@ -279,9 +365,15 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
     interleaved = np.empty(n_total,
                            dtype=np.int16 if config.bits <= 16 else np.int32)
     rows = interleaved.reshape(-1, M).T
-    buffer = np.empty((M, min(n, _CHUNK)))
-    for start in range(0, n, _CHUNK):
+
+    def fill(start):
         stop = min(start + _CHUNK, n)
-        block = _sample_block(tone, profile, start, buffer[:, :stop - start])
-        rows[:, start:stop] = _quantize_in_place(block, config)
+        for m in range(M):  # one float row of k*M at a time
+            rows[m, start:stop] = _quantize_in_place(_sample_row(
+                tone, profile, m, np.arange(start * M, stop * M, M,
+                                            dtype=float)), config)
+
+    # a task holds one float64 row and its quantizer's sign mask
+    for _ in _chunk_map(fill, range(0, n, _CHUNK), 9 * _CHUNK):
+        pass
     return ChannelCapture(config, interleaved)

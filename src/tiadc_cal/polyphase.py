@@ -16,6 +16,15 @@ numpy convolution. The lane count L is a plain integer: decompose and
 parallel_convolve_stream take it, and parallel_convolve reads it from the
 number of lanes it is given; each rejects L < 1 with ConfigError.
 
+Software parallelism works a level up, on whole chunks of 65 536 samples
+per channel: a chunk's calibrator history can be rebuilt from the
+capture, so the chunks are independent, and model._chunk_map runs them
+on one thread per core, as many at once as fit in its memory budget. A
+chunk is a few milliseconds of np.convolve, which releases the GIL,
+against microseconds of Python to hand it out; a lane is a short
+convolution whose start-up costs as much as its work, so threads per
+lane ran slower than one serial pass.
+
 All convolutions here are exact int64 multiply-accumulate. Every integer
 route, StreamCalibrator's included, states its overflow bound through
 _guard_sums alone: summed over the sources of one accumulator, the largest

@@ -687,6 +687,14 @@ class TestProcessArguments:
         with pytest.raises(ConfigError):
             self.run(np.zeros((2, 4)), np.zeros(2))
 
+    @pytest.mark.parametrize("block_len", [0, -3])
+    def test_block_len_below_one_raises(self, block_len):
+        # 0 once meant "the whole chunk", and -3 was reported as a bank
+        # count that did not fit
+        with pytest.raises(ConfigError,
+                           match=f"^block_len must be >= 1, got {block_len}$"):
+            self.run(np.zeros((2, 4), dtype=np.int64), np.zeros(2), block_len)
+
     @pytest.mark.parametrize("tap", [128, -129, 1 << 40],
                              ids=["128", "-129", "2^40"])
     def test_taps_outside_the_word_raise(self, tap):
