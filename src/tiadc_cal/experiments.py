@@ -84,9 +84,9 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
     only, so the capture runs in whole steps of _CHUNK samples per channel
     (a whole number of blocks, so temporary memory stays bounded): one fit
     of every block of the chunk and one design of their taps, in chunk
-    order on the calling thread, then one StreamCalibrator step with the
-    stacked taps and offsets of one bank per block, on the chunk pool
-    (filterbank._chunk_piece). A generator: it yields the calibrated
+    order on the calling thread, then one step of the chunk kernel
+    (filterbank._chunk_sums) with the stacked taps and offsets of one bank
+    per block, on the chunk pool. A generator: it yields the calibrated
     stream from the second block on as consecutive fresh float64 arrays
     of at most _CHUNK*M samples, and returns (the FilterBank designed
     from the last estimate, that estimate as a MismatchProfile).

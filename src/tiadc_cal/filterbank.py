@@ -36,8 +36,9 @@ calibrated capture loses D*M samples at each end. Coefficients are
 quantized to two's-complement Q2.(W-2); a bank runs as a sum of sub-rate
 integer convolutions (FilterBank.convolution_terms) with one final scaling,
 so results are bit-reproducible and at most N multiply-accumulates are
-spent per output sample. design_banks and StreamCalibrator.process work on
-tap and offset arrays; FilterBank is the record of one bank.
+spent per output sample. design_banks and the chunk kernel _chunk_sums
+work on tap and offset arrays; FilterBank is the record of one bank, and
+where a hand-built bank's taps and offsets are checked.
 """
 
 import csv
@@ -79,12 +80,6 @@ class FilterSpec:
 
 def tap_indices(n_taps: int) -> np.ndarray:
     """Tap index range n in [-ceil(N/2)+1, floor(N/2)], length N."""
-    return _tap_indices(n_taps)
-
-
-def _tap_indices(n_taps: int) -> np.ndarray:
-    """tap_indices' range, for code on chunk-pool threads, which may not
-    call a traced public name (see model._chunk_map)."""
     return np.arange(-((n_taps + 1) // 2) + 1, n_taps // 2 + 1)
 
 
@@ -178,7 +173,12 @@ class FilterBank:
     """One bank as an immutable record: per-channel real and fixed-point
     taps and offsets; every fixed-point tap fits spec.coeff_bits two's
     complement. Truth mode, ScenarioResult.bank, the coefficient CSV and
-    convolution_terms use it; the calibrator itself takes arrays."""
+    convolution_terms use it; the chunk kernel itself takes arrays.
+
+    A hand-built bank is checked here, where it enters the program: M rows
+    of spec.n_taps taps each, integer fixed-point taps and M finite
+    offsets (ConfigError), every fixed-point tap within the word
+    (TapOverflowError)."""
 
     spec: FilterSpec
     taps_real: tuple
@@ -186,9 +186,24 @@ class FilterBank:
     offsets: tuple
 
     def __post_init__(self):
-        if not (len(self.taps_real) == len(self.taps_fixed) == len(self.offsets)):
-            raise ConfigError("per-channel field lengths disagree")
-        _check_word_length(np.asarray(self.taps_fixed), self.spec.coeff_bits)
+        try:
+            real = np.asarray(self.taps_real, dtype=float)
+            fixed = np.asarray(self.taps_fixed)
+            offsets = np.asarray(self.offsets, dtype=float)
+        except (TypeError, ValueError) as err:  # ragged or not numbers
+            raise ConfigError(f"bank fields must be numeric arrays: {err}") from None
+        N = self.spec.n_taps
+        if (offsets.ndim != 1 or real.shape != (len(offsets), N)
+                or fixed.shape != real.shape):
+            raise ConfigError(
+                f"taps {real.shape} and {fixed.shape} and offsets "
+                f"{offsets.shape} do not fit (M, {N}) and (M,)")
+        _check_word_length(fixed, self.spec.coeff_bits)
+        if fixed.dtype.kind not in "iu":
+            raise ConfigError(f"fixed-point taps must be integers, got dtype "
+                              f"{fixed.dtype}")
+        if not np.all(np.isfinite(offsets)):
+            raise ConfigError(f"offsets must be finite, got {offsets}")
 
     @property
     def n_channels(self) -> int:
@@ -275,8 +290,8 @@ def _term_layout(n_channels: int, n_taps: int) -> tuple:
     (tap index n) reads sample q - n, which is source channel
     source[m, j]'s sample lag[m, j] sub-rate steps back."""
     M = n_channels
-    n = _tap_indices(n_taps)
-    d = -n[0]
+    d = (n_taps + 1) // 2 - 1
+    n = np.arange(n_taps) - d  # tap_indices(n_taps), off the traced name
     slot = np.arange(M)[:, None]
     source = (slot - d - n) % M
     return (slot[:, 0] - d) % M, source, (d + n + source - slot) // M
@@ -310,145 +325,6 @@ def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
                             * config.code_half_range).astype(np.int64)
 
 
-class StreamCalibrator:
-    """Runs filter banks over a capture a chunk of samples at a time.
-
-    process() takes a chunk of every channel's codes and the taps and
-    offsets of one bank per block of that chunk, and returns the chunk's
-    integer accumulators. Each channel carries its last N-1
-    offset-corrected samples into the next chunk, so feeding chunks c0,
-    c1, ... gives exactly the accumulators of one whole-stream pass,
-    wherever the chunk and block edges fall and even if every block has a
-    bank of its own: a bank applies from the first sample of its block,
-    and history samples keep the offset correction they were fed with.
-    This is the one place the fixed-point rule runs: subtract each
-    channel's offset code, convolve in int64, return the sums only if
-    polyphase._guard_sums finds them exact, and let the caller scale once
-    by self.scale.
-    Each block's sums are np.convolve, the rule of
-    polyphase.convolve_serial; the polyphase lanes are bit-exact with it
-    but only model hardware. The history is the calibrator's only state,
-    and it can be rebuilt from the capture: it is the N-1 codes before
-    the chunk minus the offset codes of their blocks (zeros before the
-    stream start). So a chunk needs no calibrator that ran its
-    predecessors, and calibrate_capture and the background loop run
-    their chunks side by side (_chunk_piece). Each call lays out the
-    taps it is given afresh.
-    """
-
-    def __init__(self, config: TiadcConfig, spec: FilterSpec):
-        self.config = config
-        self.spec = spec
-        self.scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
-        # zeros before the stream start: the same sums as no history
-        self._history = np.zeros((config.n_channels, spec.n_taps - 1),
-                                 dtype=np.int64)
-
-    def process(self, chunk, taps_fixed, offsets,
-                block_len: int = None) -> np.ndarray:
-        """Accumulators of one chunk: an (M, width) int64 array, row m for
-        output slot m (see FilterBank.convolution_terms).
-
-        chunk holds M equal-length code arrays, one per channel: an
-        (M, width) array such as a slice of ChannelCapture.per_channel, or
-        a sequence of rows, of any integer type. This is where the codes
-        are widened to int64: one channel at a time, they are copied into
-        the calibrator's int64 row behind its history, so a capture stays
-        int16 (or int32) and only one channel of one chunk is ever wide.
-        taps_fixed and offsets are one bank, (M, N) integer taps and (M,)
-        offsets in full-scale units as in FilterBank, or B banks,
-        (B, M, N) and (B, M), one per block_len samples of the chunk (the
-        last block may be shorter); block_len defaults to the chunk length
-        and must be at least 1 (ConfigError). Taps outside the spec's
-        coeff_bits raise TapOverflowError. The result's rows lie
-        interleaved in memory, sample k of row m at k*M + m.
-        """
-        M = self.config.n_channels
-        if len(chunk) != M:
-            raise ConfigError(f"{len(chunk)} channels were given, expected {M}")
-        width = len(chunk[0])
-        if any(len(c) != width for c in chunk):
-            raise ShapeError(f"ragged chunk: {[len(c) for c in chunk]}")
-        taps = np.asarray(taps_fixed)
-        offsets = np.asarray(offsets, dtype=float)
-        if taps.ndim == 2:
-            taps, offsets = taps[None], offsets[None]
-        if (taps.ndim != 3 or taps.shape[1:] != (M, self.spec.n_taps)
-                or offsets.shape != taps.shape[:2]):
-            raise ConfigError(
-                f"taps {taps.shape} and offsets {offsets.shape} do not fit "
-                f"(M, N) = {(M, self.spec.n_taps)} and (M,), or (B, M, N) "
-                "and (B, M)")
-        if taps.dtype.kind not in "iu":
-            raise ConfigError(f"taps must be integers, got dtype {taps.dtype}")
-        # taps within the word keep |taps| <= 2^31, so the uint64 sums of
-        # |taps| below cannot wrap
-        _check_word_length(taps, self.spec.coeff_bits)
-        if block_len is None:
-            block_len = max(width, 1)
-        elif block_len < 1:
-            raise ConfigError(f"block_len must be >= 1, got {block_len}")
-        starts = range(0, max(width, 1), block_len)
-        if len(taps) != len(starts):
-            raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
-                              f"{block_len} in {width} samples")
-        dense = _dense_taps(taps.astype(np.int64))
-        tap_sums = _magnitudes(dense).sum(axis=3)
-        offsets = _offset_codes(offsets, self.config)
-        sources = [[] for _ in range(M)]  # (slot, first lag, stop lag)
-        for m, s, lo, hi in _live_terms((dense != 0).any(axis=0)):
-            sources[s].append((m, lo, hi))
-        if width == 0:
-            return np.zeros((M, 0), dtype=np.int64)
-        hist = self.spec.n_taps - 1
-        # each block's sums read its samples and the hist before them
-        edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
-        edges[0::2] = starts
-        edges[1::2] = np.add(starts[1:], hist)
-        # row m is slot m, its samples M apart in memory: the rows lie
-        # interleaved, as _scale_in_place needs them
-        acc = np.zeros((width, M), dtype=np.int64).T
-        peaks = np.empty((len(starts), M), dtype=object)
-        history = np.empty_like(self._history)
-        # x[hist + j] is source channel s's offset-corrected sample j of the
-        # chunk: one channel at a time, so only one row is ever int64
-        x = np.empty(hist + width, dtype=np.int64)
-        for s in range(M):
-            x[:hist] = self._history[s]
-            x[hist:] = chunk[s]
-            # each block's offset code: the whole blocks in one step, then
-            # the short last block, if any
-            n_full = width // block_len
-            whole = x[hist: hist + n_full * block_len].reshape(n_full,
-                                                               block_len)
-            whole -= offsets[:n_full, s, None]
-            x[hist + n_full * block_len:] -= offsets[n_full:, s]
-            # the largest |code| each block's sums read, in Python integers
-            top = np.maximum.reduceat(x, edges)[0::2].astype(object)
-            bottom = np.minimum.reduceat(x, edges)[0::2].astype(object)
-            peaks[:, s] = np.maximum(top, -bottom)
-            for b, a in enumerate(starts):
-                e = min(a + block_len, width)
-                for m, lo, hi in sources[s]:
-                    acc[m, a:e] += np.convolve(x[hist + a + 1 - hi: hist + e - lo],
-                                               dense[b, m, s, lo:hi], "valid")
-            history[s] = x[width:]
-        # the sums are exact only within the bound: nothing is returned or
-        # kept unless every block meets it
-        _guard_sums(peaks, tap_sums)
-        self._history = history
-        return acc
-
-
-def merge_accumulators(accs, scale: float, out: np.ndarray) -> np.ndarray:
-    """Scale per-channel accumulators to amplitude units and interleave
-    them into out."""
-    M = len(accs)
-    for m, acc in enumerate(accs):
-        np.multiply(acc, scale, out=out[m::M])
-    return out
-
-
 def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
     """Correct every channel and re-interleave, trimming the transient.
 
@@ -459,11 +335,11 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
     returned iterator is read. It yields the output as consecutive fresh
     float64 arrays of at most _CHUNK*M samples, one per chunk of the
     capture that holds output samples, so no step holds the whole stream:
-    np.concatenate(list(...)) is the whole output. Every chunk runs
-    through a StreamCalibrator with the bank's taps and offsets, the
-    trimmed ones too, so the overflow guard sees every sample; the chunks
-    run on the chunk pool (model._chunk_map), each from the capture alone
-    (_chunk_piece), and an error is raised after the pieces of the chunks
+    np.concatenate(list(...)) is the whole output. Every chunk, the
+    trimmed samples too, runs through the chunk kernel _chunk_sums with
+    the bank's taps and offsets, so the overflow guard sees every sample;
+    the chunks run on the chunk pool (model._chunk_map), each from the
+    capture alone, and an error is raised after the pieces of the chunks
     before the one that raised it.
     """
     spec = bank.spec
@@ -508,37 +384,107 @@ def _chunk_piece(capture: ChannelCapture, spec: FilterSpec, start: int,
                  stop: int, taps, offsets, first_block: int, block_len: int,
                  keep: slice) -> np.ndarray:
     """The merged samples keep of the calibrated chunk of samples start to
-    stop of every channel, computed from the capture alone: the chunk
-    task of calibrate_capture and the background loop.
+    stop of every channel: the chunk task of calibrate_capture and the
+    background loop. The other arguments are _chunk_sums'."""
+    acc = _chunk_sums(capture.per_channel, capture.config, spec, start, stop,
+                      taps, offsets, first_block, block_len)
+    scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
+    return _scale_in_place(acc, scale)[keep]
 
-    The capture runs in blocks of block_len samples per channel from its
-    first sample, and a block starts at start unless one block holds the
-    whole chunk. taps (B, M, N) are the banks of the chunk's B blocks;
-    row b of offsets (full-scale units) is block first_block + b's, for
-    every block from the one of sample start - N + 1 (or 0) to the chunk's
-    last.
+
+def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
+                stop: int, taps, offsets, first_block: int,
+                block_len: int) -> np.ndarray:
+    """The integer accumulators of samples start to stop of every channel,
+    computed from the capture alone: an (M, stop - start) int64 array, row
+    m for output slot m (see FilterBank.convolution_terms), whose rows lie
+    interleaved in memory, sample k of row m at k*M + m.
+
+    This is the one place the fixed-point rule runs: subtract each block's
+    offset code, convolve in int64, return the sums only if
+    polyphase._guard_sums finds every block's exact, and let the caller
+    scale once. The sums are np.convolve, the rule of
+    polyphase.convolve_serial, one call per block and sub-rate term; the
+    polyphase lanes are bit-exact with it but only model hardware.
+
+    codes is the (M, n) per-channel view of a capture, of any integer
+    type. Each channel is widened to int64 once, from the N-1 samples
+    before start (zeros before sample 0) to stop, so only one row of one
+    chunk is ever wide. The capture runs in blocks of block_len samples
+    from sample 0. taps (B, M, N) are the banks of the B blocks the chunk
+    touches, and row b of offsets (full-scale units) is block
+    first_block + b's, for every block from the one of sample
+    max(start - N + 1, 0) to the chunk's last. A bank applies from the
+    first sample of its block, and every sample keeps its own block's
+    offset in each sum that reads it, so the chunk's sums are those of
+    one pass over the whole capture wherever the chunk and block edges
+    fall. Taps outside the spec's coeff_bits raise TapOverflowError.
+
+    It runs on chunk-pool threads, so it calls no public layer function
+    (see model._chunk_map).
     """
-    config = capture.config
-    codes = capture.per_channel
-    stream = StreamCalibrator(config, spec)
-    # the history a calibrator fed every sample before start would carry
-    first = max(start - spec.n_taps + 1, 0)
-    if first < start:
-        corrections = _offset_codes(
-            offsets[np.arange(first, start) // block_len - first_block],
-            config)
-        stream._history[:, first - start:] = (codes[:, first:start]
-                                              - corrections.T)
-    bank = start // block_len - first_block
-    acc = stream.process(codes[:, start:stop], taps,
-                         offsets[bank: bank + len(taps)], block_len)
-    return _scale_in_place(acc, stream.scale)[keep]
+    M = config.n_channels
+    hist = spec.n_taps - 1
+    width = stop - start
+    if block_len < 1:
+        raise ConfigError(f"block_len must be >= 1, got {block_len}")
+    # where each block's samples of the chunk start and stop
+    starts = np.arange(-(start % block_len), width, block_len)
+    starts[0] = 0
+    ends = np.append(starts[1:], width)
+    if len(taps) != len(starts):
+        raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
+                          f"{block_len} in {width} samples")
+    # taps within the word keep |taps| <= 2^31, so the uint64 sums of
+    # |taps| below cannot wrap
+    _check_word_length(taps, spec.coeff_bits)
+    dense = _dense_taps(np.asarray(taps, dtype=np.int64))
+    tap_sums = _magnitudes(dense).sum(axis=3)
+    sources = [[] for _ in range(M)]  # (slot, first lag, stop lag)
+    for m, s, lo, hi in _live_terms((dense != 0).any(axis=0)):
+        sources[s].append((m, lo, hi))
+    # x[hist + j] is a channel's sample start + j; the first pad entries
+    # lie before sample 0 and stay zero, the same sums as no history
+    first = max(start - hist, 0)
+    pad = hist - (start - first)
+    x = np.zeros(hist + width, dtype=np.int64)
+    # every block from first's on: its entries of x and its offset code
+    blocks = np.arange(first // block_len, (stop - 1) // block_len + 2)
+    bounds = np.clip(blocks * block_len - start + hist, pad,
+                     hist + width).tolist()
+    codes_off = _offset_codes(
+        offsets[blocks[0] - first_block: blocks[-1] - first_block], config)
+    # each block's sums read its samples and the hist before them
+    edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
+    edges[0::2] = starts
+    edges[1::2] = starts[1:] + hist
+    # row m is slot m, its samples M apart in memory: the rows lie
+    # interleaved, as _scale_in_place needs them
+    acc = np.zeros((width, M), dtype=np.int64).T
+    peaks = np.empty((len(starts), M), dtype=object)
+    spans = list(enumerate(zip(starts.tolist(), ends.tolist())))
+    for s in range(M):
+        x[pad:] = codes[s, first:stop]
+        for lo, hi, code in zip(bounds, bounds[1:], codes_off[:, s].tolist()):
+            x[lo:hi] -= code
+        # the largest |code| each block's sums read, in Python integers
+        top = np.maximum.reduceat(x, edges)[0::2].astype(object)
+        bottom = np.minimum.reduceat(x, edges)[0::2].astype(object)
+        peaks[:, s] = np.maximum(top, -bottom)
+        for b, (a, e) in spans:
+            for m, lo, hi in sources[s]:
+                acc[m, a:e] += np.convolve(x[hist + a + 1 - hi: hist + e - lo],
+                                           dense[b, m, s, lo:hi], "valid")
+    # the sums are exact only within the bound: nothing is returned unless
+    # every block meets it
+    _guard_sums(peaks, tap_sums)
+    return acc
 
 
 def _scale_in_place(acc, scale: float) -> np.ndarray:
-    """merge_accumulators' interleaved float64 stream, written over the
-    memory of acc, an (M, width) result of StreamCalibrator.process, whose
-    rows lie interleaved there: a chunk holds one array, not two."""
+    """The interleaved float64 stream of acc, an (M, width) result of
+    _chunk_sums scaled to amplitude units, written over acc's memory,
+    where its rows lie interleaved: a chunk holds one array, not two."""
     flat = acc.T.reshape(-1)
     merged = flat.view(np.float64)
     # a cast, then the multiply: one np.multiply casting int64 as it goes

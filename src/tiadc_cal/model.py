@@ -8,8 +8,9 @@ offset do_m. This module synthesizes such captures with a saturating
 mid-rise quantizer. A capture keeps its codes in one interleaved array of
 their narrowest integer type (int16 up to 16 bits, int32 above); channel m
 is its stride-M slice, and ChannelCapture.per_channel shows all M of them as
-the rows of one view. Only filterbank.StreamCalibrator widens codes to
-int64, one channel of a chunk at a time, for its exact accumulation.
+the rows of one view. Only the chunk kernel filterbank._chunk_sums widens
+codes to int64, one channel of a chunk at a time, for its exact
+accumulation.
 
 Chunks are independent: simulate_capture and the calibration loops hand
 them to _chunk_map, which runs them on a persistent pool of one worker
@@ -207,8 +208,8 @@ class ChannelCapture:
 
     interleaved is the 1-D code array, sample k*M + m from channel m, of
     any integer type: simulate_capture and read_capture give int16 (int32
-    for more than 16 bits), and nothing widens it before
-    filterbank.StreamCalibrator. per_channel is not stored: it is the
+    for more than 16 bits), and nothing widens it before the chunk kernel
+    filterbank._chunk_sums. per_channel is not stored: it is the
     (M, n_per_channel) view of the same memory, row m being channel m.
     """
 

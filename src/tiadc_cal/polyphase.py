@@ -2,9 +2,9 @@
 the polyphase lane decomposition that models a parallel hardware realization.
 
 The calibration filters run as sub-rate FIRs under convolve_serial's rule:
-filterbank.StreamCalibrator applies it with np.convolve, one call per
-block and sub-rate term, behind the range guard defined here; that is the
-only execution path. The paper notes that the filter bank can be
+the chunk kernel filterbank._chunk_sums applies it with np.convolve, one
+call per block and sub-rate term, behind the range guard defined here;
+that is the only execution path. The paper notes that the filter bank can be
 computed in parallel in hardware by splitting a sub-channel stream into L
 interleaved lanes (samples at indices j mod L), convolving each lane
 independently and merging the lane outputs. parallel_convolve models that
@@ -17,16 +17,16 @@ parallel_convolve_stream take it, and parallel_convolve reads it from the
 number of lanes it is given; each rejects L < 1 with ConfigError.
 
 Software parallelism works a level up, on whole chunks of 65 536 samples
-per channel: a chunk's calibrator history can be rebuilt from the
-capture, so the chunks are independent, and model._chunk_map runs them
-on one thread per core, as many at once as fit in its memory budget. A
-chunk is a few milliseconds of np.convolve, which releases the GIL,
-against microseconds of Python to hand it out; a lane is a short
-convolution whose start-up costs as much as its work, so threads per
-lane ran slower than one serial pass.
+per channel: a chunk's sums are computed from the capture alone, its
+N-1 samples of history included, so the chunks are independent, and
+model._chunk_map runs them on one thread per core, as many at once as
+fit in its memory budget. A chunk is a few milliseconds of np.convolve,
+which releases the GIL, against microseconds of Python to hand it out; a
+lane is a short convolution whose start-up costs as much as its work, so
+threads per lane ran slower than one serial pass.
 
 All convolutions here are exact int64 multiply-accumulate. Every integer
-route, StreamCalibrator's included, states its overflow bound through
+route, the chunk kernel's included, states its overflow bound through
 _guard_sums alone: summed over the sources of one accumulator, the largest
 |code| times the sum of |taps| must stay below 2^62.
 """

@@ -20,8 +20,7 @@ from tiadc_cal import (FilterBank, FilterSpec, MismatchProfile, NumericError,
                        TiadcConfig, ToneSpec, calibrate_capture,
                        quantize_stream, sample_channels, simulate_capture)
 from tiadc_cal import experiments, filterbank, model
-from tiadc_cal.filterbank import (StreamCalibrator, design_banks,
-                                  merge_accumulators)
+from tiadc_cal.filterbank import _chunk_sums, design_banks
 from tiadc_cal.model import _CHUNK, ChannelCapture, interleave_channels
 from tiadc_cal.scenarios import MODE_EST, load_scenario
 
@@ -65,21 +64,28 @@ def random_capture(seed, n_channels, n_per_channel, dtype=np.int16):
                                .astype(dtype) for _ in range(n_channels)]))
 
 
-def serial_pieces(capture, bank, chunk):
-    """The serial loop calibrate_capture replaces: one StreamCalibrator fed
-    every chunk in turn, each chunk's accumulators merged and trimmed."""
+def merged_sums(capture, spec, taps, offsets, block_len):
+    """The chunk kernel run once over the whole capture, with taps (B, M, N)
+    and offsets (B, M) of one bank per block_len samples: the merged
+    stream in amplitude units, untrimmed."""
+    n = capture.n_per_channel
+    acc = _chunk_sums(capture.per_channel, capture.config, spec, 0, n, taps,
+                      offsets, 0, block_len)
+    return interleave_channels(acc) * (2.0 ** -(spec.coeff_bits - 2)
+                                       * capture.config.lsb)
+
+
+def whole_pieces(capture, bank, chunk):
+    """calibrate_capture's pieces, cut from one kernel call over the whole
+    capture: the merged stream, trimmed, at each chunk's samples."""
     M = capture.config.n_channels
     n = capture.n_per_channel
     trim = bank.group_delay * M
-    stream = StreamCalibrator(capture.config, bank.spec)
+    merged = merged_sums(capture, bank.spec, np.asarray(bank.taps_fixed)[None],
+                         np.asarray(bank.offsets)[None], n)
     for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        merged = merge_accumulators(
-            stream.process(capture.per_channel[:, start:stop],
-                           np.asarray(bank.taps_fixed), bank.offsets),
-            stream.scale, np.empty((stop - start) * M))
-        lo = max(trim - start * M, 0)
-        hi = min((n - start) * M - trim, (stop - start) * M)
+        lo = max(start * M, trim)
+        hi = min((start + chunk) * M, (n * M) - trim)
         if lo < hi:
             yield merged[lo:hi]
 
@@ -96,7 +102,7 @@ class TestSameBytesForEveryWorkerCount:
         capture = random_capture(n_taps, 3, n_per_channel)
         bank = FilterBank.design(PROFILE3, 3, FilterSpec(n_taps, 30))
         got = [p.tobytes() for p in calibrate_capture(capture, bank)]
-        want = [p.tobytes() for p in serial_pieces(capture, bank, chunk)]
+        want = [p.tobytes() for p in whole_pieces(capture, bank, chunk)]
         assert len(want) > 2
         assert got == want
 
@@ -153,22 +159,19 @@ class TestSameBytesForEveryWorkerCount:
                 bank, estimate = stop.value
                 break
 
-        # reference: one StreamCalibrator step over the whole capture with
-        # every block's bank stacked, block 0 under the identity
+        # reference: one kernel call over the whole capture with every
+        # block's bank stacked, block 0 under the identity
         offs, gains, skews = (np.concatenate(e) for e in zip(*estimates))
         n_blocks = -(-n // block)
         identity = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
         taps = np.concatenate((identity, design_banks(gains, skews, spec)[1]))
         offsets = np.concatenate((np.zeros((1, M)), offs))
         assert len(np.unique(offsets[1:n_blocks], axis=0)) == n_blocks - 1
-        stream = StreamCalibrator(capture.config, spec)
-        whole = merge_accumulators(
-            stream.process(capture.per_channel, taps[:n_blocks],
-                           offsets[:n_blocks], block),
-            stream.scale, np.empty(n * M))
+        whole = merged_sums(capture, spec, taps[:n_blocks], offsets[:n_blocks],
+                            block)
         skip = (block + spec.group_delay) * M
         assert np.concatenate(got).tobytes() == whole[skip:].tobytes()
-        # one piece per chunk that holds output, as the serial loop cut it
+        # one piece per chunk that holds output
         assert [len(p) for p in got] == [
             min(chunk, n - a) * M - max(skip - a * M, 0)
             for a in range(0, n, chunk) if (a + chunk) * M > skip]
@@ -200,7 +203,7 @@ def test_many_workers_and_short_thread_switches(monkeypatch, set_workers):
     want = quantize_stream(sample_channels(tone, config, PROFILE3, 9001),
                            config)
     np.testing.assert_array_equal(capture.per_channel, want)
-    assert got == [p.tobytes() for p in serial_pieces(capture, bank, 300)]
+    assert got == [p.tobytes() for p in whole_pieces(capture, bank, 300)]
 
 
 class TestMemoryInFlight:
@@ -276,18 +279,21 @@ class TestErrorsAndCleanup:
         chunk = 256
         monkeypatch.setattr(filterbank, "_CHUNK", chunk)
         capture = random_capture(5, 2, 5 * chunk, dtype=np.int64)
-        capture.per_channel[1, 2 * chunk + 10] = 1 << 40  # in chunk 2
         bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
                                                  (0.0, 0.01)), 2, SPEC30)
-        want = serial_pieces(capture, bank, chunk)
+        # the pieces before chunk 2 do not read its samples
+        want = whole_pieces(capture, bank, chunk)
         first = [next(want).tobytes(), next(want).tobytes()]
-        with pytest.raises(NumericError) as serial:
-            next(want)
+        capture.per_channel[1, 2 * chunk + 10] = 1 << 40  # in chunk 2
+        with pytest.raises(NumericError) as alone:  # chunk 2 on its own
+            _chunk_sums(capture.per_channel, capture.config, SPEC30,
+                        2 * chunk, 3 * chunk, np.asarray(bank.taps_fixed)[None],
+                        np.asarray(bank.offsets)[None], 0, 5 * chunk)
         pieces = calibrate_capture(capture, bank)
         assert [next(pieces).tobytes(), next(pieces).tobytes()] == first
         with pytest.raises(NumericError) as err:
             next(pieces)
-        assert str(err.value) == str(serial.value)
+        assert str(err.value) == str(alone.value)
         assert str(err.value).startswith("worst-case accumulator ")
 
     def test_an_items_error_comes_after_the_results_before_it(self, workers):
@@ -339,19 +345,18 @@ class TestErrorsAndCleanup:
         bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
                                                  (0.0, 0.01)), 2, SPEC30)
         calls = []
-        real = StreamCalibrator.process
-        monkeypatch.setattr(StreamCalibrator, "process",
-                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(filterbank, "_chunk_sums",
+                            lambda *args: calls.append(1) or _chunk_sums(*args))
         pieces = calibrate_capture(capture, bank)
         next(pieces)
         pieces.close()
         # the pool drains what was in flight: two chunks, no more
         model._executor().submit(lambda: None).result(timeout=60)
         model._executor().submit(lambda: None).result(timeout=60)
-        assert len(calls) <= 2
+        assert 1 <= len(calls) <= 2
         # and the pool still serves whole runs
         assert ([p.tobytes() for p in calibrate_capture(capture, bank)]
-                == [p.tobytes() for p in serial_pieces(capture, bank, 500)])
+                == [p.tobytes() for p in whole_pieces(capture, bank, 500)])
 
     def test_one_worker_starts_no_thread(self, set_workers):
         set_workers(1)
@@ -458,19 +463,27 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch,
     # perfbench's tracer counts calls in plain Counters and nests spans per
     # thread, so a chunk task must call no public layer function
     set_workers(2)
-    seen = []
+    seen, kernel_threads = [], []
     record_threads(monkeypatch, seen)
+    monkeypatch.setattr(filterbank, "_chunk_sums", lambda *args: (
+        kernel_threads.append(threading.get_ident()) or _chunk_sums(*args)))
     n = 2 * _CHUNK + 4096
-    scenario = load_scenario("fig7")
-    est = replace(scenario, mode=MODE_EST, n_samples=5 * n)
-    truth = replace(scenario, n_samples=5 * n)
-    experiments.run_scenario(est)
-    result = experiments.run_scenario(truth)
-    capture = experiments.simulate_scenario(truth)
-    for _ in calibrate_capture(capture, result.bank):
-        pass
+    # fig7's five channels leave room for one chunk in flight, so its
+    # chunks run on the calling thread; fig6's two channels use the pool
+    for name in ("fig6", "fig7"):
+        scenario = load_scenario(name)
+        M = scenario.config.n_channels
+        est = replace(scenario, mode=MODE_EST, n_samples=M * n)
+        truth = replace(scenario, n_samples=M * n)
+        experiments.run_scenario(est)
+        result = experiments.run_scenario(truth)
+        capture = experiments.simulate_scenario(truth)
+        for _ in calibrate_capture(capture, result.bank):
+            pass
     names = {name for name, _ in seen}
     assert {"model.simulate_capture", "model.dequantize_stream",
             "sinefit.estimate_blocks", "filterbank.design_banks",
             "filterbank.calibrate_capture"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
+    # the kernel ran on a worker while the recorder watched
+    assert set(kernel_threads) - {threading.get_ident()}

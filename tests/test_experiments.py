@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from tiadc_cal import (ChannelCapture, ConfigError, FilterBank,
-                       MismatchProfile, experiments)
+                       MismatchProfile, experiments, filterbank)
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
-from tiadc_cal.filterbank import (StreamCalibrator, calibrate_capture,
-                                  merge_accumulators)
+from tiadc_cal.filterbank import _chunk_sums, calibrate_capture
 from tiadc_cal.metrics import spectrum_report
 from tiadc_cal.scenarios import MODE_EST, load_scenario
-from tiadc_cal.model import _CHUNK, dequantize_stream
+from tiadc_cal.model import _CHUNK, dequantize_stream, interleave_channels
 from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, _fit_rows,
                                alias_to_subrate, detect_tone_freq,
                                estimate_blocks)
@@ -183,29 +182,33 @@ class TestRunSweep:
 
 
 def background_by_block(capture, scenario):
-    """Reference for the background loop: one single-block estimate_blocks, one
-    FilterBank.design and one one-bank StreamCalibrator step per block.
-    Returns the calibrated stream, the last bank and every block's estimate
-    as (B, M) arrays (offsets, gains, skews)."""
+    """Reference for the background loop: one single-block estimate_blocks
+    and one FilterBank.design per block, then one chunk kernel call over
+    the whole capture with every block's bank. Returns the calibrated
+    stream, the last bank and every block's estimate as (B, M) arrays
+    (offsets, gains, skews)."""
     config, spec = capture.config, scenario.filter_spec
     M, block = config.n_channels, EST_BLOCK_PER_CHANNEL
     n = capture.n_per_channel
     tone_freq = detect_tone_freq(capture)
-    bank, estimates = FilterBank.identity(M, spec), []
-    stream = StreamCalibrator(config, spec)
-    out = np.empty(n * M)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        blocks = capture.per_channel[:, start:stop]
-        merge_accumulators(stream.process(blocks, np.asarray(bank.taps_fixed),
-                                          bank.offsets), stream.scale,
-                           out[start * M: stop * M])
-        if stop - start == block:
-            estimates.append([v[0] for v in estimate_blocks(
-                blocks[None], config, tone_freq)])
-            bank = FilterBank.design(MismatchProfile(*estimates[-1]), M, spec)
+    banks, estimates = [FilterBank.identity(M, spec)], []
+    for start in range(0, n - block + 1, block):
+        blocks = capture.per_channel[:, start:start + block]
+        estimates.append([v[0] for v in estimate_blocks(
+            blocks[None], config, tone_freq)])
+        banks.append(FilterBank.design(MismatchProfile(*estimates[-1]), M,
+                                       spec))
+    # one bank per block: a final full block's estimate applies to none
+    n_blocks = -(-n // block)
+    acc = _chunk_sums(capture.per_channel, config, spec, 0, n,
+                      np.array([b.taps_fixed for b in banks[:n_blocks]]),
+                      np.array([b.offsets for b in banks[:n_blocks]]), 0,
+                      block)
+    out = interleave_channels(acc) * (2.0 ** -(spec.coeff_bits - 2)
+                                      * config.lsb)
     offsets, gains, skews = np.array(estimates).swapaxes(0, 1)
-    return out[(block + spec.group_delay) * M:], bank, (offsets, gains, skews)
+    return out[(block + spec.group_delay) * M:], banks[-1], (offsets, gains,
+                                                             skews)
 
 
 class TestBackgroundSteps:
@@ -277,7 +280,7 @@ def test_estimation_blocks_tile_a_chunk():
 class TestStreamedOutput:
     """calibrate_scenario reads the calibrated stream a chunk at a time:
     its memory does not grow with the capture, and every chunk of the
-    capture still runs through the calibrator and its overflow guard."""
+    capture still runs through the chunk kernel and its overflow guard."""
 
     @pytest.fixture(scope="class")
     def fig6_4m(self):
@@ -308,8 +311,7 @@ class TestStreamedOutput:
                            n_samples=2 * n_per_channel)
         capture = simulate_scenario(scenario)
         calls = []
-        real = StreamCalibrator.process
-        monkeypatch.setattr(StreamCalibrator, "process",
-                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(filterbank, "_chunk_sums",
+                            lambda *args: calls.append(1) or _chunk_sums(*args))
         calibrate_scenario(capture, scenario)
         assert len(calls) == -(-n_per_channel // _CHUNK)

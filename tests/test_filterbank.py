@@ -10,8 +10,8 @@ from tiadc_cal import (ConfigError, FilterBank, FilterSpec, MismatchProfile,
                        convolve_serial, design_taps, dequantize_stream,
                        filter_frequency_response, ideal_frequency_response,
                        quantize_taps, sinad, simulate_capture, tap_indices)
-from tiadc_cal.filterbank import (StreamCalibrator, design_banks,
-                                  merge_accumulators, write_coefficients_csv)
+from tiadc_cal.filterbank import (_chunk_sums, design_banks,
+                                  write_coefficients_csv)
 from tiadc_cal.model import _CHUNK, ChannelCapture, interleave_channels
 from tiadc_cal.polyphase import parallel_convolve_stream
 
@@ -22,6 +22,26 @@ CFG12 = TiadcConfig(n_channels=2, bits=12)
 def calibrated_stream(capture, bank):
     """The whole output of calibrate_capture, read from its pieces."""
     return np.concatenate(list(calibrate_capture(capture, bank)))
+
+
+def acc_scale(config, spec):
+    """Amplitude units per unit of an accumulator: the one final scaling."""
+    return 2.0 ** -(spec.coeff_bits - 2) * config.lsb
+
+
+def one_bank(bank):
+    """A FilterBank's taps and offsets as the chunk kernel takes them: a
+    stack of one bank, (1, M, N) and (1, M)."""
+    return np.asarray(bank.taps_fixed)[None], np.asarray(bank.offsets)[None]
+
+
+def whole_sums(capture, spec, taps, offsets, block_len=None):
+    """The chunk kernel run once over the whole capture, with one bank of
+    taps (B, M, N) and offsets (B, M) per block_len samples (default: the
+    whole capture is one block): the (M, n) accumulators."""
+    n = capture.n_per_channel
+    return _chunk_sums(capture.per_channel, capture.config, spec, 0, n, taps,
+                       offsets, 0, block_len or n)
 
 
 def response_by_loop(taps, omega):
@@ -221,11 +241,9 @@ class TestCalibrateChannel:
         assert len(out) == len(want) - 2 * d * 2
         np.testing.assert_array_equal(out, want[d: d + len(out)])
         # the trimmed transient: with zero history, the first D sums are 0
-        stream = StreamCalibrator(CFG12, SPEC30)
-        acc = interleave_channels(stream.process(
-            cap.per_channel, np.asarray(bank.taps_fixed), bank.offsets))
+        acc = interleave_channels(whole_sums(cap, SPEC30, *one_bank(bank)))
         np.testing.assert_array_equal(acc[:d], 0)
-        np.testing.assert_array_equal(acc[d:] * stream.scale,
+        np.testing.assert_array_equal(acc[d:] * acc_scale(CFG12, SPEC30),
                                       want[:len(want) - d])
 
     def test_offset_subtraction_nulls_constant(self):
@@ -300,11 +318,8 @@ class TestCalibrateCapture:
         for a, piece in enumerate(pieces):
             assert piece.dtype == np.float64 and len(piece) <= _CHUNK * 3
             assert not any(np.shares_memory(piece, b) for b in pieces[a + 1:])
-        stream = StreamCalibrator(cap.config, spec)
-        whole = stream.process(cap.per_channel, np.asarray(bank.taps_fixed),
-                               bank.offsets)
-        merged = merge_accumulators(whole, stream.scale,
-                                    np.empty(len(cap.interleaved)))
+        merged = (interleave_channels(whole_sums(cap, spec, *one_bank(bank)))
+                  * acc_scale(cap.config, spec))
         trim = spec.group_delay * 3
         np.testing.assert_array_equal(np.concatenate(pieces),
                                       merged[trim:-trim])
@@ -359,26 +374,39 @@ def random_capture(rng, n_channels, n_per_channel, bits=12):
                           interleave_channels(per_channel))
 
 
-def offset_codes(bank, config):
-    """Each channel's offset in codes, rounded half away from zero."""
-    return [int(np.sign(v) * np.floor(abs(v) + 0.5)) for v in
-            np.asarray(bank.offsets) / config.full_scale
-            * config.code_half_range]
+def offset_codes(offsets, config):
+    """Offsets (an array in full-scale units) in codes, rounded half away
+    from zero, in Python integers."""
+    return np.array([int(np.sign(v) * np.floor(abs(v) + 0.5)) for v in
+                     np.ravel(offsets) / config.full_scale
+                     * config.code_half_range]).reshape(np.shape(offsets))
 
 
-def direct_fullrate(capture, bank):
-    """Independent route: convolve the whole offset-corrected interleaved
-    stream with each channel's taps and keep that channel's positions.
-    Returns y[q], the integer correction of aggregate sample q."""
+def direct_fullrate(capture, taps, offsets, block_len=None):
+    """Independent route: convolve the whole interleaved stream, each sample
+    minus its own block's offset code, with every bank's taps of every
+    channel, and keep the positions that channel and bank correct.
+
+    Block b, block_len samples per channel from sample 0 (default: the
+    whole capture), runs bank b of taps (B, M, N) and offsets (B, M) in
+    full-scale units. The bank runs causally, so it corrects the aggregate
+    samples whose output, D samples later, lies in its block. Returns y[q],
+    the integer correction of aggregate sample q, for q < len - D (the rest
+    is 0)."""
     config = capture.config
     M = config.n_channels
-    d = bank.spec.group_delay
+    d = (taps.shape[-1] + 1) // 2 - 1
+    block_len = block_len or capture.n_per_channel
     x = np.asarray(capture.interleaved, dtype=np.int64)
-    x = x - np.tile(offset_codes(bank, config), len(x) // M)
+    k = np.arange(len(x)) // M  # each sample's sub-rate index
+    x = x - offset_codes(offsets, config)[k // block_len, np.arange(len(x)) % M]
     y = np.zeros(len(x), dtype=np.int64)
-    for c in range(M):
-        full = np.convolve(x, bank.taps_fixed[c])  # full[q + d] = sum t[n] x[q-n]
-        y[c::M] = full[d + c: d + len(x): M]
+    q = np.arange(len(x) - d)
+    for b, bank in enumerate(taps):
+        for c in range(M):
+            full = np.convolve(x, bank[c])  # full[q + d] = sum t[n] x[q-n]
+            sel = q[(q % M == c) & ((q + d) // M // block_len == b)]
+            y[sel] = full[sel + d]
     return y
 
 
@@ -430,8 +458,8 @@ class TestFullRateBank:
         spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
         bank = FilterBank.design(profile, n_channels, spec)
         got = calibrated_stream(cap, bank)
-        stream = StreamCalibrator(cap.config, spec)
-        want = direct_fullrate(cap, bank) * stream.scale
+        want = direct_fullrate(cap, *one_bank(bank)) * acc_scale(cap.config,
+                                                                 spec)
         d = spec.group_delay
         start = d * (n_channels - 1)
         np.testing.assert_array_equal(got, want[start: start + len(got)])
@@ -446,26 +474,29 @@ class TestFullRateBank:
                     assert lag >= 0 and lag + len(taps) <= n_taps
 
     def test_blockwise_lanes_and_whole_stream_bit_identical(self):
-        """A fixed bank fed block by block, as the background loop feeds
-        it, reproduces the whole-stream output; so do the polyphase lanes
-        of the hardware model, summed over each slot's convolutions."""
+        """A fixed bank run by the chunk kernel over the chunks of any split
+        of a capture reproduces the whole-stream output; so do the
+        polyphase lanes of the hardware model, summed over each slot's
+        convolutions."""
         rng = np.random.default_rng(7)
         cap = random_capture(rng, 3, 600)
         for spec in (FilterSpec(n_taps=14, coeff_bits=24),
                      FilterSpec(n_taps=9, coeff_bits=24)):
             bank = FilterBank.design(self.PROFILE, 3, spec)
-            taps = np.asarray(bank.taps_fixed)
-            whole = StreamCalibrator(cap.config, spec).process(
-                cap.per_channel, taps, bank.offsets)
-            blocks = StreamCalibrator(cap.config, spec)
-            pieces = [blocks.process([c[a:b] for c in cap.per_channel], taps,
-                                     bank.offsets)
-                      for a, b in ((0, 5), (5, 6), (6, 200), (200, 600))]
-            for m in range(3):
-                np.testing.assert_array_equal(
-                    np.concatenate([p[m] for p in pieces]), whole[m])
+            taps, offsets = one_bank(bank)
+            whole = whole_sums(cap, spec, taps, offsets)
+            # chunks shorter than the N-1 samples of history, and chunk
+            # edges anywhere
+            for edges in ((0, 5, 6, 200, 600), (0, 13, 14, 15, 599, 600),
+                          (0, 300, 600)):
+                pieces = [_chunk_sums(cap.per_channel, cap.config, spec, a, b,
+                                      taps, offsets, 0, 600)
+                          for a, b in zip(edges, edges[1:])]
+                np.testing.assert_array_equal(np.concatenate(pieces, axis=1),
+                                              whole)
             sources = [c - off for c, off in
-                       zip(cap.per_channel, offset_codes(bank, cap.config))]
+                       zip(cap.per_channel, offset_codes(offsets[0],
+                                                         cap.config))]
             for m, terms in enumerate(bank.convolution_terms()):
                 lanes = np.zeros(600, dtype=np.int64)
                 for s, lag, taps in terms:
@@ -506,11 +537,10 @@ class TestFullRateBank:
         limit = 1 << 62
         code = (limit - 1) // max(max(s) for s in sums)
         assert max(code * sum(s) for s in sums) >= limit
-        config = TiadcConfig(n_channels=2, bits=24)
-        stream = StreamCalibrator(config, spec)
+        capture = ChannelCapture(TiadcConfig(n_channels=2, bits=24),
+                                 np.full(128, code, dtype=np.int64))
         with pytest.raises(NumericError):
-            stream.process([np.full(64, code, dtype=np.int64)] * 2,
-                           np.asarray(bank.taps_fixed), bank.offsets)
+            whole_sums(capture, spec, *one_bank(bank))
 
 
 def paper_taps_fullrate(gains, skews, spec):
@@ -549,22 +579,20 @@ def random_banks(rng, n_banks, n_channels, spec, source="fullrate"):
     return TAP_SOURCES[source](gains, skews, spec), offsets
 
 
-def one_bank(bank):
-    """A FilterBank's taps and offsets, as StreamCalibrator takes them."""
-    return np.asarray(bank.taps_fixed), bank.offsets
-
-
 class TestMultiBankStep:
-    """One StreamCalibrator step over a chunk with a bank per block against
-    the same calibrator fed one block at a time."""
+    """The chunk kernel with a bank of its own in every block, split over
+    chunks, against direct_fullrate's convolution of the whole stream."""
 
     @staticmethod
-    def by_block(config, spec, per_channel, segments):
-        """Reference: one process call, with its one bank, per segment."""
-        stream = StreamCalibrator(config, spec)
-        return np.concatenate(
-            [stream.process([c[a:b] for c in per_channel], taps, offsets)
-             for a, b, (taps, offsets) in segments], axis=1)
+    def chunk(capture, spec, start, stop, taps, offsets, block_len):
+        """The kernel over samples start to stop, given every block's taps
+        and offsets: it takes the banks of the blocks the chunk touches and
+        the offsets from the block of its first history sample on."""
+        first = max(start - spec.n_taps + 1, 0) // block_len
+        return _chunk_sums(capture.per_channel, capture.config, spec, start,
+                           stop, taps[start // block_len:
+                                      (stop - 1) // block_len + 1],
+                           offsets[first:], first, block_len)
 
     # the paper's taps leave most (slot, source) pairs without a live term,
     # the library's bank leaves none
@@ -576,41 +604,36 @@ class TestMultiBankStep:
                                     block_len):
         rng = np.random.default_rng(1000 * n_taps + 10 * n_channels + block_len)
         spec = FilterSpec(n_taps=n_taps, coeff_bits=26)
-        # chunk edges that are not block edges, and a short final block
-        chunks = [(0, 37), (37, 38), (38, 38 + 4 * block_len),
-                  (38 + 4 * block_len, 197)]
-        cap = random_capture(rng, n_channels, chunks[-1][1])
-        stream = StreamCalibrator(cap.config, spec)
-        got, segments = [], []
-        for a, b in chunks:
-            starts = range(a, b, block_len)
-            taps, offsets = random_banks(rng, len(starts), n_channels, spec,
-                                         source)
-            segments += [(s, min(s + block_len, b), bank)
-                         for s, bank in zip(starts, zip(taps, offsets))]
-            got.append(stream.process([c[a:b] for c in cap.per_channel],
-                                      taps, offsets, block_len))
-        np.testing.assert_array_equal(
-            np.concatenate(got, axis=1),
-            self.by_block(cap.config, spec, cap.per_channel, segments))
+        # chunk edges that are not block edges, and a short final block;
+        # the N-1 samples of history cross block and chunk edges
+        edges = (0, 37, 38, 38 + 4 * block_len, 197)
+        cap = random_capture(rng, n_channels, edges[-1])
+        taps, offsets = random_banks(rng, -(-edges[-1] // block_len),
+                                     n_channels, spec, source)
+        got = np.concatenate([self.chunk(cap, spec, a, b, taps, offsets,
+                                         block_len)
+                              for a, b in zip(edges, edges[1:])], axis=1)
+        want = direct_fullrate(cap, taps, offsets, block_len)
+        d = spec.group_delay
+        np.testing.assert_array_equal(interleave_channels(got)[d:],
+                                      want[:len(want) - d])
 
     def test_one_bank_is_one_block(self):
+        # a bank repeated in every block gives the sums of one block
         rng = np.random.default_rng(11)
         cap = random_capture(rng, 3, 100)
         taps, offsets = random_banks(rng, 1, 3, SPEC30)
-        one = StreamCalibrator(cap.config, SPEC30).process(
-            cap.per_channel, taps[0], offsets[0])
-        listed = StreamCalibrator(cap.config, SPEC30).process(
-            cap.per_channel, taps, offsets, 100)
-        np.testing.assert_array_equal(one, listed)
+        one = whole_sums(cap, SPEC30, taps, offsets)
+        repeated = whole_sums(cap, SPEC30, np.repeat(taps, 15, axis=0),
+                              np.repeat(offsets, 15, axis=0), 7)
+        np.testing.assert_array_equal(one, repeated)
 
     def test_bank_count_must_match_blocks(self):
         rng = np.random.default_rng(12)
         cap = random_capture(rng, 2, 40)
         taps, offsets = random_banks(rng, 3, 2, SPEC30)
         with pytest.raises(ConfigError, match="3 banks for 4 blocks"):
-            StreamCalibrator(cap.config, SPEC30).process(cap.per_channel,
-                                                         taps, offsets, 10)
+            whole_sums(cap, SPEC30, taps, offsets, 10)
 
     # a bank whose slot sums of |taps| reach well above the identity's 2^30
     WIDE = FilterSpec(n_taps=8, coeff_bits=32)
@@ -628,20 +651,23 @@ class TestMultiBankStep:
 
     @staticmethod
     def stack(*banks):
-        """(B, M, N) taps and (B, M) offsets of (taps, offsets) pairs."""
-        return tuple(np.array(field) for field in zip(*banks))
+        """(B, M, N) taps and (B, M) offsets of one_bank pairs."""
+        return tuple(np.concatenate(field) for field in zip(*banks))
 
     def test_guard_trips_on_the_one_block_that_can_wrap(self):
         big, ident, code = self.guard_case()
-        codes = [np.full(48, code, dtype=np.int64)] * 2
-        StreamCalibrator(self.CONFIG, self.WIDE).process(
-            codes, *self.stack(ident, ident, ident), 16)
+        capture = ChannelCapture(self.CONFIG, np.full(96, code, dtype=np.int64))
+        whole_sums(capture, self.WIDE, *self.stack(ident, ident, ident), 16)
+        taps, offsets = self.stack(ident, big, ident)
         with pytest.raises(NumericError):
-            StreamCalibrator(self.CONFIG, self.WIDE).process(
-                codes, *self.stack(ident, big, ident), 16)
+            whole_sums(capture, self.WIDE, taps, offsets, 16)
+        # a chunk of that block alone trips it; the next block's chunk,
+        # whose history lies in it, runs the identity and does not
         with pytest.raises(NumericError):
-            self.by_block(self.CONFIG, self.WIDE, codes,
-                          [(0, 16, ident), (16, 32, big)])
+            _chunk_sums(capture.per_channel, self.CONFIG, self.WIDE, 16, 32,
+                        taps[1:2], offsets, 0, 16)
+        _chunk_sums(capture.per_channel, self.CONFIG, self.WIDE, 32, 48,
+                    taps[2:], offsets, 0, 16)
 
     def test_guard_bounds_each_block_on_its_own(self):
         # the large codes sit in block 0, which runs the identity bank,
@@ -649,28 +675,42 @@ class TestMultiBankStep:
         # no block can wrap, although the largest code times the widest
         # bank would
         big, ident, code = self.guard_case()
-        codes = [np.concatenate((np.full(8, code), np.ones(40, dtype=np.int64)))
-                 for _ in range(2)]
-        got = StreamCalibrator(self.CONFIG, self.WIDE).process(
-            codes, *self.stack(ident, big, ident), 16)
-        np.testing.assert_array_equal(got, self.by_block(
-            self.CONFIG, self.WIDE, codes,
-            [(0, 16, ident), (16, 32, big), (32, 48, ident)]))
+        capture = ChannelCapture(self.CONFIG, interleave_channels(
+            [np.concatenate((np.full(8, code), np.ones(40, dtype=np.int64)))
+             for _ in range(2)]))
+        taps, offsets = self.stack(ident, big, ident)
+        got = whole_sums(capture, self.WIDE, taps, offsets, 16)
+        want = direct_fullrate(capture, taps, offsets, 16)
+        d = self.WIDE.group_delay
+        np.testing.assert_array_equal(interleave_channels(got)[d:],
+                                      want[:len(want) - d])
 
 
 class TestProcessArguments:
-    """StreamCalibrator.process checks the taps and offsets it is given."""
+    """A calibration's taps and offsets are checked: a hand-built bank's
+    when it is built (its channel count when calibrate_capture is
+    called), and the chunk kernel's block length, bank count and word
+    length when it runs."""
 
     SPEC = FilterSpec(n_taps=4, coeff_bits=8)
+    CAPTURE = ChannelCapture(CFG12, np.zeros(16, dtype=np.int16))
 
-    def run(self, taps, offsets, block_len=None):
-        codes = np.zeros((2, 8), dtype=np.int64)
-        return StreamCalibrator(CFG12, self.SPEC).process(codes, taps, offsets,
-                                                          block_len)
+    def calibrate(self, taps_fixed, offsets):
+        """Build a bank and call calibrate_capture on a two-channel capture
+        with it, without reading the iterator."""
+        bank = FilterBank(spec=self.SPEC,
+                          taps_real=np.zeros(np.shape(taps_fixed)),
+                          taps_fixed=taps_fixed, offsets=offsets)
+        calibrate_capture(self.CAPTURE, bank)
+
+    def run(self, taps, offsets, block_len):
+        """The chunk kernel over 8 samples of two channels."""
+        return _chunk_sums(np.zeros((2, 8), dtype=np.int64), CFG12, self.SPEC,
+                           0, 8, taps, offsets, 0, block_len)
 
     @pytest.mark.parametrize("taps_shape,offsets_shape", [
         ((2, 5), (2,)),          # N does not fit the spec
-        ((3, 4), (3,)),          # M does not fit the config
+        ((3, 4), (3,)),          # M does not fit the capture
         ((4,), ()),              # one channel's taps
         ((2, 4), (3,)),          # offsets of another M
         ((2, 4), (1, 2)),        # one bank's taps, a stack's offsets
@@ -680,12 +720,27 @@ class TestProcessArguments:
     ])
     def test_shapes_that_do_not_fit_raise(self, taps_shape, offsets_shape):
         with pytest.raises(ConfigError):
-            self.run(np.zeros(taps_shape, dtype=np.int64),
-                     np.zeros(offsets_shape), 4)
+            self.calibrate(np.zeros(taps_shape, dtype=np.int64),
+                           np.zeros(offsets_shape))
 
     def test_taps_must_be_integers(self):
+        with pytest.raises(ConfigError, match="integers"):
+            self.calibrate(np.zeros((2, 4)), np.zeros(2))
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_offsets_must_be_finite(self, offset):
+        # a NaN offset once became the offset code INT64_MIN
+        with pytest.raises(ConfigError, match="finite"):
+            self.calibrate(np.zeros((2, 4), dtype=np.int64), (offset, 0.0))
+
+    @pytest.mark.parametrize("field", ["taps_real", "taps_fixed"])
+    def test_ragged_taps_raise(self, field):
+        fields = {"taps_real": (np.zeros(4), np.zeros(4)),
+                  "taps_fixed": (np.zeros(4, dtype=np.int64),) * 2}
+        fields[field] = (fields[field][0], fields[field][1][:3])
         with pytest.raises(ConfigError):
-            self.run(np.zeros((2, 4)), np.zeros(2))
+            FilterBank(spec=self.SPEC, offsets=(0.0, 0.0), **fields)
 
     @pytest.mark.parametrize("block_len", [0, -3])
     def test_block_len_below_one_raises(self, block_len):
@@ -693,7 +748,8 @@ class TestProcessArguments:
         # count that did not fit
         with pytest.raises(ConfigError,
                            match=f"^block_len must be >= 1, got {block_len}$"):
-            self.run(np.zeros((2, 4), dtype=np.int64), np.zeros(2), block_len)
+            self.run(np.zeros((1, 2, 4), dtype=np.int64), np.zeros((1, 2)),
+                     block_len)
 
     @pytest.mark.parametrize("tap", [128, -129, 1 << 40],
                              ids=["128", "-129", "2^40"])

@@ -6,7 +6,7 @@ from tiadc_cal import (BlockConvolver, ConfigError, FilterSpec,
                        NumericError, ShapeError, TiadcConfig, convolve_serial,
                        decompose, parallel_convolve, parallel_convolve_stream,
                        recompose)
-from tiadc_cal.filterbank import StreamCalibrator
+from tiadc_cal.filterbank import _chunk_sums
 
 
 def naive_convolve(codes, taps):
@@ -168,16 +168,20 @@ class TestBlockConvolver:
             conv.process(np.arange(16), np.arange(4))
 
 
-def stream_calibrator_route(codes, taps):
-    """StreamCalibrator with a hand-built two-channel bank whose slot 0 is
-    a plain convolution of channel 0 with these L taps; returns slot 0's
-    accumulators. Of its 2L-1 taps, tap j sits at position 2j of channel
-    D % 2, the channel that slot 0 corrects, so each reads channel 0."""
+def chunk_kernel_route(codes, taps):
+    """The chunk kernel over a two-channel capture of these codes on both
+    channels, as one chunk and one block, with a hand-built bank whose
+    slot 0 is a plain convolution of channel 0 with these L taps; returns
+    slot 0's accumulators. Of its 2L-1 taps, tap j sits at position 2j of
+    channel D % 2, the channel that slot 0 corrects, so each reads
+    channel 0."""
     spec = FilterSpec(n_taps=2 * len(taps) - 1, coeff_bits=32)
-    fixed = np.zeros((2, spec.n_taps), dtype=np.int64)
-    fixed[spec.group_delay % 2, 0::2] = taps
-    stream = StreamCalibrator(TiadcConfig(n_channels=2, bits=24), spec)
-    return stream.process([codes, codes], fixed, (0.0, 0.0))[0]
+    fixed = np.zeros((1, 2, spec.n_taps), dtype=np.int64)
+    fixed[0, spec.group_delay % 2, 0::2] = taps
+    n = len(codes)
+    return _chunk_sums(np.stack((codes, codes)),
+                       TiadcConfig(n_channels=2, bits=24), spec, 0, n, fixed,
+                       np.zeros((1, 2)), 0, n)[0]
 
 
 class TestOneOverflowRule:
@@ -190,7 +194,7 @@ class TestOneOverflowRule:
             lambda codes, taps: parallel_convolve_stream(codes, taps, 3),
         "BlockConvolver.process":
             lambda codes, taps: BlockConvolver(len(taps)).process(codes, taps),
-        "StreamCalibrator.process": stream_calibrator_route,
+        "_chunk_sums": chunk_kernel_route,
     }
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -217,7 +221,7 @@ class TestOneOverflowRule:
     ], ids=["most-negative-tap", "tap-sum-wraps", "most-negative-code"])
     @pytest.mark.parametrize("route", ROUTES)
     def test_int64_extremes_raise(self, route, codes, taps):
-        # StreamCalibrator.process refuses the two tap cases itself, with
+        # the chunk kernel refuses the two tap cases itself, with
         # TapOverflowError
         with pytest.raises(NumericError):
             self.ROUTES[route](np.array(codes, dtype=np.int64),
