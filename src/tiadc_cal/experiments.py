@@ -6,11 +6,13 @@ feeds it a simulated capture, the CLI's calibrate command a capture file.
 
 Truth mode designs the correctors straight from the scenario's mismatch
 profile, which isolates the corrector itself; this is the mode the headline
-numbers use. Estimated mode is the full loop: mismatches are estimated from
-one data block and the refreshed correctors apply from the next block on,
-the way a background-calibrated converter would run. Its SINAD is measured
-from the second block onward (the first block passes through the identity
-bank and is still uncorrected).
+numbers use. Estimated mode is the full loop: the mismatches of every data
+block are estimated, and each block's refreshed correctors apply from the
+next block on, the way a background-calibrated converter would run. Its
+SINAD is measured from the second block onward (the first block passes
+through the identity bank and is still uncorrected). Both modes run the
+same chunk driver, filterbank._calibrated_pieces: truth mode with one bank
+for the whole capture, estimated mode with one bank per block.
 """
 
 import csv
@@ -20,13 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .filterbank import (FilterBank, _chunk_piece, _piece_bytes,
-                         calibrate_capture, design_banks,
-                         write_coefficients_csv)
+from .filterbank import (FilterBank, _calibrated_pieces, calibrate_capture,
+                         design_banks, write_coefficients_csv)
 from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
                       write_spectrum_csv)
-from .model import (_CHUNK, ChannelCapture, MismatchProfile, _chunk_map,
-                    dequantize_stream, simulate_capture)
+from .model import (ChannelCapture, MismatchProfile, dequantize_stream,
+                    simulate_capture)
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
 from .sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq, estimate_blocks
 
@@ -75,70 +76,49 @@ def simulate_scenario(scenario: Scenario) -> ChannelCapture:
 
 
 def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
-    """Feed-forward estimate-then-apply loop over blocks of
+    """Feed-forward estimate-then-apply calibration over blocks of
     EST_BLOCK_PER_CHANNEL samples per channel.
 
-    The bank estimated from each full block applies to the next block; the
-    first block passes through the identity bank, and a short final block
-    is corrected but not estimated from. Each estimate reads raw codes
-    only, so the capture runs in whole steps of _CHUNK samples per channel
-    (a whole number of blocks, so temporary memory stays bounded): one fit
-    of every block of the chunk and one design of their taps, in chunk
-    order on the calling thread, then one step of the chunk kernel
-    (filterbank._chunk_sums) with the stacked taps and offsets of one bank
-    per block, on the chunk pool. A generator: it yields the calibrated
-    stream from the second block on as consecutive fresh float64 arrays
-    of at most _CHUNK*M samples, and returns (the FilterBank designed
-    from the last estimate, that estimate as a MismatchProfile).
+    When called, it estimates every full block (estimate_blocks) and
+    designs every block's bank in one design_banks call: block b runs the
+    bank and offsets estimated from block b-1, block 0 the identity, and a
+    short final block, corrected but not estimated from, the last full
+    block's estimate. So an estimation error is raised here, before any
+    chunk runs. The fixed-point taps of all B blocks are held at once,
+    (n/4096)*M*N*8 bytes for n samples per channel: about N/1024 of the
+    int16 codes, 3 % at N = 30.
+
+    Returns (pieces, bank, estimate). pieces, an iterator from the chunk
+    driver filterbank._calibrated_pieces, yields the calibrated stream
+    from the second block on, its untrimmed tail included, as consecutive
+    fresh float64 arrays of at most _CHUNK*M samples. bank is the
+    FilterBank designed from the last estimate, and estimate that estimate
+    as a MismatchProfile.
     """
     config = capture.config
     M = config.n_channels
     spec = scenario.filter_spec
     block = EST_BLOCK_PER_CHANNEL
-    n_per_channel = capture.n_per_channel
-    if n_per_channel < 2 * block:
+    n = capture.n_per_channel
+    if n < 2 * block:
         raise ConfigError(
             f"estimated mode needs >= {2 * block} samples/channel "
-            f"(two estimation blocks), got {n_per_channel}")
+            f"(two estimation blocks), got {n}")
     tone_freq = detect_tone_freq(capture)
-    skip = (block + spec.group_delay) * M  # merged samples not yielded
-    last = None
-
-    def chunks():
-        """Estimate and design a chunk's banks; yield its _chunk_piece
-        arguments."""
-        nonlocal last
-        # taps[-1:] is the bank of the block before the chunk (the
-        # identity before the first block); offsets[b] is block row0 + b's
-        taps = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
-        offsets, row0 = np.zeros((1, M)), 0
-        for start in range(0, n_per_channel, _CHUNK):
-            codes = capture.per_channel[:, start: start + _CHUNK]
-            width = codes.shape[1]
-            n_full = width // block
-            # (n_full, M, block) view: block b of every channel
-            offs, gains, skews = estimate_blocks(
-                codes[:, :n_full * block].reshape(M, n_full, block)
-                .swapaxes(0, 1), config, tone_freq)
-            # each block runs the bank estimated from the block before it
-            taps = np.concatenate((taps[-1:],
-                                   design_banks(gains, skews, spec)[1]))
-            offsets = np.concatenate((offsets, offs))
-            # keep the rows from the block of the chunk's first history
-            # sample on: no later chunk reads further back
-            first = max(start - spec.n_taps + 1, 0) // block
-            offsets, row0 = offsets[first - row0:], first
-            if n_full:  # always in the first chunk, which has >= 2 blocks
-                last = offs[-1], gains[-1], skews[-1]
-            yield (start, start + width, taps[:-(-width // block)], offsets,
-                   row0, block, slice(max(skip - start * M, 0), None))
-
-    # filter keeps no piece alive while the next ones are made
-    yield from filter(len, _chunk_map(
-        lambda args: _chunk_piece(capture, spec, *args), chunks(),
-        _piece_bytes(M, _CHUNK)))
-    estimate = MismatchProfile(*last)
-    return FilterBank.design(estimate, M, spec), estimate
+    n_full = n // block
+    # (n_full, M, block) view: block b of every channel
+    offs, gains, skews = estimate_blocks(
+        capture.per_channel[:, :n_full * block].reshape(M, n_full, block)
+        .swapaxes(0, 1), config, tone_freq)
+    # the mismatches each block runs with: the estimate of the block before
+    offsets, run_gains, run_skews = (
+        np.concatenate((np.zeros((1, M)), v))[:-(-n // block)]
+        for v in (offs, gains, skews))
+    taps = design_banks(run_gains, run_skews, spec)[1]
+    estimate = MismatchProfile(offs[-1], gains[-1], skews[-1])
+    pieces = _calibrated_pieces(capture, spec, taps, offsets, block,
+                                (block + spec.group_delay) * M, n * M)
+    return pieces, FilterBank.design(estimate, M, spec), estimate
 
 
 def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
@@ -164,31 +144,27 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     report_uncal = spectrum_report(uncal, f, n_fft, M, config.full_scale)
     if scenario.mode == MODE_TRUTH:
         bank = FilterBank.design(scenario.profile, M, scenario.filter_spec)
-        cal, _ = _first_samples(calibrate_capture(capture, bank), n_fft)
-        estimate = None
+        pieces, estimate = calibrate_capture(capture, bank), None
     else:
-        cal, (bank, estimate) = _first_samples(
-            _calibrate_background(capture, scenario), n_fft)
+        pieces, bank, estimate = _calibrate_background(capture, scenario)
+    cal = _first_samples(pieces, n_fft)
     report_cal = spectrum_report(cal, f, n_fft, M, config.full_scale)
     return ScenarioResult(scenario=scenario, report_uncal=report_uncal,
                           report_cal=report_cal, estimate=estimate,
                           bank=bank, calibrated=cal)
 
 
-def _first_samples(pieces, n: int) -> tuple:
+def _first_samples(pieces, n: int) -> np.ndarray:
     """Read the iterator pieces of sample arrays to its end. Returns the
     first n samples of their concatenation (all of them if there are
-    fewer) and the iterator's return value."""
+    fewer)."""
     kept, have = [], 0
-    while True:
-        try:
-            piece = next(pieces)
-        except StopIteration as stop:
-            return np.concatenate(kept or [np.empty(0)]), stop.value
+    for piece in pieces:
         if have < n:  # a copy, so the rest of the piece can go
             kept.append(piece[:n - have].copy())
             have += len(kept[-1])
         del piece  # so it is gone while the next pieces are made
+    return np.concatenate(kept or [np.empty(0)])
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:

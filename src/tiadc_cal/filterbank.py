@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
                     _chunk_map)
-from .polyphase import _guard_sums, _magnitudes
+from .polyphase import _ACC_LIMIT, _guard_sums, _magnitudes
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -331,65 +331,73 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
     D*M samples are trimmed from both ends of the merged output. Output
     sample j is then the correction of input sample j + D*(M-1), and the
     output is free of filter transients. The arguments are checked when
-    this is called (ConfigError, ShapeError); the correction runs as the
-    returned iterator is read. It yields the output as consecutive fresh
-    float64 arrays of at most _CHUNK*M samples, one per chunk of the
-    capture that holds output samples, so no step holds the whole stream:
-    np.concatenate(list(...)) is the whole output. Every chunk, the
-    trimmed samples too, runs through the chunk kernel _chunk_sums with
-    the bank's taps and offsets, so the overflow guard sees every sample;
-    the chunks run on the chunk pool (model._chunk_map), each from the
-    capture alone, and an error is raised after the pieces of the chunks
-    before the one that raised it.
+    this is called (ConfigError, ShapeError), offsets whose code would
+    reach the accumulator bound polyphase._ACC_LIMIT too; the correction
+    runs as the returned iterator is read. It yields the output as
+    consecutive fresh float64 arrays of at most _CHUNK*M samples, one per
+    chunk of the capture that holds output samples, so no step holds the
+    whole stream: np.concatenate(list(...)) is the whole output. It is the
+    one-block case of the chunk driver _calibrated_pieces.
     """
     spec = bank.spec
-    M = capture.config.n_channels
+    config = capture.config
+    M = config.n_channels
     if bank.n_channels != M:
         raise ConfigError(
             f"bank has {bank.n_channels} channels, capture has {M}")
     if capture.n_per_channel < spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "
                          f"than {spec.n_taps} taps")
-    return _calibrated_pieces(capture, bank)
-
-
-def _calibrated_pieces(capture: ChannelCapture, bank: FilterBank):
-    M = capture.config.n_channels
+    offsets = np.asarray(bank.offsets)
+    # the int64 cast of a larger code is not exact, or not defined
+    if not np.all(np.abs(offsets) / config.full_scale
+                  * config.code_half_range < _ACC_LIMIT):
+        raise ConfigError(f"offsets {offsets} are too large for "
+                          f"{config.bits}-bit codes of full scale "
+                          f"{config.full_scale}")
     n = capture.n_per_channel
     trim = bank.group_delay * M
-    taps = np.asarray(bank.taps_fixed)[None]
-    offsets = np.asarray(bank.offsets)[None]
+    return _calibrated_pieces(capture, spec, np.asarray(bank.taps_fixed)[None],
+                              offsets[None], n, trim, n * M - trim)
+
+
+def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
+                       offsets, block_len: int, skip: int, end: int):
+    """The chunk driver of calibrate_capture and the background loop: yield
+    the merged calibrated samples skip to end of the capture, as
+    consecutive fresh float64 arrays, one per chunk of _CHUNK samples per
+    channel that holds some of them.
+
+    taps (B, M, N) and offsets (B, M) hold one bank per block of block_len
+    samples, from sample 0. Every chunk, the samples outside skip to end
+    too, runs through the chunk kernel _chunk_sums with the rows of the
+    blocks its samples and its N-1 history samples lie in, so the
+    overflow guard sees every sample. The chunks run on the chunk pool
+    (model._chunk_map), each from the capture alone, and an error is
+    raised after the pieces of the chunks before the one that raised it.
+    """
+    M = capture.config.n_channels
+    n = capture.n_per_channel
+    hist = spec.n_taps - 1
+    scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
 
     def piece(start):
         stop = min(start + _CHUNK, n)
-        # the part of merged samples [start*M, stop*M) left by the trim
-        lo = max(trim - start * M, 0)
-        hi = min((n - start) * M - trim, (stop - start) * M)
-        return _chunk_piece(capture, bank.spec, start, stop, taps, offsets,
-                            0, n, slice(lo, max(lo, hi)))
+        first = max(start - hist, 0) // block_len
+        rows = slice(start // block_len, (stop - 1) // block_len + 1)
+        acc = _chunk_sums(capture.per_channel, capture.config, spec, start,
+                          stop, taps[rows], offsets[first:rows.stop], first,
+                          block_len)
+        # the part of merged samples [start*M, stop*M) from skip to end
+        lo = max(skip - start * M, 0)
+        hi = min(end - start * M, (stop - start) * M)
+        return _scale_in_place(acc, scale)[lo:max(lo, hi)]
 
-    # filter keeps no piece alive while the next ones are made
+    # a task holds its int64 accumulators, one widened source row and one
+    # convolution's output; filter keeps no piece alive while the next
+    # ones are made
     yield from filter(len, _chunk_map(piece, range(0, n, _CHUNK),
-                                      _piece_bytes(M, _CHUNK)))
-
-
-def _piece_bytes(n_channels: int, width: int) -> int:
-    """About the most memory a _chunk_piece of width samples per channel
-    holds while it runs: its int64 accumulators, one widened source row
-    and one convolution's output."""
-    return (n_channels + 2) * 8 * width
-
-
-def _chunk_piece(capture: ChannelCapture, spec: FilterSpec, start: int,
-                 stop: int, taps, offsets, first_block: int, block_len: int,
-                 keep: slice) -> np.ndarray:
-    """The merged samples keep of the calibrated chunk of samples start to
-    stop of every channel: the chunk task of calibrate_capture and the
-    background loop. The other arguments are _chunk_sums'."""
-    acc = _chunk_sums(capture.per_channel, capture.config, spec, start, stop,
-                      taps, offsets, first_block, block_len)
-    scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
-    return _scale_in_place(acc, scale)[keep]
+                                      (M + 2) * 8 * _CHUNK))
 
 
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,

@@ -12,14 +12,15 @@ the rows of one view. Only the chunk kernel filterbank._chunk_sums widens
 codes to int64, one channel of a chunk at a time, for its exact
 accumulation.
 
-Chunks are independent: simulate_capture and the calibration loops hand
-them to _chunk_map, which runs them on a persistent pool of one worker
-thread per CPU the process may use and gives back their results in chunk
-order. numpy's convolution and ufunc loops release the GIL, so the
-chunks' arithmetic runs on every core. The chunks in flight together hold
-at most _IN_FLIGHT_BYTES, so temporary memory does not grow with the CPU
-count either; where that leaves room for one chunk, or the process has
-one CPU, the chunks run on the calling thread.
+Chunks are independent: simulate_capture and the calibration driver
+(filterbank._calibrated_pieces) hand them to _chunk_map, which runs them
+on a persistent pool of one worker thread per CPU the process may use and
+gives back their results in chunk order. numpy's convolution and ufunc
+loops release the GIL, so the chunks' arithmetic runs on every core. The
+chunks in flight together hold at most _IN_FLIGHT_BYTES, so temporary
+memory does not grow with the CPU count either; where that leaves room for
+one chunk, or the process has one CPU, the chunks run on the calling
+thread.
 """
 
 import math
@@ -73,15 +74,13 @@ def _chunk_map(task, items, task_bytes: int):
 
     task_bytes is the most memory one task holds while it runs. At most
     one task per worker is in flight, and no more than fit together in
-    _IN_FLIGHT_BYTES, but always one. items is read on the calling
-    thread, up to one item per task in flight ahead of the result being
-    yielded, so sequential work (the background loop's estimation)
-    belongs there and overlaps the tasks in flight. An error from
-    task(item) is raised where its result would have been yielded; one
-    from items is raised after the results of the items before it.
-    Closing the iterator cancels the tasks not yet started. task may run
-    on a worker thread, so it must call nothing that perfbench's tracer
-    wraps: the tracer counts calls and nests spans per calling thread.
+    _IN_FLIGHT_BYTES, but always one. items, a range of chunk starts in
+    every caller, is read on the calling thread, up to one item per task
+    in flight ahead of the result being yielded. An error from task(item)
+    is raised where its result would have been yielded. Closing the
+    iterator cancels the tasks not yet started. task may run on a worker
+    thread, so it must call nothing that perfbench's tracer wraps: the
+    tracer counts calls and nests spans per calling thread.
     """
     in_flight = max(1, min(_WORKERS, _IN_FLIGHT_BYTES // task_bytes))
     if in_flight == 1:
@@ -92,17 +91,8 @@ def _chunk_map(task, items, task_bytes: int):
         return
     pool = _executor()
     pending = deque()
-    items = iter(items)
     try:
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except Exception:
-                while pending:
-                    yield pending.popleft().result()
-                raise
+        for item in items:
             pending.append(pool.submit(task, item))
             if len(pending) == in_flight:
                 yield pending.popleft().result()

@@ -26,13 +26,17 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFitError,
                      PhaseAmbiguityError, ShapeError)
-from .model import ChannelCapture, MismatchProfile, TiadcConfig, dequantize_stream
+from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
+                    dequantize_stream)
 
 _OMEGA_TOL = 1e-12
 _MAX_ITERATIONS = 50
 
 EST_BLOCK_PER_CHANNEL = 4096  # samples per channel in one estimation block
 _DETECT_SAMPLES = 1 << 16  # prefix read by tone detection's DFT and fit
+# blocks that estimate_blocks dequantizes and fits at once: _CHUNK samples
+# per channel, so its temporary memory does not grow with the capture
+_FIT_BLOCKS = _CHUNK // EST_BLOCK_PER_CHANNEL
 
 
 @dataclass(frozen=True)
@@ -91,18 +95,20 @@ def _shared_pinv(length: int, freq_rel: float) -> np.ndarray:
     return pinv
 
 
-def _row_name(index: int, shape: tuple) -> str:
+def _row_name(index: int, shape: tuple, first_block: int = 0) -> str:
     """'channel m', or 'block b channel m', for a flat index into an array
-    of shape (M,) or (B, M)."""
+    of shape (M,) or (B, M) whose row 0 is block first_block."""
     *block, m = np.unravel_index(index, shape)
-    return "".join(f"block {b} " for b in block) + f"channel {m}"
+    return ("".join(f"block {b + first_block} " for b in block)
+            + f"channel {m}")
 
 
-def _fit_rows(y, freq_rel: float) -> tuple:
+def _fit_rows(y, freq_rel: float, first_block: int = 0) -> tuple:
     """Fit A*sin + B*cos + C at one known frequency to every row of y, an
-    (M, L) array of channels or a (B, M, L) array of blocks: one matrix
-    product gives all rows' (A, B, C). Returns (amplitude, phase, dc),
-    arrays of shape y.shape[:-1], in SineFitResult's convention."""
+    (M, L) array of channels or a (B, M, L) array of blocks, the first of
+    them block first_block (the number errors name): one matrix product
+    gives all rows' (A, B, C). Returns (amplitude, phase, dc), arrays of
+    shape y.shape[:-1], in SineFitResult's convention."""
     length = y.shape[-1]
     if length < 16:
         raise ConfigError(f"need at least 16 samples, got {length}")
@@ -112,15 +118,17 @@ def _fit_rows(y, freq_rel: float) -> tuple:
     # C-ordered rows: BLAS sums a strided view's products in another order
     rows = np.ascontiguousarray(y.reshape(-1, length))
     span = np.max(rows, axis=1) - np.min(rows, axis=1)
-    if np.any(span == 0.0):
+    constant = span == 0.0
+    if np.any(constant):
         raise DegenerateFitError(
-            f"{_row_name(np.flatnonzero(span == 0.0)[0], rows_shape)} "
-            "is constant and has no sine component")
+            f"{_row_name(np.flatnonzero(constant)[0], rows_shape, first_block)}"
+            " is constant and has no sine component")
     a, b, c = (rows @ _shared_pinv(length, freq_rel).T).T
     amplitude = np.hypot(a, b)
-    if np.any(amplitude <= 1e-12 * span):
+    zero = amplitude <= 1e-12 * span
+    if np.any(zero):
         raise DegenerateFitError(
-            f"{_row_name(np.flatnonzero(amplitude <= 1e-12 * span)[0], rows_shape)}"
+            f"{_row_name(np.flatnonzero(zero)[0], rows_shape, first_block)}"
             ": fitted amplitude is zero")
     phase = np.arctan2(b, a)
     phase[phase <= -math.pi] += 2.0 * math.pi
@@ -325,15 +333,17 @@ def estimate_blocks(blocks, config: TiadcConfig,
     """Estimate all mismatches from each of B blocks at once.
 
     blocks is a (B, M, L) array of codes: B blocks of one equal-length
-    block per channel. One matrix product fits every channel of every block
-    at the tone's sub-rate alias, and each block's fits are compared with
-    its channel 0. Returns (offsets, gains, skews), (B, M) arrays whose row
-    b is block b's estimate.
+    block per channel, such as a view of a capture's codes. One matrix
+    product per _FIT_BLOCKS blocks fits every channel of those blocks at
+    the tone's sub-rate alias, and each block's fits are compared with its
+    channel 0. Returns (offsets, gains, skews), (B, M) arrays whose row b
+    is block b's estimate; an error names the block by its index in
+    blocks.
 
     The solve does not refine the frequency, so tone_freq_rel must be
     accurate (detect_tone_freq's value is). Background calibration runs it
-    on every chunk of its capture, and estimate_from_capture on a capture's
-    first block.
+    once on every full block of its capture, and estimate_from_capture on
+    a capture's first block.
     """
     M = config.n_channels
     f_sub, _ = alias_to_subrate(tone_freq_rel, M)
@@ -341,8 +351,11 @@ def estimate_blocks(blocks, config: TiadcConfig,
     if blocks.ndim != 3 or blocks.shape[1] != M:
         raise ShapeError(f"need a (blocks, {M}, length) array of codes, got "
                          f"shape {blocks.shape}")
-    fits = _fit_rows(dequantize_stream(blocks, config), f_sub)
-    return derive_mismatches(*fits, tone_freq_rel)
+    # one batch at least, so the length checks run on no blocks too
+    fits = [_fit_rows(dequantize_stream(blocks[b:b + _FIT_BLOCKS], config),
+                      f_sub, b)
+            for b in range(0, len(blocks) or 1, _FIT_BLOCKS)]
+    return derive_mismatches(*map(np.concatenate, zip(*fits)), tone_freq_rel)
 
 
 def estimate_from_capture(capture: ChannelCapture,

@@ -124,7 +124,7 @@ class TestSameBytesForEveryWorkerCount:
         # every block gets a bank of random mismatches, nonzero offsets too
         block, chunk = 16, 64
         monkeypatch.setattr(experiments, "EST_BLOCK_PER_CHANNEL", block)
-        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        monkeypatch.setattr(filterbank, "_CHUNK", chunk)
         monkeypatch.setattr(experiments, "detect_tone_freq",
                             lambda capture: 0.1)
         rng = np.random.default_rng(7)
@@ -140,24 +140,19 @@ class TestSameBytesForEveryWorkerCount:
         monkeypatch.setattr(experiments, "estimate_blocks", estimate_blocks)
         rows = []
 
-        def chunk_piece(capture, spec, start, stop, taps, offsets, *args):
+        def chunk_sums(codes, config, spec, start, stop, taps, offsets,
+                       *args):
             rows.append(len(offsets))
-            return filterbank._chunk_piece(capture, spec, start, stop, taps,
-                                           offsets, *args)
+            return _chunk_sums(codes, config, spec, start, stop, taps,
+                               offsets, *args)
 
-        monkeypatch.setattr(experiments, "_chunk_piece", chunk_piece)
+        monkeypatch.setattr(filterbank, "_chunk_sums", chunk_sums)
         spec = FilterSpec(n_taps=101, coeff_bits=30)
         M, n = 3, 4 * chunk + 2 * block + 8  # a short last block
         capture = random_capture(3, M, n)
-        pieces = experiments._calibrate_background(
+        pieces, bank, estimate = experiments._calibrate_background(
             capture, types.SimpleNamespace(filter_spec=spec))
-        got = []
-        while True:
-            try:
-                got.append(next(pieces))
-            except StopIteration as stop:
-                bank, estimate = stop.value
-                break
+        got = list(pieces)
 
         # reference: one kernel call over the whole capture with every
         # block's bank stacked, block 0 under the identity
@@ -176,8 +171,8 @@ class TestSameBytesForEveryWorkerCount:
             min(chunk, n - a) * M - max(skip - a * M, 0)
             for a in range(0, n, chunk) if (a + chunk) * M > skip]
         # a task gets the offsets of the blocks its history and samples
-        # lie in, and the next block's: not every block so far
-        assert max(rows) == -(-(spec.n_taps - 1) // block) + chunk // block + 1
+        # lie in: not every block so far
+        assert max(rows) == -(-(spec.n_taps - 1) // block) + chunk // block
         assert max(rows) < n_blocks
         assert estimate == MismatchProfile(offs[-1], gains[-1], skews[-1])
         np.testing.assert_array_equal(
@@ -295,17 +290,6 @@ class TestErrorsAndCleanup:
             next(pieces)
         assert str(err.value) == str(alone.value)
         assert str(err.value).startswith("worst-case accumulator ")
-
-    def test_an_items_error_comes_after_the_results_before_it(self, workers):
-        def items():
-            yield from range(5)
-            raise ValueError("item 5")
-
-        got = []
-        with pytest.raises(ValueError, match="item 5"):
-            for value in model._chunk_map(lambda i: i * i, items(), 1):
-                got.append(value)
-        assert got == [0, 1, 4, 9, 16]
 
     def test_closing_cancels_the_queued_chunks(self, monkeypatch):
         class HeldPool:

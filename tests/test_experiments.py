@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tiadc_cal import (ChannelCapture, ConfigError, FilterBank,
-                       MismatchProfile, experiments, filterbank)
+from tiadc_cal import (ChannelCapture, ConfigError, DegenerateFitError,
+                       FilterBank, MismatchProfile, experiments, filterbank)
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
 from tiadc_cal.filterbank import _chunk_sums, calibrate_capture
@@ -20,13 +20,9 @@ from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, _fit_rows,
 def background_stream(capture, scenario):
     """Read experiments._calibrate_background to its end: (the whole
     calibrated stream, the last bank, the last estimate)."""
-    pieces = experiments._calibrate_background(capture, scenario)
-    kept = []
-    while True:
-        try:
-            kept.append(next(pieces))
-        except StopIteration as stop:
-            return (np.concatenate(kept),) + stop.value
+    pieces, bank, estimate = experiments._calibrate_background(capture,
+                                                               scenario)
+    return np.concatenate(list(pieces)), bank, estimate
 
 
 def assert_same_bank(a, b):
@@ -144,6 +140,38 @@ class TestShortFinalBlock:
         np.testing.assert_array_equal(stream[:len(whole)], whole)
         result = calibrate_scenario(*self.shortened(longest, n))
         assert result.sinad_cal_db >= 66.0
+
+
+class TestEstimationErrors:
+    """Est mode estimates every block before any chunk runs, and an
+    estimation error names the block by its index in the capture."""
+
+    @pytest.fixture
+    def constant_block(self):
+        # 40 blocks, fitted 16 at a time: block 20 is row 4 of its batch
+        scenario = replace(load_scenario("fig6"), mode=MODE_EST,
+                           n_samples=2 * 40 * EST_BLOCK_PER_CHANNEL)
+        capture = simulate_scenario(scenario)
+        capture.per_channel[1, 20 * EST_BLOCK_PER_CHANNEL:
+                            21 * EST_BLOCK_PER_CHANNEL] = 17
+        return scenario, capture
+
+    def test_error_names_the_capture_block(self, constant_block):
+        scenario, capture = constant_block
+        with pytest.raises(DegenerateFitError) as err:
+            calibrate_scenario(capture, scenario)
+        assert str(err.value) == ("block 20 channel 1 is constant and has "
+                                  "no sine component")
+
+    def test_raised_when_called_before_any_chunk(self, constant_block,
+                                                 monkeypatch):
+        scenario, capture = constant_block
+        calls = []
+        monkeypatch.setattr(filterbank, "_chunk_sums",
+                            lambda *args: calls.append(1) or _chunk_sums(*args))
+        with pytest.raises(DegenerateFitError, match="block 20 channel 1"):
+            experiments._calibrate_background(capture, scenario)
+        assert calls == []
 
 
 class TestRunSweep:

@@ -734,6 +734,28 @@ class TestProcessArguments:
         with pytest.raises(ConfigError, match="finite"):
             self.calibrate(np.zeros((2, 4), dtype=np.int64), (offset, 0.0))
 
+    @pytest.mark.parametrize("offset", [3.0, 1e15, 1e30],
+                             ids=["3", "1e15", "1e30"])
+    def test_offset_codes_must_be_exact(self, offset):
+        # a 1e30 offset's code once reached the int64 cast in a chunk
+        # task: numpy's invalid-value warning, or INT64_MIN without it
+        identity = FilterBank.identity(2, self.SPEC)
+        bank = FilterBank(spec=self.SPEC, taps_real=identity.taps_real,
+                          taps_fixed=identity.taps_fixed,
+                          offsets=(offset, 0.0))
+        if offset == 1e30:  # 2^101 codes at 12 bits: not below 2^62
+            with pytest.raises(ConfigError, match="too large"):
+                calibrate_capture(self.CAPTURE, bank)
+            return
+        pieces = calibrate_capture(self.CAPTURE, bank)
+        if offset == 1e15:  # exact codes, but the guard's bound trips
+            with pytest.raises(NumericError):
+                list(pieces)
+            return
+        # output sample j corrects input sample j + 1: channel 1 first
+        np.testing.assert_array_equal(np.concatenate(list(pieces)),
+                                      np.tile([0.0, -3.0], 6))
+
     @pytest.mark.parametrize("field", ["taps_real", "taps_fixed"])
     def test_ragged_taps_raise(self, field):
         fields = {"taps_real": (np.zeros(4), np.zeros(4)),

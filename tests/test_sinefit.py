@@ -159,6 +159,33 @@ class TestSharedSolve:
         with pytest.raises(DegenerateFitError, match="channel 1"):
             estimate_blocks(blocks, CFG12, 77 / 4096)
 
+    @pytest.mark.parametrize("fault,error,message", [
+        ("constant", DegenerateFitError,
+         "block 20 channel 1 is constant and has no sine component"),
+        ("orthogonal", DegenerateFitError,
+         "block 20 channel 1: fitted amplitude is zero"),
+        ("late", PhaseAmbiguityError,
+         "block 20 channel 1: nearest skew branch is "),
+    ], ids=["constant", "orthogonal", "late"])
+    def test_errors_name_the_block_of_the_whole_stack(self, fault, error,
+                                                      message):
+        # 40 blocks are fitted 16 at a time: block 20 is row 4 of its batch
+        L = EST_BLOCK_PER_CHANNEL
+        cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
+                               MismatchProfile.zero(2), 2 * 40 * L)
+        codes = cap.per_channel
+        block = slice(20 * L, 21 * L)
+        if fault == "constant":
+            codes[1, block] = 17
+        elif fault == "orthogonal":  # no component at the tone's bin
+            codes[1, block] = 5 + 100 * (-1) ** np.arange(L)
+        else:  # 10 samples late: a skew of -20 Ts
+            codes[1, block] = codes[1, block.start - 10:block.stop - 10].copy()
+        with pytest.raises(error) as err:
+            estimate_blocks(codes.reshape(2, 40, L).swapaxes(0, 1), CFG12,
+                            77 / 4096)
+        assert str(err.value).startswith(message)
+
     def test_block_preconditions(self):
         cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
                                MismatchProfile.zero(2), 8192)
