@@ -35,10 +35,13 @@ delaying the interleaved stream by D = ceil(N/2)-1 aggregate samples; a
 calibrated capture loses D*M samples at each end. Coefficients are
 quantized to two's-complement Q2.(W-2); a bank runs as a sum of sub-rate
 integer convolutions (FilterBank.convolution_terms) with one final scaling,
-so results are bit-reproducible and at most N multiply-accumulates are
-spent per output sample. design_banks and the chunk kernel _chunk_sums
-work on tap and offset arrays; FilterBank is the record of one bank, and
-where a hand-built bank's taps and offsets are checked.
+so results are bit-reproducible. Each sub-filter is a stride-M slice of
+one channel's taps (the polyphase decomposition; _sub_filters). All-zero
+slices are skipped and zero end taps trimmed, so an output sample costs
+one multiply-accumulate per nonzero tap, at most N. design_banks and the
+chunk kernel _chunk_sums work on tap and offset arrays; FilterBank is the
+record of one bank, and where a hand-built bank's taps and offsets are
+checked.
 """
 
 import csv
@@ -48,8 +51,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
-                    _chunk_map)
-from .polyphase import _ACC_LIMIT, _guard_sums, _magnitudes
+                    _chunk_map, _require_integers)
+from .polyphase import _ACC_LIMIT, _guard_sums, _max_abs
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -65,6 +68,7 @@ class FilterSpec:
     variant: str = SUBTRACT_GAIN
 
     def __post_init__(self):
+        _require_integers(self, "n_taps", "coeff_bits")
         if self.n_taps < 1:
             raise ConfigError(f"n_taps must be >= 1, got {self.n_taps}")
         if not 8 <= self.coeff_bits <= 32:
@@ -237,16 +241,15 @@ class FilterBank:
         sub-rate index k is the sum over its triples of
         sum_i taps[i] * x_s[k - lag - i], where x_s is source channel s's
         offset-corrected code stream. It holds the correction of aggregate
-        sample k*M + m - D. Zero taps at either end of a triple are dropped
-        and all-zero triples are left out, so each output sample costs at
-        most N multiply-accumulates. Every lag + len(taps) is at most N: N-1
+        sample k*M + m - D by channel (m - D) % M; see _sub_filters. Zero
+        taps at either end of a triple are dropped and all-zero triples
+        left out: an output costs one multiply-accumulate per nonzero tap
+        of its channel, at most N. Every lag + len(taps) is at most N: N-1
         samples of history per channel are enough.
         """
-        dense = _dense_taps(np.asarray(self.taps_fixed,
-                                       dtype=np.int64)[None])[0]
-        terms = _live_terms(dense != 0)
-        return tuple(tuple((s, lo, dense[m, s, lo:hi])
-                           for slot, s, lo, hi in terms if slot == m)
+        terms = _sub_filters(np.asarray(self.taps_fixed, dtype=np.int64)[None])
+        return tuple(tuple((s, lag, h[0]) for slot, s, lag, h in terms
+                           if slot == m)
                      for m in range(self.n_channels))
 
 
@@ -283,40 +286,24 @@ def design_banks(gains, skews, spec: FilterSpec) -> tuple:
     return real, quantize_taps(real, spec.coeff_bits)
 
 
-def _term_layout(n_channels: int, n_taps: int) -> tuple:
-    """Where each tap of a bank lands among the sub-rate convolutions:
-    (channel, source, lag). Output slot m holds aggregate sample
-    q = k*M + m - D, corrected by channel[m]'s taps; that channel's tap j
-    (tap index n) reads sample q - n, which is source channel
-    source[m, j]'s sample lag[m, j] sub-rate steps back."""
-    M = n_channels
-    d = (n_taps + 1) // 2 - 1
-    n = np.arange(n_taps) - d  # tap_indices(n_taps), off the traced name
-    slot = np.arange(M)[:, None]
-    source = (slot - d - n) % M
-    return (slot[:, 0] - d) % M, source, (d + n + source - slot) // M
-
-
-def _dense_taps(taps_fixed) -> np.ndarray:
-    """(B, M, N) fixed-point taps of B banks as (B, slot, source, lag)
-    integer arrays: entry [b, m, s, j] multiplies source s's sample j
-    sub-rate steps back in slot m's accumulator."""
-    B, M, N = taps_fixed.shape
-    channel, source, lag = _term_layout(M, N)
-    dense = np.zeros((B, M, M, N), dtype=np.int64)
-    dense[:, np.arange(M)[:, None], source, lag] = taps_fixed[:, channel]
-    return dense
-
-
-def _live_terms(used) -> list:
-    """(slot, source, first lag, stop lag) of every (slot, source) pair
-    with a nonzero tap in the (M, M, N) mask used, trimmed to the span of
-    nonzero lags."""
-    N = used.shape[2]
-    first = used.argmax(axis=2).tolist()
-    stop = (N - used[..., ::-1].argmax(axis=2)).tolist()
-    return [(m, s, first[m][s], stop[m][s])
-            for m, s in zip(*(i.tolist() for i in np.nonzero(used.any(axis=2))))]
+def _sub_filters(taps) -> list:
+    """(slot m, source s, first lag, h) of every sub-rate convolution of a
+    (B, M, N) int64 stack of banks with a nonzero tap in some bank. Slot m
+    is corrected by channel (m - D) % M, whose tap j reads source
+    (m - j) % M: h is the stride-M slice of that channel's taps from tap
+    (m - s) % M, trimmed to the taps nonzero in some bank, and h[b, i]
+    multiplies source s's sample lag + i sub-rate steps back in bank b."""
+    M, N = taps.shape[1:]
+    d = (N + 1) // 2 - 1
+    used = (taps != 0).any(axis=0)
+    terms = []
+    for m, s in np.ndindex(M, M):
+        h = taps[:, (m - d) % M, (m - s) % M::M]
+        live = np.flatnonzero(used[(m - d) % M, (m - s) % M::M])
+        if len(live):
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            terms.append((m, s, int(m < s) + lo, h[:, lo:hi]))
+    return terms
 
 
 def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
@@ -412,8 +399,10 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     offset code, convolve in int64, return the sums only if
     polyphase._guard_sums finds every block's exact, and let the caller
     scale once. The sums are np.convolve, the rule of
-    polyphase.convolve_serial, one call per block and sub-rate term; the
-    polyphase lanes are bit-exact with it but only model hardware.
+    polyphase.convolve_serial, one call per block and sub-filter
+    (_sub_filters, laid out once per call), and the guard's peaks are
+    polyphase._max_abs; the polyphase lanes are bit-exact with it but only
+    model hardware.
 
     codes is the (M, n) per-channel view of a capture, of any integer
     type. Each channel is widened to int64 once, from the N-1 samples
@@ -443,14 +432,14 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     if len(taps) != len(starts):
         raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
                           f"{block_len} in {width} samples")
-    # taps within the word keep |taps| <= 2^31, so the uint64 sums of
-    # |taps| below cannot wrap
+    # taps within the word keep |taps| <= 2^31, so their int64 abs is
+    # exact and the uint64 sums of |taps| below cannot wrap
     _check_word_length(taps, spec.coeff_bits)
-    dense = _dense_taps(np.asarray(taps, dtype=np.int64))
-    tap_sums = _magnitudes(dense).sum(axis=3)
-    sources = [[] for _ in range(M)]  # (slot, first lag, stop lag)
-    for m, s, lo, hi in _live_terms((dense != 0).any(axis=0)):
-        sources[s].append((m, lo, hi))
+    tap_sums = np.zeros((len(taps), M, M), dtype=np.uint64)
+    sources = [[] for _ in range(M)]  # (slot, first lag, stop lag, h)
+    for m, s, lag, h in _sub_filters(np.asarray(taps, dtype=np.int64)):
+        tap_sums[:, m, s] = np.abs(h).sum(axis=1, dtype=np.uint64)
+        sources[s].append((m, lag, lag + h.shape[1], h))
     # x[hist + j] is a channel's sample start + j; the first pad entries
     # lie before sample 0 and stay zero, the same sums as no history
     first = max(start - hist, 0)
@@ -462,10 +451,6 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                      hist + width).tolist()
     codes_off = _offset_codes(
         offsets[blocks[0] - first_block: blocks[-1] - first_block], config)
-    # each block's sums read its samples and the hist before them
-    edges = np.empty(2 * len(starts) - 1, dtype=np.intp)
-    edges[0::2] = starts
-    edges[1::2] = starts[1:] + hist
     # row m is slot m, its samples M apart in memory: the rows lie
     # interleaved, as _scale_in_place needs them
     acc = np.zeros((width, M), dtype=np.int64).T
@@ -475,14 +460,13 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
         x[pad:] = codes[s, first:stop]
         for lo, hi, code in zip(bounds, bounds[1:], codes_off[:, s].tolist()):
             x[lo:hi] -= code
-        # the largest |code| each block's sums read, in Python integers
-        top = np.maximum.reduceat(x, edges)[0::2].astype(object)
-        bottom = np.minimum.reduceat(x, edges)[0::2].astype(object)
-        peaks[:, s] = np.maximum(top, -bottom)
         for b, (a, e) in spans:
-            for m, lo, hi in sources[s]:
+            # the largest |code| the block's sums read: its samples and the
+            # hist before them
+            peaks[b, s] = _max_abs(x[a:hist + e])
+            for m, lo, hi, h in sources[s]:
                 acc[m, a:e] += np.convolve(x[hist + a + 1 - hi: hist + e - lo],
-                                           dense[b, m, s, lo:hi], "valid")
+                                           h[b], "valid")
     # the sums are exact only within the bound: nothing is returned unless
     # every block meets it
     _guard_sums(peaks, tap_sums)

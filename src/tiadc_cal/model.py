@@ -24,6 +24,7 @@ thread.
 """
 
 import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -51,6 +52,16 @@ except AttributeError:  # no affinity call on this platform
 _IN_FLIGHT_BYTES = 4 << 20
 _POOL = None  # (process id, executor), made on first use
 _POOL_LOCK = threading.Lock()
+
+
+def _require_integers(record, *names) -> None:
+    """Store the named fields of a frozen dataclass record as Python ints:
+    ConfigError unless each is a Python or numpy integer, not a bool."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(record, name, int(value))
 
 
 def _executor():
@@ -117,6 +128,7 @@ class TiadcConfig:
     full_scale: float = 1.0
 
     def __post_init__(self):
+        _require_integers(self, "n_channels", "bits")
         if not 2 <= self.n_channels <= MAX_CHANNELS:
             raise ConfigError(f"channel count must be in 2..{MAX_CHANNELS}, "
                               f"got {self.n_channels}")

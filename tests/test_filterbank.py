@@ -14,6 +14,7 @@ from tiadc_cal.filterbank import (_chunk_sums, design_banks,
                                   write_coefficients_csv)
 from tiadc_cal.model import _CHUNK, ChannelCapture, interleave_channels
 from tiadc_cal.polyphase import parallel_convolve_stream
+from tiadc_cal.scenarios import BUILTIN_SCENARIOS
 
 SPEC30 = FilterSpec(n_taps=30, coeff_bits=30)
 CFG12 = TiadcConfig(n_channels=2, bits=12)
@@ -74,6 +75,19 @@ class TestSpecAndIndices:
             FilterSpec(n_taps=4, coeff_bits=33)
         with pytest.raises(ConfigError):
             FilterSpec(n_taps=4, variant="mul")
+
+    @pytest.mark.parametrize("field,bad", [
+        ("n_taps", 30.5), ("n_taps", float("nan")), ("n_taps", 30.0),
+        ("n_taps", True), ("coeff_bits", 24.5), ("coeff_bits", "24")])
+    def test_counts_must_be_integers(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            FilterSpec(**{"n_taps": 30, "coeff_bits": 24, field: bad})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        spec = FilterSpec(n_taps=np.int64(30), coeff_bits=np.int8(24))
+        assert spec == FilterSpec(n_taps=30, coeff_bits=24)
+        assert type(spec.n_taps) is int and type(spec.coeff_bits) is int
+        assert FilterBank.identity(2, spec).spec == spec
 
 
 class TestDesignTaps:
@@ -472,6 +486,24 @@ class TestFullRateBank:
                 assert sum(len(taps) for _, _, taps in terms) <= n_taps
                 for _, lag, taps in terms:
                     assert lag >= 0 and lag + len(taps) <= n_taps
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_terms_hold_only_nonzero_taps(self, name):
+        """All-zero sub-filters are left out and the rest trimmed to their
+        nonzero taps: a slot spends one multiply-accumulate per nonzero tap
+        of the channel it corrects, not N."""
+        scenario = BUILTIN_SCENARIOS[name]()
+        M = scenario.config.n_channels
+        spec = scenario.filter_spec
+        bank = FilterBank.design(scenario.profile, M, spec)
+        lengths = [[len(taps) for _, _, taps in terms]
+                   for terms in bank.convolution_terms()]
+        for m, slot in enumerate(lengths):
+            channel = (m - spec.group_delay) % M
+            assert sum(slot) == np.count_nonzero(bank.taps_fixed[channel])
+        if name == "fig6":
+            # channel 0 has no skew: one tap; channel 1's unpaired tap is 0
+            assert lengths[0] == [1] and sum(lengths[1]) == 29
 
     def test_blockwise_lanes_and_whole_stream_bit_identical(self):
         """A fixed bank run by the chunk kernel over the chunks of any split

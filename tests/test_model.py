@@ -30,6 +30,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TiadcConfig(n_channels=2, bits=bits)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("n_channels", 2.5), ("n_channels", 2.0), ("n_channels", True),
+        ("bits", 12.5), ("bits", float("nan")), ("bits", "12")])
+    def test_counts_must_be_integers(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            TiadcConfig(**{"n_channels": 2, "bits": 12, field: bad})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        # a numpy integer's width would reach the code range: in int8,
+        # 1 << 11 is 0
+        config = TiadcConfig(n_channels=np.uint16(3), bits=np.int8(12))
+        assert type(config.n_channels) is int and type(config.bits) is int
+        assert config.code_half_range == 2048
+
     def test_bits_bounds_accepted(self):
         TiadcConfig(n_channels=2, bits=2)
         TiadcConfig(n_channels=2, bits=24)
