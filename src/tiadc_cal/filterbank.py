@@ -33,15 +33,17 @@ channel's offset-corrected codes, then one scaling.
 Taps are indexed by n in tap_indices(N), and the bank runs causally,
 delaying the interleaved stream by D = ceil(N/2)-1 aggregate samples; a
 calibrated capture loses D*M samples at each end. Coefficients are
-quantized to two's-complement Q2.(W-2); a bank runs as a sum of sub-rate
-integer convolutions (FilterBank.convolution_terms) with one final scaling,
-so results are bit-reproducible. Each sub-filter is a stride-M slice of
-one channel's taps (the polyphase decomposition; _sub_filters). All-zero
-slices are skipped and zero end taps trimmed, so an output sample costs
-one multiply-accumulate per nonzero tap, at most N. design_banks and the
-chunk kernel _chunk_sums work on tap and offset arrays; FilterBank is the
-record of one bank, and where a hand-built bank's taps and offsets are
-checked.
+quantized to two's-complement Q2.(W-2); a bank is a sum of sub-rate
+integer convolutions (FilterBank.convolution_terms) with one final
+scaling, so results are bit-reproducible. Each sub-filter is a stride-M
+slice of one channel's taps (the polyphase decomposition; _sub_filters).
+The chunk kernel _chunk_sums computes those integer sums exactly as
+float64 matrix products over frames of the interleaved stream: a frame of
+P outputs costs P + N - 1 multiply-adds an output where the convolutions
+cost one per nonzero tap, but BLAS runs them about four times faster
+than one np.convolve call per block and sub-filter. design_banks and the
+chunk kernel work on tap and offset arrays; FilterBank is the record of
+one bank, and where a hand-built bank's taps and offsets are checked.
 """
 
 import csv
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
                     _chunk_map, _require_integers)
-from .polyphase import _ACC_LIMIT, _guard_sums, _max_abs
+from .polyphase import _ACC_LIMIT, _guard_sums
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -375,53 +377,155 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
         acc = _chunk_sums(capture.per_channel, capture.config, spec, start,
                           stop, taps[rows], offsets[first:rows.stop], first,
                           block_len)
-        # the part of merged samples [start*M, stop*M) from skip to end
+        # the part of merged samples [start*M, stop*M) from skip to end,
+        # scaled over the accumulators' own memory
         lo = max(skip - start * M, 0)
         hi = min(end - start * M, (stop - start) * M)
-        return _scale_in_place(acc, scale)[lo:max(lo, hi)]
+        merged = acc.T.reshape(-1)[lo:max(lo, hi)]
+        merged *= scale
+        return merged
 
-    # a task holds its int64 accumulators, one widened source row and one
-    # convolution's output; filter keeps no piece alive while the next
-    # ones are made
+    # a task holds its float64 sums, and a window of the offset-corrected
+    # stream and one of products for one batch of frames; filter keeps no
+    # piece alive while the next ones are made
     yield from filter(len, _chunk_map(piece, range(0, n, _CHUNK),
-                                      (M + 2) * 8 * _CHUNK))
+                                      8 * (M * _CHUNK + 2 * _BATCH_SAMPLES)))
+
+
+# the most multiply-adds of one matrix product: OpenBLAS runs a product of
+# up to 2^18 on the calling thread alone and spreads a larger one over
+# threads of its own, which made 1024-frame products five times slower on
+# a 2-vCPU host and competes with the chunk pool's workers
+_PRODUCT_MACS = 1 << 18
+# a frame holds at least min(N - 1, _FRAME_REACH) samples: a frame of P
+# outputs costs P + N - 1 multiply-adds an output, and a bank's frame
+# matrices hold about (N + 2P)*P floats
+_FRAME_REACH = 64
+# the aggregate samples of a batch of frames: each of a batch's products is
+# one numpy call, which releases the GIL once for all its frames
+_BATCH_SAMPLES = 1 << 15
+
+
+def _frame_index(M: int, N: int, P: int) -> np.ndarray:
+    """Where the frame matrices of a bank of M*N taps take their taps: an
+    index (T+1, P, P), T = ceil((N-1)/P), into the bank's taps, row-major,
+    followed by one zero. Frame matrix A[t, u, r] is the tap by which
+    output r of a frame of P aggregate samples reads sample u of the frame
+    t frames earlier, taps[(r - D) % M, r - u + t*P], or zero outside the
+    taps (P is a multiple of M). Rows u below t*P - N + 1 of A[t] are all
+    zero."""
+    r = np.arange(P)
+    j = r - r[:, None] + P * np.arange(-(-(N - 1) // P) + 1)[:, None, None]
+    return np.where((j >= 0) & (j < N), (r - ((N + 1) // 2 - 1)) % M * N + j,
+                    M * N)
+
+
+def _fir_frames(z, at: int, mats, out, scratch) -> None:
+    """Write frames of a periodically time-varying FIR's output into out,
+    (..., g, P), frame f of it at samples at + f*P .. of the stream z:
+    frame f = sum_t z's frame f - t times mats[t], a frame matrix A[t]
+    without its zero rows (_frame_index). A (g, P) stack of frames is one
+    BLAS product, and one numpy call runs all of out's stacks. scratch, of
+    out's size at least, holds the products for t > 0. z holds the N-1
+    samples before at."""
+    P = out.shape[-1]
+    for t, a in enumerate(mats):
+        lo = P - len(a)
+        base = at - t * P + lo
+        frames = z[base:base + out.size].reshape(out.shape)[..., :P - lo]
+        if t == 0:
+            np.matmul(frames, a, out=out)
+        else:
+            part = scratch[:out.size].reshape(out.shape)
+            np.matmul(frames, a, out=part)
+            out += part
+
+
+def _limb_frames(z, at: int, mats, out, scratch, bits: int,
+                 limbs: int) -> None:
+    """_fir_frames over z, an int64 stream, for exact sums of any size
+    below 2^62: z runs as limbs of bits bits each, every limb in
+    [-2^(bits-1), 2^(bits-1)], and the limbs' sums are recombined in int64
+    before the one cast into out."""
+    half = 1 << (bits - 1)
+    parts = []
+    for _ in range(limbs - 1):
+        low = ((z + half) & ((1 << bits) - 1)) - half
+        parts.append(low)
+        z = (z - low) >> bits
+    parts.append(z)
+    sums = None
+    for part in reversed(parts):
+        _fir_frames(part.astype(np.float64), at, mats, out, scratch)
+        sums = (out.astype(np.int64) if sums is None
+                else (sums << bits) + out.astype(np.int64))
+    np.copyto(out, sums, casting="unsafe")
+
+
+def _offset_stream(z, codes, first: int, stop: int, block_len: int,
+                   block0: int, block_codes) -> None:
+    """Fill z, (K, M), with samples first to first + K of every channel of
+    codes less their block's offset code, block_codes[b - block0] for
+    block b, and zeros outside samples 0 to stop: row k of z is the
+    interleaved stream's samples M*k to M*k + M - 1 from sample first."""
+    lo, hi = max(first, 0), min(first + len(z), stop)
+    z[:lo - first] = 0
+    z[hi - first:] = 0
+    np.copyto(z[lo - first:hi - first], codes[:, lo:hi].T, casting="unsafe")
+    for b in range(lo // block_len, (hi - 1) // block_len + 1):
+        rows = slice(max(b * block_len, lo) - first,
+                     min((b + 1) * block_len, hi) - first)
+        for s, code in enumerate(block_codes[b - block0].tolist()):
+            if code:
+                z[rows, s] -= code
 
 
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                 stop: int, taps, offsets, first_block: int,
                 block_len: int) -> np.ndarray:
-    """The integer accumulators of samples start to stop of every channel,
-    computed from the capture alone: an (M, stop - start) int64 array, row
-    m for output slot m (see FilterBank.convolution_terms), whose rows lie
-    interleaved in memory, sample k of row m at k*M + m.
+    """The exact accumulators of samples start to stop of every channel,
+    computed from the capture alone: an (M, stop - start) float64 array,
+    row m for output slot m (see FilterBank.convolution_terms), whose rows
+    lie interleaved in memory, sample k of row m at k*M + m. Each is an
+    integer, the int64 sum of convolve_serial's rule cast to float64.
 
     This is the one place the fixed-point rule runs: subtract each block's
-    offset code, convolve in int64, return the sums only if
+    offset code, multiply-accumulate exactly, return the sums only if
     polyphase._guard_sums finds every block's exact, and let the caller
-    scale once. The sums are np.convolve, the rule of
-    polyphase.convolve_serial, one call per block and sub-filter
-    (_sub_filters, laid out once per call), and the guard's peaks are
-    polyphase._max_abs; the polyphase lanes are bit-exact with it but only
-    model hardware.
+    scale once. The guard's peaks, the largest |code - offset code| that
+    each block's sums read, come from each source's smallest and largest
+    code between the samples where blocks and their reads start.
+
+    The bank is a periodically time-varying FIR on the interleaved
+    offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *
+    z[p - j]. Cut into frames of P aggregate samples, P a multiple of M
+    and at least N-1 up to _FRAME_REACH, a frame of output is a sum of
+    float64 matrix products of the frames before it with the bank's frame
+    matrices (_frame_index, _fir_frames). Every product and partial sum is
+    an integer no larger than the largest |code| plus the largest |offset
+    code|, times the largest slot's sum of |taps|; below 2^53 float64
+    holds each exactly in any BLAS summation order. A chunk where that
+    bound is larger builds z in int64 and runs every block as limbs whose
+    sums stay below 2^53 (_limb_frames), exact for banks of fewer than
+    2^22 taps a channel.
 
     codes is the (M, n) per-channel view of a capture, of any integer
-    type. Each channel is widened to int64 once, from the N-1 samples
-    before start (zeros before sample 0) to stop, so only one row of one
-    chunk is ever wide. The capture runs in blocks of block_len samples
-    from sample 0. taps (B, M, N) are the banks of the B blocks the chunk
-    touches, and row b of offsets (full-scale units) is block
-    first_block + b's, for every block from the one of sample
-    max(start - N + 1, 0) to the chunk's last. A bank applies from the
-    first sample of its block, and every sample keeps its own block's
-    offset in each sum that reads it, so the chunk's sums are those of
-    one pass over the whole capture wherever the chunk and block edges
-    fall. Taps outside the spec's coeff_bits raise TapOverflowError.
+    type. The capture runs in blocks of block_len samples from sample 0.
+    taps (B, M, N) are the banks of the B blocks the chunk touches, and
+    row b of offsets (full-scale units) is block first_block + b's, for
+    every block from the one of sample max(start - N + 1, 0) to the
+    chunk's last. A bank applies from the first sample of its block, and
+    every sample keeps its own block's offset in each sum that reads it,
+    so the chunk's sums are those of one pass over the whole capture
+    wherever the chunk and block edges fall. Taps outside the spec's
+    coeff_bits raise TapOverflowError.
 
     It runs on chunk-pool threads, so it calls no public layer function
     (see model._chunk_map).
     """
     M = config.n_channels
-    hist = spec.n_taps - 1
+    N = spec.n_taps
+    hist = N - 1
     width = stop - start
     if block_len < 1:
         raise ConfigError(f"block_len must be >= 1, got {block_len}")
@@ -435,55 +539,83 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     # taps within the word keep |taps| <= 2^31, so their int64 abs is
     # exact and the uint64 sums of |taps| below cannot wrap
     _check_word_length(taps, spec.coeff_bits)
+    taps = np.asarray(taps, dtype=np.int64)
     tap_sums = np.zeros((len(taps), M, M), dtype=np.uint64)
-    sources = [[] for _ in range(M)]  # (slot, first lag, stop lag, h)
-    for m, s, lag, h in _sub_filters(np.asarray(taps, dtype=np.int64)):
+    for m, s, _, h in _sub_filters(taps):
         tap_sums[:, m, s] = np.abs(h).sum(axis=1, dtype=np.uint64)
-        sources[s].append((m, lag, lag + h.shape[1], h))
-    # x[hist + j] is a channel's sample start + j; the first pad entries
-    # lie before sample 0 and stay zero, the same sums as no history
+
+    # a block's sums read its samples and the N-1 before them (zeros
+    # before sample 0): the samples from the first read on, cut where a
+    # block or a block's reads start, are segments of one offset code each,
+    # and each block reads whole segments
     first = max(start - hist, 0)
-    pad = hist - (start - first)
-    x = np.zeros(hist + width, dtype=np.int64)
-    # every block from first's on: its entries of x and its offset code
-    blocks = np.arange(first // block_len, (stop - 1) // block_len + 2)
-    bounds = np.clip(blocks * block_len - start + hist, pad,
-                     hist + width).tolist()
-    codes_off = _offset_codes(
-        offsets[blocks[0] - first_block: blocks[-1] - first_block], config)
-    # row m is slot m, its samples M apart in memory: the rows lie
-    # interleaved, as _scale_in_place needs them
-    acc = np.zeros((width, M), dtype=np.int64).T
-    peaks = np.empty((len(starts), M), dtype=object)
-    spans = list(enumerate(zip(starts.tolist(), ends.tolist())))
+    reads = np.maximum(starts + start - hist, 0)
+    cuts = np.union1d(reads, np.arange(first // block_len + 1,
+                                       (stop - 1) // block_len + 1)
+                      * block_len)
+    blocks = np.arange(first // block_len, (stop - 1) // block_len + 1)
+    block_codes = _offset_codes(np.asarray(offsets)[blocks - first_block],
+                                config)
+    seg_codes = block_codes[cuts // block_len - blocks[0]].astype(object)
+    low = np.empty((len(cuts), M), dtype=object)
+    high = np.empty((len(cuts), M), dtype=object)
     for s in range(M):
-        x[pad:] = codes[s, first:stop]
-        for lo, hi, code in zip(bounds, bounds[1:], codes_off[:, s].tolist()):
-            x[lo:hi] -= code
-        for b, (a, e) in spans:
-            # the largest |code| the block's sums read: its samples and the
-            # hist before them
-            peaks[b, s] = _max_abs(x[a:hist + e])
-            for m, lo, hi, h in sources[s]:
-                acc[m, a:e] += np.convolve(x[hist + a + 1 - hi: hist + e - lo],
-                                           h[b], "valid")
-    # the sums are exact only within the bound: nothing is returned unless
+        low[:, s] = np.minimum.reduceat(codes[s, first:stop], cuts - first)
+        high[:, s] = np.maximum.reduceat(codes[s, first:stop], cuts - first)
+    seg_peaks = np.maximum(high - seg_codes, seg_codes - low)
+    peaks = np.stack([seg_peaks[a:b].max(axis=0) for a, b in zip(
+        np.searchsorted(cuts, reads), np.searchsorted(cuts, start + ends))])
+    # the sums are exact only within the bound: nothing is computed unless
     # every block meets it
     _guard_sums(peaks, tap_sums)
-    return acc
 
-
-def _scale_in_place(acc, scale: float) -> np.ndarray:
-    """The interleaved float64 stream of acc, an (M, width) result of
-    _chunk_sums scaled to amplitude units, written over acc's memory,
-    where its rows lie interleaved: a chunk holds one array, not two."""
-    flat = acc.T.reshape(-1)
-    merged = flat.view(np.float64)
-    # a cast, then the multiply: one np.multiply casting int64 as it goes
-    # runs about five times slower on 10^5 samples, to the same values
-    np.copyto(merged, flat, casting="unsafe")
-    merged *= scale
-    return merged
+    # each block's largest slot sum of |taps|
+    slot_sums = [int(v) for v in tap_sums.sum(axis=2).max(axis=1)]
+    largest = (max(high.max(), -low.min())
+               + max(int(block_codes.max()), -int(block_codes.min())))
+    exact = largest * max(slot_sums) < 1 << 53
+    P = M
+    while P < min(hist, _FRAME_REACH):
+        P *= 2
+    index = _frame_index(M, N, P)
+    # stacks of frames a product, batches of stacks a numpy call, each
+    # batch over a window of z: lead >= N-1 samples of history, then the
+    # batch's own, built over one scratch array
+    stack = max(1, min(_PRODUCT_MACS // (P * P), _BATCH_SAMPLES // P))
+    batch = max(1, _BATCH_SAMPLES // (stack * P)) * stack
+    lead = -(-hist // M) * M
+    window = np.empty(((lead + batch * P) // M, M),
+                      dtype=np.float64 if exact else np.int64)
+    scratch = np.empty(batch * P)
+    acc = np.empty(width * M + P)
+    for bank, s_max, peak, a, e in zip(taps, slot_sums, peaks,
+                                       starts.tolist(), ends.tolist()):
+        A = np.append(bank, 0)[index].astype(np.float64)
+        mats = [A[t, max(0, t * P - hist):] for t in range(len(A))]
+        # limbs of this many bits keep each limb's sums below 2^53
+        bits = 54 - s_max.bit_length()
+        limbs = -(-(max(peak).bit_length() + 2) // bits)
+        # the block's frames; its last may run past the block, into
+        # outputs the next block then writes over
+        n_frames = -(-(e - a) * M // P)
+        for f in range(0, n_frames, batch):
+            q = a * M + f * P
+            g = min(batch, n_frames - f)
+            z = window[:(lead + g * P) // M]
+            _offset_stream(z, codes, start + (q - lead) // M, stop,
+                           block_len, blocks[0], block_codes)
+            whole = g // stack * stack
+            for f0, n, shape in ((0, whole, (g // stack, stack, P)),
+                                 (whole, g - whole, (g - whole, P))):
+                if n:
+                    out = acc[q + f0 * P:q + (f0 + n) * P].reshape(shape)
+                    if exact:
+                        _fir_frames(z.reshape(-1), lead + f0 * P, mats, out,
+                                    scratch)
+                    else:
+                        _limb_frames(z.reshape(-1), lead + f0 * P, mats, out,
+                                     scratch, bits, limbs)
+    return acc[:width * M].reshape(width, M).T
 
 
 def write_coefficients_csv(path, bank: FilterBank) -> None:

@@ -9,18 +9,18 @@ mid-rise quantizer. A capture keeps its codes in one interleaved array of
 their narrowest integer type (int16 up to 16 bits, int32 above); channel m
 is its stride-M slice, and ChannelCapture.per_channel shows all M of them as
 the rows of one view. Only the chunk kernel filterbank._chunk_sums widens
-codes to int64, one channel of a chunk at a time, for its exact
+codes, a window of one batch of its frames at a time, for its exact
 accumulation.
 
 Chunks are independent: simulate_capture and the calibration driver
 (filterbank._calibrated_pieces) hand them to _chunk_map, which runs them
 on a persistent pool of one worker thread per CPU the process may use and
-gives back their results in chunk order. numpy's convolution and ufunc
-loops release the GIL, so the chunks' arithmetic runs on every core. The
-chunks in flight together hold at most _IN_FLIGHT_BYTES, so temporary
-memory does not grow with the CPU count either; where that leaves room for
-one chunk, or the process has one CPU, the chunks run on the calling
-thread.
+gives back their results in chunk order. numpy's matrix products and
+ufunc loops release the GIL, so the chunks' arithmetic can use every
+core. The chunks in flight together hold at most _IN_FLIGHT_BYTES, so
+temporary memory does not grow with the CPU count either; where that
+leaves room for one chunk, or the process has one CPU, the chunks run on
+the calling thread.
 """
 
 import math

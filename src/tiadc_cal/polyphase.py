@@ -1,34 +1,37 @@
 """Exact integer convolution: the serial rule every calibration runs, and
 the polyphase lane decomposition that models a parallel hardware realization.
 
-The calibration filters run as sub-rate FIRs under convolve_serial's rule:
-the chunk kernel filterbank._chunk_sums applies it with np.convolve, one
-call per block and sub-rate term, behind the range guard defined here;
-that is the only execution path. The paper notes that the filter bank can be
-computed in parallel in hardware by splitting a sub-channel stream into L
-interleaved lanes (samples at indices j mod L), convolving each lane
-independently and merging the lane outputs. parallel_convolve models that
-decomposition; its merge is bit-exact with the serial integer convolution
-for every L, which is what makes the decomposition safe under fixed-point
-rules. It is a model to check that claim against, not a faster path: in
-software L lanes cost about L times the per-output overhead of one serial
-numpy convolution. The lane count L is a plain integer: decompose and
-parallel_convolve_stream take it, and parallel_convolve reads it from the
-number of lanes it is given; each rejects L < 1 with ConfigError.
+The calibration filters run as sub-rate FIRs under convolve_serial's rule,
+behind the range guard defined here. The one execution path is the chunk
+kernel filterbank._chunk_sums: it runs a bank as float64 matrix products
+over frames of the interleaved stream, whose sums equal the rule's
+integer sums exactly (see its docstring). The paper notes that the filter
+bank can be computed in parallel in hardware by splitting a sub-channel
+stream into L interleaved lanes (samples at indices j mod L), convolving
+each lane independently and merging the lane outputs. parallel_convolve
+models that decomposition; its merge is bit-exact with the serial integer
+convolution for every L, which is what makes the decomposition safe under
+fixed-point rules. It is a model to check that claim against, not a faster
+path: in software L lanes cost about L times the per-output overhead of
+one serial numpy convolution. The lane count L is a plain integer:
+decompose and parallel_convolve_stream take it, and parallel_convolve
+reads it from the number of lanes it is given; each rejects L < 1 with
+ConfigError.
 
 Software parallelism works a level up, on whole chunks of 65 536 samples
 per channel: a chunk's sums are computed from the capture alone, its
 N-1 samples of history included, so the chunks are independent, and
 model._chunk_map runs them on one thread per core, as many at once as
-fit in its memory budget. A chunk is a few milliseconds of np.convolve,
-which releases the GIL, against microseconds of Python to hand it out; a
-lane is a short convolution whose start-up costs as much as its work, so
-threads per lane ran slower than one serial pass.
+fit in its memory budget. A chunk is a few dozen BLAS calls, each numpy
+call releasing the GIL for a batch of them, against microseconds of
+Python to hand it out; a lane is a short convolution whose start-up costs
+as much as its work, so threads per lane ran slower than one serial pass.
 
-All convolutions here are exact int64 multiply-accumulate. Every integer
-route, the chunk kernel's included, states its overflow bound through
-_guard_sums alone: summed over the sources of one accumulator, the largest
-|code| times the sum of |taps| must stay below 2^62.
+The convolutions here are exact int64 multiply-accumulate, the chunk
+kernel's exact in float64 or in int64 limbs. Every integer route, the
+chunk kernel's included, states its overflow bound through _guard_sums
+alone: summed over the sources of one accumulator, the largest |code|
+times the sum of |taps| must stay below 2^62.
 """
 
 import numpy as np

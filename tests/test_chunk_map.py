@@ -201,6 +201,31 @@ def test_many_workers_and_short_thread_switches(monkeypatch, set_workers):
     assert got == [p.tobytes() for p in whole_pieces(capture, bank, 300)]
 
 
+def test_a_70_tap_bank_gives_the_same_bytes_on_every_worker_count(
+        monkeypatch, set_workers):
+    # N-1 = 69 reaches past a frame of the matrix-product kernel; chunks
+    # of 700 samples and estimation blocks of 512 put chunk, block and
+    # frame edges apart
+    monkeypatch.setattr(filterbank, "_CHUNK", 700)
+    monkeypatch.setattr(experiments, "EST_BLOCK_PER_CHANNEL", 512)
+    spec = FilterSpec(n_taps=70, coeff_bits=30)
+    scenario = types.SimpleNamespace(filter_spec=spec)
+    capture = simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
+                               TiadcConfig(n_channels=3, bits=14), PROFILE3,
+                               3 * 4321)
+    bank = FilterBank.design(PROFILE3, 3, spec)
+    runs = []
+    for n in (1, 2, 3, 8):
+        set_workers(n)
+        pieces, last_bank, estimate = experiments._calibrate_background(
+            capture, scenario)
+        runs.append(([p.tobytes() for p in calibrate_capture(capture, bank)],
+                     [p.tobytes() for p in pieces],
+                     np.asarray(last_bank.taps_fixed).tobytes(), estimate))
+    assert len(runs[0][0]) == len(runs[0][1]) == 7
+    assert all(run == runs[0] for run in runs[1:])
+
+
 class TestMemoryInFlight:
     """The chunks in flight hold at most model._IN_FLIGHT_BYTES together,
     whatever the CPU count."""
