@@ -20,7 +20,6 @@ from dataclasses import replace
 from .capture_io import read_capture, write_capture
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
 from .experiments import calibrate_scenario, run_sweep, simulate_scenario
-from .filterbank import calibrate_capture
 from .metrics import spectrum_report, write_spectrum_csv
 from .model import dequantize_stream
 from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
@@ -68,9 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flag(cal, "scenario supplying the converter's full scale "
                          "and, in truth mode, the profile and filter")
     cal.add_argument("--mode", choices=["truth", "est"], default="truth",
-                     help="coefficient source: injected profile or estimate")
+                     help="coefficient source: injected profile, or each "
+                          "block's background estimate")
     cal.add_argument("--freq", type=float,
-                     help="tone frequency relative to fs (est mode)")
+                     help="tone frequency relative to fs; est mode detects "
+                          "it if omitted")
     add_filter_flags(cal)
     cal.add_argument("--out", help="output directory for CSVs")
 
@@ -198,16 +199,13 @@ def _cmd_calibrate(args) -> int:
         scenario = _apply_overrides(scenario_settings(scenario), args)
         freq = args.freq if args.freq is not None else scenario.tone.freq_rel
     else:
-        # no profile: correct with a one-shot estimate from the first block,
-        # the default filter and the loaded config's full scale
+        # no profile: the background loop with the default filter under the
+        # loaded config's full scale; the default tone is a placeholder
         config = capture.config
-        scenario = _apply_overrides(dict(DEFAULTS, channels=config.n_channels,
-                                         bits=config.bits, fs=config.fs), args)
+        scenario = replace(_apply_overrides(dict(
+            DEFAULTS, channels=config.n_channels, bits=config.bits,
+            fs=config.fs), args), config=config)
         freq = args.freq if args.freq is not None else detect_tone_freq(capture)
-        # the default tone is a placeholder: no clip check judges the
-        # estimate against it
-        scenario = replace(scenario, config=config, mode=MODE_TRUTH,
-                           profile=estimate_from_capture(capture, freq))
     result = calibrate_scenario(capture, scenario, freq)
     spec = scenario.filter_spec
     rep_u, rep_c = result.report_uncal, result.report_cal
@@ -223,10 +221,7 @@ def _cmd_calibrate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         stem = os.path.splitext(os.path.basename(args.capture))[0]
         cal_path = os.path.join(args.out, stem + "_calibrated.csv")
-        # both modes run one bank, so a second pass yields the measured
-        # stream again, without holding it
-        _write_calibrated_csv(cal_path, calibrate_capture(capture,
-                                                          result.bank))
+        _write_calibrated_csv(cal_path, result.replay())
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_cal.csv"),
                            rep_c.magnitudes_dbfs)
         write_spectrum_csv(os.path.join(args.out, stem + "_spectrum_uncal.csv"),

@@ -8,14 +8,16 @@ Truth mode designs the correctors straight from the scenario's mismatch
 profile, which isolates the corrector itself; this is the mode the headline
 numbers use. Estimated mode is the full loop: the mismatches of every data
 block are estimated, and each block's refreshed correctors apply from the
-next block on, the way a background-calibrated converter would run. Its
-SINAD is measured from the second block onward (the first block passes
-through the identity bank and is still uncorrected). Both modes run the
-same chunk driver, filterbank._calibrated_pieces: truth mode with one bank
-for the whole capture, estimated mode with one bank per block.
+next block on, the way a background-calibrated converter would run. Block 0,
+which has no block before it, runs its own estimate, and a capture shorter
+than one block is one block, estimated from all its samples. Both modes run
+the same chunk driver, filterbank._calibrated_pieces: truth mode with one
+bank for the whole capture, estimated mode with one bank per block, and
+both trim D*M samples at each end of the calibrated stream.
 """
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -38,9 +40,10 @@ class ScenarioResult:
     estimated mode, the one designed from the last estimate); estimate is
     None in truth mode. calibrated is the window report_cal measures: the
     first n_fft samples of the calibrated stream, in amplitude units (the
-    whole stream if it is shorter). The rest of the stream is not kept;
-    in truth mode filterbank.calibrate_capture(capture, bank) yields it
-    again."""
+    whole stream if it is shorter). The rest of the stream is not kept:
+    replay() yields the whole stream again, in either mode, as
+    filterbank.calibrate_capture's pieces, from the banks the step ran,
+    with nothing estimated again."""
 
     scenario: Scenario
     report_uncal: SpectrumReport
@@ -48,6 +51,7 @@ class ScenarioResult:
     estimate: MismatchProfile
     bank: FilterBank
     calibrated: np.ndarray
+    replay: object
     outputs: dict = field(default_factory=dict)
 
     @property
@@ -75,57 +79,59 @@ def simulate_scenario(scenario: Scenario) -> ChannelCapture:
                             scenario.n_samples)
 
 
-def _calibrate_background(capture: ChannelCapture, scenario: Scenario):
+def _calibrate_background(capture: ChannelCapture, scenario: Scenario,
+                          tone_freq: float = None):
     """Feed-forward estimate-then-apply calibration over blocks of
-    EST_BLOCK_PER_CHANNEL samples per channel.
+    EST_BLOCK_PER_CHANNEL samples per channel, at tone_freq (detected from
+    the capture when it is None).
 
-    When called, it estimates every full block (estimate_blocks) and
-    designs every block's bank in one design_banks call: block b runs the
-    bank and offsets estimated from block b-1, block 0 the identity, and a
-    short final block, corrected but not estimated from, the last full
-    block's estimate. So an estimation error is raised here, before any
-    chunk runs. The fixed-point taps of all B blocks are held at once,
-    (n/4096)*M*N*8 bytes for n samples per channel: about N/1024 of the
-    int16 codes, 3 % at N = 30.
+    Block 0 runs the bank and offsets estimated from itself, block b >= 1
+    block b-1's, and a short final block, not estimated from, the last
+    full block's; a capture shorter than one block is one block, estimated
+    from all its samples. When called, it estimates every full block
+    (estimate_blocks), checks every estimate by MismatchProfile's rules
+    and designs every block's bank in one design_banks call, so an
+    estimation error is raised here, before any tap design or chunk. The
+    fixed-point taps of all B blocks are held at once, about N/1024 of
+    the int16 codes (3 % at N = 30).
 
-    Returns (pieces, bank, estimate). pieces, an iterator from the chunk
-    driver filterbank._calibrated_pieces, yields the calibrated stream
-    from the second block on, its untrimmed tail included, as consecutive
-    fresh float64 arrays of at most _CHUNK*M samples. bank is the
-    FilterBank designed from the last estimate, and estimate that estimate
-    as a MismatchProfile.
+    Returns (replay, bank, estimate): replay() runs those banks through
+    the chunk driver filterbank._calibrated_pieces, whose pieces are
+    trimmed as calibrate_capture's; bank is the FilterBank designed from
+    the last estimate, and estimate that estimate as a MismatchProfile.
     """
     config = capture.config
     M = config.n_channels
     spec = scenario.filter_spec
-    block = EST_BLOCK_PER_CHANNEL
     n = capture.n_per_channel
-    if n < 2 * block:
-        raise ConfigError(
-            f"estimated mode needs >= {2 * block} samples/channel "
-            f"(two estimation blocks), got {n}")
-    tone_freq = detect_tone_freq(capture)
+    block = min(EST_BLOCK_PER_CHANNEL, n)
+    if tone_freq is None:
+        tone_freq = detect_tone_freq(capture)
     n_full = n // block
     # (n_full, M, block) view: block b of every channel
     offs, gains, skews = estimate_blocks(
         capture.per_channel[:, :n_full * block].reshape(M, n_full, block)
         .swapaxes(0, 1), config, tone_freq)
-    # the mismatches each block runs with: the estimate of the block before
+    # MismatchProfile's checks, and errors, on every block's estimate at once
+    MismatchProfile(offs.ravel(), gains.ravel(), skews.ravel())
+    # the mismatches each block runs with: block 0's own estimate, then
+    # the estimate of the block before
     offsets, run_gains, run_skews = (
-        np.concatenate((np.zeros((1, M)), v))[:-(-n // block)]
+        np.concatenate((v[:1], v))[:-(-n // block)]
         for v in (offs, gains, skews))
     taps = design_banks(run_gains, run_skews, spec)[1]
     estimate = MismatchProfile(offs[-1], gains[-1], skews[-1])
-    pieces = _calibrated_pieces(capture, spec, taps, offsets, block,
-                                (block + spec.group_delay) * M, n * M)
-    return pieces, FilterBank.design(estimate, M, spec), estimate
+    return (functools.partial(_calibrated_pieces, capture, spec, taps, offsets,
+                              block),
+            FilterBank.design(estimate, M, spec), estimate)
 
 
 def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
                        freq: float = None) -> ScenarioResult:
     """Calibrate a capture with the scenario's filter and coefficient mode,
     and measure its first n_fft samples before and after at freq (default:
-    the scenario's tone).
+    the scenario's tone). In estimated mode freq is also the tone the
+    estimator fits, detected from the capture when it is None.
 
     The scenario's config scales the codes: a capture file does not store
     full_scale, so only the scenario knows it. The capture's channel count
@@ -138,20 +144,22 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     if capture.n_per_channel < scenario.filter_spec.n_taps:
         raise ShapeError(f"channel length {capture.n_per_channel} shorter "
                          f"than {scenario.filter_spec.n_taps} taps")
+    # the banks first, so an estimation error comes before any spectrum
+    if scenario.mode == MODE_TRUTH:
+        bank = FilterBank.design(scenario.profile, M, scenario.filter_spec)
+        replay, estimate = functools.partial(calibrate_capture, capture,
+                                             bank), None
+    else:
+        replay, bank, estimate = _calibrate_background(capture, scenario, freq)
     f = scenario.tone.freq_rel if freq is None else freq
     n_fft = scenario.n_fft
     uncal = dequantize_stream(capture.interleaved[:n_fft], config)
     report_uncal = spectrum_report(uncal, f, n_fft, M, config.full_scale)
-    if scenario.mode == MODE_TRUTH:
-        bank = FilterBank.design(scenario.profile, M, scenario.filter_spec)
-        pieces, estimate = calibrate_capture(capture, bank), None
-    else:
-        pieces, bank, estimate = _calibrate_background(capture, scenario)
-    cal = _first_samples(pieces, n_fft)
+    cal = _first_samples(replay(), n_fft)
     report_cal = spectrum_report(cal, f, n_fft, M, config.full_scale)
     return ScenarioResult(scenario=scenario, report_uncal=report_uncal,
                           report_cal=report_cal, estimate=estimate,
-                          bank=bank, calibrated=cal)
+                          bank=bank, calibrated=cal, replay=replay)
 
 
 def _first_samples(pieces, n: int) -> np.ndarray:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
-                    _chunk_map, _require_integers)
+                    _require_integers)
 from .polyphase import _ACC_LIMIT, _guard_sums
 
 SUBTRACT_GAIN = "sub"
@@ -344,30 +344,29 @@ def calibrate_capture(capture: ChannelCapture, bank: FilterBank):
         raise ConfigError(f"offsets {offsets} are too large for "
                           f"{config.bits}-bit codes of full scale "
                           f"{config.full_scale}")
-    n = capture.n_per_channel
-    trim = bank.group_delay * M
     return _calibrated_pieces(capture, spec, np.asarray(bank.taps_fixed)[None],
-                              offsets[None], n, trim, n * M - trim)
+                              offsets[None], capture.n_per_channel)
 
 
 def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
-                       offsets, block_len: int, skip: int, end: int):
+                       offsets, block_len: int):
     """The chunk driver of calibrate_capture and the background loop: yield
-    the merged calibrated samples skip to end of the capture, as
-    consecutive fresh float64 arrays, one per chunk of _CHUNK samples per
-    channel that holds some of them.
+    the merged calibrated samples, D*M trimmed at each end, as consecutive
+    fresh float64 arrays, one per chunk of _CHUNK samples per channel that
+    holds some of them.
 
     taps (B, M, N) and offsets (B, M) hold one bank per block of block_len
-    samples, from sample 0. Every chunk, the samples outside skip to end
-    too, runs through the chunk kernel _chunk_sums with the rows of the
-    blocks its samples and its N-1 history samples lie in, so the
-    overflow guard sees every sample. The chunks run on the chunk pool
-    (model._chunk_map), each from the capture alone, and an error is
-    raised after the pieces of the chunks before the one that raised it.
+    samples, from sample 0. Every chunk, the trimmed samples too, runs
+    through the chunk kernel _chunk_sums with the rows of the blocks its
+    samples and its N-1 history samples lie in, so the overflow guard sees
+    every sample. The chunks run one after another on the calling thread,
+    each from the capture alone, and an error is raised after the pieces
+    of the chunks before the one that raised it.
     """
     M = capture.config.n_channels
     n = capture.n_per_channel
     hist = spec.n_taps - 1
+    trim = spec.group_delay * M
     scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
 
     def piece(start):
@@ -377,32 +376,29 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
         acc = _chunk_sums(capture.per_channel, capture.config, spec, start,
                           stop, taps[rows], offsets[first:rows.stop], first,
                           block_len)
-        # the part of merged samples [start*M, stop*M) from skip to end,
+        # the part of merged samples [start*M, stop*M) inside the trim,
         # scaled over the accumulators' own memory
-        lo = max(skip - start * M, 0)
-        hi = min(end - start * M, (stop - start) * M)
+        lo = max(trim - start * M, 0)
+        hi = min((n - start) * M - trim, (stop - start) * M)
         merged = acc.T.reshape(-1)[lo:max(lo, hi)]
         merged *= scale
         return merged
 
-    # a task holds its float64 sums, and a window of the offset-corrected
-    # stream and one of products for one batch of frames; filter keeps no
-    # piece alive while the next ones are made
-    yield from filter(len, _chunk_map(piece, range(0, n, _CHUNK),
-                                      8 * (M * _CHUNK + 2 * _BATCH_SAMPLES)))
+    # filter keeps no piece alive while the next ones are made
+    yield from filter(len, map(piece, range(0, n, _CHUNK)))
 
 
 # the most multiply-adds of one matrix product: OpenBLAS runs a product of
 # up to 2^18 on the calling thread alone and spreads a larger one over
 # threads of its own, which made 1024-frame products five times slower on
-# a 2-vCPU host and competes with the chunk pool's workers
+# a 2-vCPU host
 _PRODUCT_MACS = 1 << 18
 # a frame holds at least min(N - 1, _FRAME_REACH) samples: a frame of P
 # outputs costs P + N - 1 multiply-adds an output, and a bank's frame
 # matrices hold about (N + 2P)*P floats
 _FRAME_REACH = 64
 # the aggregate samples of a batch of frames: each of a batch's products is
-# one numpy call, which releases the GIL once for all its frames
+# one numpy call for all its frames
 _BATCH_SAMPLES = 1 << 15
 
 
@@ -519,9 +515,6 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     so the chunk's sums are those of one pass over the whole capture
     wherever the chunk and block edges fall. Taps outside the spec's
     coeff_bits raise TapOverflowError.
-
-    It runs on chunk-pool threads, so it calls no public layer function
-    (see model._chunk_map).
     """
     M = config.n_channels
     N = spec.n_taps

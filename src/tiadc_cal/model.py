@@ -12,15 +12,16 @@ the rows of one view. Only the chunk kernel filterbank._chunk_sums widens
 codes, a window of one batch of its frames at a time, for its exact
 accumulation.
 
-Chunks are independent: simulate_capture and the calibration driver
-(filterbank._calibrated_pieces) hand them to _chunk_map, which runs them
-on a persistent pool of one worker thread per CPU the process may use and
-gives back their results in chunk order. numpy's matrix products and
-ufunc loops release the GIL, so the chunks' arithmetic can use every
-core. The chunks in flight together hold at most _IN_FLIGHT_BYTES, so
-temporary memory does not grow with the CPU count either; where that
-leaves room for one chunk, or the process has one CPU, the chunks run on
-the calling thread.
+Chunks are independent: simulate_capture hands them to _chunk_map, which
+runs them on a persistent pool of one worker thread per CPU the process
+may use and gives back their results in chunk order. numpy's ufunc loops
+release the GIL, so the chunks' arithmetic can use every core. The chunks
+in flight together hold at most _IN_FLIGHT_BYTES, so temporary memory
+does not grow with the CPU count either; where the process has one CPU,
+the chunks run on the calling thread. The calibration driver
+(filterbank._calibrated_pieces) runs its chunks on the calling thread: its
+matrix-product kernel ran no faster on two workers than on one, and used
+more CPU time.
 """
 
 import math
@@ -47,8 +48,7 @@ try:
 except AttributeError:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
 # the memory the chunks in flight may hold together, on any number of
-# CPUs: the 4 MiB that simulate_capture's temporaries stay within. Two
-# chunks of a two-channel calibration fit, one from three channels up.
+# CPUs: the 4 MiB that simulate_capture's temporaries stay within
 _IN_FLIGHT_BYTES = 4 << 20
 _POOL = None  # (process id, executor), made on first use
 _POOL_LOCK = threading.Lock()
@@ -96,8 +96,7 @@ def _chunk_map(task, items, task_bytes: int):
     in_flight = max(1, min(_WORKERS, _IN_FLIGHT_BYTES // task_bytes))
     if in_flight == 1:
         # nothing would overlap: a worker would only add two thread
-        # switches per task and move its working set to another core,
-        # about 14 % of a five-channel background calibration
+        # switches per task and move its working set to another core
         yield from map(task, items)
         return
     pool = _executor()

@@ -59,10 +59,9 @@ def test_calibrate_capture_is_one_object_in_every_namespace():
     # the tracer patches a function in every namespace that holds it, and
     # test_perfbench reads it from these
     import tiadc_cal
-    from tiadc_cal import cli, experiments, filterbank
+    from tiadc_cal import experiments, filterbank
     assert experiments.calibrate_capture is filterbank.calibrate_capture
     assert tiadc_cal.calibrate_capture is filterbank.calibrate_capture
-    assert cli.calibrate_capture is filterbank.calibrate_capture
 
 
 def test_truth_path_calls_calibrate_capture(monkeypatch):

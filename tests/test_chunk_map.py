@@ -1,6 +1,8 @@
-"""The chunk map (model._chunk_map): a capture's chunks run side by side on
-a thread pool, with the outputs, errors and call pattern of the serial
-loop over them, for any number of workers."""
+"""The chunk map (model._chunk_map): simulate_capture's chunks run side by
+side on a thread pool, with the outputs, errors and call pattern of the
+serial loop over them, for any number of workers. The calibration's chunks
+run on the calling thread, with the same bytes for any number of
+workers."""
 
 import importlib
 import os
@@ -150,26 +152,30 @@ class TestSameBytesForEveryWorkerCount:
         spec = FilterSpec(n_taps=101, coeff_bits=30)
         M, n = 3, 4 * chunk + 2 * block + 8  # a short last block
         capture = random_capture(3, M, n)
-        pieces, bank, estimate = experiments._calibrate_background(
+        replay, bank, estimate = experiments._calibrate_background(
             capture, types.SimpleNamespace(filter_spec=spec))
-        got = list(pieces)
+        got = list(replay())
 
         # reference: one kernel call over the whole capture with every
-        # block's bank stacked, block 0 under the identity
+        # block's bank stacked, block 0 under its own estimate's
         offs, gains, skews = (np.concatenate(e) for e in zip(*estimates))
         n_blocks = -(-n // block)
-        identity = design_banks(np.zeros((1, M)), np.zeros((1, M)), spec)[1]
-        taps = np.concatenate((identity, design_banks(gains, skews, spec)[1]))
-        offsets = np.concatenate((np.zeros((1, M)), offs))
+        taps, offsets = (np.concatenate((v[:1], v)) for v in (
+            design_banks(gains, skews, spec)[1], offs))
         assert len(np.unique(offsets[1:n_blocks], axis=0)) == n_blocks - 1
         whole = merged_sums(capture, spec, taps[:n_blocks], offsets[:n_blocks],
                             block)
-        skip = (block + spec.group_delay) * M
-        assert np.concatenate(got).tobytes() == whole[skip:].tobytes()
+        trim = spec.group_delay * M
+        assert (np.concatenate(got).tobytes()
+                == whole[trim:n * M - trim].tobytes())
         # one piece per chunk that holds output
-        assert [len(p) for p in got] == [
-            min(chunk, n - a) * M - max(skip - a * M, 0)
-            for a in range(0, n, chunk) if (a + chunk) * M > skip]
+        edges = [(max(a * M, trim), min((a + chunk) * M, n * M - trim))
+                 for a in range(0, n, chunk)]
+        assert [len(p) for p in got] == [hi - lo for lo, hi in edges
+                                         if hi > lo]
+        # a second replay runs the same banks: nothing is estimated again
+        assert [p.tobytes() for p in replay()] == [p.tobytes() for p in got]
+        assert len(estimates) == 1
         # a task gets the offsets of the blocks its history and samples
         # lie in: not every block so far
         assert max(rows) == -(-(spec.n_taps - 1) // block) + chunk // block
@@ -217,10 +223,10 @@ def test_a_70_tap_bank_gives_the_same_bytes_on_every_worker_count(
     runs = []
     for n in (1, 2, 3, 8):
         set_workers(n)
-        pieces, last_bank, estimate = experiments._calibrate_background(
+        replay, last_bank, estimate = experiments._calibrate_background(
             capture, scenario)
         runs.append(([p.tobytes() for p in calibrate_capture(capture, bank)],
-                     [p.tobytes() for p in pieces],
+                     [p.tobytes() for p in replay()],
                      np.asarray(last_bank.taps_fixed).tobytes(), estimate))
     assert len(runs[0][0]) == len(runs[0][1]) == 7
     assert all(run == runs[0] for run in runs[1:])
@@ -275,6 +281,8 @@ class TestMemoryInFlight:
         assert peak - 2 * n_total < 4 << 20
 
     def test_calibration_on_eight_workers(self, set_workers):
+        # the calibration's chunks run on the calling thread, one at a
+        # time, whatever the worker count
         capture = random_capture(17, 2, 8 * _CHUNK)
         bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
                                                  (0.0, 0.01)), 2, SPEC30)
@@ -288,7 +296,6 @@ class TestMemoryInFlight:
             set_workers(n)
             run()  # first-call caches
             peaks.append(self.peak(run))
-        # two chunks of two channels fill the budget on any CPU count
         assert peaks[1] <= peaks[0] + (64 << 10)
         assert peaks[1] < model._IN_FLIGHT_BYTES + (2 << 20)
 
@@ -359,36 +366,54 @@ class TestErrorsAndCleanup:
         pieces = calibrate_capture(capture, bank)
         next(pieces)
         pieces.close()
-        # the pool drains what was in flight: two chunks, no more
-        model._executor().submit(lambda: None).result(timeout=60)
-        model._executor().submit(lambda: None).result(timeout=60)
-        assert 1 <= len(calls) <= 2
-        # and the pool still serves whole runs
+        # the chunks run on the calling thread, one per piece read
+        assert len(calls) == 1
+        assert model._POOL is None
         assert ([p.tobytes() for p in calibrate_capture(capture, bank)]
                 == [p.tobytes() for p in whole_pieces(capture, bank, 500)])
 
+    def test_an_error_cancels_the_queued_simulation_chunks(self, monkeypatch,
+                                                           set_workers):
+        set_workers(2)
+        monkeypatch.setattr(model, "_CHUNK", 500)
+        tone = ToneSpec(amplitude=0.9, freq_rel=0.0371)
+        config = TiadcConfig(n_channels=2, bits=12)
+        real, starts = model._sample_row, set()
+
+        def sample_row(tone, profile, m, row):
+            starts.add(int(row[0]) // 2)
+            if row[0] == 2 * 500:  # chunk 1
+                raise ValueError("chunk 1")
+            return real(tone, profile, m, row)
+
+        monkeypatch.setattr(model, "_sample_row", sample_row)
+        with pytest.raises(ValueError, match="chunk 1"):
+            simulate_capture(tone, config, MismatchProfile.zero(2),
+                             2 * 20 * 500)
+        # two chunks in flight: the one after chunk 1 may have started,
+        # none later
+        assert {0, 500} <= starts <= {0, 500, 1000}
+        # and the pool still serves whole runs
+        monkeypatch.setattr(model, "_sample_row", real)
+        capture = simulate_capture(tone, config, MismatchProfile.zero(2),
+                                   2 * 20 * 500)
+        want = quantize_stream(sample_channels(tone, config,
+                                               MismatchProfile.zero(2),
+                                               20 * 500), config)
+        np.testing.assert_array_equal(capture.per_channel, want)
+
     def test_one_worker_starts_no_thread(self, set_workers):
         set_workers(1)
-        capture = random_capture(13, 2, 3 * _CHUNK)
-        bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
-                                                 (0.0, 0.01)), 2, SPEC30)
-        for _ in calibrate_capture(capture, bank):
-            pass
         simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
                          TiadcConfig(n_channels=2, bits=12),
                          MismatchProfile.zero(2), 6 * _CHUNK)
         assert model._POOL is None
 
     def test_thread_count_does_not_grow_across_calls(self):
-        capture = random_capture(13, 2, 3 * _CHUNK)
-        bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
-                                                 (0.0, 0.01)), 2, SPEC30)
         tone = ToneSpec(amplitude=0.9, freq_rel=0.0371)
         config = TiadcConfig(n_channels=2, bits=12)
 
         def run():
-            for _ in calibrate_capture(capture, bank):
-                pass
             simulate_capture(tone, config, MismatchProfile.zero(2),
                              6 * _CHUNK)
 
@@ -470,15 +495,16 @@ def record_threads(monkeypatch, seen):
 def test_public_functions_run_only_on_the_calling_thread(monkeypatch,
                                                          set_workers):
     # perfbench's tracer counts calls in plain Counters and nests spans per
-    # thread, so a chunk task must call no public layer function
+    # thread, so a chunk task must call no public layer function; the
+    # simulation's chunks run on the pool, the calibration's on the
+    # calling thread
     set_workers(2)
-    seen, kernel_threads = [], []
+    seen, row_threads = [], []
     record_threads(monkeypatch, seen)
-    monkeypatch.setattr(filterbank, "_chunk_sums", lambda *args: (
-        kernel_threads.append(threading.get_ident()) or _chunk_sums(*args)))
+    real_row = model._sample_row
+    monkeypatch.setattr(model, "_sample_row", lambda *args: (
+        row_threads.append(threading.get_ident()) or real_row(*args)))
     n = 2 * _CHUNK + 4096
-    # fig7's five channels leave room for one chunk in flight, so its
-    # chunks run on the calling thread; fig6's two channels use the pool
     for name in ("fig6", "fig7"):
         scenario = load_scenario(name)
         M = scenario.config.n_channels
@@ -494,5 +520,5 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch,
             "sinefit.estimate_blocks", "filterbank.design_banks",
             "filterbank.calibrate_capture"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
-    # the kernel ran on a worker while the recorder watched
-    assert set(kernel_threads) - {threading.get_ident()}
+    # the simulation ran on a worker while the recorder watched
+    assert set(row_threads) - {threading.get_ident()}

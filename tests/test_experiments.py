@@ -5,24 +5,28 @@ import numpy as np
 import pytest
 
 from tiadc_cal import (ChannelCapture, ConfigError, DegenerateFitError,
-                       FilterBank, MismatchProfile, experiments, filterbank)
+                       FilterBank, MismatchProfile, cli, experiments,
+                       filterbank)
+from tiadc_cal.capture_io import write_capture
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario, run_sweep,
                                    simulate_scenario)
 from tiadc_cal.filterbank import _chunk_sums, calibrate_capture
 from tiadc_cal.metrics import spectrum_report
-from tiadc_cal.scenarios import MODE_EST, load_scenario
+from tiadc_cal.scenarios import (BUILTIN_SCENARIOS, MODE_EST, MODE_TRUTH,
+                                 build_scenario, load_scenario,
+                                 scenario_settings)
 from tiadc_cal.model import _CHUNK, dequantize_stream, interleave_channels
 from tiadc_cal.sinefit import (EST_BLOCK_PER_CHANNEL, _fit_rows,
                                alias_to_subrate, detect_tone_freq,
-                               estimate_blocks)
+                               estimate_blocks, estimate_from_capture)
 
 
-def background_stream(capture, scenario):
+def background_stream(capture, scenario, tone_freq=None):
     """Read experiments._calibrate_background to its end: (the whole
     calibrated stream, the last bank, the last estimate)."""
-    pieces, bank, estimate = experiments._calibrate_background(capture,
-                                                               scenario)
-    return np.concatenate(list(pieces)), bank, estimate
+    replay, bank, estimate = experiments._calibrate_background(
+        capture, scenario, tone_freq)
+    return np.concatenate(list(replay())), bank, estimate
 
 
 def assert_same_bank(a, b):
@@ -47,11 +51,40 @@ class TestRunScenario:
         assert est.estimate.skews[1] == pytest.approx(0.01, abs=5e-4)
         assert abs(est.sinad_cal_db - truth.sinad_cal_db) <= 1.0
 
-    def test_estimated_mode_needs_two_blocks(self):
-        scenario = replace(load_scenario("fig6"), mode=MODE_EST,
-                           n_samples=8192)  # one block per channel only
-        with pytest.raises(ConfigError, match="block"):
-            run_scenario(scenario)
+    def test_estimated_mode_runs_one_block(self):
+        # one block per channel, which runs its own estimate
+        truth = replace(load_scenario("fig6"), n_samples=8192)
+        capture = simulate_scenario(truth)
+        est = calibrate_scenario(capture, replace(truth, mode=MODE_EST))
+        assert est.estimate == estimate_from_capture(capture)
+        truth_db = calibrate_scenario(capture, truth).sinad_cal_db
+        assert abs(est.sinad_cal_db - truth_db) <= 1.0
+
+    def test_capture_shorter_than_one_block(self):
+        # 1000 samples per channel: one short block, estimated from all
+        # its samples
+        scenario = build_scenario(dict(scenario_settings(load_scenario(
+            "fig6")), n_samples=2000, n_fft=1024, freq=0.019, coherent=True,
+            mode=MODE_EST))
+        capture = simulate_scenario(scenario)
+        est = calibrate_scenario(capture, scenario)
+        assert est.estimate == estimate_from_capture(capture)
+        d = scenario.filter_spec.group_delay
+        assert len(np.concatenate(list(est.replay()))) == (1000 - 2 * d) * 2
+        truth = calibrate_scenario(capture, replace(scenario, mode=MODE_TRUTH))
+        assert est.sinad_cal_db >= 66.0
+        assert abs(est.sinad_cal_db - truth.sinad_cal_db) <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_every_builtin_runs_in_estimated_mode(self, name):
+        # fig7 at its own 4096 samples per channel too; C08's tolerance
+        truth = load_scenario(name)
+        est = run_scenario(replace(truth, mode=MODE_EST))
+        assert abs(est.sinad_cal_db - run_scenario(truth).sinad_cal_db) <= 1.0
+        for what in ("offsets", "gains", "skews"):
+            np.testing.assert_allclose(getattr(est.estimate, what),
+                                       getattr(truth.profile, what),
+                                       rtol=0, atol=5e-4)
 
     def test_deterministic_repeat(self):
         a = run_scenario(load_scenario("fig6"))
@@ -113,7 +146,9 @@ class TestRunScenario:
 
 class TestShortFinalBlock:
     """Estimated mode on captures whose last block is shorter than
-    EST_BLOCK_PER_CHANNEL: it is corrected but not estimated from."""
+    EST_BLOCK_PER_CHANNEL: it is corrected, with the last full block's
+    estimate, but not estimated from; the stream loses D*M samples at each
+    end, as in truth mode."""
 
     n_full = 65536
 
@@ -135,7 +170,7 @@ class TestShortFinalBlock:
         M, d = scenario.config.n_channels, scenario.filter_spec.group_delay
         n = self.n_full + t
         stream, _, _ = background_stream(*self.shortened(longest, n))
-        assert len(stream) == (n - EST_BLOCK_PER_CHANNEL - d) * M
+        assert len(stream) == (n - 2 * d) * M
         whole, _, _ = background_stream(*self.shortened(longest, self.n_full))
         np.testing.assert_array_equal(stream[:len(whole)], whole)
         result = calibrate_scenario(*self.shortened(longest, n))
@@ -219,14 +254,16 @@ def background_by_block(capture, scenario):
     M, block = config.n_channels, EST_BLOCK_PER_CHANNEL
     n = capture.n_per_channel
     tone_freq = detect_tone_freq(capture)
-    banks, estimates = [FilterBank.identity(M, spec)], []
+    banks, estimates = [], []
     for start in range(0, n - block + 1, block):
         blocks = capture.per_channel[:, start:start + block]
         estimates.append([v[0] for v in estimate_blocks(
             blocks[None], config, tone_freq)])
         banks.append(FilterBank.design(MismatchProfile(*estimates[-1]), M,
                                        spec))
-    # one bank per block: a final full block's estimate applies to none
+    # one bank per block, block 0 under its own estimate's: a final full
+    # block's estimate applies to none
+    banks = banks[:1] + banks
     n_blocks = -(-n // block)
     acc = _chunk_sums(capture.per_channel, config, spec, 0, n,
                       np.array([b.taps_fixed for b in banks[:n_blocks]]),
@@ -235,8 +272,8 @@ def background_by_block(capture, scenario):
     out = interleave_channels(acc) * (2.0 ** -(spec.coeff_bits - 2)
                                       * config.lsb)
     offsets, gains, skews = np.array(estimates).swapaxes(0, 1)
-    return out[(block + spec.group_delay) * M:], banks[-1], (offsets, gains,
-                                                             skews)
+    trim = spec.group_delay * M
+    return out[trim:n * M - trim], banks[-1], (offsets, gains, skews)
 
 
 class TestBackgroundSteps:
@@ -284,6 +321,61 @@ class TestBackgroundSteps:
         one = np.concatenate([_fit_rows(codes[b:b + 1], f_sub)
                               for b in range(n_full)], axis=1)
         assert_close_fits(batched, one)
+
+    @staticmethod
+    def run_cli(scenario, capture, tmp_path, capsys, *flags):
+        """calibrate --mode est on the capture written to a file, with the
+        scenario's filter: (exit code, stdout)."""
+        path = tmp_path / "dithered_capture.bin"
+        write_capture(capture, str(path))
+        spec = scenario.filter_spec
+        code = cli.main(["calibrate", str(path), "--mode", "est",
+                         "--taps", str(spec.n_taps),
+                         "--coeff-bits", str(spec.coeff_bits),
+                         "--variant", spec.variant, *flags])
+        return code, capsys.readouterr().out
+
+    def test_cli_writes_the_library_stream(self, dithered, tmp_path, capsys):
+        scenario, capture = dithered
+        code, _ = self.run_cli(scenario, capture, tmp_path, capsys,
+                               "--out", str(tmp_path))
+        assert code == 0
+        want, _, _ = background_stream(capture, scenario)
+        lines = (tmp_path / "dithered_capture_calibrated.csv").read_text(
+        ).splitlines()
+        assert lines[0] == "index,value"
+        assert lines[1:] == [f"{i},{v:.12g}" for i, v in enumerate(want)]
+
+    def test_cli_freq_reaches_the_estimator(self, dithered, tmp_path, capsys,
+                                            monkeypatch):
+        scenario, capture = dithered
+        block, M = EST_BLOCK_PER_CHANNEL, 5
+        n_full = capture.n_per_channel // block
+        blocks = capture.per_channel[:, :n_full * block].reshape(
+            M, n_full, block).swapaxes(0, 1)
+
+        def last_estimate(freq):
+            return MismatchProfile(*(v[-1] for v in estimate_blocks(
+                blocks, capture.config, freq)))
+
+        # off the detected tone, but within the spectrum's coherence check
+        freq = float(detect_tone_freq(capture)) * (1 + 1e-9)
+        assert last_estimate(freq) != last_estimate(detect_tone_freq(capture))
+
+        def no_detection(capture):
+            raise AssertionError("the tone was detected")
+
+        monkeypatch.setattr(cli, "detect_tone_freq", no_detection)
+        monkeypatch.setattr(experiments, "detect_tone_freq", no_detection)
+        results = []
+        real = cli.calibrate_scenario
+        monkeypatch.setattr(cli, "calibrate_scenario", lambda *args: (
+            results.append(real(*args)) or results[-1]))
+        code, out = self.run_cli(scenario, capture, tmp_path, capsys,
+                                 f"--freq={freq!r}")
+        assert code == 0
+        assert out.startswith(f"tone freq_rel = {freq:.10g} (est ")
+        assert results[0].estimate == last_estimate(freq)
 
 
 def assert_close_fits(a, b, ulps=16):
