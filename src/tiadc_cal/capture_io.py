@@ -38,6 +38,14 @@ MAGIC = b"TIAD"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHHdQ")
 HEADER_SIZE = _HEADER.size  # 26
+MAX_BITS = 16  # the payload's codes are signed 16-bit
+
+
+def check_bits(bits: int, error=DataFormatError) -> None:
+    """Raise error unless bits-bit codes fit the payload."""
+    if bits > MAX_BITS:
+        raise error(f"{bits}-bit codes do not fit the {MAX_BITS}-bit "
+                    "payload format")
 
 
 def _check_code_range(codes: np.ndarray, bits: int) -> None:
@@ -56,9 +64,7 @@ def write_capture(capture: ChannelCapture, path) -> None:
     """Serialize a capture; inverse of read_capture. Codes outside the
     config's bit range raise DataFormatError, and no file is written."""
     config = capture.config
-    if config.bits > 16:
-        raise DataFormatError(
-            f"{config.bits}-bit codes do not fit the 16-bit payload format")
+    check_bits(config.bits)
     codes = capture.interleaved
     _check_code_range(codes, config.bits)
     header = _HEADER.pack(MAGIC, VERSION, config.n_channels, config.bits,
@@ -88,8 +94,9 @@ def read_capture(path) -> ChannelCapture:
         if n_channels < 2:
             raise DataFormatError(
                 f"channel count {n_channels} must be >= 2 (byte offset 6)")
-        if not 2 <= bits <= 16:
-            raise DataFormatError(f"bits {bits} outside 2..16 (byte offset 8)")
+        if not 2 <= bits <= MAX_BITS:
+            raise DataFormatError(
+                f"bits {bits} outside 2..{MAX_BITS} (byte offset 8)")
         if not (fs > 0 and np.isfinite(fs)):
             raise DataFormatError(
                 f"sample rate {fs} not positive (byte offset 10)")

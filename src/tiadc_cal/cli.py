@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .capture_io import read_capture, write_capture
+from .capture_io import check_bits, read_capture, write_capture
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
 from .experiments import calibrate_scenario, run_sweep, simulate_scenario
 from .metrics import spectrum_report, write_spectrum_csv
@@ -122,6 +122,7 @@ def _sidecar_path(capture_path: str) -> str:
 def _cmd_simulate(args) -> int:
     settings = scenario_settings(load_scenario(args.config))
     scenario = _apply_overrides(settings, args)
+    check_bits(scenario.config.bits, ConfigError)
     capture = simulate_scenario(scenario)
     os.makedirs(args.out, exist_ok=True)
     capture_path = os.path.join(args.out, f"{scenario.name}_capture.bin")

@@ -34,16 +34,18 @@ Taps are indexed by n in tap_indices(N), and the bank runs causally,
 delaying the interleaved stream by D = ceil(N/2)-1 aggregate samples; a
 calibrated capture loses D*M samples at each end. Coefficients are
 quantized to two's-complement Q2.(W-2); a bank is a sum of sub-rate
-integer convolutions (FilterBank.convolution_terms) with one final
-scaling, so results are bit-reproducible. Each sub-filter is a stride-M
-slice of one channel's taps (the polyphase decomposition; _sub_filters).
-The chunk kernel _chunk_sums computes those integer sums exactly as
-float64 matrix products over frames of the interleaved stream: a frame of
-P outputs costs P + N - 1 multiply-adds an output where the convolutions
-cost one per nonzero tap, but BLAS runs them about four times faster
-than one np.convolve call per block and sub-filter. design_banks and the
-chunk kernel work on tap and offset arrays; FilterBank is the record of
-one bank, and where a hand-built bank's taps and offsets are checked.
+integer convolutions with one final scaling, so results are
+bit-reproducible. FilterBank.convolution_terms alone keeps that polyphase
+view, which hardware runs in parallel. The chunk kernel _chunk_sums
+computes those sums exactly as float64 matrix products over frames of the
+interleaved stream: a frame of P outputs costs P + N - 1 multiply-adds an
+output where the convolutions cost one per nonzero tap, but BLAS runs
+them about four times faster than one np.convolve call per block and
+sub-filter. Its guard's tap sums come straight from the taps, and its
+int64 limbs are sized from the chunk's largest |sample|, since a block's
+last frame may read the next block. design_banks and the chunk kernel
+work on tap and offset arrays; FilterBank is the record of one bank, and
+where a hand-built bank's taps and offsets are checked.
 """
 
 import csv
@@ -243,16 +245,24 @@ class FilterBank:
         sub-rate index k is the sum over its triples of
         sum_i taps[i] * x_s[k - lag - i], where x_s is source channel s's
         offset-corrected code stream. It holds the correction of aggregate
-        sample k*M + m - D by channel (m - D) % M; see _sub_filters. Zero
-        taps at either end of a triple are dropped and all-zero triples
+        sample k*M + m - D by channel (m - D) % M, whose tap j reads source
+        (m - j) % M: a triple's taps are the stride-M slice of that
+        channel's taps from tap (m - s) % M (the polyphase decomposition).
+        Zero taps at either end of a triple are dropped and all-zero triples
         left out: an output costs one multiply-accumulate per nonzero tap
         of its channel, at most N. Every lag + len(taps) is at most N: N-1
         samples of history per channel are enough.
         """
-        terms = _sub_filters(np.asarray(self.taps_fixed, dtype=np.int64)[None])
-        return tuple(tuple((s, lag, h[0]) for slot, s, lag, h in terms
-                           if slot == m)
-                     for m in range(self.n_channels))
+        taps = np.asarray(self.taps_fixed, dtype=np.int64)
+        M = self.n_channels
+        terms = [[] for _ in range(M)]
+        for m, s in np.ndindex(M, M):
+            h = taps[(m - self.group_delay) % M, (m - s) % M::M]
+            live = np.flatnonzero(h)
+            if len(live):
+                lo, hi = int(live[0]), int(live[-1]) + 1
+                terms[m].append((s, int(m < s) + lo, h[lo:hi]))
+        return tuple(map(tuple, terms))
 
 
 def design_banks(gains, skews, spec: FilterSpec) -> tuple:
@@ -286,26 +296,6 @@ def design_banks(gains, skews, spec: FilterSpec) -> tuple:
                         * ((-1.0) ** (ni + 1)) / ni * window)
     real[..., n == 0] = trims[..., None]
     return real, quantize_taps(real, spec.coeff_bits)
-
-
-def _sub_filters(taps) -> list:
-    """(slot m, source s, first lag, h) of every sub-rate convolution of a
-    (B, M, N) int64 stack of banks with a nonzero tap in some bank. Slot m
-    is corrected by channel (m - D) % M, whose tap j reads source
-    (m - j) % M: h is the stride-M slice of that channel's taps from tap
-    (m - s) % M, trimmed to the taps nonzero in some bank, and h[b, i]
-    multiplies source s's sample lag + i sub-rate steps back in bank b."""
-    M, N = taps.shape[1:]
-    d = (N + 1) // 2 - 1
-    used = (taps != 0).any(axis=0)
-    terms = []
-    for m, s in np.ndindex(M, M):
-        h = taps[:, (m - d) % M, (m - s) % M::M]
-        live = np.flatnonzero(used[(m - d) % M, (m - s) % M::M])
-        if len(live):
-            lo, hi = int(live[0]), int(live[-1]) + 1
-            terms.append((m, s, int(m < s) + lo, h[:, lo:hi]))
-    return terms
 
 
 def _offset_codes(offsets, config: TiadcConfig) -> np.ndarray:
@@ -446,15 +436,12 @@ def _limb_frames(z, at: int, mats, out, scratch, bits: int,
     half = 1 << (bits - 1)
     parts = []
     for _ in range(limbs - 1):
-        low = ((z + half) & ((1 << bits) - 1)) - half
-        parts.append(low)
-        z = (z - low) >> bits
-    parts.append(z)
-    sums = None
-    for part in reversed(parts):
+        parts.append(((z + half) & ((1 << bits) - 1)) - half)
+        z = (z - parts[-1]) >> bits
+    sums = 0
+    for part in [z] + parts[::-1]:
         _fir_frames(part.astype(np.float64), at, mats, out, scratch)
-        sums = (out.astype(np.int64) if sums is None
-                else (sums << bits) + out.astype(np.int64))
+        sums = (sums << bits) + out.astype(np.int64)
     np.copyto(out, sums, casting="unsafe")
 
 
@@ -488,9 +475,10 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     This is the one place the fixed-point rule runs: subtract each block's
     offset code, multiply-accumulate exactly, return the sums only if
     polyphase._guard_sums finds every block's exact, and let the caller
-    scale once. The guard's peaks, the largest |code - offset code| that
-    each block's sums read, come from each source's smallest and largest
-    code between the samples where blocks and their reads start.
+    scale once. The guard's tap sums come straight from the taps; its
+    peaks, the largest |code - offset code| that each block's sums read,
+    from each source's smallest and largest code between the samples
+    where blocks and their reads start.
 
     The bank is a periodically time-varying FIR on the interleaved
     offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *
@@ -503,7 +491,8 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     holds each exactly in any BLAS summation order. A chunk where that
     bound is larger builds z in int64 and runs every block as limbs whose
     sums stay below 2^53 (_limb_frames), exact for banks of fewer than
-    2^22 taps a channel.
+    2^22 taps a channel. The limbs are sized for the whole chunk, not a
+    block's own peaks: a block's last frame may read the next block.
 
     codes is the (M, n) per-channel view of a capture, of any integer
     type. The capture runs in blocks of block_len samples from sample 0.
@@ -529,13 +518,16 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     if len(taps) != len(starts):
         raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
                           f"{block_len} in {width} samples")
-    # taps within the word keep |taps| <= 2^31, so their int64 abs is
-    # exact and the uint64 sums of |taps| below cannot wrap
+    # taps within the word keep |taps| <= 2^31, so their int64 abs and
+    # sums are exact; tap_sums[b, m, s] is the sum of |taps| by which
+    # source s feeds slot m in block b: slot m runs channel (m - D) % M,
+    # whose tap j reads source (m - j) % M
     _check_word_length(taps, spec.coeff_bits)
     taps = np.asarray(taps, dtype=np.int64)
-    tap_sums = np.zeros((len(taps), M, M), dtype=np.uint64)
-    for m, s, _, h in _sub_filters(taps):
-        tap_sums[:, m, s] = np.abs(h).sum(axis=1, dtype=np.uint64)
+    slots = np.arange(M)
+    feeds = (slots[:, None] - np.arange(N)) % M == slots[:, None, None]
+    tap_sums = np.einsum("bmj,smj->bms",
+                         np.abs(taps[:, (slots - spec.group_delay) % M]), feeds)
 
     # a block's sums read its samples and the N-1 before them (zeros
     # before sample 0): the samples from the first read on, cut where a
@@ -550,11 +542,8 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     block_codes = _offset_codes(np.asarray(offsets)[blocks - first_block],
                                 config)
     seg_codes = block_codes[cuts // block_len - blocks[0]].astype(object)
-    low = np.empty((len(cuts), M), dtype=object)
-    high = np.empty((len(cuts), M), dtype=object)
-    for s in range(M):
-        low[:, s] = np.minimum.reduceat(codes[s, first:stop], cuts - first)
-        high[:, s] = np.maximum.reduceat(codes[s, first:stop], cuts - first)
+    low, high = (f.reduceat(codes[:, first:stop], cuts - first, axis=1)
+                 .T.astype(object) for f in (np.minimum, np.maximum))
     seg_peaks = np.maximum(high - seg_codes, seg_codes - low)
     peaks = np.stack([seg_peaks[a:b].max(axis=0) for a, b in zip(
         np.searchsorted(cuts, reads), np.searchsorted(cuts, start + ends))])
@@ -562,11 +551,15 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     # every block meets it
     _guard_sums(peaks, tap_sums)
 
-    # each block's largest slot sum of |taps|
-    slot_sums = [int(v) for v in tap_sums.sum(axis=2).max(axis=1)]
+    # the chunk's largest slot sum of |taps| and |code - offset code|:
+    # limbs of bits bits keep each limb's sums below 2^53, and cover every
+    # block's reads, since a block's last frame may read the next block
+    s_max = int(tap_sums.sum(axis=2).max())
     largest = (max(high.max(), -low.min())
                + max(int(block_codes.max()), -int(block_codes.min())))
-    exact = largest * max(slot_sums) < 1 << 53
+    exact = largest * s_max < 1 << 53
+    bits = 54 - s_max.bit_length()
+    limbs = -(-(largest.bit_length() + 2) // bits)
     P = M
     while P < min(hist, _FRAME_REACH):
         P *= 2
@@ -581,13 +574,9 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                       dtype=np.float64 if exact else np.int64)
     scratch = np.empty(batch * P)
     acc = np.empty(width * M + P)
-    for bank, s_max, peak, a, e in zip(taps, slot_sums, peaks,
-                                       starts.tolist(), ends.tolist()):
+    for bank, a, e in zip(taps, starts.tolist(), ends.tolist()):
         A = np.append(bank, 0)[index].astype(np.float64)
         mats = [A[t, max(0, t * P - hist):] for t in range(len(A))]
-        # limbs of this many bits keep each limb's sums below 2^53
-        bits = 54 - s_max.bit_length()
-        limbs = -(-(max(peak).bit_length() + 2) // bits)
         # the block's frames; its last may run past the block, into
         # outputs the next block then writes over
         n_frames = -(-(e - a) * M // P)

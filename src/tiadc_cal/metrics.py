@@ -147,7 +147,7 @@ def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> f
         return DBFS_FLOOR
     if p_noise <= 0:
         return float("inf")
-    return 10.0 * np.log10(p_signal / p_noise)
+    return float(10.0 * np.log10(p_signal / p_noise))
 
 
 def enob(sinad_db: float) -> float:

@@ -71,8 +71,8 @@ def _result(a, b, c, omega, y, n, iterations) -> SineFitResult:
     if phase <= -math.pi:
         phase += 2.0 * math.pi
     resid = y - (a * np.sin(omega * n) + b * np.cos(omega * n) + c)
-    return SineFitResult(amplitude=amplitude, freq_rel=omega / (2.0 * math.pi),
-                         phase=phase, dc=float(c),
+    return SineFitResult(amplitude=amplitude,
+                         freq_rel=float(omega) / (2.0 * math.pi), phase=phase, dc=float(c),
                          rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                          iterations=iterations)
 

@@ -172,3 +172,23 @@ def test_a_bound_of_exactly_2_62_raises(n_channels, n_taps, excess):
     else:
         assert _chunk_sums(*args).tolist() == [[float(v) for v in row]
                                                for row in want]
+
+
+def test_a_frame_past_the_block_fits_the_limbs():
+    # 74 samples of two channels are not a whole number of 4-sample
+    # frames, so block 0's last frame reads block 1's codes of up to 2^58
+    # through block 0's taps of up to 2^30; block 1 writes over those
+    # outputs, and block 0's limbs must still hold the codes they read
+    rng = np.random.default_rng(22)
+    M, N, block_len = 2, 5, 37
+    codes = np.concatenate(
+        [rng.integers(-1000, 1001, (M, block_len)),
+         rng.integers(-(1 << 58), (1 << 58) + 1, (M, block_len))], axis=1)
+    taps = np.ones((2, M, N), dtype=np.int64)
+    taps[0] = rng.integers(-(1 << 30), (1 << 30) + 1, (M, N))
+    config = TiadcConfig(n_channels=M, bits=24)
+    args = (codes, config, FilterSpec(n_taps=N, coeff_bits=32), 0,
+            2 * block_len, taps, np.zeros((2, M)), 0, block_len)
+    want = reference(codes, config, N, *args[3:])
+    assert _chunk_sums(*args).tolist() == [[float(v) for v in row]
+                                           for row in want]

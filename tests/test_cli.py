@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from tiadc_cal import (ChannelCapture, TiadcConfig, calibrate_capture, cli,
                        interleave_channels)
 from tiadc_cal.cli import main
-from tiadc_cal.capture_io import HEADER_SIZE, write_capture
+from tiadc_cal.capture_io import HEADER_SIZE, read_capture, write_capture
 from tiadc_cal.experiments import run_scenario
 from tiadc_cal.model import _CHUNK
 from tiadc_cal.scenarios import load_scenario, scenario_to_text
+from tiadc_cal.sinefit import detect_tone_freq
 
 
 def run(capsys, *argv):
@@ -60,6 +61,22 @@ class TestSimulate:
         assert code == 2
         assert "config error" in err
         assert not (tmp_path / "bad_capture.bin").exists()
+
+    def test_codes_wider_than_the_format_exit_2_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        def no_simulation(scenario):
+            raise AssertionError("the capture was simulated")
+
+        monkeypatch.setattr(cli, "simulate_scenario", no_simulation)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("name = deep\nbits = 20\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "simulate", "--config", str(cfg),
+                                "--out", str(out))
+        assert code == 2
+        assert err == ("config error: 20-bit codes do not fit the 16-bit "
+                       "payload format\n")
+        assert stdout == "" and not out.exists()
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--config", "fig6",
@@ -118,6 +135,15 @@ class TestCalibrate:
         assert "reduction" in out
         assert (tmp_path / "fig6_capture_calibrated.csv").exists()
         assert (tmp_path / "fig6_capture_spectrum_cal.csv").exists()
+
+    def test_est_mode_takes_the_repr_of_a_detected_tone(self, tmp_path,
+                                                        capsys):
+        path = simulate_fig6(tmp_path, capsys)
+        freq = detect_tone_freq(read_capture(path))
+        code, out, _ = run(capsys, "calibrate", str(path), "--mode", "est",
+                           "--freq", repr(freq))
+        assert code == 0
+        assert out.startswith(f"tone freq_rel = {freq:.10g} (est ")
 
     @pytest.mark.parametrize("mode", ["truth", "est"])
     def test_calibrated_csv_is_the_whole_stream(self, tmp_path, capsys,

@@ -219,6 +219,15 @@ class TestRunSweep:
         assert lines[0].split(",")[0] == "skew"
         assert len(lines) == 3
 
+    def test_sinad_values_are_python_floats(self):
+        scenario = load_scenario("fig12")
+        result = run_scenario(scenario)
+        assert type(result.sinad_uncal_db) is float
+        assert type(result.sinad_cal_db) is float
+        row, = run_sweep(scenario, values=(0.005,))
+        assert type(row.sinad_uncal_db) is float
+        assert type(row.sinad_cal_db) is float
+
     def test_defaults_to_scenario_sweep(self):
         rows = run_sweep(load_scenario("fig8"))
         assert len(rows) == 4

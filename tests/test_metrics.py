@@ -213,6 +213,14 @@ class TestReportAndCsv:
         assert rep.sinad_db > 200  # noiseless float sine: near-infinite
         assert len(rep.spurs) == 2
 
+    @pytest.mark.parametrize("window", ["rect", "bh4"])
+    def test_sinad_and_enob_are_python_floats(self, window):
+        x = coherent_sine(0.9, F77, 0.1)
+        x = x + np.random.default_rng(3).normal(scale=1e-3, size=N_FFT)
+        rep = spectrum_report(x, F77, N_FFT, 2, window=window)
+        assert type(sinad(x, F77, N_FFT, window=window)) is float
+        assert type(rep.sinad_db) is float and type(rep.enob) is float
+
     def test_csv_layout(self, tmp_path):
         spec = power_spectrum(coherent_sine(1.0, 4 / 64, 0.0, n=64), 64)
         path = tmp_path / "spec.csv"

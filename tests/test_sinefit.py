@@ -345,6 +345,15 @@ class TestEndToEnd:
         cap = self.capture(CFG12, profile, freq, 16384)
         assert detect_tone_freq(cap) == pytest.approx(freq, abs=1e-8)
 
+    def test_fitted_and_detected_frequencies_are_python_floats(self):
+        # their repr is a plain number, fit to be passed back as --freq
+        profile = MismatchProfile((0, 0.001), (0, 0.01), (0, 0.01))
+        cap = self.capture(CFG12, profile, 77 / 4096, 16384)
+        fit = sine_fit_four_param(cap.per_channel[0] / 2048, 77 / 2048)
+        assert type(fit.freq_rel) is float
+        freq = detect_tone_freq(cap)
+        assert type(freq) is float and float(repr(freq)) == freq
+
     def test_detect_tone_freq_reflected_band(self):
         freq = 1885 / 4096  # 0.46... lands above fs/4, image below tone
         profile = MismatchProfile((0, 0.0), (0, 0.005), (0, 0.005))
