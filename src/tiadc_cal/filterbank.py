@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TapOverflowError
-from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
-                    _require_integers)
+from .model import (_CHUNK, _PRODUCT_MACS, ChannelCapture, MismatchProfile,
+                    TiadcConfig, _require_integers)
 from .polyphase import _ACC_LIMIT, _guard_sums
 
 SUBTRACT_GAIN = "sub"
@@ -378,11 +378,6 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     yield from filter(len, map(piece, range(0, n, _CHUNK)))
 
 
-# the most multiply-adds of one matrix product: OpenBLAS runs a product of
-# up to 2^18 on the calling thread alone and spreads a larger one over
-# threads of its own, which made 1024-frame products five times slower on
-# a 2-vCPU host
-_PRODUCT_MACS = 1 << 18
 # a frame holds at least min(N - 1, _FRAME_REACH) samples: a frame of P
 # outputs costs P + N - 1 multiply-adds an output, and a bank's frame
 # matrices hold about (N + 2P)*P floats

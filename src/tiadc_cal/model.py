@@ -41,6 +41,11 @@ MAX_CHANNELS = 0xFFFF  # the capture header's u16 channel count
 # handle at a time: the working set stays in cache and temporary memory does
 # not grow with the capture
 _CHUNK = 1 << 16
+# the most multiply-adds of one matrix product: OpenBLAS runs a product of
+# up to 2^18 on the calling thread alone and spreads a larger one over
+# threads of its own, which made 1024-frame products five times slower on
+# a 2-vCPU host
+_PRODUCT_MACS = 1 << 18
 
 # _chunk_map's worker threads: one per CPU the process may use
 try:

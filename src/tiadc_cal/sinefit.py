@@ -16,6 +16,13 @@ The skew estimate comes from the phase difference: channel m's carrier phase
 leads channel 0's by 2*pi*f*(m + dt_m), known only modulo 2*pi, so the branch
 is chosen to make |dt_m| smallest; mismatches are assumed well below one
 sample period.
+
+The four-parameter fit (IEEE Std 1241/1057) solves 3 x 3 and 4 x 4 normal
+equations, decides rank from their Gram matrix's eigenvalues, and builds sin
+and cos once a frequency by angle addition (see sine_fit_four_param's Notes).
+Its BLAS products are at most model._PRODUCT_MACS multiply-adds and none is
+a 1-D dot over the record, so OpenBLAS keeps them on the calling thread: its
+own threads, once woken, would compete with the simulation pool.
 """
 
 import functools
@@ -26,11 +33,14 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFitError,
                      PhaseAmbiguityError, ShapeError)
-from .model import (_CHUNK, ChannelCapture, MismatchProfile, TiadcConfig,
-                    dequantize_stream)
+from .model import (_CHUNK, _PRODUCT_MACS, ChannelCapture, MismatchProfile,
+                    TiadcConfig, dequantize_stream)
 
 _OMEGA_TOL = 1e-12
 _MAX_ITERATIONS = 50
+# angle addition: n = q*_SPLIT + r, so sin and cos of omega*n come from a
+# _SPLIT-entry table over r and a ceil(L/_SPLIT)-entry table over q
+_SPLIT = 256
 
 EST_BLOCK_PER_CHANNEL = 4096  # samples per channel in one estimation block
 _DETECT_SAMPLES = 1 << 16  # prefix read by tone detection's DFT and fit
@@ -56,21 +66,63 @@ class SineFitResult:
     iterations: int
 
 
-def _three_param_solve(y, n, omega):
-    m3 = np.column_stack([np.sin(omega * n), np.cos(omega * n), np.ones_like(n)])
-    sol, res, rank, _ = np.linalg.lstsq(m3, y, rcond=None)
-    if rank < 3:
-        raise DegenerateFitError("normal equations singular in 3-parameter solve")
-    model = m3 @ sol
-    return sol, float(np.sum((y - model) ** 2))
+def _set_frequency(work, length: int, omega: float) -> None:
+    """Write sin(omega*n) and cos(omega*n), n < length, into rows 1 and 2
+    of work: with n = q*_SPLIT + r, sin(omega*n) = sin(a_q)cos(b_r) +
+    cos(a_q)sin(b_r), a_q = omega*(q*_SPLIT) and b_r = omega*r, and
+    likewise cos. Row 4 is scratch; the padding of rows 1 and 2 stays 0."""
+    a = omega * (_SPLIT * np.arange(work.shape[1] // _SPLIT, dtype=float))
+    b = omega * np.arange(_SPLIT, dtype=float)
+    sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    sin, cos, scratch = (work[i].reshape(-1, _SPLIT) for i in (1, 2, 4))
+    np.multiply.outer(sin_a, cos_b, out=sin)
+    sin += np.multiply.outer(cos_a, sin_b, out=scratch)
+    np.multiply.outer(cos_a, cos_b, out=cos)
+    cos -= np.multiply.outer(sin_a, sin_b, out=scratch)
+    work[1:3, length:] = 0.0
 
 
-def _result(a, b, c, omega, y, n, iterations) -> SineFitResult:
+def _gram(rows) -> np.ndarray:
+    """rows @ rows.T for a (k, W) array, summed over column blocks of at
+    most _PRODUCT_MACS multiply-adds, so that OpenBLAS runs each product
+    on the calling thread."""
+    k, width = rows.shape
+    step = _PRODUCT_MACS // (k * k)
+    return sum(rows[:, i:i + step] @ rows[:, i:i + step].T
+               for i in range(0, width, step))
+
+
+def _solve(gram, rhs, length: int, what: str) -> np.ndarray:
+    """Solve the normal equations gram @ x = rhs of a length-row basis.
+    DegenerateFitError when gram, scaled to a unit diagonal, has an
+    eigenvalue at or below length*eps times its largest: the rounding of
+    the Gram's sums leaves nothing below that to resolve."""
+    scale = np.sqrt(np.diagonal(gram))
+    scale[scale == 0.0] = 1.0  # a zero column leaves a zero eigenvalue
+    eig, vec = np.linalg.eigh(gram / scale / scale[:, None])
+    if not eig[0] > eig[-1] * length * np.finfo(float).eps:
+        raise DegenerateFitError(f"normal equations singular in {what}")
+    return vec @ (vec.T @ (rhs / scale) / eig) / scale
+
+
+def _three_param_solve(work, length: int, omega: float) -> tuple:
+    """(A, B, C) of the least-squares A*sin + B*cos + C at omega for the
+    record in row 0 of sine_fit_four_param's work array, and its residual
+    sum of squares y'y - sol'B'y. Leaves the sin and cos rows at omega."""
+    _set_frequency(work, length, omega)
+    p = _gram(work[:4])
+    sol = _solve(p[1:, 1:], p[1:, 0], length, "3-parameter solve")
+    return sol, float(p[0, 0] - sol @ p[1:, 0])
+
+
+def _result(a, b, c, omega, work, length: int, iterations) -> SineFitResult:
+    """The fit at (a, b, c, omega), whose sin and cos rows work holds."""
     amplitude = math.hypot(a, b)
     phase = math.atan2(b, a)
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    resid = y - (a * np.sin(omega * n) + b * np.cos(omega * n) + c)
+    y, sin, cos = work[:3, :length]
+    resid = y - (a * sin + b * cos + c)
     return SineFitResult(amplitude=amplitude,
                          freq_rel=float(omega) / (2.0 * math.pi), phase=phase, dc=float(c),
                          rms_residual=float(np.sqrt(np.mean(resid ** 2))),
@@ -93,6 +145,15 @@ def _shared_pinv(length: int, freq_rel: float) -> np.ndarray:
     pinv = (vt.T / s) @ u.T
     pinv.setflags(write=False)
     return pinv
+
+
+@functools.lru_cache(maxsize=4)
+def _detect_window(length: int) -> np.ndarray:
+    """Read-only Hann window of detect_tone_freq's DFT, built once per
+    length."""
+    window = np.hanning(length)
+    window.setflags(write=False)
+    return window
 
 
 def _row_name(index: int, shape: tuple, first_block: int = 0) -> str:
@@ -152,6 +213,9 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
 
     Raises
     ------
+    ConfigError
+        Fewer than 16 samples, a guess outside (0, 0.5), or a NaN or
+        infinite sample (the message names the first).
     DegenerateFitError
         Constant or zero input, or singular fit equations.
     ConvergenceError
@@ -161,59 +225,92 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
     Notes
     -----
     Gauss-Newton on (A, B, C, omega): each iteration solves the linearized
-    least-squares with the extra column n*(A*cos - B*sin) and updates omega
-    by the resulting correction; stops when |d_omega|/omega < 1e-12. The
-    guess is first refined by a small residual scan over +/- one bin, which
-    widens the practical basin to the documented precondition.
+    least-squares with the extra column (n - n0)*(A*cos - B*sin), n0 the
+    record's centre, and updates omega by the resulting correction; stops
+    when |d_omega|/omega < 1e-12. The centred column keeps the 4 x 4
+    normal equations well conditioned; it moves the phase origin to n0,
+    which A <- A' + d_omega*n0*B and B <- B' - d_omega*n0*A undo. The guess
+    is first refined by a small residual scan over +/- one bin, which
+    widens the practical basin to the documented precondition; each scan
+    point solves the 3 x 3 normal equations and scores y'y - sol'B'y.
+
+    Every solve is a Gram matrix and B'y, both from one product of the
+    (k, L) basis with the record appended, in blocks of at most
+    model._PRODUCT_MACS multiply-adds, so OpenBLAS never leaves the calling
+    thread. A system is singular when the Gram, scaled to a unit diagonal,
+    has an eigenvalue at or below L*eps times its largest: the rounding of
+    the Gram's sums resolves nothing finer. That is np.linalg.lstsq's cut
+    applied to squared singular values, so it is stricter: a scan point
+    within about 0.003 bins of frequency 0 is singular here, where lstsq
+    resolves down to 5e-6 bins. sin and cos of omega*n are built once a
+    frequency by angle addition (n = 256*q + r) from a 256-entry and a
+    ceil(L/256)-entry table.
     """
     y = np.asarray(samples, dtype=float)
     if len(y) < 16:
         raise ConfigError(f"need at least 16 samples, got {len(y)}")
     if not 0.0 < freq_guess_rel < 0.5:
         raise ConfigError(f"freq_guess_rel must be in (0, 0.5), got {freq_guess_rel}")
-    span = float(np.max(y) - np.min(y)) if len(y) else 0.0
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ConfigError(f"sample {bad[0]} is not finite: {y[bad[0]]}")
+    span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise DegenerateFitError("constant input has no sine component")
 
-    n = np.arange(len(y), dtype=float)
-    bin_width = 1.0 / len(y)
+    length = len(y)
+    # rows y, sin, cos, ones and the Gauss-Newton derivative column, zero
+    # past length: every product sums the record alone
+    work = np.zeros((5, -(-length // _SPLIT) * _SPLIT))
+    work[0, :length] = y
+    work[3, :length] = 1.0
     # residual scan: the Gauss-Newton basin is about +/- half a bin, the
     # documented precondition is a full bin; the best solve seeds it
     best = (math.inf, 2.0 * math.pi * freq_guess_rel, None)
+    built = None  # the frequency of work's sin and cos rows
     for step in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        f = freq_guess_rel + step * bin_width
+        f = freq_guess_rel + step / length
         if not 1e-9 < f < 0.5 - 1e-9:
             continue
-        sol, rss = _three_param_solve(y, n, 2.0 * math.pi * f)
+        built = 2.0 * math.pi * f
+        sol, rss = _three_param_solve(work, length, built)
         if rss < best[0]:
-            best = (rss, 2.0 * math.pi * f, sol)
+            best = (rss, built, sol)
     _, omega, sol = best
     # only a guess at a band edge can leave every scan point out of band
-    a, b, c = sol if sol is not None else _three_param_solve(y, n, omega)[0]
+    if sol is None:
+        sol = _three_param_solve(work, length, omega)[0]
+    elif omega != built:
+        _set_frequency(work, length, omega)
+    a, b, c = sol
+    n0 = 0.5 * (length - 1)
+    centred = np.zeros(work.shape[1])
+    centred[:length] = np.arange(length) - n0
     iterations = 0
     for i in range(_MAX_ITERATIONS):
         iterations = i + 1
-        m4 = np.column_stack([
-            np.sin(omega * n), np.cos(omega * n), np.ones_like(n),
-            n * (a * np.cos(omega * n) - b * np.sin(omega * n)),
-        ])
-        sol, _, rank, _ = np.linalg.lstsq(m4, y, rcond=None)
-        if rank < 4:
-            raise DegenerateFitError("normal equations singular in 4-parameter solve")
-        a, b, c, d_omega = sol
+        deriv = np.multiply(work[2], a, out=work[4])
+        deriv -= b * work[1]
+        deriv *= centred
+        p = _gram(work)
+        a_c, b_c, c, d_omega = _solve(p[1:, 1:], p[1:, 0], length,
+                                      "4-parameter solve")
+        a, b = a_c + d_omega * n0 * b, b_c - d_omega * n0 * a
         omega += d_omega
+        # the new frequency's rows serve the result and the next iteration
+        _set_frequency(work, length, omega)
         if not 0.0 < omega < math.pi:
             raise ConvergenceError(
                 f"frequency iterate left (0, 0.5): {omega / (2 * math.pi)}",
-                last_fit=_result(a, b, c, omega, y, n, iterations))
+                last_fit=_result(a, b, c, omega, work, length, iterations))
         if abs(d_omega) / abs(omega) < _OMEGA_TOL:
-            fit = _result(a, b, c, omega, y, n, iterations)
+            fit = _result(a, b, c, omega, work, length, iterations)
             if fit.amplitude <= 1e-12 * span:
                 raise DegenerateFitError("fitted amplitude is zero")
             return fit
     raise ConvergenceError(
         f"no convergence after {_MAX_ITERATIONS} iterations",
-        last_fit=_result(a, b, c, omega, y, n, iterations))
+        last_fit=_result(a, b, c, omega, work, length, iterations))
 
 
 def alias_to_subrate(freq_rel: float, n_channels: int) -> tuple:
@@ -303,7 +400,7 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     if n // 2 + 1 < 4:  # the peak and both its neighbours, off the dc bin
         raise ConfigError(f"capture too short for frequency detection: "
                           f"{n} samples")
-    mags = np.abs(np.fft.rfft(seg * np.hanning(n)))
+    mags = np.abs(np.fft.rfft(seg * _detect_window(n)))
     k = 1 + int(np.argmax(mags[1:-1]))
     lo, mid, hi = (math.log(mags[k - 1] + 1e-300), math.log(mags[k] + 1e-300),
                    math.log(mags[k + 1] + 1e-300))
@@ -351,6 +448,8 @@ def estimate_blocks(blocks, config: TiadcConfig,
     if blocks.ndim != 3 or blocks.shape[1] != M:
         raise ShapeError(f"need a (blocks, {M}, length) array of codes, got "
                          f"shape {blocks.shape}")
+    if blocks.dtype.kind not in "iu":
+        raise ConfigError(f"codes must be integers, got dtype {blocks.dtype}")
     # one batch at least, so the length checks run on no blocks too
     fits = [_fit_rows(dequantize_stream(blocks[b:b + _FIT_BLOCKS], config),
                       f_sub, b)

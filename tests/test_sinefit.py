@@ -1,14 +1,18 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 
 from tiadc_cal import (ChannelCapture, ConfigError, ConvergenceError,
                        DegenerateFitError, MismatchProfile,
                        PhaseAmbiguityError, ShapeError, SineFitResult,
-                       TiadcConfig,
+                       TiadcConfig, TiadcError,
                        ToneSpec, alias_to_subrate, derive_mismatches,
                        detect_tone_freq, estimate_blocks,
                        estimate_from_capture, interleave_channels,
@@ -23,6 +27,90 @@ CFG16 = TiadcConfig(n_channels=2, bits=16)
 def make_sine(n, amp, freq, phase, dc):
     k = np.arange(n)
     return dc + amp * np.sin(2 * np.pi * freq * k + phase)
+
+
+def lstsq_fit(samples, freq_guess_rel):
+    """The four-parameter fit written with np.linalg.lstsq on the full
+    (L, 3) and (L, 4) bases: the same five-point scan, Gauss-Newton steps,
+    convergence rule and errors as sine_fit_four_param, solved by SVD. It
+    is the oracle sine_fit_four_param's normal-equation solves are held
+    to."""
+    y = np.asarray(samples, dtype=float)
+    if len(y) < 16:
+        raise ConfigError(f"need at least 16 samples, got {len(y)}")
+    if not 0.0 < freq_guess_rel < 0.5:
+        raise ConfigError(f"freq_guess_rel must be in (0, 0.5), got "
+                          f"{freq_guess_rel}")
+    span = float(np.max(y) - np.min(y))
+    if span == 0.0:
+        raise DegenerateFitError("constant input has no sine component")
+    n = np.arange(len(y), dtype=float)
+
+    def solve3(omega):
+        m3 = np.column_stack([np.sin(omega * n), np.cos(omega * n),
+                              np.ones_like(n)])
+        sol, _, rank, _ = np.linalg.lstsq(m3, y, rcond=None)
+        if rank < 3:
+            raise DegenerateFitError("3-parameter solve singular")
+        return sol, float(np.sum((y - m3 @ sol) ** 2))
+
+    def result(a, b, c, omega, iterations):
+        phase = math.atan2(b, a)
+        if phase <= -math.pi:
+            phase += 2.0 * math.pi
+        resid = y - (a * np.sin(omega * n) + b * np.cos(omega * n) + c)
+        return SineFitResult(math.hypot(a, b), omega / (2.0 * math.pi), phase,
+                             float(c), float(np.sqrt(np.mean(resid ** 2))),
+                             iterations)
+
+    best = (math.inf, 2.0 * math.pi * freq_guess_rel, None)
+    for step in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        f = freq_guess_rel + step / len(y)
+        if not 1e-9 < f < 0.5 - 1e-9:
+            continue
+        sol, rss = solve3(2.0 * math.pi * f)
+        if rss < best[0]:
+            best = (rss, 2.0 * math.pi * f, sol)
+    _, omega, sol = best
+    a, b, c = sol if sol is not None else solve3(omega)[0]
+    for i in range(50):
+        m4 = np.column_stack([
+            np.sin(omega * n), np.cos(omega * n), np.ones_like(n),
+            n * (a * np.cos(omega * n) - b * np.sin(omega * n))])
+        sol, _, rank, _ = np.linalg.lstsq(m4, y, rcond=None)
+        if rank < 4:
+            raise DegenerateFitError("4-parameter solve singular")
+        a, b, c, d_omega = sol
+        omega += d_omega
+        if not 0.0 < omega < math.pi:
+            raise ConvergenceError("frequency left the band",
+                                   last_fit=result(a, b, c, omega, i + 1))
+        if abs(d_omega) / abs(omega) < 1e-12:
+            fit = result(a, b, c, omega, i + 1)
+            if fit.amplitude <= 1e-12 * span:
+                raise DegenerateFitError("fitted amplitude is zero")
+            return fit
+    raise ConvergenceError("no convergence", last_fit=result(a, b, c, omega, 50))
+
+
+def outcome(fit, *args):
+    """fit(*args), or the type of the library error it raised."""
+    try:
+        return fit(*args)
+    except TiadcError as err:
+        return type(err)
+
+
+def other_threads_cpu_ticks():
+    """CPU ticks of every thread of this process but the calling one."""
+    me = threading.get_native_id()
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks
 
 
 class TestSineFit:
@@ -125,6 +213,73 @@ class TestSineFit:
         assert fit.amplitude == pytest.approx(0.4, rel=1e-10)
         assert fit.phase == pytest.approx(0.5 - math.pi, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(16, 1 << 16),
+           where=st.floats(0.0, 1.0), offset=st.floats(-1.0, 1.0),
+           amplitude=st.floats(0.1, 1.0), phase=st.floats(-3.14, 3.14),
+           dc=st.floats(-0.5, 0.5), noise=st.floats(0.0, 1e-2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_the_lstsq_fit(self, length, where, offset,
+                                       amplitude, phase, dc, noise, seed):
+        # a tone at least two bins from either band edge, the guess within
+        # the documented one bin of it
+        freq = (2.0 + where * (length / 2 - 4.0)) / length
+        data = (make_sine(length, amplitude, freq, phase, dc)
+                + noise * np.random.default_rng(seed).standard_normal(length))
+        guess = freq + offset / length
+        got = outcome(sine_fit_four_param, data, guess)
+        want = outcome(lstsq_fit, data, guess)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert isinstance(got, SineFitResult)
+            assert got.freq_rel == pytest.approx(want.freq_rel, rel=1e-12)
+            assert got.amplitude == pytest.approx(want.amplitude, rel=1e-10)
+
+    @pytest.mark.parametrize("guess", [1e-8, 1e-6, 0.5 - 1e-8])
+    def test_guess_at_a_band_edge_is_degenerate(self, guess):
+        with pytest.raises(DegenerateFitError):
+            sine_fit_four_param(make_sine(64, 0.9, 0.1, 0.3, 0.05), guess)
+
+    def test_guess_near_a_band_edge_fits_or_raises_a_library_error(self):
+        # never numpy's LinAlgError, never a NaN
+        try:
+            fit = sine_fit_four_param(make_sine(64, 0.9, 0.1, 0.3, 0.05), 1e-4)
+        except TiadcError:
+            return
+        assert fit.freq_rel == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("bad,index", [(math.nan, 0), (math.inf, 17),
+                                           (-math.inf, 63)])
+    def test_non_finite_samples_rejected(self, bad, index):
+        data = make_sine(64, 0.9, 0.1, 0.3, 0.05)
+        data[index] = bad
+        data[-1] = bad
+        with pytest.raises(ConfigError, match=f"sample {index} is not finite"):
+            sine_fit_four_param(data, 0.1)
+
+    def test_fit_runs_no_blas_thread(self):
+        # a BLAS call over the whole record would wake OpenBLAS's threads,
+        # which then compete with the simulation pool
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("per-thread CPU times need /proc")
+        data = make_sine(1 << 16, 0.9, 0.0123, 0.3, 0.05)
+        sine_fit_four_param(data, 0.0123)
+        # wait out threads still busy from earlier tests
+        ticks, deadline = other_threads_cpu_ticks(), time.monotonic() + 5.0
+        while True:
+            time.sleep(0.2)
+            now = other_threads_cpu_ticks()
+            if now == ticks:
+                break
+            if time.monotonic() > deadline:
+                pytest.skip("other threads of this process keep running")
+            ticks = now
+        for _ in range(10):
+            sine_fit_four_param(data, 0.0123)
+        time.sleep(0.2)  # let a thread woken by the fits spin
+        assert other_threads_cpu_ticks() == ticks
+
 
 class TestSharedSolve:
     NOISE = 1e-3
@@ -195,6 +350,15 @@ class TestSharedSolve:
             estimate_blocks(cap.per_channel, CFG12, 77 / 4096)
         with pytest.raises(ShapeError):
             estimate_blocks(cap.per_channel[None, :1], CFG12, 77 / 4096)
+
+    def test_float_codes_rejected(self):
+        cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
+                               MismatchProfile.zero(2), 8192)
+        blocks = cap.per_channel[None].astype(float)
+        blocks[0, 1, 100] = np.nan
+        with pytest.raises(ConfigError,
+                           match="codes must be integers, got dtype float64"):
+            estimate_blocks(blocks, CFG12, 77 / 4096)
 
     def fig7_background(self, monkeypatch):
         scenario = replace(scenarios.load_scenario("fig7"),
@@ -353,6 +517,16 @@ class TestEndToEnd:
         assert type(fit.freq_rel) is float
         freq = detect_tone_freq(cap)
         assert type(freq) is float and float(repr(freq)) == freq
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7"])
+    def test_detection_agrees_with_the_lstsq_fit(self, name, monkeypatch):
+        scenario = scenarios.load_scenario(name)
+        capture = experiments.simulate_scenario(replace(
+            scenario, n_samples=(1 << 16) * scenario.config.n_channels))
+        got = detect_tone_freq(capture)
+        monkeypatch.setattr(sinefit, "sine_fit_four_param", lstsq_fit)
+        want = detect_tone_freq(capture)
+        assert abs(got - want) <= 4 * np.spacing(want)
 
     def test_detect_tone_freq_reflected_band(self):
         freq = 1885 / 4096  # 0.46... lands above fs/4, image below tone
