@@ -43,9 +43,14 @@ output where the convolutions cost one per nonzero tap, but BLAS runs
 them about four times faster than one np.convolve call per block and
 sub-filter. Its guard's tap sums come straight from the taps, and its
 int64 limbs are sized from the chunk's largest |sample|, since a block's
-last frame may read the next block. design_banks and the chunk kernel
-work on tap and offset arrays; FilterBank is the record of one bank, and
-where a hand-built bank's taps and offsets are checked.
+last frame may read the next block. The guard's peaks are bounded from
+the codes' dtype first; the codes are scanned only where that bound
+reaches 2^53, which a designed bank on 16-bit codes does not for
+offsets within full scale. The chunk driver lays one bank out
+(_bank_layout: frame matrices and tap sums) once per call, and a bank
+per block once per chunk. design_banks and the chunk kernel work on tap
+and offset arrays; FilterBank is the record of one bank, and where a
+hand-built bank's taps and offsets are checked.
 """
 
 import csv
@@ -352,12 +357,18 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     every sample. The chunks run one after another on the calling thread,
     each from the capture alone, and an error is raised after the pieces
     of the chunks before the one that raised it.
+
+    One bank (B = 1: truth mode, or a capture of one block) is laid out
+    once per call (_bank_layout) and every chunk runs that layout; the
+    kernel lays out a chunk's own banks when there are more, so memory
+    does not grow with the number of blocks.
     """
     M = capture.config.n_channels
     n = capture.n_per_channel
     hist = spec.n_taps - 1
     trim = spec.group_delay * M
     scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
+    layout = _bank_layout(taps, spec, M) if len(taps) == 1 else None
 
     def piece(start):
         stop = min(start + _CHUNK, n)
@@ -365,7 +376,7 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
         rows = slice(start // block_len, (stop - 1) // block_len + 1)
         acc = _chunk_sums(capture.per_channel, capture.config, spec, start,
                           stop, taps[rows], offsets[first:rows.stop], first,
-                          block_len)
+                          block_len, layout)
         # the part of merged samples [start*M, stop*M) inside the trim,
         # scaled over the accumulators' own memory
         lo = max(trim - start * M, 0)
@@ -458,9 +469,74 @@ def _offset_stream(z, codes, first: int, stop: int, block_len: int,
                 z[rows, s] -= code
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What the chunk kernel needs of B banks, whatever the codes:
+    tap_sums[b, m, s], the sum of |taps| by which source s feeds slot m
+    in bank b; s_max, the largest slot sum of |taps|; the frame size P;
+    and mats[b], bank b's frame matrices without their zero rows
+    (_frame_index, _fir_frames)."""
+
+    tap_sums: np.ndarray
+    s_max: int
+    P: int
+    mats: list
+
+
+def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
+    """Lay out the (B, M, N) banks taps for the chunk kernel, with one
+    gather for all B banks' frame matrices. Taps outside the spec's
+    coeff_bits raise TapOverflowError."""
+    N = spec.n_taps
+    hist = N - 1
+    # taps within the word keep |taps| <= 2^31, so their int64 abs and
+    # sums are exact, and float64 holds them; slot m runs channel
+    # (m - D) % M, whose tap j reads source (m - j) % M
+    _check_word_length(taps, spec.coeff_bits)
+    taps = np.asarray(taps, dtype=np.int64)
+    slots = np.arange(M)
+    feeds = (slots[:, None] - np.arange(N)) % M == slots[:, None, None]
+    tap_sums = np.einsum("bmj,smj->bms",
+                         np.abs(taps[:, (slots - spec.group_delay) % M]), feeds)
+    P = M
+    while P < min(hist, _FRAME_REACH):
+        P *= 2
+    flat = np.zeros((len(taps), M * N + 1))
+    flat[:, :-1] = taps.reshape(len(taps), -1)
+    mats = [[A[t, max(0, t * P - hist):] for t in range(len(A))]
+            for A in flat[:, _frame_index(M, N, P)]]
+    return _Layout(tap_sums, int(tap_sums.sum(axis=2).max()), P, mats)
+
+
+def _exact_peaks(codes, start: int, stop: int, hist: int, block_len: int,
+                 starts, ends, block_codes) -> tuple:
+    """Scan the chunk's codes for the guard's exact peaks: a (B, M) array
+    of Python integers, the largest |code - offset code| of each source
+    that each block's sums read, and the chunk's largest |code|.
+
+    A block's sums read its samples and the N-1 before them (zeros
+    before sample 0): the samples from the first read on, cut where a
+    block or a block's reads start, are segments of one offset code each,
+    and each block reads whole segments. Each source's smallest and
+    largest code of each segment come from one reduceat each."""
+    first = max(start - hist, 0)
+    reads = np.maximum(starts + start - hist, 0)
+    cuts = np.union1d(reads, np.arange(first // block_len + 1,
+                                       (stop - 1) // block_len + 1)
+                      * block_len)
+    seg_codes = block_codes[cuts // block_len
+                            - first // block_len].astype(object)
+    low, high = (f.reduceat(codes[:, first:stop], cuts - first, axis=1)
+                 .T.astype(object) for f in (np.minimum, np.maximum))
+    seg_peaks = np.maximum(high - seg_codes, seg_codes - low)
+    peaks = np.stack([seg_peaks[a:b].max(axis=0) for a, b in zip(
+        np.searchsorted(cuts, reads), np.searchsorted(cuts, start + ends))])
+    return peaks, max(high.max(), -low.min())
+
+
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                 stop: int, taps, offsets, first_block: int,
-                block_len: int) -> np.ndarray:
+                block_len: int, layout: _Layout = None) -> np.ndarray:
     """The exact accumulators of samples start to stop of every channel,
     computed from the capture alone: an (M, stop - start) float64 array,
     row m for output slot m (see FilterBank.convolution_terms), whose rows
@@ -470,10 +546,16 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     This is the one place the fixed-point rule runs: subtract each block's
     offset code, multiply-accumulate exactly, return the sums only if
     polyphase._guard_sums finds every block's exact, and let the caller
-    scale once. The guard's tap sums come straight from the taps; its
-    peaks, the largest |code - offset code| that each block's sums read,
-    from each source's smallest and largest code between the samples
-    where blocks and their reads start.
+    scale once. The guard's tap sums come straight from the taps. Its
+    peaks are bounded first from the codes' dtype: the largest |code| the
+    dtype holds (2^15 for int16) plus the chunk's largest |offset code|.
+    Where that bound times the largest slot sum of |taps| is below 2^53,
+    every block's sums are exact in float64 whatever the codes are, so
+    the guard takes that bound and no code is scanned: the case of a
+    designed bank on 16-bit codes with offsets within full scale, at any
+    W. Otherwise _exact_peaks scans for the largest |code - offset code|
+    that each block's sums read, and the guard and the arithmetic below
+    take those.
 
     The bank is a periodically time-varying FIR on the interleaved
     offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *
@@ -497,12 +579,13 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     chunk's last. A bank applies from the first sample of its block, and
     every sample keeps its own block's offset in each sum that reads it,
     so the chunk's sums are those of one pass over the whole capture
-    wherever the chunk and block edges fall. Taps outside the spec's
-    coeff_bits raise TapOverflowError.
+    wherever the chunk and block edges fall. layout is _bank_layout of
+    taps, laid out by the caller once for many chunks, or None to lay the
+    chunk's banks out here. Taps outside the spec's coeff_bits raise
+    TapOverflowError.
     """
     M = config.n_channels
-    N = spec.n_taps
-    hist = N - 1
+    hist = spec.n_taps - 1
     width = stop - start
     if block_len < 1:
         raise ConfigError(f"block_len must be >= 1, got {block_len}")
@@ -513,52 +596,35 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     if len(taps) != len(starts):
         raise ConfigError(f"{len(taps)} banks for {len(starts)} blocks of "
                           f"{block_len} in {width} samples")
-    # taps within the word keep |taps| <= 2^31, so their int64 abs and
-    # sums are exact; tap_sums[b, m, s] is the sum of |taps| by which
-    # source s feeds slot m in block b: slot m runs channel (m - D) % M,
-    # whose tap j reads source (m - j) % M
-    _check_word_length(taps, spec.coeff_bits)
-    taps = np.asarray(taps, dtype=np.int64)
-    slots = np.arange(M)
-    feeds = (slots[:, None] - np.arange(N)) % M == slots[:, None, None]
-    tap_sums = np.einsum("bmj,smj->bms",
-                         np.abs(taps[:, (slots - spec.group_delay) % M]), feeds)
+    if layout is None:
+        layout = _bank_layout(taps, spec, M)
+    s_max = layout.s_max
 
-    # a block's sums read its samples and the N-1 before them (zeros
-    # before sample 0): the samples from the first read on, cut where a
-    # block or a block's reads start, are segments of one offset code each,
-    # and each block reads whole segments
-    first = max(start - hist, 0)
-    reads = np.maximum(starts + start - hist, 0)
-    cuts = np.union1d(reads, np.arange(first // block_len + 1,
-                                       (stop - 1) // block_len + 1)
-                      * block_len)
-    blocks = np.arange(first // block_len, (stop - 1) // block_len + 1)
+    blocks = np.arange(max(start - hist, 0) // block_len,
+                       (stop - 1) // block_len + 1)
     block_codes = _offset_codes(np.asarray(offsets)[blocks - first_block],
                                 config)
-    seg_codes = block_codes[cuts // block_len - blocks[0]].astype(object)
-    low, high = (f.reduceat(codes[:, first:stop], cuts - first, axis=1)
-                 .T.astype(object) for f in (np.minimum, np.maximum))
-    seg_peaks = np.maximum(high - seg_codes, seg_codes - low)
-    peaks = np.stack([seg_peaks[a:b].max(axis=0) for a, b in zip(
-        np.searchsorted(cuts, reads), np.searchsorted(cuts, start + ends))])
+    offset_peak = max(int(block_codes.max()), -int(block_codes.min()))
+    limits = np.iinfo(codes.dtype)
+    code_peak = max(int(limits.max), -int(limits.min))
+    if (code_peak + offset_peak) * s_max < 1 << 53:
+        # the dtype's bound stands for every source's peak in every block
+        peaks = [code_peak + offset_peak]
+    else:
+        peaks, code_peak = _exact_peaks(codes, start, stop, hist, block_len,
+                                        starts, ends, block_codes)
     # the sums are exact only within the bound: nothing is computed unless
     # every block meets it
-    _guard_sums(peaks, tap_sums)
+    _guard_sums(peaks, layout.tap_sums)
 
-    # the chunk's largest slot sum of |taps| and |code - offset code|:
-    # limbs of bits bits keep each limb's sums below 2^53, and cover every
-    # block's reads, since a block's last frame may read the next block
-    s_max = int(tap_sums.sum(axis=2).max())
-    largest = (max(high.max(), -low.min())
-               + max(int(block_codes.max()), -int(block_codes.min())))
+    # the chunk's largest |code - offset code|: limbs of bits bits keep
+    # each limb's sums below 2^53, and cover every block's reads, since a
+    # block's last frame may read the next block
+    largest = code_peak + offset_peak
     exact = largest * s_max < 1 << 53
     bits = 54 - s_max.bit_length()
     limbs = -(-(largest.bit_length() + 2) // bits)
-    P = M
-    while P < min(hist, _FRAME_REACH):
-        P *= 2
-    index = _frame_index(M, N, P)
+    P = layout.P
     # stacks of frames a product, batches of stacks a numpy call, each
     # batch over a window of z: lead >= N-1 samples of history, then the
     # batch's own, built over one scratch array
@@ -569,9 +635,7 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                       dtype=np.float64 if exact else np.int64)
     scratch = np.empty(batch * P)
     acc = np.empty(width * M + P)
-    for bank, a, e in zip(taps, starts.tolist(), ends.tolist()):
-        A = np.append(bank, 0)[index].astype(np.float64)
-        mats = [A[t, max(0, t * P - hist):] for t in range(len(A))]
+    for mats, a, e in zip(layout.mats, starts.tolist(), ends.tolist()):
         # the block's frames; its last may run past the block, into
         # outputs the next block then writes over
         n_frames = -(-(e - a) * M // P)

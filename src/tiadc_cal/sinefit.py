@@ -115,17 +115,22 @@ def _three_param_solve(work, length: int, omega: float) -> tuple:
     return sol, float(p[0, 0] - sol @ p[1:, 0])
 
 
-def _result(a, b, c, omega, work, length: int, iterations) -> SineFitResult:
-    """The fit at (a, b, c, omega), whose sin and cos rows work holds."""
+def _result(a, b, c, omega, work, length: int, iterations,
+            exp: int) -> SineFitResult:
+    """The fit at (a, b, c, omega), whose sin and cos rows work holds, of
+    the record in row 0 scaled by 2^-exp: a, b, c and the residual are
+    scaled back by 2^exp."""
+    y, sin, cos = work[:3, :length]
+    resid = y - (a * sin + b * cos + c)
+    a, b, c = (math.ldexp(v, exp) for v in (a, b, c))
     amplitude = math.hypot(a, b)
     phase = math.atan2(b, a)
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    y, sin, cos = work[:3, :length]
-    resid = y - (a * sin + b * cos + c)
     return SineFitResult(amplitude=amplitude,
                          freq_rel=float(omega) / (2.0 * math.pi), phase=phase, dc=float(c),
-                         rms_residual=float(np.sqrt(np.mean(resid ** 2))),
+                         rms_residual=math.ldexp(
+                             float(np.sqrt(np.mean(resid ** 2))), exp),
                          iterations=iterations)
 
 
@@ -244,7 +249,12 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
     within about 0.003 bins of frequency 0 is singular here, where lstsq
     resolves down to 5e-6 bins. sin and cos of omega*n are built once a
     frequency by angle addition (n = 256*q + r) from a 256-entry and a
-    ceil(L/256)-entry table.
+    ceil(L/256)-entry table. The fit runs on the record scaled by the
+    power of two that takes its largest |sample| into [0.5, 1), and
+    scales amplitude, dc and residual back: every step carries a power of
+    two exactly, so the fit is the same at any amplitude in the float
+    range, where the Gram's squares of the raw record would overflow
+    above about 1e154 and underflow below about 1e-155.
     """
     y = np.asarray(samples, dtype=float)
     if len(y) < 16:
@@ -254,6 +264,10 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ConfigError(f"sample {bad[0]} is not finite: {y[bad[0]]}")
+    # the fit runs on the record scaled by 2^-exp, its largest |sample| in
+    # [0.5, 1) (see Notes); span is in those units
+    exp = int(np.frexp(np.max(np.abs(y)))[1])
+    y = np.ldexp(y, -exp)
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise DegenerateFitError("constant input has no sine component")
@@ -302,15 +316,16 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
         if not 0.0 < omega < math.pi:
             raise ConvergenceError(
                 f"frequency iterate left (0, 0.5): {omega / (2 * math.pi)}",
-                last_fit=_result(a, b, c, omega, work, length, iterations))
+                last_fit=_result(a, b, c, omega, work, length, iterations,
+                                 exp))
         if abs(d_omega) / abs(omega) < _OMEGA_TOL:
-            fit = _result(a, b, c, omega, work, length, iterations)
-            if fit.amplitude <= 1e-12 * span:
+            fit = _result(a, b, c, omega, work, length, iterations, exp)
+            if fit.amplitude <= math.ldexp(1e-12 * span, exp):
                 raise DegenerateFitError("fitted amplitude is zero")
             return fit
     raise ConvergenceError(
         f"no convergence after {_MAX_ITERATIONS} iterations",
-        last_fit=_result(a, b, c, omega, work, length, iterations))
+        last_fit=_result(a, b, c, omega, work, length, iterations, exp))
 
 
 def alias_to_subrate(freq_rel: float, n_channels: int) -> tuple:

@@ -258,6 +258,27 @@ class TestSineFit:
         with pytest.raises(ConfigError, match=f"sample {index} is not finite"):
             sine_fit_four_param(data, 0.1)
 
+    @pytest.mark.parametrize("amp", [1e200, 1e-200, 1e-300, 1e155, 1e-160])
+    def test_fits_at_any_amplitude(self, amp):
+        # the Gram's squares of the raw record overflow above about 1e154
+        # and lose the fit below about 1e-155
+        data = make_sine(1024, 1.0, 0.1234, 0.3, 0.01)
+        unit = sine_fit_four_param(data, 0.1234)
+        fit = sine_fit_four_param(amp * data, 0.1234)
+        assert fit.freq_rel == unit.freq_rel
+        assert fit.amplitude == pytest.approx(amp * unit.amplitude, rel=1e-12)
+        assert fit.dc == pytest.approx(amp * unit.dc, rel=1e-12)
+        assert fit.phase == pytest.approx(unit.phase, abs=1e-12)
+
+    @pytest.mark.parametrize("exp", [-900, -1, 3, 700])
+    def test_a_power_of_two_scales_the_fit_exactly(self, exp):
+        data = make_sine(1024, 0.9, 0.1234, 0.3, 0.01)
+        unit = sine_fit_four_param(data, 0.1234)
+        fit = sine_fit_four_param(np.ldexp(data, exp), 0.1234)
+        assert fit == replace(unit, amplitude=math.ldexp(unit.amplitude, exp),
+                              dc=math.ldexp(unit.dc, exp),
+                              rms_residual=math.ldexp(unit.rms_residual, exp))
+
     def test_fit_runs_no_blas_thread(self):
         # a BLAS call over the whole record would wake OpenBLAS's threads,
         # which then compete with the simulation pool
