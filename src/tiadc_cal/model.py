@@ -12,6 +12,17 @@ the rows of one view. Only the chunk kernel filterbank._chunk_sums widens
 codes, a window of one batch of its frames at a time, for its exact
 accumulation.
 
+A row's sine comes by angle addition (_angle_sum, which sinefit's
+four-parameter fit shares): sample k = _SPLIT*q + r takes sin(a_q + b_r) =
+sin a_q cos b_r + cos a_q sin b_r from a coarse angle a_q, the model's
+argument at the absolute sample k = _SPLIT*q, and a fine angle b_r =
+(omega*M)*r. Two tables of sin and cos and two outer products replace a
+sine per sample, and every sample depends only on the tone, the profile,
+the channel and k, so the codes do not depend on how a capture is cut into
+chunks or on how many workers make them. A chunk task holds one float64
+row of _CHUNK samples and the quantizer's sign mask over it; the angle
+tables are smaller.
+
 Chunks are independent: simulate_capture hands them to _chunk_map, which
 runs them on a persistent pool of one worker thread per CPU the process
 may use and gives back their results in chunk order. numpy's ufunc loops
@@ -46,6 +57,9 @@ _CHUNK = 1 << 16
 # threads of its own, which made 1024-frame products five times slower on
 # a 2-vCPU host
 _PRODUCT_MACS = 1 << 18
+# angle addition (_angle_sum): sample k = _SPLIT*q + r takes its sine from
+# a coarse angle a_q and a fine angle b_r
+_SPLIT = 256
 
 # _chunk_map's worker threads: one per CPU the process may use
 try:
@@ -298,21 +312,71 @@ def _check_sampling(config: TiadcConfig, profile: MismatchProfile,
 
 def _sample_row(tone: ToneSpec, profile: MismatchProfile, m: int,
                 row: np.ndarray) -> np.ndarray:
-    """Turn row, a float array of k*M for the samples k to make, into
-    channel m's samples k, in place."""
+    """Turn row, a contiguous float array of k*M for consecutive samples
+    k, into channel m's samples k, in place.
+
+    The sine comes by angle addition (_angle_sum) over k = _SPLIT*q + r:
+    coarse angles at every _SPLIT-th absolute k, by the formula below,
+    and fine angles (omega*M)*r. So every sample depends only on the
+    tone, the profile, m and k, not on where a chunk of the row starts
+    or ends."""
+    M = len(profile)
     omega = 2.0 * np.pi * tone.freq_rel
+    first = int(row[0]) // M
+    q, lead = divmod(first, _SPLIT)
     # the operations, in order, of
-    # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do
-    row += m
-    row += profile.skews[m]  # t in units of Ts
-    row *= omega
-    row += tone.phase
-    np.sin(row, out=row)
+    # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do,
+    # the sine's argument taken at k = _SPLIT*q only
+    coarse = np.arange(q, -(-(first + len(row)) // _SPLIT), dtype=float)
+    coarse *= _SPLIT * M
+    coarse += m
+    coarse += profile.skews[m]  # t in units of Ts
+    coarse *= omega
+    coarse += tone.phase
+    _angle_sum(coarse, (omega * M) * np.arange(_SPLIT, dtype=float), lead,
+               row)
     row *= tone.amplitude
     row += tone.dc
     row *= 1.0 + profile.gains[m]
     row += profile.offsets[m]
     return row
+
+
+def _angle_sum(a, b, lead: int, sin_out, cos_out=None) -> None:
+    """Write sin(a[q] + b[r]) into sin_out[i], and cos(a[q] + b[r]) into
+    cos_out[i] when it is given, for lead + i = q*len(b) + r, by angle
+    addition: sin a_q cos b_r + cos a_q sin b_r and cos a_q cos b_r -
+    sin a_q sin b_r, two outer products each. The outputs are contiguous
+    1-D float arrays of one length n, and a has one entry for each row q
+    of the (q, r) grid that they reach, ceil((lead + n)/len(b)) in all.
+
+    An output's two outer products and their sum are one einsum
+    contraction of a (q, 2) table of a's sines and cosines with the
+    (2, r) table of b's cosines and sines, written straight into the
+    grid rows that lie wholly inside the output; a row that an end of
+    the output cuts is made in a row of its own and copied in. So no
+    scratch of the output's size is needed. einsum rounds each product
+    and then their sum, as np.multiply.outer and np.add do, where
+    numpy's SIMD baseline has no fused multiply-add (x86-64-v2, say); a
+    build whose baseline fuses them rounds the sum once instead."""
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    fine = np.array([np.cos(b), np.sin(b)])
+    terms = [(sin_out, np.stack([sin_a, cos_a], axis=1))]
+    if cos_out is not None:
+        terms.append((cos_out, np.stack([cos_a, -sin_a], axis=1)))
+    span, n = len(b), len(sin_out)
+    cut = np.empty((1, span))
+    whole = range(-(-lead // span), (lead + n) // span)
+    edges = sorted({0, len(a), *whole[:1], whole.stop})
+    for q0, q1 in zip(edges, edges[1:]):
+        lo, hi = q0 * span - lead, q1 * span - lead  # output indices
+        for out, coarse in terms:
+            rows = (out[lo:hi].reshape(q1 - q0, span)
+                    if q0 in whole else cut)
+            np.einsum("qk,kr->qr", coarse[q0:q1], fine, out=rows)
+            if q0 not in whole:
+                out[max(lo, 0):min(hi, n)] = \
+                    cut[0, max(-lo, 0):min(hi, n) - lo]
 
 
 def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
@@ -362,7 +426,11 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
     _CHUNK samples per channel at a time, the chunks side by side on the
     chunk pool (_chunk_map), each one channel at a time in a float row of
     its own, and written straight into the interleaved array, so the
-    memory beyond the codes does not grow with the capture.
+    memory beyond the codes does not grow with the capture. A row's sine
+    comes by angle addition from a grid anchored at absolute samples (see
+    the module docstring), so the codes are the same for any chunk size
+    and worker count. A task holds its float64 row and the quantizer's
+    one-byte sign mask over it.
     """
     M = config.n_channels
     if n_total % M:

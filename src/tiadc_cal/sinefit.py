@@ -33,14 +33,12 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFitError,
                      PhaseAmbiguityError, ShapeError)
-from .model import (_CHUNK, _PRODUCT_MACS, ChannelCapture, MismatchProfile,
-                    TiadcConfig, dequantize_stream)
+from .model import (_CHUNK, _PRODUCT_MACS, _SPLIT, ChannelCapture,
+                    MismatchProfile, TiadcConfig, _angle_sum,
+                    dequantize_stream)
 
 _OMEGA_TOL = 1e-12
 _MAX_ITERATIONS = 50
-# angle addition: n = q*_SPLIT + r, so sin and cos of omega*n come from a
-# _SPLIT-entry table over r and a ceil(L/_SPLIT)-entry table over q
-_SPLIT = 256
 
 EST_BLOCK_PER_CHANNEL = 4096  # samples per channel in one estimation block
 _DETECT_SAMPLES = 1 << 16  # prefix read by tone detection's DFT and fit
@@ -68,17 +66,11 @@ class SineFitResult:
 
 def _set_frequency(work, length: int, omega: float) -> None:
     """Write sin(omega*n) and cos(omega*n), n < length, into rows 1 and 2
-    of work: with n = q*_SPLIT + r, sin(omega*n) = sin(a_q)cos(b_r) +
-    cos(a_q)sin(b_r), a_q = omega*(q*_SPLIT) and b_r = omega*r, and
-    likewise cos. Row 4 is scratch; the padding of rows 1 and 2 stays 0."""
+    of work, by model._angle_sum over n = q*_SPLIT + r with a_q =
+    omega*(q*_SPLIT) and b_r = omega*r. The padding of rows 1 and 2 stays
+    0."""
     a = omega * (_SPLIT * np.arange(work.shape[1] // _SPLIT, dtype=float))
-    b = omega * np.arange(_SPLIT, dtype=float)
-    sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-    sin, cos, scratch = (work[i].reshape(-1, _SPLIT) for i in (1, 2, 4))
-    np.multiply.outer(sin_a, cos_b, out=sin)
-    sin += np.multiply.outer(cos_a, sin_b, out=scratch)
-    np.multiply.outer(cos_a, cos_b, out=cos)
-    cos -= np.multiply.outer(sin_a, sin_b, out=scratch)
+    _angle_sum(a, omega * np.arange(_SPLIT, dtype=float), 0, work[1], work[2])
     work[1:3, length:] = 0.0
 
 
@@ -237,7 +229,9 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
     which A <- A' + d_omega*n0*B and B <- B' - d_omega*n0*A undo. The guess
     is first refined by a small residual scan over +/- one bin, which
     widens the practical basin to the documented precondition; each scan
-    point solves the 3 x 3 normal equations and scores y'y - sol'B'y.
+    point solves the 3 x 3 normal equations and scores y'y - sol'B'y. A
+    scan point other than the guess whose equations are singular is passed
+    over; a singular guess raises DegenerateFitError.
 
     Every solve is a Gram matrix and B'y, both from one product of the
     (k, L) basis with the record appended, in blocks of at most
@@ -249,7 +243,8 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
     within about 0.003 bins of frequency 0 is singular here, where lstsq
     resolves down to 5e-6 bins. sin and cos of omega*n are built once a
     frequency by angle addition (n = 256*q + r) from a 256-entry and a
-    ceil(L/256)-entry table. The fit runs on the record scaled by the
+    ceil(L/256)-entry table, by model._angle_sum, the helper that makes
+    the simulation's sine as well. The fit runs on the record scaled by the
     power of two that takes its largest |sample| into [0.5, 1), and
     scales amplitude, dc and residual back: every step carries a power of
     two exactly, so the fit is the same at any amplitude in the float
@@ -287,11 +282,16 @@ def sine_fit_four_param(samples, freq_guess_rel: float) -> SineFitResult:
         if not 1e-9 < f < 0.5 - 1e-9:
             continue
         built = 2.0 * math.pi * f
-        sol, rss = _three_param_solve(work, length, built)
+        try:
+            sol, rss = _three_param_solve(work, length, built)
+        except DegenerateFitError:
+            if step == 0.0:  # the guess itself: the fit is degenerate
+                raise
+            continue  # a neighbour the rank rule cannot resolve
         if rss < best[0]:
             best = (rss, built, sol)
     _, omega, sol = best
-    # only a guess at a band edge can leave every scan point out of band
+    # only a guess at a band edge can leave no scan point solved
     if sol is None:
         sol = _three_param_solve(work, length, omega)[0]
     elif omega != built:

@@ -185,6 +185,25 @@ class TestSameBytesForEveryWorkerCount:
             bank.taps_fixed, FilterBank.design(estimate, M, spec).taps_fixed)
 
 
+@pytest.mark.parametrize("chunk,n_workers", [(500, 1), (500, 2), (500, 8),
+                                             (1000, 8)])
+def test_simulated_codes_do_not_depend_on_the_chunking(monkeypatch,
+                                                       set_workers, chunk,
+                                                       n_workers):
+    # chunks of 500 and 1000 samples start off the angle-addition grid of
+    # model._SPLIT samples; test_simulate_capture_codes runs 1000 on one to
+    # three workers
+    set_workers(n_workers)
+    monkeypatch.setattr(model, "_CHUNK", chunk)
+    config = TiadcConfig(n_channels=3, bits=12)
+    tone = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4, dc=0.01)
+    capture = simulate_capture(tone, config, PROFILE3, 3 * 10517)
+    want = quantize_stream(sample_channels(tone, config, PROFILE3, 10517),
+                           config)
+    assert (capture.interleaved.tobytes()
+            == interleave_channels(want).astype(np.int16).tobytes())
+
+
 def test_many_workers_and_short_thread_switches(monkeypatch, set_workers):
     # more workers than cores, switching threads every microsecond: the
     # tasks write disjoint slices of one code array and read one capture

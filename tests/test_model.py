@@ -9,7 +9,8 @@ from tiadc_cal import (ChannelCapture, ConfigError, MismatchProfile, ShapeError,
                        interleave_channels, quantize_stream, sample_channels,
                        simulate_capture)
 
-from tiadc_cal.model import _CHUNK
+from tiadc_cal.model import _CHUNK, _SPLIT, _sample_row
+from tiadc_cal.scenarios import BUILTIN_SCENARIOS, load_scenario, with_seed
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
 
@@ -92,6 +93,41 @@ class TestConfigValidation:
             TiadcConfig(n_channels=2, **{field: bad})
 
 
+def long_double_samples(tone, profile, m, k):
+    """Channel m's samples k by the model's formula (1 + dg) * (dc + A *
+    sin(2*pi*f*(k*M + m + dt) + phase)) + do, evaluated in np.longdouble
+    from the same float64 parameters, and the most that a float64
+    evaluation of it may differ from them.
+
+    The bound: with u = 2^-53, let X = |2*pi*f*(k*M + m + dt)| + |phase|,
+    which bounds every angle the float64 argument is built from. np.sin's
+    route rounds omega = 2*pi*f twice (pi and the product), then the sum
+    with dt, the product with omega and the sum with the phase: its
+    argument is off by at most 5*u*X. Angle addition (k = 256q + r)
+    rounds its coarse angle at 256q the same five ways and its fine angle
+    (omega*M)*r four ways (omega's two, omega*M and the product with r):
+    at most 9*u*X. sin and cos, within 4 ulp each, and angle addition's
+    two products and their sum add at most 14*u to the sine, and the four
+    affine steps at most 4*u of (1 + |dg|) * (|dc| + A) + |do|. The
+    reference's own error is the same expression in np.longdouble's unit
+    roundoff."""
+    L = np.longdouble
+    M = len(profile)
+    pi = L("3.141592653589793238462643383279502884")
+    t = np.asarray(k, dtype=L) * M + m + L(profile.skews[m])
+    angle = 2 * pi * L(tone.freq_rel) * t
+    gain = 1 + L(profile.gains[m])
+    sine = np.sin(angle + L(tone.phase))
+    want = (gain * (L(tone.dc) + L(tone.amplitude) * sine)
+            + L(profile.offsets[m]))
+    x = np.abs(angle) + abs(tone.phase)
+    affine = (abs(gain) * (abs(tone.dc) + tone.amplitude)
+              + abs(profile.offsets[m]))
+    u = 2.0 ** -53 + float(np.finfo(L).eps) / 2
+    bound = u * (abs(gain) * tone.amplitude * (9 * x + 14) + 4 * affine)
+    return want, bound
+
+
 class TestSampleChannels:
     def test_quarter_rate_zero_mismatch_closed_form(self):
         # f = 0.25, phase 0: channel 0 hits sin(pi*k) = 0, channel 1
@@ -105,9 +141,9 @@ class TestSampleChannels:
         tone = ToneSpec(amplitude=0.8, freq_rel=0.07, phase=0.4, dc=0.02)
         profile = MismatchProfile((0, 0), (0, 0.01), (0, 0.01))
         chs = sample_channels(tone, CFG12, profile, 16)
-        k = np.arange(16)
-        want = 1.01 * (0.02 + 0.8 * np.sin(2 * np.pi * 0.07 * (2 * k + 1.01) + 0.4))
-        np.testing.assert_allclose(chs[1], want, rtol=0, atol=1e-15)
+        # 1.01 * (0.02 + 0.8 * sin(2*pi*0.07*(2k + 1.01) + 0.4))
+        want, bound = long_double_samples(tone, profile, 1, np.arange(16))
+        assert np.all(np.abs(chs[1] - want) <= bound)
 
     def test_offset_only_shifts_constant(self):
         # negligible tone stands in for a zero input (amplitude must be > 0)
@@ -127,9 +163,11 @@ class TestSampleChannels:
         cfg = TiadcConfig(n_channels=3, bits=12)
         chs = sample_channels(tone, cfg, MismatchProfile.zero(3), 32)
         merged = interleave_channels(chs)
+        # -0.05 + 0.7 * sin(2*pi*0.123*t + 1.1) at t = 0..95: channel m's
+        # sample k is the uniform grid's sample t = 3k + m
         t = np.arange(96)
-        uniform = -0.05 + 0.7 * np.sin(2 * np.pi * 0.123 * t + 1.1)
-        np.testing.assert_array_equal(merged, uniform)
+        want, bound = long_double_samples(tone, MismatchProfile.zero(1), 0, t)
+        assert np.all(np.abs(merged - want) <= bound)
 
     def test_gain_linearity(self):
         tone = ToneSpec(amplitude=0.6, freq_rel=0.09, phase=0.2)
@@ -159,6 +197,17 @@ class TestQuantizer:
 
     def test_negative_saturation(self):
         assert quantize_stream([-2.0], CFG12)[0] == -2048
+
+    def test_any_memory_layout(self):
+        # ties at k + 0.5 LSB round away from zero in a transposed
+        # (Fortran-ordered) array and in a strided view as in a row
+        k = np.arange(-12, 12).reshape(4, 6)
+        x = (k + 0.5) / 2048
+        want = np.where(k >= 0, k + 1, k)
+        np.testing.assert_array_equal(quantize_stream(x, CFG12), want)
+        np.testing.assert_array_equal(quantize_stream(x.T, CFG12), want.T)
+        np.testing.assert_array_equal(quantize_stream(x[:, ::2], CFG12),
+                                      want[:, ::2])
 
     @given(st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False),
                     min_size=2, max_size=64))
@@ -292,6 +341,49 @@ class TestInPlaceSimulation:
             np.testing.assert_array_equal(quantize_stream(
                 sample_channels(tone, config, profile, n_total // M)[m],
                 config), want[m])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_codes_equal_the_np_sin_reference(name, seed):
+    # angle addition rounds the sine's argument otherwise than np.sin, by
+    # some 1e-15; no sample of these captures lies that near a decision
+    # level
+    scenario = with_seed(load_scenario(name), seed)
+    M = scenario.config.n_channels
+    n_total = M * ((1 << 17) // M)
+    cap = simulate_capture(scenario.tone, scenario.config, scenario.profile,
+                           n_total)
+    want = out_of_place_codes(scenario.tone, scenario.config,
+                              scenario.profile, n_total)
+    np.testing.assert_array_equal(cap.per_channel, want)
+
+
+class TestChunkIndependence:
+    """A sample depends only on the tone, the profile, its channel and its
+    index k: the angle-addition grid is anchored at absolute k, not at the
+    first sample of a row."""
+
+    TONE = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4, dc=0.01)
+    PROFILE = MismatchProfile((0, 0.003, -0.002), (0, 0.02, -0.01),
+                              (0, 0.03, -0.02))
+
+    def row(self, m, start, stop):
+        return _sample_row(self.TONE, self.PROFILE, m,
+                           np.arange(3 * start, 3 * stop, 3, dtype=float))
+
+    # cuts off the grid of _SPLIT, rows of one sample, and a row reaching
+    # past 4M samples, where the angles are near 3e6
+    @pytest.mark.parametrize("cuts", [
+        (77, 78, 333, 600, 1023, 1025, 2001, 2002, 3077),
+        (1, 255, 257, 511, 513, 700),
+        (4_000_003, 4_000_004, 4_001_000, 4_065_537, 4_070_001)])
+    def test_a_split_row_equals_the_whole_row(self, cuts):
+        assert not any(c % _SPLIT == 0 for c in cuts)
+        for m in range(3):
+            whole = self.row(m, cuts[0], cuts[-1])
+            pieces = [self.row(m, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 class TestChunkedSimulation:

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dataclasses import replace
 
@@ -219,6 +219,10 @@ class TestSineFit:
            amplitude=st.floats(0.1, 1.0), phase=st.floats(-3.14, 3.14),
            dc=st.floats(-0.5, 0.5), noise=st.floats(0.0, 1e-2),
            seed=st.integers(0, 2 ** 32 - 1))
+    # the step -1 scan point lands about 1e-5 bins from frequency 0, where
+    # the rank rule finds it singular: the scan passes over it
+    @example(length=16, where=0.0, offset=-0.99999, amplitude=1.0, phase=0.0,
+             dc=0.0, noise=0.0, seed=0)
     def test_agrees_with_the_lstsq_fit(self, length, where, offset,
                                        amplitude, phase, dc, noise, seed):
         # a tone at least two bins from either band edge, the guess within
