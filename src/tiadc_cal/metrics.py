@@ -54,7 +54,11 @@ def _check_fft_args(stream, n_fft: int) -> np.ndarray:
     stream = np.asarray(stream, dtype=float)
     if len(stream) < n_fft:
         raise ShapeError(f"stream length {len(stream)} < n_fft {n_fft}")
-    return stream[:n_fft]
+    x = stream[:n_fft]
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ConfigError(f"sample {bad[0]} is not finite: {x[bad[0]]}")
+    return x
 
 
 def power_spectrum(stream, n_fft: int, full_scale: float = 1.0) -> np.ndarray:

@@ -19,27 +19,20 @@ argument at the absolute sample k = _SPLIT*q, and a fine angle b_r =
 (omega*M)*r. Two tables of sin and cos and two outer products replace a
 sine per sample, and every sample depends only on the tone, the profile,
 the channel and k, so the codes do not depend on how a capture is cut into
-chunks or on how many workers make them. A chunk task holds one float64
-row of _CHUNK samples and the quantizer's sign mask over it; the angle
-tables are smaller.
+chunks.
 
-Chunks are independent: simulate_capture hands them to _chunk_map, which
-runs them on a persistent pool of one worker thread per CPU the process
-may use and gives back their results in chunk order. numpy's ufunc loops
-release the GIL, so the chunks' arithmetic can use every core. The chunks
-in flight together hold at most _IN_FLIGHT_BYTES, so temporary memory
-does not grow with the CPU count either; where the process has one CPU,
-the chunks run on the calling thread. The calibration driver
-(filterbank._calibrated_pieces) runs its chunks on the calling thread: its
-matrix-product kernel ran no faster on two workers than on one, and used
-more CPU time.
+simulate_capture and the calibration driver (filterbank._calibrated_pieces)
+run their chunks one after another on the calling thread, so the memory
+beyond the codes is one chunk's: a float64 row of _CHUNK samples and the
+quantizer's sign mask over it, and the smaller angle tables. A pool of
+worker threads gained the end-to-end benchmarks nothing on a 2-vCPU host
+and spent more CPU time than one thread, since every numpy call of a
+worker releases and retakes the GIL; the calibration's matrix-product
+kernel ran no faster on two workers than on one.
 """
 
 import math
 import numbers
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,75 +54,20 @@ _PRODUCT_MACS = 1 << 18
 # a coarse angle a_q and a fine angle b_r
 _SPLIT = 256
 
-# _chunk_map's worker threads: one per CPU the process may use
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _WORKERS = os.cpu_count() or 1
-# the memory the chunks in flight may hold together, on any number of
-# CPUs: the 4 MiB that simulate_capture's temporaries stay within
-_IN_FLIGHT_BYTES = 4 << 20
-_POOL = None  # (process id, executor), made on first use
-_POOL_LOCK = threading.Lock()
+
+def _integer(name: str, value) -> int:
+    """value as a Python int: ConfigError unless it is a Python or numpy
+    integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_integers(record, *names) -> None:
-    """Store the named fields of a frozen dataclass record as Python ints:
-    ConfigError unless each is a Python or numpy integer, not a bool."""
+    """Store the named fields of a frozen dataclass record as Python ints
+    (_integer)."""
     for name in names:
-        value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(record, name, int(value))
-
-
-def _executor():
-    """The chunk map's thread pool of _WORKERS threads. It is made when
-    first asked for, so importing the package starts no thread, and made
-    afresh in a forked child, whose copy of the pool has no threads."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            # imported here: only a run that maps chunks pays for it
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = os.getpid(), ThreadPoolExecutor(
-                _WORKERS, thread_name_prefix="tiadc-chunk")
-        return _POOL[1]
-
-
-def _chunk_map(task, items, task_bytes: int):
-    """Yield task(item) for each item, in item order, computed on the
-    chunk pool, or on the calling thread when one task is in flight: the
-    same results, and the same errors, as the serial loop over items.
-
-    task_bytes is the most memory one task holds while it runs. At most
-    one task per worker is in flight, and no more than fit together in
-    _IN_FLIGHT_BYTES, but always one. items, a range of chunk starts in
-    every caller, is read on the calling thread, up to one item per task
-    in flight ahead of the result being yielded. An error from task(item)
-    is raised where its result would have been yielded. Closing the
-    iterator cancels the tasks not yet started. task may run on a worker
-    thread, so it must call nothing that perfbench's tracer wraps: the
-    tracer counts calls and nests spans per calling thread.
-    """
-    in_flight = max(1, min(_WORKERS, _IN_FLIGHT_BYTES // task_bytes))
-    if in_flight == 1:
-        # nothing would overlap: a worker would only add two thread
-        # switches per task and move its working set to another core
-        yield from map(task, items)
-        return
-    pool = _executor()
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(task, item))
-            if len(pending) == in_flight:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+        object.__setattr__(record, name, _integer(name, getattr(record, name)))
 
 
 @dataclass(frozen=True)
@@ -293,27 +231,28 @@ def sample_channels(tone: ToneSpec, config: TiadcConfig,
         chunk at a time (_sample_row), so the two agree bit for bit.
     """
     _check_sampling(config, profile, n_per_channel)
-    M = config.n_channels
-    out = np.tile(np.arange(n_per_channel, dtype=float) * M, (M, 1))
+    out = np.empty((config.n_channels, n_per_channel))
     for m, row in enumerate(out):
-        _sample_row(tone, profile, m, row)
+        _sample_row(tone, profile, m, 0, row)
     return out
 
 
 def _check_sampling(config: TiadcConfig, profile: MismatchProfile,
-                    n_per_channel: int) -> None:
+                    count) -> None:
+    """ConfigError unless profile has config's channel count and count, a
+    number of samples, is a positive integer (_integer)."""
     M = config.n_channels
     if len(profile) != M:
         raise ConfigError(
             f"profile has {len(profile)} channels, config expects {M}")
-    if n_per_channel < 1:
-        raise ConfigError("n_per_channel must be >= 1")
+    if _integer("sample count", count) < 1:
+        raise ConfigError(f"sample count must be >= 1, got {count}")
 
 
 def _sample_row(tone: ToneSpec, profile: MismatchProfile, m: int,
-                row: np.ndarray) -> np.ndarray:
-    """Turn row, a contiguous float array of k*M for consecutive samples
-    k, into channel m's samples k, in place.
+                first: int, row: np.ndarray) -> np.ndarray:
+    """Write channel m's samples k = first, first + 1, ... into row, a
+    contiguous float array whose contents are not read.
 
     The sine comes by angle addition (_angle_sum) over k = _SPLIT*q + r:
     coarse angles at every _SPLIT-th absolute k, by the formula below,
@@ -322,7 +261,6 @@ def _sample_row(tone: ToneSpec, profile: MismatchProfile, m: int,
     or ends."""
     M = len(profile)
     omega = 2.0 * np.pi * tone.freq_rel
-    first = int(row[0]) // M
     q, lead = divmod(first, _SPLIT)
     # the operations, in order, of
     # (1 + dg) * (dc + A * sin(omega * (k*M + m + dt) + phase)) + do,
@@ -394,9 +332,14 @@ def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
 
 
 def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
-    """Mid-rise saturating quantizer, round half away from zero."""
-    return _quantize_in_place(np.array(samples, dtype=float),
-                              config).astype(np.int64)
+    """Mid-rise saturating quantizer, round half away from zero. An
+    infinite sample saturates; a NaN sample is a ConfigError naming its
+    index in the flattened samples."""
+    x = np.array(samples, dtype=float)
+    bad = np.flatnonzero(np.isnan(x))
+    if bad.size:
+        raise ConfigError(f"sample {bad[0]} is not finite: {x.flat[bad[0]]}")
+    return _quantize_in_place(x, config).astype(np.int64)
 
 
 def dequantize_stream(codes, config: TiadcConfig) -> np.ndarray:
@@ -423,32 +366,26 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
     """Full capture: sample through the mismatch model, quantize, interleave.
 
     The codes are int16 for up to 16 bits and int32 above. They are made
-    _CHUNK samples per channel at a time, the chunks side by side on the
-    chunk pool (_chunk_map), each one channel at a time in a float row of
-    its own, and written straight into the interleaved array, so the
-    memory beyond the codes does not grow with the capture. A row's sine
-    comes by angle addition from a grid anchored at absolute samples (see
-    the module docstring), so the codes are the same for any chunk size
-    and worker count. A task holds its float64 row and the quantizer's
-    one-byte sign mask over it.
+    on the calling thread, _CHUNK samples per channel at a time and one
+    channel at a time, in one float64 row that is quantized in place and
+    written straight into the interleaved array. So the memory beyond the
+    codes is that row, the quantizer's one-byte sign mask over it and the
+    angle tables, whatever the capture's length. A row's sine comes by
+    angle addition from a grid anchored at absolute samples (see the
+    module docstring), so the codes are the same for any chunk size.
     """
     M = config.n_channels
+    _check_sampling(config, profile, n_total)
     if n_total % M:
         raise ShapeError(f"n_total {n_total} not divisible by {M} channels")
     n = n_total // M
-    _check_sampling(config, profile, n)
     interleaved = np.empty(n_total,
                            dtype=np.int16 if config.bits <= 16 else np.int32)
     rows = interleaved.reshape(-1, M).T
-
-    def fill(start):
+    row = np.empty(min(_CHUNK, n))
+    for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        for m in range(M):  # one float row of k*M at a time
+        for m in range(M):
             rows[m, start:stop] = _quantize_in_place(_sample_row(
-                tone, profile, m, np.arange(start * M, stop * M, M,
-                                            dtype=float)), config)
-
-    # a task holds one float64 row and its quantizer's sign mask
-    for _ in _chunk_map(fill, range(0, n, _CHUNK), 9 * _CHUNK):
-        pass
+                tone, profile, m, start, row[:stop - start]), config)
     return ChannelCapture(config, interleaved)

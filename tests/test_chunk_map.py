@@ -1,8 +1,9 @@
-"""The chunk map (model._chunk_map): simulate_capture's chunks run side by
-side on a thread pool, with the outputs, errors and call pattern of the
-serial loop over them, for any number of workers. The calibration's chunks
-run on the calling thread, with the same bytes for any number of
-workers."""
+"""Chunked simulation and calibration: simulate_capture and
+calibrate_capture run their chunks one after another on the calling
+thread, with the bytes of one pass over the whole capture, the errors of
+the serial loop over the chunks, and no thread of their own. A caller
+that runs them on threads of its own, the workers here, gets the same
+bytes and errors on every thread."""
 
 import importlib
 import os
@@ -11,7 +12,6 @@ import sys
 import threading
 import tracemalloc
 import types
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -31,31 +31,36 @@ PROFILE3 = MismatchProfile((0.0, 0.003, -0.002), (0.0, 0.01, -0.02),
                            (0.0, 0.02, -0.015))
 
 
-def drop_pool():
-    """Shut the chunk pool down: the next chunk map makes a pool of
-    model._WORKERS threads."""
-    if model._POOL is not None:
-        model._POOL[1].shutdown()
-        model._POOL = None
-
-
-@pytest.fixture
-def set_workers(monkeypatch):
-    """set_workers(n) gives the chunk pool n threads, through its private
-    module constant; the pool is made afresh before and after the test."""
-
-    def set_to(n):
-        monkeypatch.setattr(model, "_WORKERS", n)
-        drop_pool()
-
-    yield set_to
-    drop_pool()
-
-
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}workers")
-def workers(request, set_workers):
-    set_workers(request.param)
+def workers(request):
     return request.param
+
+
+def on_threads(n_workers, run):
+    """Call run() on n_workers threads at once, the calling thread one of
+    them, as a caller that spreads its own work over threads does: the
+    list of run()'s returns. The first exception a thread raised is
+    raised here."""
+    start = threading.Barrier(n_workers)
+    results, errors = [None] * n_workers, []
+
+    def work(i):
+        try:
+            start.wait(timeout=60)
+            results[i] = run()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def random_capture(seed, n_channels, n_per_channel, dtype=np.int16):
@@ -92,6 +97,23 @@ def whole_pieces(capture, bank, chunk):
             yield merged[lo:hi]
 
 
+def background_whole(capture, spec, estimates, block):
+    """The background replay's stream from one kernel call over the whole
+    capture, trimmed: estimates holds estimate_blocks' returns, and every
+    block of block samples runs the bank of the block before, block 0 its
+    own."""
+    M = capture.config.n_channels
+    n = capture.n_per_channel
+    offs, gains, skews = (np.concatenate(e) for e in zip(*estimates))
+    n_blocks = -(-n // block)
+    taps, offsets = (np.concatenate((v[:1], v)) for v in (
+        design_banks(gains, skews, spec)[1], offs))
+    whole = merged_sums(capture, spec, taps[:n_blocks], offsets[:n_blocks],
+                        block)
+    trim = spec.group_delay * M
+    return whole[trim:n * M - trim]
+
+
 class TestSameBytesForEveryWorkerCount:
     @pytest.mark.parametrize("chunk,n_taps,n_per_channel", [
         (_CHUNK, 30, 2 * _CHUNK + 123),
@@ -103,24 +125,29 @@ class TestSameBytesForEveryWorkerCount:
         monkeypatch.setattr(filterbank, "_CHUNK", chunk)
         capture = random_capture(n_taps, 3, n_per_channel)
         bank = FilterBank.design(PROFILE3, 3, FilterSpec(n_taps, 30))
-        got = [p.tobytes() for p in calibrate_capture(capture, bank)]
+        runs = on_threads(workers, lambda: [
+            p.tobytes() for p in calibrate_capture(capture, bank)])
         want = [p.tobytes() for p in whole_pieces(capture, bank, chunk)]
         assert len(want) > 2
-        assert got == want
+        assert runs == [want] * workers
 
     def test_simulate_capture_codes(self, workers, monkeypatch):
         monkeypatch.setattr(model, "_CHUNK", 1000)
         config = TiadcConfig(n_channels=3, bits=12)
         tone = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4, dc=0.01)
-        capture = simulate_capture(tone, config, PROFILE3, 3 * 10517)
+        captures = on_threads(workers, lambda: simulate_capture(
+            tone, config, PROFILE3, 3 * 10517))
         want = quantize_stream(sample_channels(tone, config, PROFILE3, 10517),
                                config)
-        assert capture.interleaved.dtype == np.int16
-        assert (capture.interleaved.tobytes()
-                == interleave_channels(want).astype(np.int16).tobytes())
+        for capture in captures:
+            assert capture.interleaved.dtype == np.int16
+            assert (capture.interleaved.tobytes()
+                    == interleave_channels(want).astype(np.int16).tobytes())
 
-    def test_background_stream_with_a_bank_per_block(self, workers,
-                                                     monkeypatch):
+
+class TestSameBytesAsTheWholeCapture:
+
+    def test_background_stream_with_a_bank_per_block(self, monkeypatch):
         # blocks of 16 samples and chunks of 64, so the 100 history
         # samples of a 101-tap bank span several blocks and a chunk edge;
         # every block gets a bank of random mismatches, nonzero offsets too
@@ -156,19 +183,14 @@ class TestSameBytesForEveryWorkerCount:
             capture, types.SimpleNamespace(filter_spec=spec))
         got = list(replay())
 
-        # reference: one kernel call over the whole capture with every
-        # block's bank stacked, block 0 under its own estimate's
+        # every full block has offsets of its own
         offs, gains, skews = (np.concatenate(e) for e in zip(*estimates))
         n_blocks = -(-n // block)
-        taps, offsets = (np.concatenate((v[:1], v)) for v in (
-            design_banks(gains, skews, spec)[1], offs))
-        assert len(np.unique(offsets[1:n_blocks], axis=0)) == n_blocks - 1
-        whole = merged_sums(capture, spec, taps[:n_blocks], offsets[:n_blocks],
-                            block)
-        trim = spec.group_delay * M
+        assert len(np.unique(offs, axis=0)) == len(offs) == n_blocks - 1
         assert (np.concatenate(got).tobytes()
-                == whole[trim:n * M - trim].tobytes())
+                == background_whole(capture, spec, estimates, block).tobytes())
         # one piece per chunk that holds output
+        trim = spec.group_delay * M
         edges = [(max(a * M, trim), min((a + chunk) * M, n * M - trim))
                  for a in range(0, n, chunk)]
         assert [len(p) for p in got] == [hi - lo for lo, hi in edges
@@ -187,136 +209,75 @@ class TestSameBytesForEveryWorkerCount:
 
 @pytest.mark.parametrize("chunk,n_workers", [(500, 1), (500, 2), (500, 8),
                                              (1000, 8)])
-def test_simulated_codes_do_not_depend_on_the_chunking(monkeypatch,
-                                                       set_workers, chunk,
+def test_simulated_codes_do_not_depend_on_the_chunking(monkeypatch, chunk,
                                                        n_workers):
     # chunks of 500 and 1000 samples start off the angle-addition grid of
     # model._SPLIT samples; test_simulate_capture_codes runs 1000 on one to
     # three workers
-    set_workers(n_workers)
     monkeypatch.setattr(model, "_CHUNK", chunk)
     config = TiadcConfig(n_channels=3, bits=12)
     tone = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4, dc=0.01)
-    capture = simulate_capture(tone, config, PROFILE3, 3 * 10517)
+    captures = on_threads(n_workers, lambda: simulate_capture(
+        tone, config, PROFILE3, 3 * 10517))
     want = quantize_stream(sample_channels(tone, config, PROFILE3, 10517),
                            config)
-    assert (capture.interleaved.tobytes()
-            == interleave_channels(want).astype(np.int16).tobytes())
+    for capture in captures:
+        assert (capture.interleaved.tobytes()
+                == interleave_channels(want).astype(np.int16).tobytes())
 
 
-def test_many_workers_and_short_thread_switches(monkeypatch, set_workers):
-    # more workers than cores, switching threads every microsecond: the
-    # tasks write disjoint slices of one code array and read one capture
-    set_workers(8)
-    monkeypatch.setattr(model, "_CHUNK", 300)
-    monkeypatch.setattr(filterbank, "_CHUNK", 300)
-    config = TiadcConfig(n_channels=3, bits=12)
-    tone = ToneSpec(amplitude=0.95, freq_rel=0.0371, phase=0.4)
-    bank = FilterBank.design(PROFILE3, 3, FilterSpec(n_taps=301))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        capture = simulate_capture(tone, config, PROFILE3, 3 * 9001)
-        got = [p.tobytes() for p in calibrate_capture(capture, bank)]
-    finally:
-        sys.setswitchinterval(interval)
-    want = quantize_stream(sample_channels(tone, config, PROFILE3, 9001),
-                           config)
-    np.testing.assert_array_equal(capture.per_channel, want)
-    assert got == [p.tobytes() for p in whole_pieces(capture, bank, 300)]
-
-
-def test_a_70_tap_bank_gives_the_same_bytes_on_every_worker_count(
-        monkeypatch, set_workers):
+def test_a_70_tap_bank_gives_the_whole_capture_bytes(monkeypatch):
     # N-1 = 69 reaches past a frame of the matrix-product kernel; chunks
     # of 700 samples and estimation blocks of 512 put chunk, block and
     # frame edges apart
-    monkeypatch.setattr(filterbank, "_CHUNK", 700)
-    monkeypatch.setattr(experiments, "EST_BLOCK_PER_CHANNEL", 512)
+    block, chunk = 512, 700
+    monkeypatch.setattr(filterbank, "_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "EST_BLOCK_PER_CHANNEL", block)
+    estimates = []
+    real_estimate = experiments.estimate_blocks
+    monkeypatch.setattr(experiments, "estimate_blocks", lambda *args: (
+        estimates.append(real_estimate(*args)) or estimates[-1]))
     spec = FilterSpec(n_taps=70, coeff_bits=30)
-    scenario = types.SimpleNamespace(filter_spec=spec)
     capture = simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
                                TiadcConfig(n_channels=3, bits=14), PROFILE3,
                                3 * 4321)
     bank = FilterBank.design(PROFILE3, 3, spec)
-    runs = []
-    for n in (1, 2, 3, 8):
-        set_workers(n)
-        replay, last_bank, estimate = experiments._calibrate_background(
-            capture, scenario)
-        runs.append(([p.tobytes() for p in calibrate_capture(capture, bank)],
-                     [p.tobytes() for p in replay()],
-                     np.asarray(last_bank.taps_fixed).tobytes(), estimate))
-    assert len(runs[0][0]) == len(runs[0][1]) == 7
-    assert all(run == runs[0] for run in runs[1:])
+    pieces = [p.tobytes() for p in calibrate_capture(capture, bank)]
+    assert pieces == [p.tobytes() for p in whole_pieces(capture, bank, chunk)]
+    replay = experiments._calibrate_background(
+        capture, types.SimpleNamespace(filter_spec=spec))[0]
+    background = list(replay())
+    assert len(pieces) == len(background) == 7
+    assert (np.concatenate(background).tobytes()
+            == background_whole(capture, spec, estimates, block).tobytes())
 
 
-class TestMemoryInFlight:
-    """The chunks in flight hold at most model._IN_FLIGHT_BYTES together,
-    whatever the CPU count."""
+def peak_memory(run) -> int:
+    """The most memory that run() holds at once beyond what was held
+    before it, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
-    @pytest.mark.parametrize("task_bytes,in_flight", [
-        (1, 8), (model._IN_FLIGHT_BYTES // 3, 3),
-        (model._IN_FLIGHT_BYTES + 1, 1)])
-    def test_tasks_in_flight(self, monkeypatch, task_bytes, in_flight):
-        pool = types.SimpleNamespace(submitted=0)
 
-        def submit(task, item):
-            pool.submitted += 1
-            future = Future()
-            future.set_result(task(item))
-            return future
+def test_calibration_memory_stays_within_a_chunk():
+    # the calibration's chunks run one at a time: its temporaries stay
+    # within 6 MiB for a capture of 8 chunks
+    capture = random_capture(17, 2, 8 * _CHUNK)
+    bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
+                                             (0.0, 0.01)), 2, SPEC30)
 
-        pool.submit = submit
-        monkeypatch.setattr(model, "_WORKERS", 8)
-        monkeypatch.setattr(model, "_executor", lambda: pool)
-        it = model._chunk_map(lambda i: i, range(20), task_bytes)
-        assert next(it) == 0
-        # a single task in flight runs on the calling thread, not the pool
-        assert pool.submitted == (in_flight if in_flight > 1 else 0)
-        assert list(it) == list(range(1, 20))
+    def run():
+        for _ in calibrate_capture(capture, bank):
+            pass
 
-    @staticmethod
-    def peak(run) -> int:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    def test_simulation_on_eight_workers(self, set_workers):
-        # test_model's bound on the memory beyond the codes, on a host
-        # with eight CPUs
-        set_workers(8)
-        tone = ToneSpec(amplitude=0.9, freq_rel=0.0371)
-        config = TiadcConfig(n_channels=2, bits=12)
-        profile = MismatchProfile((0, 0.003), (0, 0.02), (0, 0.03))
-        n_total = 1 << 22
-        peak = self.peak(lambda: simulate_capture(tone, config, profile,
-                                                  n_total))
-        assert peak - 2 * n_total < 4 << 20
-
-    def test_calibration_on_eight_workers(self, set_workers):
-        # the calibration's chunks run on the calling thread, one at a
-        # time, whatever the worker count
-        capture = random_capture(17, 2, 8 * _CHUNK)
-        bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
-                                                 (0.0, 0.01)), 2, SPEC30)
-
-        def run():
-            for _ in calibrate_capture(capture, bank):
-                pass
-
-        peaks = []
-        for n in (2, 8):
-            set_workers(n)
-            run()  # first-call caches
-            peaks.append(self.peak(run))
-        assert peaks[1] <= peaks[0] + (64 << 10)
-        assert peaks[1] < model._IN_FLIGHT_BYTES + (2 << 20)
+    run()  # first-call caches
+    assert peak_memory(run) < 6 << 20
 
 
 class TestErrorsAndCleanup:
@@ -335,46 +296,18 @@ class TestErrorsAndCleanup:
             _chunk_sums(capture.per_channel, capture.config, SPEC30,
                         2 * chunk, 3 * chunk, np.asarray(bank.taps_fixed)[None],
                         np.asarray(bank.offsets)[None], 0, 5 * chunk)
-        pieces = calibrate_capture(capture, bank)
-        assert [next(pieces).tobytes(), next(pieces).tobytes()] == first
-        with pytest.raises(NumericError) as err:
-            next(pieces)
-        assert str(err.value) == str(alone.value)
-        assert str(err.value).startswith("worst-case accumulator ")
 
-    def test_closing_cancels_the_queued_chunks(self, monkeypatch):
-        class HeldPool:
-            """Runs the first task at once and holds the rest queued."""
+        def run():
+            pieces = calibrate_capture(capture, bank)
+            assert [next(pieces).tobytes(), next(pieces).tobytes()] == first
+            with pytest.raises(NumericError) as err:
+                next(pieces)
+            return str(err.value)
 
-            def __init__(self):
-                self.futures = []
+        assert on_threads(workers, run) == [str(alone.value)] * workers
+        assert str(alone.value).startswith("worst-case accumulator ")
 
-            def submit(self, task, item):
-                future = Future()
-                if not self.futures:
-                    future.set_result(task(item))
-                self.futures.append(future)
-                return future
-
-        pool = HeldPool()
-        monkeypatch.setattr(model, "_WORKERS", 3)
-        monkeypatch.setattr(model, "_executor", lambda: pool)
-        pulled = []
-
-        def items():
-            for i in range(10):
-                pulled.append(i)
-                yield i
-
-        it = model._chunk_map(lambda i: i, items(), 1)
-        assert next(it) == 0
-        it.close()
-        assert pulled == [0, 1, 2]
-        assert [f.cancelled() for f in pool.futures] == [False, True, True]
-
-    def test_closing_calibrate_capture_after_one_piece(self, monkeypatch,
-                                                       set_workers):
-        set_workers(2)
+    def test_closing_calibrate_capture_after_one_piece(self, monkeypatch):
         monkeypatch.setattr(filterbank, "_CHUNK", 500)
         capture = random_capture(11, 2, 20 * 500)
         bank = FilterBank.design(MismatchProfile((0.0, 0.001), (0.0, 0.01),
@@ -387,32 +320,28 @@ class TestErrorsAndCleanup:
         pieces.close()
         # the chunks run on the calling thread, one per piece read
         assert len(calls) == 1
-        assert model._POOL is None
         assert ([p.tobytes() for p in calibrate_capture(capture, bank)]
                 == [p.tobytes() for p in whole_pieces(capture, bank, 500)])
 
-    def test_an_error_cancels_the_queued_simulation_chunks(self, monkeypatch,
-                                                           set_workers):
-        set_workers(2)
+    def test_an_error_cancels_the_queued_simulation_chunks(self, monkeypatch):
         monkeypatch.setattr(model, "_CHUNK", 500)
         tone = ToneSpec(amplitude=0.9, freq_rel=0.0371)
         config = TiadcConfig(n_channels=2, bits=12)
         real, starts = model._sample_row, set()
 
-        def sample_row(tone, profile, m, row):
-            starts.add(int(row[0]) // 2)
-            if row[0] == 2 * 500:  # chunk 1
+        def sample_row(tone, profile, m, first, row):
+            starts.add(first)
+            if first == 500:  # chunk 1
                 raise ValueError("chunk 1")
-            return real(tone, profile, m, row)
+            return real(tone, profile, m, first, row)
 
         monkeypatch.setattr(model, "_sample_row", sample_row)
         with pytest.raises(ValueError, match="chunk 1"):
             simulate_capture(tone, config, MismatchProfile.zero(2),
                              2 * 20 * 500)
-        # two chunks in flight: the one after chunk 1 may have started,
-        # none later
-        assert {0, 500} <= starts <= {0, 500, 1000}
-        # and the pool still serves whole runs
+        # no chunk after chunk 1 starts
+        assert starts == {0, 500}
+        # and the next run is whole
         monkeypatch.setattr(model, "_sample_row", real)
         capture = simulate_capture(tone, config, MismatchProfile.zero(2),
                                    2 * 20 * 500)
@@ -421,45 +350,33 @@ class TestErrorsAndCleanup:
                                                20 * 500), config)
         np.testing.assert_array_equal(capture.per_channel, want)
 
-    def test_one_worker_starts_no_thread(self, set_workers):
-        set_workers(1)
-        simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
-                         TiadcConfig(n_channels=2, bits=12),
-                         MismatchProfile.zero(2), 6 * _CHUNK)
-        assert model._POOL is None
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # one caller's simulation and calibration run on its thread alone
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (
+            started.append(thread) or real_start(thread)))
+        threads = threading.active_count()
+        capture = simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
+                                   TiadcConfig(n_channels=2, bits=12),
+                                   MismatchProfile.zero(2), 6 * _CHUNK)
+        bank = FilterBank.design(MismatchProfile.zero(2), 2, SPEC30)
+        for _ in calibrate_capture(capture, bank):
+            pass
+        assert started == []
+        assert threading.active_count() == threads
 
     def test_thread_count_does_not_grow_across_calls(self):
+        # simulation and calibration start no thread of their own
         tone = ToneSpec(amplitude=0.9, freq_rel=0.0371)
         config = TiadcConfig(n_channels=2, bits=12)
-
-        def run():
-            simulate_capture(tone, config, MismatchProfile.zero(2),
-                             6 * _CHUNK)
-
-        run()
+        scenario = replace(load_scenario("fig6"), n_samples=1 << 18)
         threads = threading.active_count()
         for _ in range(3):
-            run()
-        assert threading.active_count() <= threads
-        assert len(model._executor()._threads) <= model._WORKERS
-
-    def test_a_forked_child_makes_its_own_pool(self):
-        # the child's copy of the parent's pool has no threads: reusing it
-        # would wait forever
-        code = ("import multiprocessing, tiadc_cal\n"
-                "from tiadc_cal import *\n"
-                "def run(_):\n"
-                "    return len(simulate_capture(ToneSpec(0.9, 0.0371), "
-                "TiadcConfig(2), MismatchProfile.zero(2), 1 << 18)"
-                ".interleaved)\n"
-                "run(0)\n"
-                "with multiprocessing.get_context('fork').Pool(1) as pool:\n"
-                "    print(pool.apply(run, (0,)))\n")
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=self.path()))
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [str(1 << 18)]
+            simulate_capture(tone, config, MismatchProfile.zero(2),
+                             6 * _CHUNK)
+            experiments.run_scenario(scenario)
+            assert threading.active_count() == threads
 
     @staticmethod
     def path():
@@ -468,14 +385,12 @@ class TestErrorsAndCleanup:
                                              os.environ.get("PYTHONPATH"))))
 
     def test_import_starts_no_thread(self):
-        code = ("import threading, tiadc_cal; "
-                "from tiadc_cal import model; "
-                "print(threading.active_count(), model._POOL is None)")
+        code = "import threading, tiadc_cal; print(threading.active_count())"
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=self.path()))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "True"]
+        assert done.stdout.split() == ["1"]
 
 
 LAYERS = ("model", "capture_io", "sinefit", "filterbank", "polyphase",
@@ -511,13 +426,10 @@ def record_threads(monkeypatch, seen):
                         classmethod(wrap(design, "filterbank.design")))
 
 
-def test_public_functions_run_only_on_the_calling_thread(monkeypatch,
-                                                         set_workers):
+def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
     # perfbench's tracer counts calls in plain Counters and nests spans per
-    # thread, so a chunk task must call no public layer function; the
-    # simulation's chunks run on the pool, the calibration's on the
-    # calling thread
-    set_workers(2)
+    # thread; the simulation's and the calibration's chunks run on the
+    # calling thread too
     seen, row_threads = [], []
     record_threads(monkeypatch, seen)
     real_row = model._sample_row
@@ -539,5 +451,5 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch,
             "sinefit.estimate_blocks", "filterbank.design_banks",
             "filterbank.calibrate_capture"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
-    # the simulation ran on a worker while the recorder watched
-    assert set(row_threads) - {threading.get_ident()}
+    assert row_threads
+    assert set(row_threads) == {threading.get_ident()}

@@ -118,6 +118,16 @@ class TestSinad:
         with pytest.raises(ConfigError, match="not finite"):
             spectrum_report(x, freq, N_FFT, 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_sample_is_rejected(self, bad):
+        x = coherent_sine(0.5, F77)
+        x[5] = bad
+        match = rf"^sample 5 is not finite: {bad}$"
+        with pytest.raises(ConfigError, match=match):
+            sinad(x, F77, N_FFT)
+        with pytest.raises(ConfigError, match=match):
+            power_spectrum(x, N_FFT)
+
     def test_unknown_window_rejected(self):
         with pytest.raises(ConfigError):
             sinad(coherent_sine(0.9, F77), F77, N_FFT, window="hann")
