@@ -23,16 +23,17 @@ chunks.
 
 simulate_capture and the calibration driver (filterbank._calibrated_pieces)
 run their chunks one after another on the calling thread, so the memory
-beyond the codes is one chunk's: a float64 row of _CHUNK samples and the
-quantizer's sign mask over it, and the smaller angle tables. A pool of
-worker threads gained the end-to-end benchmarks nothing on a 2-vCPU host
-and spent more CPU time than one thread, since every numpy call of a
-worker releases and retakes the GIL; the calibration's matrix-product
-kernel ran no faster on two workers than on one.
+beyond the codes is one chunk's: a float64 row of _CHUNK samples, the
+quantizer's scratch of an eighth of it, and the smaller angle tables. A
+pool of worker threads gained the end-to-end benchmarks nothing on a
+2-vCPU host and spent more CPU time than one thread, since every numpy
+call of a worker releases and retakes the GIL; the calibration's
+matrix-product kernel ran no faster on two workers than on one.
 """
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class TiadcConfig:
 
     n_channels is M, fs the aggregate rate (Ts = 1/fs), bits the quantizer
     word length B, full_scale the input amplitude mapped to the top code.
+    The LSB, full_scale / 2^(B-1), must be a normal float, so that it
+    scales codes without losing bits.
     """
 
     n_channels: int
@@ -95,6 +98,13 @@ class TiadcConfig:
         if not 0 < self.full_scale < math.inf:
             raise ConfigError(
                 f"full_scale must be positive and finite, got {self.full_scale}")
+        # full_scale / 2^(bits-1) at or above the smallest normal float,
+        # compared exactly: a quotient that only rounds up to it is not exact
+        if self.full_scale < math.ldexp(sys.float_info.min, self.bits - 1):
+            raise ConfigError(
+                f"full_scale {self.full_scale} at {self.bits} bits puts the "
+                f"LSB, full_scale / 2^{self.bits - 1}, below the smallest "
+                f"normal float {sys.float_info.min}")
 
     @property
     def code_half_range(self) -> int:
@@ -318,24 +328,35 @@ def _angle_sum(a, b, lead: int, sin_out, cos_out=None) -> None:
 
 
 def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
-    """quantize_stream's codes as integral floats, computed in the float
-    array samples, which they overwrite."""
+    """quantize_stream's codes as integral floats, computed in the
+    C-contiguous float array samples, which they overwrite.
+
+    One division by the LSB scales a sample to LSB units: the LSB is a
+    normal float (TiadcConfig's rule) and full_scale over a power of two,
+    so this is x / full_scale * 2^(bits-1) bit for bit. The clip to the
+    integer bounds comes first, which gives the codes that clipping after
+    the rounding would. Rounding half away from zero is trunc(x +
+    copysign(0.5, x)), which is sign(x) * floor(|x| + 0.5) exactly, since
+    a float sum rounds the same at either sign; the copysign is taken
+    through a scratch of _CHUNK // 8 floats, one sub-block at a time. No
+    ufunc runs under a where= mask: a masked pass took about ten times as
+    long as a plain one."""
     half = config.code_half_range
-    samples /= config.full_scale
-    samples *= half
-    negative = np.signbit(samples)
-    np.abs(samples, out=samples)
-    samples += 0.5
-    np.floor(samples, out=samples)
-    np.negative(samples, out=samples, where=negative)
-    return np.clip(samples, -half, half - 1, out=samples)
+    samples /= config.lsb
+    np.clip(samples, -half, half - 1, out=samples)
+    flat = samples.reshape(-1, copy=False)
+    scratch = np.empty(min(flat.size, _CHUNK // 8))
+    for i in range(0, flat.size, len(scratch) or 1):
+        part = flat[i:i + len(scratch)]
+        part += np.copysign(0.5, part, out=scratch[:len(part)])
+    return np.trunc(samples, out=samples)
 
 
 def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
     """Mid-rise saturating quantizer, round half away from zero. An
     infinite sample saturates; a NaN sample is a ConfigError naming its
     index in the flattened samples."""
-    x = np.array(samples, dtype=float)
+    x = np.array(samples, dtype=float, order="C")
     bad = np.flatnonzero(np.isnan(x))
     if bad.size:
         raise ConfigError(f"sample {bad[0]} is not finite: {x.flat[bad[0]]}")
@@ -344,7 +365,7 @@ def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
 
 def dequantize_stream(codes, config: TiadcConfig) -> np.ndarray:
     """Map integer codes back to amplitude units (inverse of the code scale)."""
-    return np.asarray(codes, dtype=float) * (config.full_scale / config.code_half_range)
+    return np.asarray(codes, dtype=float) * config.lsb
 
 
 def interleave_channels(per_channel) -> np.ndarray:
@@ -369,8 +390,8 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
     on the calling thread, _CHUNK samples per channel at a time and one
     channel at a time, in one float64 row that is quantized in place and
     written straight into the interleaved array. So the memory beyond the
-    codes is that row, the quantizer's one-byte sign mask over it and the
-    angle tables, whatever the capture's length. A row's sine comes by
+    codes is that row, the quantizer's scratch of _CHUNK // 8 floats and
+    the angle tables, whatever the capture's length. A row's sine comes by
     angle addition from a grid anchored at absolute samples (see the
     module docstring), so the codes are the same for any chunk size.
     """

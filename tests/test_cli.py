@@ -500,6 +500,22 @@ def test_offset_beyond_full_scale_exit_2(tmp_path, capsys, offsets):
     assert "would clip" in err and out == ""
 
 
+@pytest.mark.parametrize("full_scale", ["5e-324", "1e-320"])
+def test_full_scale_with_a_subnormal_lsb_exit_2(tmp_path, capsys, full_scale):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"name = tiny\nfull_scale = {full_scale}\n"
+                   "amplitude = 4e-324\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert "below the smallest normal float" in err and out == ""
+    assert not (tmp_path / "tiny_capture.bin").exists()
+    path = simulate_fig6(tmp_path, capsys)
+    code, out, err = run(capsys, "calibrate", str(path), "--config", str(cfg))
+    assert code == 2
+    assert "below the smallest normal float" in err and out == ""
+
+
 class TestSweep:
     def test_range_values_row_count(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--config", "fig9",

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -91,6 +93,18 @@ class TestConfigValidation:
     def test_config_rejects_non_finite(self, field, bad):
         with pytest.raises(ConfigError):
             TiadcConfig(n_channels=2, **{field: bad})
+
+    @pytest.mark.parametrize("bits", [2, 12, 24])
+    def test_the_lsb_must_be_a_normal_float(self, bits):
+        # a subnormal LSB dequantizes codes with fewer bits, and one of 0.0
+        # (full_scale 5e-324) maps every code to 0.0
+        smallest = math.ldexp(sys.float_info.min, bits - 1)
+        config = TiadcConfig(n_channels=2, bits=bits, full_scale=smallest)
+        assert config.lsb == sys.float_info.min
+        for bad in (np.nextafter(smallest, 0.0), 1e-320, 5e-324):
+            with pytest.raises(ConfigError,
+                               match="below the smallest normal float"):
+                TiadcConfig(n_channels=2, bits=bits, full_scale=bad)
 
 
 def long_double_samples(tone, profile, m, k):
@@ -243,6 +257,90 @@ class TestQuantizer:
     def test_dequantize_scale(self):
         np.testing.assert_allclose(dequantize_stream([2048, -2048, 1], CFG12),
                                    [1.0, -1.0, 1 / 2048])
+
+
+def reference_quantize(samples, config):
+    """The quantizer as it was written before the copysign rounding: scale
+    by 1/full_scale then 2^(bits-1), round |x| + 0.5 down, negate where the
+    sign bit was set (a masked ufunc), clip. quantize_stream is held to it
+    code for code."""
+    x = np.array(samples, dtype=float)
+    half = config.code_half_range
+    x /= config.full_scale
+    x *= half
+    negative = np.signbit(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    return np.clip(x, -half, half - 1, out=x).astype(np.int64)
+
+
+def near_ties(config):
+    """Samples at and next to the decision levels k + 0.5 LSB, with k over
+    the whole code range and a few codes past each end (at most about
+    8 000 levels), and the corner cases of rounding half away from zero:
+    0.49999999999999994 LSB, signed zeros, infinities and samples far out
+    of range."""
+    half = config.code_half_range
+    k = np.arange(-half - 3, half + 3, max(1, half // 4096))
+    levels = np.concatenate([(k + 0.5) * config.lsb, -(k + 0.5) * config.lsb])
+    below = np.nextafter(0.5, 0.0) * config.lsb
+    corners = [below, -below, 0.5 * config.lsb, -0.5 * config.lsb, 0.0, -0.0,
+               np.inf, -np.inf, 1e300, -1e300, 7.5 * config.full_scale,
+               -7.5 * config.full_scale]
+    return np.concatenate([levels, np.nextafter(levels, np.inf),
+                           np.nextafter(levels, -np.inf), corners])
+
+
+def near_level(k, side, lsb):
+    """The decision level k + 0.5 LSB (side 0), or the float next to it
+    below (side -1) or above (side 1)."""
+    level = (k + 0.5) * lsb
+    return np.nextafter(level, side * np.inf) if side else level
+
+
+class TestQuantizerOracle:
+    """quantize_stream rounds by trunc(x + copysign(0.5, x)) after a clip,
+    in sub-blocks of its scratch; reference_quantize is the masked-negate
+    quantizer it replaced."""
+
+    @pytest.mark.parametrize("full_scale", [0.75, 1.0, 3.0])
+    @pytest.mark.parametrize("bits", [2, 12, 16, 24])
+    def test_codes_equal_the_reference(self, bits, full_scale):
+        config = TiadcConfig(n_channels=2, bits=bits, full_scale=full_scale)
+        x = near_ties(config)
+        np.testing.assert_array_equal(quantize_stream(x, config),
+                                      reference_quantize(x, config))
+
+    # lengths around the 8 192-float scratch, in three memory layouts
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8193, (1 << 16) + 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed",
+                                        "strided"])
+    def test_every_length_and_layout(self, n, layout):
+        config = TiadcConfig(n_channels=2, bits=12, full_scale=0.75)
+        rng = np.random.default_rng(n)
+        base = rng.choice(near_ties(config), size=(n, 3))
+        x = {"contiguous": base[:, 0].copy(), "transposed": base.T,
+             "strided": base[:, 1]}[layout]
+        codes = quantize_stream(x, config)
+        assert codes.shape == x.shape
+        np.testing.assert_array_equal(codes, reference_quantize(x, config))
+
+    @given(st.sampled_from([2, 12, 16, 24]), st.sampled_from([0.75, 1.0, 3.0]),
+           st.lists(st.one_of(
+               st.floats(min_value=-1e300, max_value=1e300),
+               st.sampled_from([np.inf, -np.inf, -0.0]),
+               # a decision level k + 0.5 LSB, or a float next to it
+               st.tuples(st.integers(-(1 << 24), 1 << 24),
+                         st.sampled_from([-1, 0, 1]))),
+               max_size=64))
+    def test_any_samples_match_the_reference(self, bits, full_scale, values):
+        config = TiadcConfig(n_channels=2, bits=bits, full_scale=full_scale)
+        x = np.array([v if isinstance(v, float) else
+                      near_level(*v, config.lsb) for v in values])
+        np.testing.assert_array_equal(quantize_stream(x, config),
+                                      reference_quantize(x, config))
 
 
 class TestInterleave:
@@ -439,9 +537,10 @@ class TestChunkedSimulation:
 
     @pytest.mark.parametrize("n_total", [1 << 20, 1 << 22])
     def test_memory_beyond_the_codes_stays_small(self, n_total):
-        # one float64 row of _CHUNK samples and its one-byte sign mask, and
-        # angle tables of a few float64 entries per coarse and fine angle;
-        # a whole-record float64 pass would take 8 bytes per sample more
+        # one float64 row of _CHUNK samples and the quantizer's scratch of
+        # _CHUNK // 8 floats, and angle tables of a few float64 entries per
+        # coarse and fine angle; a whole-record float64 pass would take 8
+        # bytes per sample more
         tables = 8 * 8 * (_CHUNK // _SPLIT + _SPLIT)
         tracemalloc.start()
         try:

@@ -128,6 +128,10 @@ class TestParseScenarioText:
         with pytest.raises(ConfigError, match="full_scale"):
             parse_scenario_text("amplitude = 0.9\ndc = 0.2\n")
 
+    def test_full_scale_with_a_subnormal_lsb_rejected(self):
+        with pytest.raises(ConfigError, match="smallest normal float"):
+            parse_scenario_text("full_scale = 1e-320\namplitude = 5e-321\n")
+
     def test_gain_that_clips_rejected(self):
         # (1 + 0.2) * 0.9 = 1.08 of full scale on channel 1
         with pytest.raises(ConfigError, match="would clip"):

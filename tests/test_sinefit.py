@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from tiadc_cal import (ChannelCapture, ConfigError, ConvergenceError,
                        PhaseAmbiguityError, ShapeError, SineFitResult,
                        TiadcConfig, TiadcError,
                        ToneSpec, alias_to_subrate, derive_mismatches,
-                       detect_tone_freq, estimate_blocks,
+                       dequantize_stream, detect_tone_freq, estimate_blocks,
                        estimate_from_capture, interleave_channels,
                        sine_fit_four_param, simulate_capture)
 from tiadc_cal import experiments, scenarios, sinefit
-from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL, _fit_rows
+from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL, _FIT_BLOCKS, _fit_rows
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
 CFG16 = TiadcConfig(n_channels=2, bits=16)
@@ -406,6 +407,68 @@ class TestSharedSolve:
             np.testing.assert_allclose(getattr(result.estimate, what),
                                        getattr(scenario.profile, what),
                                        rtol=0, atol=5e-4)
+
+
+def per_batch_estimate(blocks, config, tone_freq_rel):
+    """estimate_blocks written with a fresh dequantize_stream array for
+    every batch of _FIT_BLOCKS blocks: the reference for its one reused
+    buffer."""
+    f_sub, _ = alias_to_subrate(tone_freq_rel, config.n_channels)
+    fits = [_fit_rows(dequantize_stream(blocks[b:b + _FIT_BLOCKS], config),
+                      f_sub, b)
+            for b in range(0, len(blocks) or 1, _FIT_BLOCKS)]
+    return derive_mismatches(*map(np.concatenate, zip(*fits)), tone_freq_rel)
+
+
+class TestEstimateBuffer:
+    """estimate_blocks dequantizes every batch into one buffer of
+    min(B, _FIT_BLOCKS) blocks."""
+
+    L = EST_BLOCK_PER_CHANNEL
+    TONE = ToneSpec(0.7, 77 / 4096, 0.4, 0.01)
+    PROFILE = MismatchProfile((0, 0.002, -0.001), (0, 0.01, -0.02),
+                              (0, 0.03, -0.01))
+
+    def blocks(self, bits, n_blocks, M=3):
+        # full scale 0.75: an LSB that is not a power of two
+        config = TiadcConfig(n_channels=M, bits=bits, full_scale=0.75)
+        profile = (self.PROFILE if M == 3 else MismatchProfile.zero(M))
+        cap = simulate_capture(self.TONE, config, profile,
+                               M * n_blocks * self.L)
+        return (cap.per_channel.reshape(M, n_blocks, self.L).swapaxes(0, 1),
+                config)
+
+    @pytest.mark.parametrize("bits,dtype", [(12, np.int16), (20, np.int32)])
+    @pytest.mark.parametrize("n_blocks", [1, 15, 16, 17, 33])
+    def test_equals_a_fresh_array_per_batch(self, n_blocks, bits, dtype):
+        blocks, config = self.blocks(bits, n_blocks)
+        assert blocks.dtype == dtype
+        got = estimate_blocks(blocks, config, 77 / 4096)
+        want = per_batch_estimate(blocks, config, 77 / 4096)
+        for g, w in zip(got, want):
+            assert g.shape == (n_blocks, 3)
+            assert g.tobytes() == w.tobytes()
+
+    def test_an_error_in_a_short_second_batch_names_its_block(self):
+        blocks, config = self.blocks(12, _FIT_BLOCKS + 1)
+        blocks[_FIT_BLOCKS, 1] = 17
+        with pytest.raises(DegenerateFitError,
+                           match=f"^block {_FIT_BLOCKS} channel 1 is "
+                                 "constant"):
+            estimate_blocks(blocks, config, 77 / 4096)
+
+    def test_memory_is_one_batch_buffer(self):
+        blocks, config = self.blocks(12, 128, M=5)
+        estimate_blocks(blocks[:1], config, 77 / 4096)  # caches the basis
+        tracemalloc.start()
+        try:
+            estimate_blocks(blocks, config, 77 / 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fresh float array per batch, and its scaled copy, would hold
+        # two buffers at once
+        assert peak <= _FIT_BLOCKS * 5 * self.L * 8 + (128 << 10)
 
 
 class TestAliasToSubrate:
