@@ -333,18 +333,22 @@ def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
 
     One division by the LSB scales a sample to LSB units: the LSB is a
     normal float (TiadcConfig's rule) and full_scale over a power of two,
-    so this is x / full_scale * 2^(bits-1) bit for bit. The clip to the
-    integer bounds comes first, which gives the codes that clipping after
-    the rounding would. Rounding half away from zero is trunc(x +
+    so this gives the codes of x / full_scale * 2^(bits-1): the same
+    float where x / full_scale is a normal float, and code 0 where it is
+    subnormal (both values are then far below half an LSB). The clip to
+    the integer bounds comes first, which gives the codes that clipping
+    after the rounding would. Rounding half away from zero is trunc(x +
     copysign(0.5, x)), which is sign(x) * floor(|x| + 0.5) exactly, since
     a float sum rounds the same at either sign; the copysign is taken
     through a scratch of _CHUNK // 8 floats, one sub-block at a time. No
     ufunc runs under a where= mask: a masked pass took about ten times as
     long as a plain one."""
+    if not samples.flags.c_contiguous:
+        raise ValueError("the quantizer works in a C-contiguous array")
     half = config.code_half_range
     samples /= config.lsb
     np.clip(samples, -half, half - 1, out=samples)
-    flat = samples.reshape(-1, copy=False)
+    flat = samples.reshape(-1)  # a view, since samples is C-contiguous
     scratch = np.empty(min(flat.size, _CHUNK // 8))
     for i in range(0, flat.size, len(scratch) or 1):
         part = flat[i:i + len(scratch)]
@@ -363,9 +367,12 @@ def quantize_stream(samples, config: TiadcConfig) -> np.ndarray:
     return _quantize_in_place(x, config).astype(np.int64)
 
 
-def dequantize_stream(codes, config: TiadcConfig) -> np.ndarray:
-    """Map integer codes back to amplitude units (inverse of the code scale)."""
-    return np.asarray(codes, dtype=float) * config.lsb
+def dequantize_stream(codes, config: TiadcConfig, out=None) -> np.ndarray:
+    """Map integer codes back to amplitude units (inverse of the code scale).
+
+    out, if given, is a float64 array of codes' shape that receives the
+    amplitudes (the same bits as a fresh result) and is returned."""
+    return np.multiply(codes, config.lsb, out=out, dtype=float)
 
 
 def interleave_channels(per_channel) -> np.ndarray:

@@ -453,10 +453,10 @@ def estimate_blocks(blocks, config: TiadcConfig,
     is block b's estimate; an error names the block by its index in
     blocks.
 
-    Each batch of blocks is dequantized (dequantize_stream's floats, bit
-    for bit) into one float64 buffer of min(B, _FIT_BLOCKS) blocks, which
-    the call allocates and reuses for every batch: the temporary memory is
-    that one buffer, whatever B is, and concurrent calls share nothing.
+    Each batch of blocks is dequantized by dequantize_stream into one
+    float64 buffer of min(B, _FIT_BLOCKS) blocks, which the call
+    allocates and reuses for every batch: the temporary memory is that
+    one buffer, whatever B is, and concurrent calls share nothing.
 
     The solve does not refine the frequency, so tone_freq_rel must be
     accurate (detect_tone_freq's value is). Background calibration runs it
@@ -476,9 +476,7 @@ def estimate_blocks(blocks, config: TiadcConfig,
     # one batch at least, so the length checks run on no blocks too
     for b in range(0, len(blocks) or 1, _FIT_BLOCKS):
         codes = blocks[b:b + _FIT_BLOCKS]
-        batch = buffer[:len(codes)]
-        np.copyto(batch, codes)
-        batch *= config.lsb
+        batch = dequantize_stream(codes, config, out=buffer[:len(codes)])
         fits.append(_fit_rows(batch, f_sub, b))
     return derive_mismatches(*map(np.concatenate, zip(*fits)), tone_freq_rel)
 

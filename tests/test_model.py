@@ -11,7 +11,7 @@ from tiadc_cal import (ChannelCapture, ConfigError, MismatchProfile, ShapeError,
                        interleave_channels, quantize_stream, sample_channels,
                        simulate_capture)
 
-from tiadc_cal.model import _CHUNK, _SPLIT, _sample_row
+from tiadc_cal.model import _CHUNK, _SPLIT, _quantize_in_place, _sample_row
 from tiadc_cal.scenarios import BUILTIN_SCENARIOS, load_scenario, with_seed
 
 CFG12 = TiadcConfig(n_channels=2, bits=12)
@@ -341,6 +341,31 @@ class TestQuantizerOracle:
                       near_level(*v, config.lsb) for v in values])
         np.testing.assert_array_equal(quantize_stream(x, config),
                                       reference_quantize(x, config))
+
+    def test_the_in_place_quantizer_refuses_a_strided_array(self):
+        # its sub-blocks are slices of a flat view, which a strided array
+        # would give only as a copy, and the codes would be lost
+        x = np.full((4, 6), 2.5 / 2048)
+        for view in (x.T, x[:, ::2]):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _quantize_in_place(view, CFG12)
+        assert np.all(x == 2.5 / 2048)
+        np.testing.assert_array_equal(_quantize_in_place(x, CFG12), 3.0)
+
+
+class TestDequantizeInto:
+    """dequantize_stream's out= buffer holds the bits of a fresh result."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_out_equals_a_fresh_array(self, dtype):
+        config = TiadcConfig(n_channels=2, bits=12, full_scale=0.75)
+        codes = np.arange(-2048, 2048, dtype=dtype).reshape(64, 64)
+        out = np.full(codes.shape, np.nan)
+        got = dequantize_stream(codes, config, out=out)
+        assert got is out
+        assert out.tobytes() == (codes.astype(float) * config.lsb).tobytes()
+        assert (dequantize_stream(codes, config).tobytes()
+                == out.tobytes())
 
 
 class TestInterleave:
