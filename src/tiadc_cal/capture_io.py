@@ -11,13 +11,13 @@ Layout (little-endian, 26-byte header):
     offset 26  payload  signed 16-bit codes, interleaved channel order
 
 The payload is exactly 2*sample_count bytes. Codes must lie within the
-B-bit two's-complement range: write_capture checks them before it opens
-the file, and read_capture after it reads it. Captures with B > 16 cannot
-be stored in this format. read_capture reads a regular file's payload
-once, straight into the capture's one code array: a writable little-endian
-int16 array in the file's interleaved order, which nothing widens before
-the calibrator. A pipe, which has no size to check the header against, is
-read whole first.
+B-bit two's-complement range, which every ChannelCapture's codes do: its
+constructor checks them, and read_capture reports a code outside the range
+with its byte offset. Captures with B > 16 cannot be stored in this
+format. read_capture reads a regular file's payload once, straight into
+the capture's one code array: a writable little-endian int16 array in the
+file's interleaved order, which nothing widens before the calibrator. A
+pipe, which has no size to check the header against, is read whole first.
 
 The header holds no full_scale, so read_capture's config has the default
 1.0; a caller that knows the converter's full scale (the estimate and
@@ -31,8 +31,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError
-from .model import ChannelCapture, TiadcConfig
+from .errors import ConfigError, DataFormatError
+from .model import ChannelCapture, TiadcConfig, _first_code_outside
 
 MAGIC = b"TIAD"
 VERSION = 1
@@ -48,25 +48,12 @@ def check_bits(bits: int, error=DataFormatError) -> None:
                     "payload format")
 
 
-def _check_code_range(codes: np.ndarray, bits: int) -> None:
-    """DataFormatError naming the first code outside the bits-bit
-    two's-complement range; one min/max pass when every code fits."""
-    half = 1 << (bits - 1)
-    if len(codes) == 0 or (codes.min() >= -half and codes.max() < half):
-        return
-    i = int(np.argmax((codes < -half) | (codes >= half)))
-    raise DataFormatError(
-        f"code {codes[i]} at sample {i} outside {bits}-bit range "
-        f"(byte offset {HEADER_SIZE + 2 * i})")
-
-
 def write_capture(capture: ChannelCapture, path) -> None:
-    """Serialize a capture; inverse of read_capture. Codes outside the
-    config's bit range raise DataFormatError, and no file is written."""
+    """Serialize a capture; inverse of read_capture. A capture of more
+    than MAX_BITS bits raises DataFormatError, and no file is written."""
     config = capture.config
     check_bits(config.bits)
     codes = capture.interleaved
-    _check_code_range(codes, config.bits)
     header = _HEADER.pack(MAGIC, VERSION, config.n_channels, config.bits,
                           float(config.fs), len(codes))
     with open(path, "wb") as fh:
@@ -121,6 +108,10 @@ def read_capture(path) -> ChannelCapture:
                 raise DataFormatError(
                     f"payload changed while it was read (byte offset "
                     f"{HEADER_SIZE})")
-    _check_code_range(codes, bits)
     config = TiadcConfig(n_channels=n_channels, fs=fs, bits=bits)
-    return ChannelCapture(config=config, interleaved=codes)
+    try:  # the constructor's one scan is the payload's range check
+        return ChannelCapture(config=config, interleaved=codes)
+    except ConfigError as err:
+        i = _first_code_outside(codes, bits)
+        raise DataFormatError(
+            f"{err} (byte offset {HEADER_SIZE + 2 * i})") from None

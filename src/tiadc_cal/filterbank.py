@@ -42,15 +42,14 @@ interleaved stream: a frame of P outputs costs P + N - 1 multiply-adds an
 output where the convolutions cost one per nonzero tap, but BLAS runs
 them about four times faster than one np.convolve call per block and
 sub-filter. Its guard's tap sums come straight from the taps, and its
-int64 limbs are sized from the chunk's largest |sample|, since a block's
-last frame may read the next block. The guard's peaks are bounded from
-the codes' dtype first; the codes are scanned only where that bound
-reaches 2^53, which a designed bank on 16-bit codes does not for
-offsets within full scale. The chunk driver lays one bank out
-(_bank_layout: frame matrices and tap sums) once per call, and a bank
-per block once per chunk. design_banks and the chunk kernel work on tap
-and offset arrays; FilterBank is the record of one bank, and where a
-hand-built bank's taps and offsets are checked.
+peaks from the converter's word and the offset codes alone, never from a
+scan of the codes: a ChannelCapture holds only codes within its word.
+Its int64 limbs are sized from the chunk's largest bound on a |sample|,
+since a block's last frame may read the next block. The chunk driver
+lays one bank out (_bank_layout: frame matrices and tap sums) once per
+call, and a bank per block once per chunk. design_banks and the chunk
+kernel work on tap and offset arrays; FilterBank is the record of one
+bank, and where a hand-built bank's taps and offsets are checked.
 """
 
 import csv
@@ -508,32 +507,6 @@ def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
     return _Layout(tap_sums, int(tap_sums.sum(axis=2).max()), P, mats)
 
 
-def _exact_peaks(codes, start: int, stop: int, hist: int, block_len: int,
-                 starts, ends, block_codes) -> tuple:
-    """Scan the chunk's codes for the guard's exact peaks: a (B, M) array
-    of Python integers, the largest |code - offset code| of each source
-    that each block's sums read, and the chunk's largest |code|.
-
-    A block's sums read its samples and the N-1 before them (zeros
-    before sample 0): the samples from the first read on, cut where a
-    block or a block's reads start, are segments of one offset code each,
-    and each block reads whole segments. Each source's smallest and
-    largest code of each segment come from one reduceat each."""
-    first = max(start - hist, 0)
-    reads = np.maximum(starts + start - hist, 0)
-    cuts = np.union1d(reads, np.arange(first // block_len + 1,
-                                       (stop - 1) // block_len + 1)
-                      * block_len)
-    seg_codes = block_codes[cuts // block_len
-                            - first // block_len].astype(object)
-    low, high = (f.reduceat(codes[:, first:stop], cuts - first, axis=1)
-                 .T.astype(object) for f in (np.minimum, np.maximum))
-    seg_peaks = np.maximum(high - seg_codes, seg_codes - low)
-    peaks = np.stack([seg_peaks[a:b].max(axis=0) for a, b in zip(
-        np.searchsorted(cuts, reads), np.searchsorted(cuts, start + ends))])
-    return peaks, max(high.max(), -low.min())
-
-
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                 stop: int, taps, offsets, first_block: int,
                 block_len: int, layout: _Layout = None) -> np.ndarray:
@@ -546,16 +519,13 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     This is the one place the fixed-point rule runs: subtract each block's
     offset code, multiply-accumulate exactly, return the sums only if
     polyphase._guard_sums finds every block's exact, and let the caller
-    scale once. The guard's tap sums come straight from the taps. Its
-    peaks are bounded first from the codes' dtype: the largest |code| the
-    dtype holds (2^15 for int16) plus the chunk's largest |offset code|.
-    Where that bound times the largest slot sum of |taps| is below 2^53,
-    every block's sums are exact in float64 whatever the codes are, so
-    the guard takes that bound and no code is scanned: the case of a
-    designed bank on 16-bit codes with offsets within full scale, at any
-    W. Otherwise _exact_peaks scans for the largest |code - offset code|
-    that each block's sums read, and the guard and the arithmetic below
-    take those.
+    scale once. The guard's tap sums come straight from the taps, and its
+    peaks from config and the offset codes alone, as a hardware designer
+    sizes an accumulator from the converter's word: every code lies in
+    [-2^(bits-1), 2^(bits-1) - 1] (ChannelCapture's rule), so block b's
+    peak for source s is 2^(bits-1) plus the largest |offset code| of s
+    in the blocks that b's sums read, b itself and those its N-1 samples
+    of history lie in. No code is scanned.
 
     The bank is a periodically time-varying FIR on the interleaved
     offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *
@@ -563,7 +533,7 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     and at least N-1 up to _FRAME_REACH, a frame of output is a sum of
     float64 matrix products of the frames before it with the bank's frame
     matrices (_frame_index, _fir_frames). Every product and partial sum is
-    an integer no larger than the largest |code| plus the largest |offset
+    an integer no larger than 2^(bits-1) plus the chunk's largest |offset
     code|, times the largest slot's sum of |taps|; below 2^53 float64
     holds each exactly in any BLAS summation order. A chunk where that
     bound is larger builds z in int64 and runs every block as limbs whose
@@ -572,7 +542,9 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     block's own peaks: a block's last frame may read the next block.
 
     codes is the (M, n) per-channel view of a capture, of any integer
-    type. The capture runs in blocks of block_len samples from sample 0.
+    type, every code within config's word: the sums of a code outside it
+    may be wrong. The capture runs in blocks of block_len samples from
+    sample 0.
     taps (B, M, N) are the banks of the B blocks the chunk touches, and
     row b of offsets (full-scale units) is block first_block + b's, for
     every block from the one of sample max(start - N + 1, 0) to the
@@ -604,23 +576,25 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                        (stop - 1) // block_len + 1)
     block_codes = _offset_codes(np.asarray(offsets)[blocks - first_block],
                                 config)
-    offset_peak = max(int(block_codes.max()), -int(block_codes.min()))
-    limits = np.iinfo(codes.dtype)
-    code_peak = max(int(limits.max), -int(limits.min))
-    if (code_peak + offset_peak) * s_max < 1 << 53:
-        # the dtype's bound stands for every source's peak in every block
-        peaks = [code_peak + offset_peak]
-    else:
-        peaks, code_peak = _exact_peaks(codes, start, stop, hist, block_len,
-                                        starts, ends, block_codes)
-    # the sums are exact only within the bound: nothing is computed unless
-    # every block meets it
-    _guard_sums(peaks, layout.tap_sums)
-
-    # the chunk's largest |code - offset code|: limbs of bits bits keep
-    # each limb's sums below 2^53, and cover every block's reads, since a
+    # every code lies in the word (ChannelCapture's rule), so no sum reads
+    # a |code - offset code| above largest, 2^(bits-1) plus the chunk's
+    # largest |offset code|: limbs of bits bits, sized from it, keep each
+    # limb's sums below 2^53 and cover every block's reads, since a
     # block's last frame may read the next block
-    largest = code_peak + offset_peak
+    half = config.code_half_range
+    mags = np.abs(block_codes).tolist()
+    largest = half + max(map(max, mags))
+    # the sums are exact only within the bound: nothing is computed unless
+    # every block meets it. Below the limit, largest times the largest
+    # slot sum bounds every block; otherwise block b's peak for source s
+    # is 2^(bits-1) plus s's largest |offset code| in the blocks b's sums
+    # read, its own and those its first N-1 samples of history lie in
+    if largest * s_max >= _ACC_LIMIT:
+        own = start // block_len - blocks[0]
+        reads = (np.maximum(starts + start - hist, 0) // block_len
+                 - blocks[0]).tolist()
+        _guard_sums([[half + max(col) for col in zip(*mags[r:own + i + 1])]
+                     for i, r in enumerate(reads)], layout.tap_sums.tolist())
     exact = largest * s_max < 1 << 53
     bits = 54 - s_max.bit_length()
     limbs = -(-(largest.bit_length() + 2) // bits)

@@ -3,7 +3,8 @@
 Everything here assumes coherent capture by default: the tone frequency times
 n_fft is an integer, so a rectangular window puts the tone in a single DFT
 bin. Non-coherent data can be analyzed with the 4-term Blackman-Harris
-windowed mode, at the cost of wider leakage exclusion around the signal.
+windowed mode, which counts the window's main lobe, the peak +/- 4 bins,
+as signal: wider leakage exclusion around the signal.
 
 SINAD is signal-bin power over the sum of every other non-DC bin's power,
 the Nyquist bin weighted half so that the sum obeys Parseval. The DC bin is
@@ -22,7 +23,9 @@ DBFS_FLOOR = -300.0
 
 # 4-term Blackman-Harris coefficients, used only in windowed (non-coherent) mode
 _BH4 = (0.35875, 0.48829, 0.14128, 0.01168)
-_BH4_SIGNAL_HALF_WIDTH = 3  # leakage exclusion: signal occupies peak +/- 3 bins
+# the window's main lobe, peak +/- 4 bins (Harris, Proc. IEEE 1978), is
+# counted as signal, and bins 0..4 as DC leakage
+_BH4_SIGNAL_HALF_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> f
 
     Rectangular mode requires coherence (signal_freq_rel * n_fft integral)
     and raises CoherenceError otherwise. window="bh4" handles non-coherent
-    data with a 4-term cosine window, excluding the peak +/- 3 bins as
-    signal and bins 0..3 as DC leakage.
+    data with the 4-term Blackman-Harris window, counting its main lobe,
+    the peak +/- 4 bins, as signal and bins 0..4 as DC leakage.
     """
     x = _check_fft_args(stream, n_fft)
     k = _signal_bin(signal_freq_rel, n_fft)

@@ -31,6 +31,7 @@ call of a worker releases and retakes the GIL; the calibration's
 matrix-product kernel ran no faster on two workers than on one.
 """
 
+import copy
 import math
 import numbers
 import sys
@@ -179,6 +180,12 @@ class ChannelCapture:
     for more than 16 bits), and nothing widens it before the chunk kernel
     filterbank._chunk_sums. per_channel is not stored: it is the
     (M, n_per_channel) view of the same memory, row m being channel m.
+
+    Every code must lie in the config's word, [-2^(bits-1), 2^(bits-1) - 1]
+    (ConfigError naming the first that does not, after one min/max pass).
+    The chunk kernel bounds its sums from that word alone, so the codes
+    must not be changed once the capture is built. with_config keeps the
+    codes and the bits, and checks nothing again.
     """
 
     config: TiadcConfig
@@ -194,6 +201,10 @@ class ChannelCapture:
         if len(codes) % self.config.n_channels:
             raise ShapeError(f"{len(codes)} codes not divisible by "
                              f"{self.config.n_channels} channels")
+        bad = _first_code_outside(codes, self.config.bits)
+        if bad is not None:
+            raise ConfigError(f"code {codes[bad]} at sample {bad} outside "
+                              f"{self.config.bits}-bit range")
         object.__setattr__(self, "interleaved", codes)
 
     def with_config(self, config: TiadcConfig) -> "ChannelCapture":
@@ -205,7 +216,9 @@ class ChannelCapture:
             raise ConfigError(
                 f"scenario has {config.n_channels} channels of {config.bits} "
                 f"bits, capture has {mine.n_channels} of {mine.bits}")
-        return ChannelCapture(config, self.interleaved)
+        capture = copy.copy(self)  # the codes are not scanned again
+        object.__setattr__(capture, "config", config)
+        return capture
 
     @property
     def per_channel(self) -> np.ndarray:
@@ -215,6 +228,15 @@ class ChannelCapture:
     @property
     def n_per_channel(self) -> int:
         return len(self.interleaved) // self.config.n_channels
+
+
+def _first_code_outside(codes: np.ndarray, bits: int):
+    """The index of the first code outside the bits-bit two's-complement
+    range, or None after one min/max pass when every code fits."""
+    half = 1 << (bits - 1)
+    if len(codes) == 0 or (codes.min() >= -half and codes.max() < half):
+        return None
+    return int(np.argmax((codes < -half) | (codes >= half)))
 
 
 def sample_channels(tone: ToneSpec, config: TiadcConfig,
@@ -346,7 +368,8 @@ def _quantize_in_place(samples: np.ndarray, config: TiadcConfig) -> np.ndarray:
     if not samples.flags.c_contiguous:
         raise ValueError("the quantizer works in a C-contiguous array")
     half = config.code_half_range
-    samples /= config.lsb
+    with np.errstate(over="ignore"):  # a sample past the float range clips
+        samples /= config.lsb
     np.clip(samples, -half, half - 1, out=samples)
     flat = samples.reshape(-1)  # a view, since samples is C-contiguous
     scratch = np.empty(min(flat.size, _CHUNK // 8))

@@ -35,6 +35,8 @@ alone: summed over the sources of one accumulator, the largest |code|
 times the sum of |taps| must stay below 2^62.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
@@ -68,17 +70,19 @@ def _abs_sum(taps: np.ndarray) -> int:
 
 def _guard_sums(peaks, tap_sums) -> None:
     """Reject accumulations whose sums could wrap 64-bit integers: the one
-    statement of the bound, checked in exact integers.
+    statement of the bound, checked in Python integers.
 
-    peaks[..., s] is source s's largest |code| and tap_sums[..., k, s] the
-    sum of |taps| by which source s feeds accumulator k; accumulator k's
-    bound is the sum over s of their products, and it must stay below
-    _ACC_LIMIT. Both must be exact (see _max_abs and _magnitudes): int64
-    abs wraps -2^63 to itself, and an int64 sum of |taps| can wrap.
+    peaks[b][s] is source s's largest |code| in block b and
+    tap_sums[b][k][s] the sum of |taps| by which source s feeds
+    accumulator k there, both nested sequences of Python integers;
+    accumulator k's bound in block b is the sum over s of their products,
+    and it must stay below _ACC_LIMIT. Both must be exact (see _max_abs
+    and _magnitudes): int64 abs wraps -2^63 to itself, and an int64 sum
+    of |taps| can wrap.
     """
-    bound = (np.asarray(tap_sums, dtype=object)
-             * np.asarray(peaks, dtype=object)[..., None, :]).sum(axis=-1)
-    peak = max(bound.flat, default=0)
+    peak = max((sum(map(operator.mul, row, block))
+                for block, rows in zip(peaks, tap_sums) for row in rows),
+               default=0)
     if peak >= _ACC_LIMIT:
         raise NumericError(
             f"worst-case accumulator {peak} would overflow 64-bit integers")
@@ -92,7 +96,7 @@ def convolve_serial(codes, taps_fx) -> np.ndarray:
     """
     codes = _as_int64(codes, "codes")
     taps = _as_int64(taps_fx, "taps")
-    _guard_sums([_max_abs(codes)], [[_abs_sum(taps)]])
+    _guard_sums([[_max_abs(codes)]], [[[_abs_sum(taps)]]])
     if len(codes) == 0:
         return codes
     return np.convolve(codes, taps)[: len(codes)]
@@ -145,7 +149,8 @@ def parallel_convolve(substreams, taps_fx) -> list:
     if [len(s) for s in subs] != _expected_lengths(total, lanes):
         raise ShapeError(f"inconsistent lane lengths {[len(s) for s in subs]}")
     taps = _as_int64(taps_fx, "taps")
-    _guard_sums([max(map(_max_abs, subs), default=0)], [[_abs_sum(taps)]])
+    _guard_sums([[max(map(_max_abs, subs), default=0)]],
+                [[[_abs_sum(taps)]]])
     phases = [taps[u::lanes] for u in range(lanes)]
 
     def one_lane(r: int) -> np.ndarray:
@@ -198,7 +203,7 @@ class BlockConvolver:
                 f"taps length {len(taps)} does not match convolver history "
                 f"({len(self._history) + 1} expected)")
         ext = np.concatenate((self._history, codes))
-        _guard_sums([_max_abs(ext)], [[_abs_sum(taps)]])
+        _guard_sums([[_max_abs(ext)]], [[[_abs_sum(taps)]]])
         hist = len(self._history)
         out = np.convolve(ext, taps)[hist: hist + len(codes)]
         if hist:

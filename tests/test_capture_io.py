@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import (DataFormatError, MismatchProfile, TiadcConfig,
-                       ToneSpec, read_capture, simulate_capture,
+from tiadc_cal import (ConfigError, DataFormatError, MismatchProfile,
+                       TiadcConfig, ToneSpec, read_capture, simulate_capture,
                        write_capture)
 from tiadc_cal.capture_io import HEADER_SIZE, MAGIC, VERSION
 
@@ -139,17 +139,15 @@ class TestWriteErrors:
 
     @pytest.mark.parametrize("bits,code", [(16, 40000), (12, 3000),
                                            (12, -2049)])
-    def test_code_outside_bit_range_rejected(self, tmp_path, bits, code):
-        # a 16-bit 40000 would wrap to -25536 in the payload
+    def test_code_outside_bit_range_rejected(self, bits, code):
+        # a 16-bit 40000 would wrap to -25536 in the payload: no capture
+        # holds it, so none can be written
         cap = sample_capture(bits=bits)
         codes = cap.interleaved.astype(np.int64)
         codes[5] = code
-        cap = type(cap)(config=cap.config, interleaved=codes)
-        path = tmp_path / "cap.bin"
-        with pytest.raises(DataFormatError,
-                           match=f"code {code} at sample 5 outside {bits}-bit"):
-            write_capture(cap, path)
-        assert not path.exists()
+        with pytest.raises(ConfigError, match=f"^code {code} at sample 5 "
+                                              f"outside {bits}-bit range$"):
+            type(cap)(config=cap.config, interleaved=codes)
 
     def test_codes_at_the_range_edges_written(self, tmp_path):
         cap = sample_capture(bits=12)
@@ -202,7 +200,9 @@ class TestReadErrors:
             off = HEADER_SIZE + 2 * 5
             raw[off:off + 2] = struct.pack("<h", 2048)
             return bytes(raw)
-        with pytest.raises(DataFormatError, match="sample 5"):
+        with pytest.raises(DataFormatError,
+                           match=r"^code 2048 at sample 5 outside 12-bit "
+                                 r"range \(byte offset 36\)$"):
             read_capture(self.corrupt(tmp_path, mutate))
 
     def test_bad_bits_field(self, tmp_path):

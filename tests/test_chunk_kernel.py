@@ -1,7 +1,9 @@
 """The chunk kernel (filterbank._chunk_sums) against a Python-integer
 reference of the fixed-point rule, over seeded random banks, captures,
 blocks and chunk edges, with overflow bounds below 2^53, between 2^53 and
-2^62, and at 2^62 and above."""
+2^62, and at 2^62 and above. Every code lies in its config's word, as
+ChannelCapture requires, and the large bounds come from offset codes on
+24-bit codes at W = 32."""
 
 import math
 
@@ -32,10 +34,14 @@ def reference(codes, config, n_taps, start, stop, taps, offsets, first_block,
     m at sample k runs the bank of k's block: the sum over j of
     taps[(m - D) % M, j] times sample k*M + m - j. A block's bound is the
     largest over slots of the sum over sources s of the |taps| by which s
-    feeds the slot, times the largest |sample| of s that the block's sums
-    read: its own and the N-1 before each source's first."""
+    feeds the slot, times the word's bound on the |samples| of s that the
+    block's sums read: 2^(bits-1) plus the largest |offset code| of s in
+    the blocks of those samples, the block's own and those of the N-1
+    samples before its first."""
     M = config.n_channels
     d = (n_taps + 1) // 2 - 1
+    half = config.code_half_range
+    assert all(-half <= int(c) < half for c in codes.flat)
     x = np.array([[int(c) - offset_code(offsets[k // block_len - first_block]
                                         [s], config)
                    for s, c in enumerate(codes[:, k])]
@@ -45,9 +51,10 @@ def reference(codes, config, n_taps, start, stop, taps, offsets, first_block,
     block0 = start // block_len
     for b in range(block0, (stop - 1) // block_len + 1):
         bank = taps[b - block0]
-        lo, hi = max(b * block_len, start), min((b + 1) * block_len, stop)
-        read = x[max(lo - n_taps + 1, 0) * M - base:hi * M - base]
-        peaks = [max((abs(v) for v in read[s::M]), default=0)
+        first = max(max(b * block_len, start) - n_taps + 1, 0) // block_len
+        peaks = [half + max(abs(offset_code(offsets[c - first_block][s],
+                                            config))
+                            for c in range(first, b + 1))
                  for s in range(M)]
         bound = max(sum(abs(int(bank[(m - d) % M, j])) * peaks[(m - j) % M]
                         for j in range(n_taps))
@@ -64,17 +71,21 @@ def reference(codes, config, n_taps, start, stop, taps, offsets, first_block,
 
 
 def random_case(rng, regime):
-    """A chunk kernel call's arguments: M 2-6, N 1-80, W 8-32, blocks of 1
-    to 59 samples, chunk edges anywhere. Regime 0 takes codes of 8 to 24
-    bits and offsets up to 2 % of full scale; regimes 1 to 3 take int64
-    codes, no offsets, and a peak c on every channel's first chunk sample,
-    sized from the banks' largest slot sum S of |taps| so that the bound is
-    just below 2^53 (1), at most a random size in [2^53, 2^62) (2), or at
-    least 2^62 (3)."""
+    """A chunk kernel call's arguments: M 2-6, N 1-80, blocks of 1 to 59
+    samples, chunk edges anywhere. Regime 0 takes codes of 8 to 24 bits,
+    W 8-32 and offsets up to 2 % of full scale. Regimes 1 to 3 take 24-bit
+    codes at W = 32 and offset codes of one size c, of one random sign a
+    channel, in a random part of the blocks, the block of the chunk's
+    first sample among them, and zero in the rest, with the word's far
+    edge from c on every channel's first chunk sample. c is sized from
+    the banks' largest slot sum S of |taps| so that the bound (2^23 + c) *
+    S is just below 2^53 (1), at most a random size in [2^53, 2^62) (2),
+    or at least 2^62 (3); regime 1 first halves the taps until 2^23 * S is
+    below 2^53."""
     M = int(rng.integers(2, 7))
     N = int(rng.integers(1, 81))
-    W = int(rng.integers(8, 33))
-    bits = int(rng.integers(8, 25))
+    W = int(rng.integers(8, 33)) if regime == 0 else 32
+    bits = int(rng.integers(8, 25)) if regime == 0 else 24
     block_len = int(rng.integers(1, 60))
     n = int(rng.integers(1, 160))
     start = int(rng.integers(0, n))
@@ -85,23 +96,29 @@ def random_case(rng, regime):
     offsets = rng.uniform(-0.02, 0.02, (n_blocks, M))
     config = TiadcConfig(n_channels=M, bits=bits)
     half = 1 << (bits - 1)
-    if regime == 0:
-        codes = rng.integers(-half, half, (M, n)).astype(
-            np.int16 if bits <= 16 else np.int32)
-    else:
-        offsets[:] = 0
+    codes = rng.integers(-half, half, (M, n)).astype(
+        np.int16 if bits <= 16 else np.int32)
+    if regime:
         d = (N + 1) // 2 - 1
-        slot_sums = [max(int(np.abs(bank[(m - d) % M]).sum())
-                         for m in range(M)) for bank in taps]
+
+        def slot_sums():
+            return [max(int(np.abs(bank[(m - d) % M]).sum())
+                        for m in range(M)) for bank in taps]
+
+        while regime == 1 and half * max(slot_sums()) >= 1 << 53:
+            taps >>= 1
         if regime == 3:
-            reach = max(slot_sums[start // block_len], 1)
-            peak = -(-LIMIT // reach)
+            reach = max(slot_sums()[start // block_len], 1)
+            size = max(-(-LIMIT // reach) - half, 0)
         else:
             target = ((1 << 53) - 1 if regime == 1
                       else int(rng.integers(1 << 53, LIMIT)))
-            peak = max(target // max(max(slot_sums), 1), 1)
-        codes = rng.integers(-peak, peak + 1, (M, n), dtype=np.int64)
-        codes[:, start] = peak * rng.choice([-1, 1], M)
+            size = max(target // max(max(slot_sums()), 1) - half, 0)
+        signs = rng.choice([-1, 1], M)
+        part = rng.integers(0, 2, n_blocks)
+        part[start // block_len] = 1
+        offsets[:] = part[:, None] * signs * (size / half)
+        codes[:, start] = np.where(signs > 0, -half, half - 1)
     first = max(start - N + 1, 0) // block_len
     rows = slice(start // block_len, (stop - 1) // block_len + 1)
     return (codes, config, FilterSpec(n_taps=N, coeff_bits=W), start, stop,
@@ -154,16 +171,20 @@ def test_history_longer_than_a_frame(n_taps, n_channels):
 @pytest.mark.parametrize("n_channels,n_taps", [(2, 1), (3, 30), (5, 80)])
 @pytest.mark.parametrize("excess", [0, -1])
 def test_a_bound_of_exactly_2_62_raises(n_channels, n_taps, excess):
-    # slot 0 reads source 0 through one tap of -2^31, and a code of 2^31
-    # in the chunk: the bound is 2^62 + excess
+    # slot 0 reads source 0 through one tap of -2^31, and source 0 holds
+    # a 24-bit code of -2^23 less an offset code of 2^31 - 2^23 + excess:
+    # the bound, (2^23 + offset code) * 2^31, is 2^62 + excess * 2^31, and
+    # that code's sums reach it
     d = (n_taps + 1) // 2 - 1
     taps = np.zeros((1, n_channels, n_taps), dtype=np.int64)
     taps[0, -d % n_channels, 0] = -(1 << 31)
-    codes = np.ones((n_channels, 40), dtype=np.int64)
-    codes[:, 25] = (1 << 31) + excess
+    codes = np.ones((n_channels, 40), dtype=np.int32)
+    codes[:, 25] = -(1 << 23)
+    offsets = np.zeros((1, n_channels))
+    offsets[0, 0] = ((1 << 31) - (1 << 23) + excess) / (1 << 23)
     config = TiadcConfig(n_channels=n_channels, bits=24)
     args = (codes, config, FilterSpec(n_taps=n_taps, coeff_bits=32), 20, 40,
-            taps, np.zeros((1, n_channels)), 0, 40)
+            taps, offsets, 0, 40)
     want = reference(codes, config, n_taps, *args[3:])
     if excess == 0:
         assert want is None
@@ -176,19 +197,66 @@ def test_a_bound_of_exactly_2_62_raises(n_channels, n_taps, excess):
 
 def test_a_frame_past_the_block_fits_the_limbs():
     # 74 samples of two channels are not a whole number of 4-sample
-    # frames, so block 0's last frame reads block 1's codes of up to 2^58
-    # through block 0's taps of up to 2^30; block 1 writes over those
-    # outputs, and block 0's limbs must still hold the codes they read
+    # frames, so block 0's last frame reads block 1's samples, 24-bit
+    # codes less an offset code of 2^58, through block 0's taps of up to
+    # 2^30; block 1 writes over those outputs, and block 0's limbs must
+    # still hold the samples they read
     rng = np.random.default_rng(22)
     M, N, block_len = 2, 5, 37
     codes = np.concatenate(
         [rng.integers(-1000, 1001, (M, block_len)),
-         rng.integers(-(1 << 58), (1 << 58) + 1, (M, block_len))], axis=1)
+         rng.integers(-(1 << 23), 1 << 23, (M, block_len))],
+        axis=1).astype(np.int32)
     taps = np.ones((2, M, N), dtype=np.int64)
     taps[0] = rng.integers(-(1 << 30), (1 << 30) + 1, (M, N))
+    offsets = np.zeros((2, M))
+    offsets[1] = 2.0 ** 35  # in full scales: 2^58 codes at 24 bits
     config = TiadcConfig(n_channels=M, bits=24)
     args = (codes, config, FilterSpec(n_taps=N, coeff_bits=32), 0,
-            2 * block_len, taps, np.zeros((2, M)), 0, block_len)
+            2 * block_len, taps, offsets, 0, block_len)
     want = reference(codes, config, N, *args[3:])
     assert _chunk_sums(*args).tolist() == [[float(v) for v in row]
                                            for row in want]
+
+
+def test_the_limbs_hold_every_block_of_the_chunk():
+    # block 0's samples, 24-bit codes less an offset code of 2^58, need
+    # limbs although block 1's, which ends the chunk, do not
+    rng = np.random.default_rng(23)
+    M, N, block_len = 2, 5, 37
+    codes = rng.integers(-(1 << 23), 1 << 23, (M, 2 * block_len)).astype(
+        np.int32)
+    taps = np.ones((2, M, N), dtype=np.int64)
+    offsets = np.zeros((2, M))
+    offsets[0] = 2.0 ** 35  # in full scales: 2^58 codes at 24 bits
+    config = TiadcConfig(n_channels=M, bits=24)
+    args = (codes, config, FilterSpec(n_taps=N, coeff_bits=32), 0,
+            2 * block_len, taps, offsets, 0, block_len)
+    want = reference(codes, config, N, *args[3:])
+    assert _chunk_sums(*args).tolist() == [[float(v) for v in row]
+                                           for row in want]
+
+
+@pytest.mark.parametrize("start", [22, 23])
+def test_a_block_counts_the_offset_codes_its_history_reads(start):
+    # block 0's offset code takes the word's bound to 2^32, and block 1,
+    # with no offset code, runs a bank whose slots sum to 2^30 in |taps|:
+    # its sums from sample 22 read block 0's sample 15, N-1 = 7 samples
+    # back, and reach 2^62; those from sample 23 do not
+    M, N, block_len = 2, 8, 16
+    taps = np.zeros((1, M, N), dtype=np.int64)
+    taps[0, :, 3:5] = 1 << 29
+    offsets = np.zeros((2, M))
+    offsets[0] = ((1 << 32) - (1 << 23)) / (1 << 23)
+    codes = np.full((M, 2 * block_len), -(1 << 23), dtype=np.int32)
+    config = TiadcConfig(n_channels=M, bits=24)
+    args = (codes, config, FilterSpec(n_taps=N, coeff_bits=32), start,
+            2 * block_len, taps, offsets, 0, block_len)
+    want = reference(codes, config, N, *args[3:])
+    if start == 22:
+        assert want is None
+        with pytest.raises(NumericError, match=f"accumulator {1 << 62} "):
+            _chunk_sums(*args)
+    else:
+        assert _chunk_sums(*args).tolist() == [[float(v) for v in row]
+                                               for row in want]

@@ -1,8 +1,9 @@
-"""The chunk kernel's fixed cost: its guard's peaks are bounded from the
-codes' dtype first, and the exact peak scan (filterbank._exact_peaks) runs
-only where that bound reaches 2^53; a chunk driver running one bank lays
-it out (filterbank._bank_layout) once per call, and one with a bank per
-block once per chunk at most."""
+"""The chunk kernel's fixed cost: its guard's peaks come from the
+config's word and the blocks' offset codes alone, so calibrating scans no
+code, and a chunk runs as int64 limbs only where that bound times the
+largest slot sum of |taps| reaches 2^53; a chunk driver running one bank
+lays it out (filterbank._bank_layout) once per call, and one with a bank
+per block once per chunk at most."""
 
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tiadc_cal import (FilterBank, FilterSpec, TiadcConfig, calibrate_capture,
-                       experiments, filterbank)
+                       experiments, filterbank, model)
 from tiadc_cal.filterbank import _chunk_sums
 from tiadc_cal.model import _CHUNK
 from tiadc_cal.scenarios import MODE_EST, load_scenario
@@ -19,15 +20,25 @@ from test_chunk_kernel import reference
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The chunk kernel's calls of the exact peak scan."""
+    """The dtypes of the codes of every code-range scan."""
     calls = []
-    scan = filterbank._exact_peaks
+    scan = model._first_code_outside
 
-    def counted(*args):
-        calls.append(args[0].dtype)
-        return scan(*args)
+    def counted(codes, bits):
+        calls.append(codes.dtype)
+        return scan(codes, bits)
 
-    monkeypatch.setattr(filterbank, "_exact_peaks", counted)
+    monkeypatch.setattr(model, "_first_code_outside", counted)
+    return calls
+
+
+@pytest.fixture
+def limbs(monkeypatch):
+    """The chunk kernel's calls of its int64 limb route."""
+    calls = []
+    limb_frames = filterbank._limb_frames
+    monkeypatch.setattr(filterbank, "_limb_frames", lambda *args: (
+        calls.append(1) or limb_frames(*args)))
     return calls
 
 
@@ -50,25 +61,34 @@ def as_floats(sums):
 
 
 class TestDtypeBound:
+    """The guard's bound is the word's, whatever the codes' dtype: the
+    codes are not scanned, and the limbs run where the word and the
+    offset codes call for them."""
+
     @pytest.mark.parametrize("name", ["fig6", "fig7"])
-    def test_a_designed_bank_on_int16_codes_scans_nothing(self, name, scans):
+    def test_a_designed_bank_on_int16_codes_scans_nothing(self, name, scans,
+                                                           limbs):
         scenario = load_scenario(name)
         capture = experiments.simulate_scenario(scenario)
         assert capture.interleaved.dtype == np.int16
+        assert scans == [np.dtype(np.int16)]  # the capture's own check
         bank = FilterBank.design(scenario.profile, scenario.config.n_channels,
                                  scenario.filter_spec)
         assert len(np.concatenate(list(calibrate_capture(capture, bank))))
-        assert scans == []
+        assert scans == [np.dtype(np.int16)] and limbs == []
 
-    def test_the_background_loop_on_int16_codes_scans_nothing(self, scans):
+    def test_the_background_loop_on_int16_codes_scans_nothing(self, scans,
+                                                              limbs):
         result = experiments.run_scenario(replace(load_scenario("fig7"),
                                                   mode=MODE_EST))
+        scans.clear()
         assert len(np.concatenate(list(result.replay())))
-        assert scans == []
+        assert scans == [] and limbs == []
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_wide_codes_at_32_bit_taps_are_scanned(self, dtype, scans):
-        # 2^31 times a slot sum of about 2^30 reaches 2^53
+    def test_wide_codes_at_32_bit_taps_run_as_limbs(self, dtype, scans,
+                                                    limbs):
+        # 2^23 times a slot sum of about 2^30 reaches 2^53
         rng = np.random.default_rng(7)
         config = TiadcConfig(n_channels=2, bits=24)
         codes = rng.integers(-(1 << 23), 1 << 23, (2, 300)).astype(dtype)
@@ -79,14 +99,15 @@ class TestDtypeBound:
         args = (codes, config, spec, 100, 300, taps, offsets, 0, 300)
         assert _chunk_sums(*args).tolist() == as_floats(
             reference(codes, config, spec.n_taps, *args[3:]))
-        assert scans == [np.dtype(dtype)]
+        assert scans == [] and limbs
 
     @staticmethod
     def edge_case(slot_sum, offset=0.0):
-        """int16 codes of two channels, with a run of -2^15 on both, and a
-        128-tap bank whose channel-0 row sums to slot_sum in |taps| of
-        about -2^31 each (channel 1's is smaller): every sum reads at most
-        (2^15 + |offset code|) * slot_sum, and the run reaches it."""
+        """16-bit codes of two channels in int16, with a run of -2^15 on
+        both, and a 128-tap bank whose channel-0 row sums to slot_sum in
+        |taps| of about -2^31 each (channel 1's is smaller): the word
+        bounds every sum by (2^15 + |offset code|) * slot_sum, and the run
+        reaches it."""
         rng = np.random.default_rng(slot_sum % 1000)
         M, N = 2, 128
         config = TiadcConfig(n_channels=M, bits=16)
@@ -103,30 +124,27 @@ class TestDtypeBound:
         assert int(np.abs(taps[0, 0]).sum()) == slot_sum
         return args
 
-    def test_a_bound_just_below_2_53_is_not_scanned(self, scans):
+    def test_a_bound_just_below_2_53_is_not_scanned(self, scans, limbs):
         args = self.edge_case((1 << 38) - 1)
         assert _chunk_sums(*args).tolist() == as_floats(
             reference(args[0], args[1], 128, *args[3:]))
-        assert scans == []
+        # the float64 products hold every sum
+        assert scans == [] and limbs == []
 
-    def test_a_bound_of_2_53_is_scanned(self, scans, monkeypatch):
-        limbs = []
-        limb_frames = filterbank._limb_frames
-        monkeypatch.setattr(filterbank, "_limb_frames", lambda *args: (
-            limbs.append(1) or limb_frames(*args)))
+    def test_a_bound_of_2_53_runs_as_limbs(self, scans, limbs):
         args = self.edge_case(1 << 38)
         assert _chunk_sums(*args).tolist() == as_floats(
             reference(args[0], args[1], 128, *args[3:]))
-        # the run of -2^15 meets the bound: the sums run as limbs
-        assert scans == [np.dtype(np.int16)] and limbs
+        # the run of -2^15 meets the bound
+        assert scans == [] and limbs
 
-    def test_an_offset_code_counts_in_the_bound(self, scans):
+    def test_an_offset_code_counts_in_the_bound(self, limbs):
         # 2^15 times 2^38 - 2^22 is below 2^53, 2^15 + 1 times it above:
         # an offset code of one LSB takes the bound past 2^53
         args = self.edge_case((1 << 38) - (1 << 22), offset=1.0 / (1 << 15))
         assert _chunk_sums(*args).tolist() == as_floats(
             reference(args[0], args[1], 128, *args[3:]))
-        assert scans == [np.dtype(np.int16)]
+        assert limbs
 
 
 class TestLayout:

@@ -291,14 +291,18 @@ class TestErrorsAndCleanup:
         # the pieces before chunk 2 do not read its samples
         want = whole_pieces(capture, bank, chunk)
         first = [next(want).tobytes(), next(want).tobytes()]
-        capture.per_channel[1, 2 * chunk + 10] = 1 << 40  # in chunk 2
+        # the chunk driver with the bank in every chunk-long block, and an
+        # offset code of 2^40 in block 2, which only chunk 2 reads
+        taps = np.repeat(np.asarray(bank.taps_fixed)[None], 5, axis=0)
+        offsets = np.repeat(np.asarray(bank.offsets)[None], 5, axis=0)
+        offsets[2, 1] = 2.0 ** 29  # in full scales, at 12 bits
         with pytest.raises(NumericError) as alone:  # chunk 2 on its own
             _chunk_sums(capture.per_channel, capture.config, SPEC30,
-                        2 * chunk, 3 * chunk, np.asarray(bank.taps_fixed)[None],
-                        np.asarray(bank.offsets)[None], 0, 5 * chunk)
+                        2 * chunk, 3 * chunk, taps[2:3], offsets, 0, chunk)
 
         def run():
-            pieces = calibrate_capture(capture, bank)
+            pieces = filterbank._calibrated_pieces(capture, SPEC30, taps,
+                                                   offsets, chunk)
             assert [next(pieces).tobytes(), next(pieces).tobytes()] == first
             with pytest.raises(NumericError) as err:
                 next(pieces)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiadc_cal import (ChannelCapture, TiadcConfig, calibrate_capture, cli,
-                       interleave_channels)
+                       interleave_channels, model)
 from tiadc_cal.cli import main
 from tiadc_cal.capture_io import HEADER_SIZE, read_capture, write_capture
 from tiadc_cal.experiments import run_scenario
@@ -342,6 +342,19 @@ def test_calibrate_scales_codes_by_the_sidecar_full_scale(tmp_path, capsys):
     assert (f"SINAD uncalibrated = {want.sinad_uncal_db:.2f} dB" in out
             and f"SINAD calibrated   = {want.sinad_cal_db:.2f} dB" in out)
     assert want.sinad_cal_db > want.sinad_uncal_db + 20
+
+
+@pytest.mark.parametrize("mode", ["truth", "est"])
+def test_calibrate_scans_the_codes_once(tmp_path, capsys, monkeypatch, mode):
+    # the capture's constructor is the payload's range check, and the
+    # sidecar's config keeps the codes without a second scan
+    path = simulate_fig6(tmp_path, capsys)
+    scans = []
+    scan = model._first_code_outside
+    monkeypatch.setattr(model, "_first_code_outside", lambda codes, bits: (
+        scans.append(len(codes)) or scan(codes, bits)))
+    assert run(capsys, "calibrate", str(path), "--mode", mode)[0] == 0
+    assert scans == [16384]
 
 
 def test_calibrate_config_with_other_bits_exit_2(tmp_path, capsys):

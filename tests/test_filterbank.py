@@ -559,18 +559,21 @@ class TestFullRateBank:
         assert subrate < before + 10.0
 
     def test_overflow_guard_covers_the_sum_of_terms(self):
-        # codes that no single sub-rate convolution of the slot can wrap,
-        # but their sum can
+        # samples that no single sub-rate convolution of the slot can
+        # wrap, but their sum can: 24-bit codes of -2^23 less an offset
+        # code that takes the word's bound, 2^23 plus that code, to code
         spec = FilterSpec(n_taps=8, coeff_bits=32)
-        bank = FilterBank.design(MismatchProfile((0, 0), (0, -0.4),
-                                                 (0, 0.4)), 2, spec)
         sums = [[int(np.sum(np.abs(taps))) for _, _, taps in terms]
-                for terms in bank.convolution_terms()]
+                for terms in FilterBank.design(MismatchProfile(
+                    (0, 0), (0, -0.4), (0, 0.4)), 2, spec).convolution_terms()]
         limit = 1 << 62
         code = (limit - 1) // max(max(s) for s in sums)
         assert max(code * sum(s) for s in sums) >= limit
+        offset = (code - (1 << 23)) / (1 << 23)
+        bank = FilterBank.design(MismatchProfile((offset, offset), (0, -0.4),
+                                                 (0, 0.4)), 2, spec)
         capture = ChannelCapture(TiadcConfig(n_channels=2, bits=24),
-                                 np.full(128, code, dtype=np.int64))
+                                 np.full(128, -(1 << 23), dtype=np.int32))
         with pytest.raises(NumericError):
             whole_sums(capture, spec, *one_bank(bank))
 
@@ -672,25 +675,33 @@ class TestMultiBankStep:
     CONFIG = TiadcConfig(n_channels=2, bits=24)
 
     def guard_case(self):
+        """The wide bank and the identity, as one_bank pairs, and an offset
+        in full scales whose code takes the word's bound on 24-bit codes,
+        2^23 plus that code, to a size that wraps with the wide bank and
+        not with the identity."""
         big = FilterBank.design(MismatchProfile((0, 0), (0, -0.4), (0, 0.4)),
                                 2, self.WIDE)
         ident = FilterBank.identity(2, self.WIDE)
         worst = max(sum(int(np.abs(taps).sum()) for _, _, taps in terms)
                     for terms in big.convolution_terms())
-        code = (1 << 62) // worst + 1   # wraps with big, not with ident
-        assert code * (1 << 30) < 1 << 62 <= code * worst
-        return one_bank(big), one_bank(ident), code
+        size = (1 << 62) // worst + 1
+        assert size * (1 << 30) < 1 << 62 <= size * worst
+        return one_bank(big), one_bank(ident), (size - (1 << 23)) / (1 << 23)
 
     @staticmethod
     def stack(*banks):
-        """(B, M, N) taps and (B, M) offsets of one_bank pairs."""
-        return tuple(np.concatenate(field) for field in zip(*banks))
+        """(B, M, N) taps of one_bank pairs."""
+        return np.concatenate([taps for taps, _ in banks])
 
     def test_guard_trips_on_the_one_block_that_can_wrap(self):
-        big, ident, code = self.guard_case()
-        capture = ChannelCapture(self.CONFIG, np.full(96, code, dtype=np.int64))
-        whole_sums(capture, self.WIDE, *self.stack(ident, ident, ident), 16)
-        taps, offsets = self.stack(ident, big, ident)
+        # every block's codes of -2^23 less its offset code reach the bound
+        big, ident, offset = self.guard_case()
+        capture = ChannelCapture(self.CONFIG,
+                                 np.full(96, -(1 << 23), dtype=np.int32))
+        offsets = np.full((3, 2), offset)
+        whole_sums(capture, self.WIDE, self.stack(ident, ident, ident),
+                   offsets, 16)
+        taps = self.stack(ident, big, ident)
         with pytest.raises(NumericError):
             whole_sums(capture, self.WIDE, taps, offsets, 16)
         # a chunk of that block alone trips it; the next block's chunk,
@@ -702,15 +713,17 @@ class TestMultiBankStep:
                     taps[2:], offsets, 0, 16)
 
     def test_guard_bounds_each_block_on_its_own(self):
-        # the large codes sit in block 0, which runs the identity bank,
-        # more than N-1 samples before block 1, which runs the wide bank:
-        # no block can wrap, although the largest code times the widest
-        # bank would
-        big, ident, code = self.guard_case()
+        # the large offset code sits in block 0, which runs the identity
+        # bank, and block 1, which runs it too, puts more than N-1 samples
+        # between it and block 2, which runs the wide bank: no block can
+        # wrap, although the largest offset code times the widest bank
+        # would
+        big, ident, offset = self.guard_case()
         capture = ChannelCapture(self.CONFIG, interleave_channels(
-            [np.concatenate((np.full(8, code), np.ones(40, dtype=np.int64)))
-             for _ in range(2)]))
-        taps, offsets = self.stack(ident, big, ident)
+            [np.concatenate((np.full(16, -(1 << 23)), np.ones(32)))
+             .astype(np.int32) for _ in range(2)]))
+        taps = self.stack(ident, ident, big)
+        offsets = np.array([[offset, offset], [0.0, 0.0], [0.0, 0.0]])
         got = whole_sums(capture, self.WIDE, taps, offsets, 16)
         want = direct_fullrate(capture, taps, offsets, 16)
         d = self.WIDE.group_delay

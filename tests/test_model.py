@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tiadc_cal import (ChannelCapture, ConfigError, MismatchProfile, ShapeError,
                        TiadcConfig, ToneSpec, dequantize_stream,
                        interleave_channels, quantize_stream, sample_channels,
                        simulate_capture)
-
+from tiadc_cal import model
 from tiadc_cal.model import _CHUNK, _SPLIT, _quantize_in_place, _sample_row
 from tiadc_cal.scenarios import BUILTIN_SCENARIOS, load_scenario, with_seed
 
@@ -236,6 +237,13 @@ class TestQuantizer:
         np.testing.assert_array_equal(
             quantize_stream([np.inf, -np.inf], CFG12), [2047, -2048])
 
+    def test_a_sample_past_the_float_range_in_lsbs_saturates(self):
+        # 1e308 over an LSB of 0.75 / 2048 overflows to inf, silently
+        np.testing.assert_array_equal(
+            quantize_stream([1e308, -1e308],
+                            TiadcConfig(2, bits=12, full_scale=0.75)),
+            [2047, -2048])
+
     def test_any_memory_layout(self):
         # ties at k + 0.5 LSB round away from zero in a transposed
         # (Fortran-ordered) array and in a strided view as in a row
@@ -447,6 +455,55 @@ class TestCaptures:
                              np.zeros(0, dtype=np.int16))
         assert cap.per_channel.shape == (3, 0)
         assert cap.n_per_channel == 0
+
+
+CODE_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint64)
+
+
+def held(dtype, codes):
+    """The codes that dtype can hold."""
+    info = np.iinfo(dtype)
+    return [c for c in codes if info.min <= c <= info.max]
+
+
+class TestCodeWord:
+    """A capture's codes lie in its config's word, [-2^(bits-1),
+    2^(bits-1) - 1], whatever their dtype: ConfigError names the first
+    that does not."""
+
+    @pytest.mark.parametrize("bits,dtype,code", [
+        (bits, dtype, code) for bits in (2, 12, 16, 24) for dtype in CODE_DTYPES
+        for code in held(dtype, (-(1 << (bits - 1)) - 1, 1 << (bits - 1)))],
+        ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_one_past_each_edge_raises(self, bits, dtype, code):
+        codes = np.zeros(12, dtype=dtype)
+        codes[7] = codes[10] = code
+        with pytest.raises(ConfigError, match=f"^code {code} at sample 7 "
+                                              f"outside {bits}-bit range$"):
+            ChannelCapture(TiadcConfig(n_channels=2, bits=bits), codes)
+
+    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @pytest.mark.parametrize("bits", [2, 12, 16, 24])
+    def test_the_edges_and_an_empty_capture_are_accepted(self, bits, dtype):
+        # the word's edges, or the dtype's own where the word is wider
+        config = TiadcConfig(n_channels=2, bits=bits)
+        half, info = 1 << (bits - 1), np.iinfo(dtype)
+        codes = np.array([max(-half, info.min), min(half - 1, info.max)] * 2,
+                         dtype=dtype)
+        assert ChannelCapture(config, codes).interleaved is codes
+        empty = ChannelCapture(config, np.zeros(0, dtype=dtype))
+        assert empty.n_per_channel == 0
+
+    def test_with_config_scans_nothing(self, monkeypatch):
+        codes = np.array([-2048, 2047, 5, -7], dtype=np.int16)
+        cap = ChannelCapture(CFG12, codes)
+        scans = []
+        monkeypatch.setattr(model, "_first_code_outside",
+                            lambda *args: scans.append(args))
+        scaled = cap.with_config(replace(CFG12, full_scale=2.0))
+        assert scans == []
+        assert scaled.interleaved is codes and scaled.config.full_scale == 2.0
+        assert cap.config == CFG12
 
 
 def out_of_place_codes(tone, config, profile, n_total):

@@ -169,24 +169,32 @@ class TestBlockConvolver:
 
 
 def chunk_kernel_route(codes, taps):
-    """The chunk kernel over a two-channel capture of these codes on both
-    channels, as one chunk and one block, with a hand-built bank whose
-    slot 0 is a plain convolution of channel 0 with these L taps; returns
-    slot 0's accumulators. Of its 2L-1 taps, tap j sits at position 2j of
-    channel D % 2, the channel that slot 0 corrects, so each reads
-    channel 0."""
+    """The chunk kernel over a two-channel capture of these values on both
+    channels, as one chunk, with a hand-built bank whose slot 0 is a plain
+    convolution of channel 0 with these L taps; returns slot 0's
+    accumulators. Of its 2L-1 taps, tap j sits at position 2j of channel
+    D % 2, the channel that slot 0 corrects, so each reads channel 0.
+
+    Each sample is a block of its own, and value v is the 24-bit code
+    w = clip(v) less the offset code w - v. The kernel bounds a block's
+    samples from the word, 2^23 plus the largest |offset code| they read:
+    that is |v| for v <= -2^23, but v + 1 for v >= 2^23, whose code is the
+    word's largest, 2^23 - 1."""
     spec = FilterSpec(n_taps=2 * len(taps) - 1, coeff_bits=32)
-    fixed = np.zeros((1, 2, spec.n_taps), dtype=np.int64)
-    fixed[0, spec.group_delay % 2, 0::2] = taps
     n = len(codes)
-    return _chunk_sums(np.stack((codes, codes)),
+    fixed = np.zeros((n, 2, spec.n_taps), dtype=np.int64)
+    fixed[:, spec.group_delay % 2, 0::2] = taps
+    words = np.clip(codes, -(1 << 23), (1 << 23) - 1)
+    offsets = [(int(w) - int(v)) / (1 << 23) for v, w in zip(codes, words)]
+    return _chunk_sums(np.stack((words, words)),
                        TiadcConfig(n_channels=2, bits=24), spec, 0, n, fixed,
-                       np.zeros((1, 2)), 0, n)[0]
+                       np.array([offsets, offsets]).T, 0, 1)[0]
 
 
 class TestOneOverflowRule:
     """Every integer route rejects exactly the inputs whose bound, largest
-    |code| times the sum of |taps|, reaches 2^62."""
+    |code| times the sum of |taps|, reaches 2^62; the chunk kernel's
+    largest |code| is its word's bound (chunk_kernel_route)."""
 
     ROUTES = {
         "convolve_serial": convolve_serial,
@@ -199,9 +207,12 @@ class TestOneOverflowRule:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_bound_just_below_the_limit_passes(self, route):
-        # (2^31 - 1) * (2^31 + 1) = 2^62 - 1, with the peak on a negative code
+        # (2^31 - 1) * (2^31 + 1) = 2^62 - 1, with the peak on a negative
+        # code (a positive peak's word bound in the chunk kernel is one
+        # more)
         peak = (1 << 31) - 1
-        codes = np.array([3, -peak, peak - 1, 0, 1, -5, peak], dtype=np.int64)
+        codes = np.array([3, -peak, peak - 1, 0, 1, -5, peak - 1],
+                         dtype=np.int64)
         taps = np.array([1 << 30, -(1 << 30) - 1], dtype=np.int64)
         np.testing.assert_array_equal(self.ROUTES[route](codes, taps),
                                       naive_convolve(codes, taps))
