@@ -19,10 +19,10 @@ from .errors import (ConfigError, ConvergenceError, CoherenceError,
                      TiadcError)
 from .model import (ChannelCapture, MismatchProfile, TiadcConfig, ToneSpec,
                     dequantize_stream, interleave_channels, quantize_stream,
-                    sample_channels, simulate_capture)
+                    sample_channels, simulate_capture, simulate_chunks)
 from .sinefit import (SineFitResult, alias_to_subrate, derive_mismatches,
-                      detect_tone_freq, estimate_blocks, estimate_from_capture,
-                      sine_fit_four_param)
+                      detect_tone_freq, estimate_batches, estimate_blocks,
+                      estimate_from_capture, sine_fit_four_param)
 from .filterbank import (FilterBank, FilterSpec, calibrate_capture,
                          design_banks, design_taps, filter_frequency_response,
                          ideal_frequency_response, quantize_taps, tap_indices)
@@ -32,7 +32,8 @@ from .polyphase import (BlockConvolver, convolve_serial, decompose,
 from .metrics import (SpectrumReport, SpurLevel, enob, fold_frequency,
                       power_spectrum, sinad, spectrum_report, spur_levels,
                       worst_image_spur)
-from .capture_io import read_capture, write_capture
+from .capture_io import (CaptureFile, open_capture, read_capture,
+                         write_capture, write_chunks)
 from .scenarios import (BUILTIN_SCENARIOS, Scenario, coherent_freq,
                         load_scenario, parse_scenario_text, scenario_to_text,
                         with_seed)

@@ -9,6 +9,13 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data-format error,
 4 numeric failure.
+
+No command holds a whole capture: simulate writes the capture file a chunk
+at a time, and estimate, calibrate and spectrum read it through a
+capture_io.CaptureFile, a chunk at a time. estimate and spectrum, which
+use only the capture's start, read and range-check all of it first;
+calibrate range-checks each chunk as it calibrates it, and reads the rest
+of the file for a code outside the word before it reports another error.
 """
 
 import argparse
@@ -17,11 +24,11 @@ import os
 import sys
 from dataclasses import replace
 
-from .capture_io import check_bits, read_capture, write_capture
+from .capture_io import check_bits, open_capture, write_chunks
 from .errors import ConfigError, DataFormatError, NumericError, TiadcError
-from .experiments import calibrate_scenario, run_sweep, simulate_scenario
+from .experiments import calibrate_scenario, run_sweep
 from .metrics import spectrum_report, write_spectrum_csv
-from .model import dequantize_stream
+from .model import _CHUNK, dequantize_stream, simulate_chunks
 from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
                         load_scenario, scenario_settings, scenario_to_text)
 from .sinefit import detect_tone_freq, estimate_from_capture
@@ -123,26 +130,34 @@ def _cmd_simulate(args) -> int:
     settings = scenario_settings(load_scenario(args.config))
     scenario = _apply_overrides(settings, args)
     check_bits(scenario.config.bits, ConfigError)
-    capture = simulate_scenario(scenario)
+    chunks = simulate_chunks(scenario.tone, scenario.config, scenario.profile,
+                             scenario.n_samples)
     os.makedirs(args.out, exist_ok=True)
     capture_path = os.path.join(args.out, f"{scenario.name}_capture.bin")
-    write_capture(capture, capture_path)
+    write_chunks(capture_path, scenario.config, scenario.n_samples, chunks)
     with open(_sidecar_path(capture_path), "w") as fh:
         fh.write(scenario_to_text(scenario))
-    print(f"wrote {capture_path} ({len(capture.interleaved)} samples, "
+    print(f"wrote {capture_path} ({scenario.n_samples} samples, "
           f"{scenario.config.n_channels} channels, {scenario.config.bits} bits)")
     print(f"tone freq_rel = {scenario.tone.freq_rel:.10g}, "
           f"sidecar = {_sidecar_path(capture_path)}")
     return 0
 
 
-def _load_capture(args):
-    """The capture file args.capture under the config that scales its
-    codes, and the scenario that config came from, as loaded: --config
-    wins, then the capture's .cfg sidecar. With neither, the scenario is
-    None and the header's config (full scale 1.0) stays. A scenario whose
-    channel count or bits differ from the header's raises ConfigError."""
-    capture = read_capture(args.capture)
+def _check_all(capture) -> None:
+    """Read every code of the capture file, and so range-check it, a
+    chunk at a time."""
+    for lo in range(0, capture.n_per_channel, _CHUNK):
+        capture.codes(lo, lo + _CHUNK)
+
+
+def _scaled(args, capture):
+    """The capture file args.capture, opened as capture, under the config
+    that scales its codes, and the scenario that config came from, as
+    loaded: --config wins, then the capture's .cfg sidecar. With neither,
+    the scenario is None and the header's config (full scale 1.0) stays.
+    A scenario whose channel count or bits differ from the header's
+    raises ConfigError."""
     source = args.config
     if source is None and os.path.exists(_sidecar_path(args.capture)):
         source = _sidecar_path(args.capture)
@@ -153,7 +168,12 @@ def _load_capture(args):
 
 
 def _cmd_estimate(args) -> int:
-    capture, _ = _load_capture(args)
+    with open_capture(args.capture) as capture:
+        _check_all(capture)
+        return _estimate(args, _scaled(args, capture)[0])
+
+
+def _estimate(args, capture) -> int:
     estimate = estimate_from_capture(capture, args.freq)
     print(f"{'channel':>7} {'offset':>12} {'gain':>12} {'skew (Ts)':>12}")
     for m in range(capture.config.n_channels):
@@ -190,7 +210,20 @@ def _write_calibrated_csv(path: str, pieces) -> None:
 
 
 def _cmd_calibrate(args) -> int:
-    capture, scenario = _load_capture(args)
+    with open_capture(args.capture) as capture:
+        try:
+            return _calibrate(args, *_scaled(args, capture))
+        except DataFormatError:
+            raise
+        except (TiadcError, OSError):
+            # calibrate checks each code as it reads it: a code outside
+            # the word anywhere in the file still comes before any other
+            # error, as when the file was read whole first
+            _check_all(capture)
+            raise
+
+
+def _calibrate(args, capture, scenario) -> int:
     if args.mode == MODE_TRUTH:
         if scenario is None:
             raise ConfigError(
@@ -251,9 +284,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    capture = read_capture(args.capture)
+    with open_capture(args.capture) as capture:
+        _check_all(capture)
+        return _spectrum(args, capture)
+
+
+def _spectrum(args, capture) -> int:
     config = capture.config
-    stream = dequantize_stream(capture.interleaved[:args.n_fft], config)
+    stream = dequantize_stream(capture.codes(
+        0, -(-args.n_fft // config.n_channels))[:args.n_fft], config)
     freq = args.freq if args.freq is not None else detect_tone_freq(capture)
     report = spectrum_report(stream, freq, args.n_fft, config.n_channels,
                              config.full_scale, window=args.window)

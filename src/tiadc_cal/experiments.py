@@ -31,7 +31,8 @@ from .metrics import (SpectrumReport, spectrum_report, worst_image_spur,
 from .model import (ChannelCapture, MismatchProfile, dequantize_stream,
                     simulate_capture)
 from .scenarios import MODE_TRUTH, Scenario, apply_sweep_value
-from .sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq, estimate_blocks
+from .sinefit import (_FIT_BLOCKS, EST_BLOCK_PER_CHANNEL, detect_tone_freq,
+                      estimate_batches)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario,
     block b-1's, and a short final block, not estimated from, the last
     full block's; a capture shorter than one block is one block, estimated
     from all its samples. When called, it estimates every full block
-    (estimate_blocks), checks every estimate by MismatchProfile's rules
+    (estimate_batches, its batches read through capture.codes: one pass over
+    a capture file), checks every estimate by MismatchProfile's rules
     and designs every block's bank in one design_banks call, so an
     estimation error is raised here, before any tap design or chunk. The
     fixed-point taps of all B blocks are held at once, about N/1024 of
@@ -108,10 +110,13 @@ def _calibrate_background(capture: ChannelCapture, scenario: Scenario,
     if tone_freq is None:
         tone_freq = detect_tone_freq(capture)
     n_full = n // block
-    # (n_full, M, block) view: block b of every channel
-    offs, gains, skews = estimate_blocks(
-        capture.per_channel[:, :n_full * block].reshape(M, n_full, block)
-        .swapaxes(0, 1), config, tone_freq)
+    # the full blocks, _FIT_BLOCKS at a time, each batch a (b, M, block)
+    # view of the codes that capture.codes read: one pass over a file
+    step = _FIT_BLOCKS * block
+    offs, gains, skews = estimate_batches(
+        (capture.codes(lo, min(lo + step, n_full * block)).reshape(-1, M).T
+         .reshape(M, -1, block).swapaxes(0, 1)
+         for lo in range(0, n_full * block, step)), config, tone_freq)
     # MismatchProfile's checks, and errors, on every block's estimate at once
     MismatchProfile(offs.ravel(), gains.ravel(), skews.ravel())
     # the mismatches each block runs with: block 0's own estimate, then
@@ -153,7 +158,8 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
         replay, bank, estimate = _calibrate_background(capture, scenario, freq)
     f = scenario.tone.freq_rel if freq is None else freq
     n_fft = scenario.n_fft
-    uncal = dequantize_stream(capture.interleaved[:n_fft], config)
+    uncal = dequantize_stream(capture.codes(0, -(-n_fft // M))[:n_fft],
+                              config)
     report_uncal = spectrum_report(uncal, f, n_fft, M, config.full_scale)
     cal = _first_samples(replay(), n_fft)
     report_cal = spectrum_report(cal, f, n_fft, M, config.full_scale)

@@ -43,7 +43,8 @@ output where the convolutions cost one per nonzero tap, but BLAS runs
 them about four times faster than one np.convolve call per block and
 sub-filter. Its guard's tap sums come straight from the taps, and its
 peaks from the converter's word and the offset codes alone, never from a
-scan of the codes: a ChannelCapture holds only codes within its word.
+scan of the codes: a ChannelCapture holds only codes within its word,
+and a capture_io.CaptureFile range-checks every code it reads.
 Its int64 limbs are sized from the chunk's largest bound on a |sample|,
 since a block's last frame may read the next block. The chunk driver
 lays one bank out (_bank_layout: frame matrices and tap sums) once per
@@ -354,8 +355,11 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     through the chunk kernel _chunk_sums with the rows of the blocks its
     samples and its N-1 history samples lie in, so the overflow guard sees
     every sample. The chunks run one after another on the calling thread,
-    each from the capture alone, and an error is raised after the pieces
-    of the chunks before the one that raised it.
+    each from the capture alone: its codes and their N-1 samples of
+    history come from capture.codes, the accessor of a ChannelCapture and
+    a capture_io.CaptureFile alike, so a capture file is read one chunk at
+    a time. An error is raised after the pieces of the chunks before the
+    one that raised it.
 
     One bank (B = 1: truth mode, or a capture of one block) is laid out
     once per call (_bank_layout) and every chunk runs that layout; the
@@ -371,11 +375,13 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
 
     def piece(start):
         stop = min(start + _CHUNK, n)
-        first = max(start - hist, 0) // block_len
+        lo = max(start - hist, 0)
+        first = lo // block_len
         rows = slice(start // block_len, (stop - 1) // block_len + 1)
-        acc = _chunk_sums(capture.per_channel, capture.config, spec, start,
-                          stop, taps[rows], offsets[first:rows.stop], first,
-                          block_len, layout)
+        codes = capture.codes(lo, stop).reshape(-1, M).T
+        acc = _chunk_sums(codes, capture.config, spec, start, stop,
+                          taps[rows], offsets[first:rows.stop], first,
+                          block_len, layout, lo)
         # the part of merged samples [start*M, stop*M) inside the trim,
         # scaled over the accumulators' own memory
         lo = max(trim - start * M, 0)
@@ -450,16 +456,18 @@ def _limb_frames(z, at: int, mats, out, scratch, bits: int,
     np.copyto(out, sums, casting="unsafe")
 
 
-def _offset_stream(z, codes, first: int, stop: int, block_len: int,
-                   block0: int, block_codes) -> None:
+def _offset_stream(z, codes, origin: int, first: int, stop: int,
+                   block_len: int, block0: int, block_codes) -> None:
     """Fill z, (K, M), with samples first to first + K of every channel of
-    codes less their block's offset code, block_codes[b - block0] for
-    block b, and zeros outside samples 0 to stop: row k of z is the
-    interleaved stream's samples M*k to M*k + M - 1 from sample first."""
+    codes, whose column 0 is sample origin, less their block's offset
+    code, block_codes[b - block0] for block b, and zeros outside samples 0
+    to stop: row k of z is the interleaved stream's samples M*k to
+    M*k + M - 1 from sample first."""
     lo, hi = max(first, 0), min(first + len(z), stop)
     z[:lo - first] = 0
     z[hi - first:] = 0
-    np.copyto(z[lo - first:hi - first], codes[:, lo:hi].T, casting="unsafe")
+    np.copyto(z[lo - first:hi - first], codes[:, lo - origin:hi - origin].T,
+              casting="unsafe")
     for b in range(lo // block_len, (hi - 1) // block_len + 1):
         rows = slice(max(b * block_len, lo) - first,
                      min((b + 1) * block_len, hi) - first)
@@ -509,7 +517,8 @@ def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
 
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
                 stop: int, taps, offsets, first_block: int,
-                block_len: int, layout: _Layout = None) -> np.ndarray:
+                block_len: int, layout: _Layout = None,
+                origin: int = 0) -> np.ndarray:
     """The exact accumulators of samples start to stop of every channel,
     computed from the capture alone: an (M, stop - start) float64 array,
     row m for output slot m (see FilterBank.convolution_terms), whose rows
@@ -541,10 +550,11 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     2^22 taps a channel. The limbs are sized for the whole chunk, not a
     block's own peaks: a block's last frame may read the next block.
 
-    codes is the (M, n) per-channel view of a capture, of any integer
-    type, every code within config's word: the sums of a code outside it
-    may be wrong. The capture runs in blocks of block_len samples from
-    sample 0.
+    codes is the (M, n) per-channel view of a capture's samples from
+    sample origin on, of any integer type, every code within config's
+    word: the sums of a code outside it may be wrong. It holds samples
+    max(start - N + 1, 0) to stop at least. The capture runs in blocks of
+    block_len samples from sample 0.
     taps (B, M, N) are the banks of the B blocks the chunk touches, and
     row b of offsets (full-scale units) is block first_block + b's, for
     every block from the one of sample max(start - N + 1, 0) to the
@@ -617,8 +627,8 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
             q = a * M + f * P
             g = min(batch, n_frames - f)
             z = window[:(lead + g * P) // M]
-            _offset_stream(z, codes, start + (q - lead) // M, stop,
-                           block_len, blocks[0], block_codes)
+            _offset_stream(z, codes, origin, start + (q - lead) // M,
+                           stop, block_len, blocks[0], block_codes)
             whole = g // stack * stack
             for f0, n, shape in ((0, whole, (g // stack, stack, P)),
                                  (whole, g - whole, (g - whole, P))):

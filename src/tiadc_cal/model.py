@@ -21,7 +21,15 @@ sine per sample, and every sample depends only on the tone, the profile,
 the channel and k, so the codes do not depend on how a capture is cut into
 chunks.
 
-simulate_capture and the calibration driver (filterbank._calibrated_pieces)
+The simulation has one chunk loop and two sinks: simulate_capture runs it
+straight into the capture's code array, and simulate_chunks yields each
+chunk from one reused buffer, which the simulate command writes to its
+capture file (capture_io.write_chunks) before the next chunk overwrites
+it, so that command never holds the capture. A capture is read through
+one accessor, codes(lo, hi), which ChannelCapture and the file-backed
+capture_io.CaptureFile share, so every code reader takes either.
+
+The simulation and the calibration driver (filterbank._calibrated_pieces)
 run their chunks one after another on the calling thread, so the memory
 beyond the codes is one chunk's: a float64 row of _CHUNK samples, the
 quantizer's scratch of an eighth of it, and the smaller angle tables. A
@@ -178,14 +186,21 @@ class ChannelCapture:
     interleaved is the 1-D code array, sample k*M + m from channel m, of
     any integer type: simulate_capture and read_capture give int16 (int32
     for more than 16 bits), and nothing widens it before the chunk kernel
-    filterbank._chunk_sums. per_channel is not stored: it is the
-    (M, n_per_channel) view of the same memory, row m being channel m.
+    filterbank._chunk_sums. The capture stores a read-only view of the
+    codes it is given, so writing through interleaved raises ValueError.
+    per_channel is not stored: it is the (M, n_per_channel) view of the
+    same memory, row m being channel m.
 
     Every code must lie in the config's word, [-2^(bits-1), 2^(bits-1) - 1]
     (ConfigError naming the first that does not, after one min/max pass).
     The chunk kernel bounds its sums from that word alone, so the codes
-    must not be changed once the capture is built. with_config keeps the
-    codes and the bits, and checks nothing again.
+    must not be changed once the capture is built: the view is read-only,
+    and the array it was built from must not be written either. with_config
+    keeps the codes and the bits, and checks nothing again.
+
+    codes(lo, hi) is how the library reads a capture: it is the accessor
+    that capture_io.CaptureFile, a capture whose codes stay in its file,
+    shares, so every code reader takes either.
     """
 
     config: TiadcConfig
@@ -205,20 +220,35 @@ class ChannelCapture:
         if bad is not None:
             raise ConfigError(f"code {codes[bad]} at sample {bad} outside "
                               f"{self.config.bits}-bit range")
-        object.__setattr__(self, "interleaved", codes)
+        object.__setattr__(self, "interleaved", _read_only(codes))
+
+    @classmethod
+    def _of_checked_codes(cls, config: TiadcConfig,
+                          codes: np.ndarray) -> "ChannelCapture":
+        """The capture of codes, a 1-D int16 array of a multiple of
+        config's channel count that a reader has already checked against
+        config's word, built without a second scan."""
+        capture = object.__new__(cls)
+        object.__setattr__(capture, "config", config)
+        object.__setattr__(capture, "interleaved", _read_only(codes))
+        return capture
 
     def with_config(self, config: TiadcConfig) -> "ChannelCapture":
         """The same codes under config, which must have this capture's
         channel count and bits (ConfigError otherwise). A capture file
         stores no full_scale: a scenario's config supplies it."""
-        mine = self.config
-        if (config.n_channels, config.bits) != (mine.n_channels, mine.bits):
-            raise ConfigError(
-                f"scenario has {config.n_channels} channels of {config.bits} "
-                f"bits, capture has {mine.n_channels} of {mine.bits}")
+        _check_same_word(self.config, config)
         capture = copy.copy(self)  # the codes are not scanned again
         object.__setattr__(capture, "config", config)
         return capture
+
+    def codes(self, lo: int = 0, hi: int = None) -> np.ndarray:
+        """The interleaved codes of channel samples lo to hi (default: to
+        the end), interleaved[lo*M:hi*M]: a read-only view, code k*M + m
+        being channel m's sample lo + k. Its .reshape(-1, M).T is the
+        (M, hi - lo) per-channel view."""
+        M = self.config.n_channels
+        return self.interleaved[lo * M:None if hi is None else hi * M]
 
     @property
     def per_channel(self) -> np.ndarray:
@@ -228,6 +258,22 @@ class ChannelCapture:
     @property
     def n_per_channel(self) -> int:
         return len(self.interleaved) // self.config.n_channels
+
+
+def _read_only(codes: np.ndarray) -> np.ndarray:
+    """A read-only view of codes."""
+    view = codes.view()
+    view.flags.writeable = False
+    return view
+
+
+def _check_same_word(mine: TiadcConfig, config: TiadcConfig) -> None:
+    """ConfigError unless config has mine's channel count and bits: the
+    rule of a capture's with_config."""
+    if (config.n_channels, config.bits) != (mine.n_channels, mine.bits):
+        raise ConfigError(
+            f"scenario has {config.n_channels} channels of {config.bits} "
+            f"bits, capture has {mine.n_channels} of {mine.bits}")
 
 
 def _first_code_outside(codes: np.ndarray, bits: int):
@@ -416,27 +462,70 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> ChannelCapture:
     """Full capture: sample through the mismatch model, quantize, interleave.
 
-    The codes are int16 for up to 16 bits and int32 above. They are made
-    on the calling thread, _CHUNK samples per channel at a time and one
-    channel at a time, in one float64 row that is quantized in place and
-    written straight into the interleaved array. So the memory beyond the
-    codes is that row, the quantizer's scratch of _CHUNK // 8 floats and
-    the angle tables, whatever the capture's length. A row's sine comes by
-    angle addition from a grid anchored at absolute samples (see the
-    module docstring), so the codes are the same for any chunk size.
+    The codes are int16 for up to 16 bits and int32 above. simulate_chunks'
+    loop makes them straight in the interleaved array, so the memory beyond
+    the codes is one chunk's row, the quantizer's scratch of _CHUNK // 8
+    floats and the angle tables, whatever the capture's length.
     """
+    n = _simulated_length(config, profile, n_total)
+    interleaved = np.empty(n_total, dtype=_code_dtype(config.bits))
+    for _ in _chunks(tone, config, profile, n, interleaved, reuse=False):
+        pass
+    return ChannelCapture(config, interleaved)
+
+
+def simulate_chunks(tone: ToneSpec, config: TiadcConfig,
+                    profile: MismatchProfile, n_total: int):
+    """simulate_capture's codes, one chunk at a time, in one reused buffer:
+    yields the interleaved codes of each _CHUNK samples per channel in
+    turn, int16 for up to 16 bits and int32 above, every chunk in the
+    buffer that the next one overwrites. A caller writes each chunk out
+    before it asks for the next (capture_io.write_chunks), so the memory
+    does not grow with the capture. The arguments are checked when this
+    is called (ConfigError, ShapeError)."""
+    n = _simulated_length(config, profile, n_total)
+    buffer = np.empty(min(_CHUNK, n) * config.n_channels,
+                      dtype=_code_dtype(config.bits))
+    return _chunks(tone, config, profile, n, buffer, reuse=True)
+
+
+def _simulated_length(config: TiadcConfig, profile: MismatchProfile,
+                      n_total) -> int:
+    """The samples per channel of a simulated capture of n_total samples;
+    ConfigError or ShapeError unless it is one."""
     M = config.n_channels
     _check_sampling(config, profile, n_total)
     if n_total % M:
         raise ShapeError(f"n_total {n_total} not divisible by {M} channels")
-    n = n_total // M
-    interleaved = np.empty(n_total,
-                           dtype=np.int16 if config.bits <= 16 else np.int32)
-    rows = interleaved.reshape(-1, M).T
+    return n_total // M
+
+
+def _code_dtype(bits: int):
+    """The narrowest integer type of bits-bit codes: int16 or int32."""
+    return np.int16 if bits <= 16 else np.int32
+
+
+def _chunks(tone: ToneSpec, config: TiadcConfig, profile: MismatchProfile,
+            n: int, out: np.ndarray, reuse: bool):
+    """The one simulation loop: make the codes of n samples per channel,
+    _CHUNK samples per channel at a time, and yield each chunk's
+    interleaved codes, made in out: at the chunk's own place in out, the
+    whole capture's array, or at the start of out, a buffer of one chunk,
+    when reuse is set.
+
+    The chunks are made on the calling thread, one channel at a time, in
+    one float64 row that is quantized in place and written into the
+    chunk's codes. A row's sine comes by angle addition from a grid
+    anchored at absolute samples (see the module docstring), so the codes
+    are the same for any chunk size."""
+    M = config.n_channels
     row = np.empty(min(_CHUNK, n))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
+        first = 0 if reuse else start * M
+        codes = out[first:first + (stop - start) * M]
+        rows = codes.reshape(-1, M).T
         for m in range(M):
-            rows[m, start:stop] = _quantize_in_place(_sample_row(
+            rows[m] = _quantize_in_place(_sample_row(
                 tone, profile, m, start, row[:stop - start]), config)
-    return ChannelCapture(config, interleaved)
+        yield codes

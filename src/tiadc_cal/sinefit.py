@@ -408,10 +408,13 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     coarse value (good to a small fraction of a bin); a four-parameter fit
     of the first 65 536 samples of channel 0 then pins the sub-rate alias,
     and the coarse value selects which aggregate-band copy that alias came
-    from. Longer captures cost no more.
+    from. Longer captures cost no more: the first 65 536 samples of every
+    channel are all it reads (capture.codes).
     """
     config = capture.config
-    seg = dequantize_stream(capture.interleaved[:_DETECT_SAMPLES], config)
+    M = config.n_channels
+    codes = capture.codes(0, _DETECT_SAMPLES)
+    seg = dequantize_stream(codes[:_DETECT_SAMPLES], config)
     n = len(seg)
     if n // 2 + 1 < 4:  # the peak and both its neighbours, off the dc bin
         raise ConfigError(f"capture too short for frequency detection: "
@@ -426,12 +429,11 @@ def detect_tone_freq(capture: ChannelCapture) -> float:
     if not 0.0 < coarse < 0.5:
         raise DegenerateFitError(f"detected peak at {coarse}, outside (0, 0.5)")
 
-    M = config.n_channels
     alias_coarse = (coarse * M) % 1.0
     reflected = alias_coarse > 0.5
     guess_sub = 1.0 - alias_coarse if reflected else alias_coarse
     guess_sub = min(max(guess_sub, 1e-6), 0.5 - 1e-6)
-    ch0 = dequantize_stream(capture.per_channel[0][:_DETECT_SAMPLES], config)
+    ch0 = dequantize_stream(codes[::M], config)
     fit = sine_fit_four_param(ch0, guess_sub)
     alias_fine = 1.0 - fit.freq_rel if reflected else fit.freq_rel
     band = round(coarse * M - alias_fine)
@@ -459,25 +461,45 @@ def estimate_blocks(blocks, config: TiadcConfig,
     one buffer, whatever B is, and concurrent calls share nothing.
 
     The solve does not refine the frequency, so tone_freq_rel must be
-    accurate (detect_tone_freq's value is). Background calibration runs it
-    once on every full block of its capture, and estimate_from_capture on
-    a capture's first block.
+    accurate (detect_tone_freq's value is). Background calibration runs
+    estimate_batches on every full block of its capture, read a batch at
+    a time, and estimate_from_capture runs it on a capture's first block.
     """
     M = config.n_channels
-    f_sub, _ = alias_to_subrate(tone_freq_rel, M)
     blocks = np.asarray(blocks)
     if blocks.ndim != 3 or blocks.shape[1] != M:
         raise ShapeError(f"need a (blocks, {M}, length) array of codes, got "
                          f"shape {blocks.shape}")
     if blocks.dtype.kind not in "iu":
         raise ConfigError(f"codes must be integers, got dtype {blocks.dtype}")
-    buffer = np.empty((min(len(blocks), _FIT_BLOCKS),) + blocks.shape[1:])
-    fits = []
     # one batch at least, so the length checks run on no blocks too
-    for b in range(0, len(blocks) or 1, _FIT_BLOCKS):
-        codes = blocks[b:b + _FIT_BLOCKS]
+    return estimate_batches((blocks[b:b + _FIT_BLOCKS] for b in
+                             range(0, len(blocks) or 1, _FIT_BLOCKS)),
+                            config, tone_freq_rel)
+
+
+def estimate_batches(batches, config: TiadcConfig,
+                     tone_freq_rel: float) -> tuple:
+    """estimate_blocks of the blocks of the (b, M, L) code arrays that the
+    iterable batches yields, one batch after another, numbered on from
+    batch to batch: the (B, M) arrays of all their blocks. No batch may
+    hold more blocks than the first, and the tone's alias is checked
+    before the first batch is read.
+
+    Each batch is dequantized into one float64 buffer of the first
+    batch's shape, allocated here and reused, and fitted before the next
+    is read, so a batch may be a view that the next one overwrites, such
+    as a capture file's codes (the background loop's one pass over a
+    capture, _FIT_BLOCKS blocks at a time).
+    """
+    f_sub, _ = alias_to_subrate(tone_freq_rel, config.n_channels)
+    buffer, fits, first = None, [], 0
+    for codes in batches:
+        if buffer is None:
+            buffer = np.empty(codes.shape)
         batch = dequantize_stream(codes, config, out=buffer[:len(codes)])
-        fits.append(_fit_rows(batch, f_sub, b))
+        fits.append(_fit_rows(batch, f_sub, first))
+        first += len(codes)
     return derive_mismatches(*map(np.concatenate, zip(*fits)), tone_freq_rel)
 
 
@@ -486,13 +508,15 @@ def estimate_from_capture(capture: ChannelCapture,
     """Estimate all mismatches once, from the start of a capture.
 
     Uses the first EST_BLOCK_PER_CHANNEL samples of each channel (or the
-    whole channel if shorter): one block of estimate_blocks, read straight
-    from the capture's per_channel view. When tone_freq_rel is omitted it
-    is detected from the data. The estimate is a validated MismatchProfile,
-    so a |gain| at or above 0.5 raises ConfigError.
+    whole channel if shorter): one block of estimate_blocks, read through
+    capture.codes. When tone_freq_rel is omitted it is detected from the
+    data. The estimate is a validated MismatchProfile, so a |gain| at or
+    above 0.5 raises ConfigError.
     """
     if tone_freq_rel is None:
         tone_freq_rel = detect_tone_freq(capture)
-    estimate = estimate_blocks(capture.per_channel[None, :, :EST_BLOCK_PER_CHANNEL],
-                               capture.config, tone_freq_rel)
+    block = capture.codes(0, EST_BLOCK_PER_CHANNEL)
+    estimate = estimate_blocks(
+        block.reshape(-1, capture.config.n_channels).T[None],
+        capture.config, tone_freq_rel)
     return MismatchProfile(*(v[0] for v in estimate))

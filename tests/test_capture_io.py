@@ -54,9 +54,12 @@ class TestRoundTrip:
         np.testing.assert_array_equal(codes, cap.interleaved)
 
     def test_sixteen_bit_extremes(self, tmp_path):
+        # a built capture's codes are read-only: the extremes go into the
+        # codes a new capture is built from
         cap = sample_capture(bits=16, n_total=32)
-        cap.interleaved[0] = -32768
-        cap.interleaved[1] = 32767
+        codes = cap.interleaved.copy()
+        codes[:2] = (-32768, 32767)
+        cap = type(cap)(config=cap.config, interleaved=codes)
         path = tmp_path / "cap.bin"
         write_capture(cap, path)
         back = read_capture(path)
@@ -96,12 +99,16 @@ class TestMemory:
         cap, peak = self.peak_of(lambda: read_capture(path))
         assert peak - 2 * self.N_TOTAL < 1 << 20
 
-    def test_read_returns_writable_int16_codes(self, tmp_path):
+    def test_read_returns_read_only_int16_codes(self, tmp_path):
+        # the chunk kernel bounds its sums from the word alone, so a code
+        # must not change once the capture's range check has passed
         path = tmp_path / "cap.bin"
         raw, want = valid_bytes(path, n_total=256)
         codes = read_capture(path).interleaved
-        assert codes.dtype == np.dtype("<i2") and codes.flags.writeable
-        codes[0] += 1
+        assert codes.dtype == np.dtype("<i2") and not codes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            codes[0] += 1
+        np.testing.assert_array_equal(codes, want.interleaved)
         assert path.read_bytes() == raw
 
     def test_pipe_is_read_whole(self, tmp_path):
@@ -120,7 +127,7 @@ class TestMemory:
             writer.join(timeout=10)
         assert not writer.is_alive()
         np.testing.assert_array_equal(back.interleaved, cap.interleaved)
-        assert back.interleaved.flags.writeable
+        assert not back.interleaved.flags.writeable
 
     def test_write_makes_no_copy_of_int16_codes(self, tmp_path):
         cap = sample_capture(n_total=self.N_TOTAL)

@@ -159,14 +159,14 @@ class TestSameBytesAsTheWholeCapture:
         rng = np.random.default_rng(7)
         estimates = []
 
-        def estimate_blocks(blocks, config, tone_freq):
-            shape = blocks.shape[:2]
+        def estimate_batches(batches, config, tone_freq):
+            shape = (sum(map(len, batches)), config.n_channels)
             estimates.append((rng.uniform(-0.01, 0.01, shape),
                               rng.uniform(-0.03, 0.03, shape),
                               rng.uniform(-0.03, 0.03, shape)))
             return estimates[-1]
 
-        monkeypatch.setattr(experiments, "estimate_blocks", estimate_blocks)
+        monkeypatch.setattr(experiments, "estimate_batches", estimate_batches)
         rows = []
 
         def chunk_sums(codes, config, spec, start, stop, taps, offsets,
@@ -234,8 +234,8 @@ def test_a_70_tap_bank_gives_the_whole_capture_bytes(monkeypatch):
     monkeypatch.setattr(filterbank, "_CHUNK", chunk)
     monkeypatch.setattr(experiments, "EST_BLOCK_PER_CHANNEL", block)
     estimates = []
-    real_estimate = experiments.estimate_blocks
-    monkeypatch.setattr(experiments, "estimate_blocks", lambda *args: (
+    real_estimate = experiments.estimate_batches
+    monkeypatch.setattr(experiments, "estimate_batches", lambda *args: (
         estimates.append(real_estimate(*args)) or estimates[-1]))
     spec = FilterSpec(n_taps=70, coeff_bits=30)
     capture = simulate_capture(ToneSpec(amplitude=0.9, freq_rel=0.0371),
@@ -452,7 +452,7 @@ def test_public_functions_run_only_on_the_calling_thread(monkeypatch):
             pass
     names = {name for name, _ in seen}
     assert {"model.simulate_capture", "model.dequantize_stream",
-            "sinefit.estimate_blocks", "filterbank.design_banks",
+            "sinefit.estimate_batches", "filterbank.design_banks",
             "filterbank.calibrate_capture"} <= names
     assert {ident for _, ident in seen} == {threading.get_ident()}
     assert row_threads

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiadc_cal import (ChannelCapture, TiadcConfig, calibrate_capture, cli,
-                       interleave_channels, model)
+from tiadc_cal import (ChannelCapture, TiadcConfig, calibrate_capture,
+                       capture_io, cli, interleave_channels, model)
 from tiadc_cal.cli import main
 from tiadc_cal.capture_io import HEADER_SIZE, read_capture, write_capture
 from tiadc_cal.experiments import run_scenario
 from tiadc_cal.model import _CHUNK
 from tiadc_cal.scenarios import load_scenario, scenario_to_text
-from tiadc_cal.sinefit import detect_tone_freq
+from tiadc_cal.sinefit import EST_BLOCK_PER_CHANNEL, detect_tone_freq
 
 
 def run(capsys, *argv):
@@ -64,10 +64,10 @@ class TestSimulate:
 
     def test_codes_wider_than_the_format_exit_2_before_simulating(
             self, tmp_path, capsys, monkeypatch):
-        def no_simulation(scenario):
+        def no_simulation(*args):
             raise AssertionError("the capture was simulated")
 
-        monkeypatch.setattr(cli, "simulate_scenario", no_simulation)
+        monkeypatch.setattr(cli, "simulate_chunks", no_simulation)
         cfg = tmp_path / "deep.cfg"
         cfg.write_text("name = deep\nbits = 20\n")
         out = tmp_path / "out"
@@ -159,14 +159,17 @@ class TestCalibrate:
 
         def recording(capture, scenario, freq):
             result = real(capture, scenario, freq)
-            seen.append((capture.with_config(scenario.config), result))
+            seen.append((scenario.config, result))
             return result
 
         monkeypatch.setattr(cli, "calibrate_scenario", recording)
-        code, _, _ = run(capsys, "calibrate", str(tmp_path / "fig6_capture.bin"),
+        path = tmp_path / "fig6_capture.bin"
+        code, _, _ = run(capsys, "calibrate", str(path),
                          "--mode", mode, "--out", str(tmp_path / "out"))
         assert code == 0
-        (capture, result), = seen
+        (config, result), = seen
+        # the command's capture file is closed: the same codes, in memory
+        capture = read_capture(path).with_config(config)
         pieces = list(calibrate_capture(capture, result.bank))
         assert len(pieces) == 2
         want = np.concatenate(pieces)
@@ -346,15 +349,38 @@ def test_calibrate_scales_codes_by_the_sidecar_full_scale(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["truth", "est"])
 def test_calibrate_scans_the_codes_once(tmp_path, capsys, monkeypatch, mode):
-    # the capture's constructor is the payload's range check, and the
-    # sidecar's config keeps the codes without a second scan
-    path = simulate_fig6(tmp_path, capsys)
-    scans = []
+    # the payload reader range-checks exactly the codes it reads, and a
+    # pass reads each code once, keeping a chunk's history from the chunk
+    # before: truth mode calibrates in one pass; est mode estimates from
+    # the full blocks in one and calibrates in a second. The sidecar's
+    # config keeps the codes without a scan of its own.
+    n = 2 * _CHUNK + 999  # per channel: two chunks and a short block
+    scenario = replace(load_scenario("fig6"), n_samples=2 * n)
+    config = tmp_path / "long.cfg"
+    config.write_text(scenario_to_text(scenario))
+    assert run(capsys, "simulate", "--config", str(config),
+               "--out", str(tmp_path))[0] == 0
+    reads, scans, memory_scans = [], [], []
+    read = capture_io._Payload.readinto
+    monkeypatch.setattr(capture_io._Payload, "readinto", lambda self, first,
+                        out: reads.append((first, len(out)))
+                        or read(self, first, out))
     scan = model._first_code_outside
-    monkeypatch.setattr(model, "_first_code_outside", lambda codes, bits: (
-        scans.append(len(codes)) or scan(codes, bits)))
+    monkeypatch.setattr(capture_io, "_first_code_outside", lambda codes, bits:
+                        scans.append(len(codes)) or scan(codes, bits))
+    monkeypatch.setattr(model, "_first_code_outside", lambda codes, bits:
+                        memory_scans.append(len(codes)) or scan(codes, bits))
+    path = tmp_path / "fig6_capture.bin"
     assert run(capsys, "calibrate", str(path), "--mode", mode)[0] == 0
-    assert scans == [16384]
+    assert scans == [length for _, length in reads] and memory_scans == []
+    passes = []  # runs of reads, each starting where the one before stopped
+    for first, length in reads:
+        if not passes or passes[-1][1] != first:
+            passes.append([first, first])
+        passes[-1][1] = first + length
+    full_blocks = 2 * (n // EST_BLOCK_PER_CHANNEL * EST_BLOCK_PER_CHANNEL)
+    assert passes == ([[0, 2 * n]] if mode == "truth" else
+                      [[0, full_blocks], [0, 2 * n]])
 
 
 def test_calibrate_config_with_other_bits_exit_2(tmp_path, capsys):

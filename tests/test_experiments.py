@@ -186,10 +186,11 @@ class TestEstimationErrors:
         # 40 blocks, fitted 16 at a time: block 20 is row 4 of its batch
         scenario = replace(load_scenario("fig6"), mode=MODE_EST,
                            n_samples=2 * 40 * EST_BLOCK_PER_CHANNEL)
-        capture = simulate_scenario(scenario)
-        capture.per_channel[1, 20 * EST_BLOCK_PER_CHANNEL:
-                            21 * EST_BLOCK_PER_CHANNEL] = 17
-        return scenario, capture
+        # a capture's own codes are read-only: the fault goes into a copy
+        codes = simulate_scenario(scenario).interleaved.copy()
+        codes[2 * 20 * EST_BLOCK_PER_CHANNEL + 1:
+              2 * 21 * EST_BLOCK_PER_CHANNEL:2] = 17
+        return scenario, ChannelCapture(scenario.config, codes)
 
     def test_error_names_the_capture_block(self, constant_block):
         scenario, capture = constant_block

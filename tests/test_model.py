@@ -436,7 +436,9 @@ class TestCaptures:
     def test_rows_are_strided_views(self, M):
         codes = np.arange(7 * M, dtype=np.int64) - 3
         cap = ChannelCapture(TiadcConfig(n_channels=M), codes)
-        assert cap.interleaved is codes
+        # a read-only view of the codes, not a copy
+        assert cap.interleaved.base is codes
+        assert not cap.interleaved.flags.writeable
         assert cap.per_channel.shape == (M, 7) and cap.n_per_channel == 7
         for m in range(M):
             np.testing.assert_array_equal(cap.per_channel[m], codes[m::M])
@@ -490,7 +492,7 @@ class TestCodeWord:
         half, info = 1 << (bits - 1), np.iinfo(dtype)
         codes = np.array([max(-half, info.min), min(half - 1, info.max)] * 2,
                          dtype=dtype)
-        assert ChannelCapture(config, codes).interleaved is codes
+        assert ChannelCapture(config, codes).interleaved.base is codes
         empty = ChannelCapture(config, np.zeros(0, dtype=dtype))
         assert empty.n_per_channel == 0
 
@@ -502,7 +504,9 @@ class TestCodeWord:
                             lambda *args: scans.append(args))
         scaled = cap.with_config(replace(CFG12, full_scale=2.0))
         assert scans == []
-        assert scaled.interleaved is codes and scaled.config.full_scale == 2.0
+        assert scaled.interleaved is cap.interleaved
+        assert scaled.interleaved.base is codes
+        assert scaled.config.full_scale == 2.0
         assert cap.config == CFG12
 
 

@@ -354,7 +354,7 @@ class TestSharedSolve:
         L = EST_BLOCK_PER_CHANNEL
         cap = simulate_capture(ToneSpec(0.9, 77 / 4096, 0.4), CFG12,
                                MismatchProfile.zero(2), 2 * 40 * L)
-        codes = cap.per_channel
+        codes = cap.per_channel.copy()  # a capture's own codes are read-only
         block = slice(20 * L, 21 * L)
         if fault == "constant":
             codes[1, block] = 17
@@ -451,6 +451,7 @@ class TestEstimateBuffer:
 
     def test_an_error_in_a_short_second_batch_names_its_block(self):
         blocks, config = self.blocks(12, _FIT_BLOCKS + 1)
+        blocks = blocks.copy()  # a capture's own codes are read-only
         blocks[_FIT_BLOCKS, 1] = 17
         with pytest.raises(DegenerateFitError,
                            match=f"^block {_FIT_BLOCKS} channel 1 is "
