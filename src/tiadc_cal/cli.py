@@ -33,7 +33,9 @@ from .scenarios import (DEFAULTS, MODE_TRUTH, SWEEP_AXES, build_scenario,
                         load_scenario, scenario_settings, scenario_to_text)
 from .sinefit import detect_tone_freq, estimate_from_capture
 
-_CSV_CHUNK = 1 << 16  # calibrated samples formatted per write
+# calibrated samples formatted per write: a batch of row strings is held
+# whole while it is joined, about 0.1 MiB here
+_CSV_CHUNK = 1 << 10
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -141,6 +141,12 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
     The scenario's config scales the codes: a capture file does not store
     full_scale, so only the scenario knows it. The capture's channel count
     and bits must equal the scenario's (ConfigError otherwise).
+
+    Only the chunks that hold the n_fft samples it measures run the
+    filter's products (_first_samples): every chunk of the capture still
+    reads its codes, one pass over a capture file, and runs the kernel's
+    overflow bound, so the errors are those of a pass over the whole
+    stream. The result's replay() yields that whole stream.
     """
     config = scenario.config
     M = config.n_channels
@@ -169,16 +175,24 @@ def calibrate_scenario(capture: ChannelCapture, scenario: Scenario,
 
 
 def _first_samples(pieces, n: int) -> np.ndarray:
-    """Read the iterator pieces of sample arrays to its end. Returns the
-    first n samples of their concatenation (all of them if there are
-    fewer)."""
+    """The first n samples of the chunk driver's pieces (all of them if
+    there are fewer), as one array. pieces is a generator of
+    filterbank._calibrated_pieces, calibrate_capture's included: once this
+    holds n samples it sends the driver False, so the chunks after run
+    without their products, and reads it to its end. Every chunk still
+    reads its codes and runs the kernel's overflow bound, and an error
+    there is raised here."""
     kept, have = [], 0
-    for piece in pieces:
-        if have < n:  # a copy, so the rest of the piece can go
+    try:
+        piece = next(pieces)
+        while True:
+            # a copy, so the rest of the piece can go
             kept.append(piece[:n - have].copy())
             have += len(kept[-1])
-        del piece  # so it is gone while the next pieces are made
-    return np.concatenate(kept or [np.empty(0)])
+            del piece  # so it is gone while the next pieces are made
+            piece = pieces.send(have < n)
+    except StopIteration:
+        return np.concatenate(kept or [np.empty(0)])
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:

@@ -48,9 +48,12 @@ and a capture_io.CaptureFile range-checks every code it reads.
 Its int64 limbs are sized from the chunk's largest bound on a |sample|,
 since a block's last frame may read the next block. The chunk driver
 lays one bank out (_bank_layout: frame matrices and tap sums) once per
-call, and a bank per block once per chunk. design_banks and the chunk
-kernel work on tap and offset arrays; FilterBank is the record of one
-bank, and where a hand-built bank's taps and offsets are checked.
+call, and a bank per block once per chunk. The kernel's overflow bound is
+one step, _chunk_bound, which a chunk past the samples its consumer
+needs runs alone, with its codes still read but no product. design_banks
+and the chunk kernel work on tap and offset arrays; FilterBank is the
+record of one bank, and where a hand-built bank's taps and offsets are
+checked.
 """
 
 import csv
@@ -61,7 +64,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, TapOverflowError
 from .model import (_CHUNK, _PRODUCT_MACS, ChannelCapture, MismatchProfile,
                     TiadcConfig, _require_integers)
-from .polyphase import _ACC_LIMIT, _guard_sums
+from .polyphase import _ACC_LIMIT, _fir_frames, _guard_sums, _limb_frames
 
 SUBTRACT_GAIN = "sub"
 DIVIDE_GAIN = "div"
@@ -351,37 +354,53 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     holds some of them.
 
     taps (B, M, N) and offsets (B, M) hold one bank per block of block_len
-    samples, from sample 0. Every chunk, the trimmed samples too, runs
-    through the chunk kernel _chunk_sums with the rows of the blocks its
-    samples and its N-1 history samples lie in, so the overflow guard sees
-    every sample. The chunks run one after another on the calling thread,
-    each from the capture alone: its codes and their N-1 samples of
-    history come from capture.codes, the accessor of a ChannelCapture and
-    a capture_io.CaptureFile alike, so a capture file is read one chunk at
-    a time. An error is raised after the pieces of the chunks before the
-    one that raised it.
+    samples, from sample 0. Every chunk, the trimmed samples too, reads its
+    codes and their N-1 samples of history through capture.codes, the
+    accessor of a ChannelCapture and a capture_io.CaptureFile alike, so a
+    capture file is read one chunk at a time in one pass; and every chunk
+    runs the kernel's overflow bound (_chunk_bound) with the rows of the
+    blocks its samples and its N-1 history samples lie in, so the guard
+    sees every sample. The chunks run one after another on the calling
+    thread, each from the capture alone. An error is raised after the
+    pieces of the chunks before the one that raised it.
+
+    A consumer that needs only the stream's start sends False in place of
+    next() once it holds those samples (experiments._first_samples): the
+    chunks after that read their codes and run the bound alone, without
+    the kernel's products, and yield nothing. Iterated, the driver runs
+    the products of every chunk.
 
     One bank (B = 1: truth mode, or a capture of one block) is laid out
     once per call (_bank_layout) and every chunk runs that layout; the
     kernel lays out a chunk's own banks when there are more, so memory
-    does not grow with the number of blocks.
+    does not grow with the number of blocks, and a chunk past the
+    consumer's samples takes its banks' tap sums alone (_tap_sums).
     """
-    M = capture.config.n_channels
+    config = capture.config
+    M = config.n_channels
     n = capture.n_per_channel
     hist = spec.n_taps - 1
     trim = spec.group_delay * M
-    scale = 2.0 ** -(spec.coeff_bits - 2) * capture.config.lsb
+    scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
     layout = _bank_layout(taps, spec, M) if len(taps) == 1 else None
 
-    def piece(start):
+    def piece(start, products):
         stop = min(start + _CHUNK, n)
         lo = max(start - hist, 0)
         first = lo // block_len
         rows = slice(start // block_len, (stop - 1) // block_len + 1)
+        # read even where no product runs: a capture file range-checks
+        # every code it reads
         codes = capture.codes(lo, stop).reshape(-1, M).T
-        acc = _chunk_sums(codes, capture.config, spec, start, stop,
-                          taps[rows], offsets[first:rows.stop], first,
-                          block_len, layout, lo)
+        if not products:
+            sums = (_tap_sums(taps[rows], spec, M) if layout is None
+                    else (layout.tap_sums, layout.s_max))
+            _chunk_bound(config, spec, start, stop, offsets[first:rows.stop],
+                         first, block_len, *sums)
+            return None
+        acc = _chunk_sums(codes, config, spec, start, stop, taps[rows],
+                          offsets[first:rows.stop], first, block_len, layout,
+                          lo)
         # the part of merged samples [start*M, stop*M) inside the trim,
         # scaled over the accumulators' own memory
         lo = max(trim - start * M, 0)
@@ -390,8 +409,12 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
         merged *= scale
         return merged
 
-    # filter keeps no piece alive while the next ones are made
-    yield from filter(len, map(piece, range(0, n, _CHUNK)))
+    products = True
+    for start in range(0, n, _CHUNK):
+        merged = piece(start, products)
+        if merged is not None and len(merged):
+            products = (yield merged) is not False
+        del merged  # so no piece is alive while the next ones are made
 
 
 # a frame holds at least min(N - 1, _FRAME_REACH) samples: a frame of P
@@ -415,45 +438,6 @@ def _frame_index(M: int, N: int, P: int) -> np.ndarray:
     j = r - r[:, None] + P * np.arange(-(-(N - 1) // P) + 1)[:, None, None]
     return np.where((j >= 0) & (j < N), (r - ((N + 1) // 2 - 1)) % M * N + j,
                     M * N)
-
-
-def _fir_frames(z, at: int, mats, out, scratch) -> None:
-    """Write frames of a periodically time-varying FIR's output into out,
-    (..., g, P), frame f of it at samples at + f*P .. of the stream z:
-    frame f = sum_t z's frame f - t times mats[t], a frame matrix A[t]
-    without its zero rows (_frame_index). A (g, P) stack of frames is one
-    BLAS product, and one numpy call runs all of out's stacks. scratch, of
-    out's size at least, holds the products for t > 0. z holds the N-1
-    samples before at."""
-    P = out.shape[-1]
-    for t, a in enumerate(mats):
-        lo = P - len(a)
-        base = at - t * P + lo
-        frames = z[base:base + out.size].reshape(out.shape)[..., :P - lo]
-        if t == 0:
-            np.matmul(frames, a, out=out)
-        else:
-            part = scratch[:out.size].reshape(out.shape)
-            np.matmul(frames, a, out=part)
-            out += part
-
-
-def _limb_frames(z, at: int, mats, out, scratch, bits: int,
-                 limbs: int) -> None:
-    """_fir_frames over z, an int64 stream, for exact sums of any size
-    below 2^62: z runs as limbs of bits bits each, every limb in
-    [-2^(bits-1), 2^(bits-1)], and the limbs' sums are recombined in int64
-    before the one cast into out."""
-    half = 1 << (bits - 1)
-    parts = []
-    for _ in range(limbs - 1):
-        parts.append(((z + half) & ((1 << bits) - 1)) - half)
-        z = (z - parts[-1]) >> bits
-    sums = 0
-    for part in [z] + parts[::-1]:
-        _fir_frames(part.astype(np.float64), at, mats, out, scratch)
-        sums = (sums << bits) + out.astype(np.int64)
-    np.copyto(out, sums, casting="unsafe")
 
 
 def _offset_stream(z, codes, origin: int, first: int, stop: int,
@@ -490,12 +474,12 @@ class _Layout:
     mats: list
 
 
-def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
-    """Lay out the (B, M, N) banks taps for the chunk kernel, with one
-    gather for all B banks' frame matrices. Taps outside the spec's
-    coeff_bits raise TapOverflowError."""
+def _tap_sums(taps, spec: FilterSpec, M: int):
+    """What the chunk kernel's bound needs of the (B, M, N) banks taps:
+    (tap_sums, s_max), tap_sums[b, m, s] the sum of |taps| by which source
+    s feeds slot m in bank b, and s_max the largest slot sum of |taps|.
+    Taps outside the spec's coeff_bits raise TapOverflowError."""
     N = spec.n_taps
-    hist = N - 1
     # taps within the word keep |taps| <= 2^31, so their int64 abs and
     # sums are exact, and float64 holds them; slot m runs channel
     # (m - D) % M, whose tap j reads source (m - j) % M
@@ -505,14 +489,62 @@ def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
     feeds = (slots[:, None] - np.arange(N)) % M == slots[:, None, None]
     tap_sums = np.einsum("bmj,smj->bms",
                          np.abs(taps[:, (slots - spec.group_delay) % M]), feeds)
+    return tap_sums, int(tap_sums.sum(axis=2).max())
+
+
+def _bank_layout(taps, spec: FilterSpec, M: int) -> _Layout:
+    """Lay out the (B, M, N) banks taps for the chunk kernel, with one
+    gather for all B banks' frame matrices. Taps outside the spec's
+    coeff_bits raise TapOverflowError."""
+    N = spec.n_taps
+    hist = N - 1
+    tap_sums, s_max = _tap_sums(taps, spec, M)
     P = M
     while P < min(hist, _FRAME_REACH):
         P *= 2
     flat = np.zeros((len(taps), M * N + 1))
-    flat[:, :-1] = taps.reshape(len(taps), -1)
+    flat[:, :-1] = np.asarray(taps, dtype=np.int64).reshape(len(taps), -1)
     mats = [[A[t, max(0, t * P - hist):] for t in range(len(A))]
             for A in flat[:, _frame_index(M, N, P)]]
-    return _Layout(tap_sums, int(tap_sums.sum(axis=2).max()), P, mats)
+    return _Layout(tap_sums, s_max, P, mats)
+
+
+def _chunk_bound(config: TiadcConfig, spec: FilterSpec, start: int,
+                 stop: int, offsets, first_block: int, block_len: int,
+                 tap_sums, s_max: int):
+    """The chunk kernel's overflow bound for samples start to stop, its one
+    statement: the blocks' offset codes, the bound from the converter's
+    word, and polyphase._guard_sums where that bound reaches 2^62, which
+    raises NumericError unless every block's sums are exact (see
+    _chunk_sums). offsets and the tap sums (_tap_sums) are _chunk_sums'.
+
+    Returns (block_codes, largest): the int64 offset codes of every block
+    from the one of sample max(start - N + 1, 0) to the chunk's last, and
+    2^(bits-1) plus the largest of their magnitudes, which bounds every
+    |code - offset code| the chunk's sums read.
+    """
+    hist = spec.n_taps - 1
+    block0 = max(start - hist, 0) // block_len
+    last = (stop - 1) // block_len
+    block_codes = _offset_codes(
+        np.asarray(offsets)[np.arange(block0, last + 1) - first_block], config)
+    # every code lies in the word (ChannelCapture's rule), so no sum reads
+    # a |code - offset code| above largest
+    half = config.code_half_range
+    mags = np.abs(block_codes).tolist()
+    largest = half + max(map(max, mags))
+    # the sums are exact only within the bound: nothing is computed unless
+    # every block meets it. Below the limit, largest times the largest
+    # slot sum bounds every block; otherwise block b's peak for source s
+    # is 2^(bits-1) plus s's largest |offset code| in the blocks b's sums
+    # read, its own and those its first N-1 samples of history lie in
+    if largest * s_max >= _ACC_LIMIT:
+        own = start // block_len - block0
+        reads = [max(max(b * block_len, start) - hist, 0) // block_len
+                 - block0 for b in range(start // block_len, last + 1)]
+        _guard_sums([[half + max(col) for col in zip(*mags[r:own + i + 1])]
+                     for i, r in enumerate(reads)], tap_sums.tolist())
+    return block_codes, largest
 
 
 def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
@@ -526,15 +558,16 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     integer, the int64 sum of convolve_serial's rule cast to float64.
 
     This is the one place the fixed-point rule runs: subtract each block's
-    offset code, multiply-accumulate exactly, return the sums only if
-    polyphase._guard_sums finds every block's exact, and let the caller
-    scale once. The guard's tap sums come straight from the taps, and its
-    peaks from config and the offset codes alone, as a hardware designer
-    sizes an accumulator from the converter's word: every code lies in
-    [-2^(bits-1), 2^(bits-1) - 1] (ChannelCapture's rule), so block b's
-    peak for source s is 2^(bits-1) plus the largest |offset code| of s
-    in the blocks that b's sums read, b itself and those its N-1 samples
-    of history lie in. No code is scanned.
+    offset code, multiply-accumulate exactly, return the sums only if the
+    bound step (_chunk_bound, polyphase._guard_sums) finds every block's
+    exact, and let the caller scale once. The guard's tap sums come
+    straight from the taps, and its peaks from config and the offset codes
+    alone, as a hardware designer sizes an accumulator from the
+    converter's word: every code lies in [-2^(bits-1), 2^(bits-1) - 1]
+    (ChannelCapture's rule), so block b's peak for source s is 2^(bits-1)
+    plus the largest |offset code| of s in the blocks that b's sums read,
+    b itself and those its N-1 samples of history lie in. No code is
+    scanned.
 
     The bank is a periodically time-varying FIR on the interleaved
     offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *
@@ -581,30 +614,13 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     if layout is None:
         layout = _bank_layout(taps, spec, M)
     s_max = layout.s_max
-
-    blocks = np.arange(max(start - hist, 0) // block_len,
-                       (stop - 1) // block_len + 1)
-    block_codes = _offset_codes(np.asarray(offsets)[blocks - first_block],
-                                config)
-    # every code lies in the word (ChannelCapture's rule), so no sum reads
-    # a |code - offset code| above largest, 2^(bits-1) plus the chunk's
-    # largest |offset code|: limbs of bits bits, sized from it, keep each
-    # limb's sums below 2^53 and cover every block's reads, since a
-    # block's last frame may read the next block
-    half = config.code_half_range
-    mags = np.abs(block_codes).tolist()
-    largest = half + max(map(max, mags))
-    # the sums are exact only within the bound: nothing is computed unless
-    # every block meets it. Below the limit, largest times the largest
-    # slot sum bounds every block; otherwise block b's peak for source s
-    # is 2^(bits-1) plus s's largest |offset code| in the blocks b's sums
-    # read, its own and those its first N-1 samples of history lie in
-    if largest * s_max >= _ACC_LIMIT:
-        own = start // block_len - blocks[0]
-        reads = (np.maximum(starts + start - hist, 0) // block_len
-                 - blocks[0]).tolist()
-        _guard_sums([[half + max(col) for col in zip(*mags[r:own + i + 1])]
-                     for i, r in enumerate(reads)], layout.tap_sums.tolist())
+    block_codes, largest = _chunk_bound(config, spec, start, stop, offsets,
+                                        first_block, block_len,
+                                        layout.tap_sums, s_max)
+    block0 = max(start - hist, 0) // block_len
+    # limbs of bits bits, sized from largest, keep each limb's sums below
+    # 2^53 and cover every block's reads, since a block's last frame may
+    # read the next block
     exact = largest * s_max < 1 << 53
     bits = 54 - s_max.bit_length()
     limbs = -(-(largest.bit_length() + 2) // bits)
@@ -628,7 +644,7 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
             g = min(batch, n_frames - f)
             z = window[:(lead + g * P) // M]
             _offset_stream(z, codes, origin, start + (q - lead) // M,
-                           stop, block_len, blocks[0], block_codes)
+                           stop, block_len, block0, block_codes)
             whole = g // stack * stack
             for f0, n, shape in ((0, whole, (g // stack, stack, P)),
                                  (whole, g - whole, (g - whole, P))):

@@ -5,7 +5,8 @@ The calibration filters run as sub-rate FIRs under convolve_serial's rule,
 behind the range guard defined here. The one execution path is the chunk
 kernel filterbank._chunk_sums: it runs a bank as float64 matrix products
 over frames of the interleaved stream, whose sums equal the rule's
-integer sums exactly (see its docstring). The paper notes that the filter
+integer sums exactly (see its docstring). Its frame products,
+_fir_frames and their int64 limbs _limb_frames, are defined here. The paper notes that the filter
 bank can be computed in parallel in hardware by splitting a sub-channel
 stream into L interleaved lanes (samples at indices j mod L), convolving
 each lane independently and merging the lane outputs. parallel_convolve
@@ -86,6 +87,45 @@ def _guard_sums(peaks, tap_sums) -> None:
     if peak >= _ACC_LIMIT:
         raise NumericError(
             f"worst-case accumulator {peak} would overflow 64-bit integers")
+
+
+def _fir_frames(z, at: int, mats, out, scratch) -> None:
+    """Write frames of a periodically time-varying FIR's output into out,
+    (..., g, P), frame f of it at samples at + f*P .. of the stream z:
+    frame f = sum_t z's frame f - t times mats[t], a frame matrix A[t]
+    without its zero rows (filterbank._frame_index). A (g, P) stack of frames is one
+    BLAS product, and one numpy call runs all of out's stacks. scratch, of
+    out's size at least, holds the products for t > 0. z holds the N-1
+    samples before at."""
+    P = out.shape[-1]
+    for t, a in enumerate(mats):
+        lo = P - len(a)
+        base = at - t * P + lo
+        frames = z[base:base + out.size].reshape(out.shape)[..., :P - lo]
+        if t == 0:
+            np.matmul(frames, a, out=out)
+        else:
+            part = scratch[:out.size].reshape(out.shape)
+            np.matmul(frames, a, out=part)
+            out += part
+
+
+def _limb_frames(z, at: int, mats, out, scratch, bits: int,
+                 limbs: int) -> None:
+    """_fir_frames over z, an int64 stream, for exact sums of any size
+    below 2^62: z runs as limbs of bits bits each, every limb in
+    [-2^(bits-1), 2^(bits-1)], and the limbs' sums are recombined in int64
+    before the one cast into out."""
+    half = 1 << (bits - 1)
+    parts = []
+    for _ in range(limbs - 1):
+        parts.append(((z + half) & ((1 << bits) - 1)) - half)
+        z = (z - parts[-1]) >> bits
+    sums = 0
+    for part in [z] + parts[::-1]:
+        _fir_frames(part.astype(np.float64), at, mats, out, scratch)
+        sums = (sums << bits) + out.astype(np.int64)
+    np.copyto(out, sums, casting="unsafe")
 
 
 def convolve_serial(codes, taps_fx) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,36 @@ class TestEstimate:
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", str(tmp_path / "absent.bin"))
         assert code == 3
+
+
+class TestCalibratedCsv:
+    """The calibrated CSV writer formats a few rows at a time: the same
+    bytes as one join over every row, in a fraction of one chunk's rows."""
+
+    @pytest.fixture
+    def pieces(self):
+        rng = np.random.default_rng(3)
+        return [rng.standard_normal(n) * 0.3 for n in (_CHUNK + 5, 7,
+                                                       _CHUNK - 3)]
+
+    def test_bytes_are_one_join_over_every_row(self, tmp_path, pieces):
+        path = tmp_path / "cal.csv"
+        cli._write_calibrated_csv(path, iter(pieces))
+        rows = np.concatenate(pieces).tolist()
+        want = "index,value\r\n" + "".join(f"{i},{v:.12g}\r\n"
+                                            for i, v in enumerate(rows))
+        assert path.read_bytes() == want.encode()
+
+    def test_peak_is_far_below_a_chunk_of_rows(self, tmp_path, pieces):
+        cli._write_calibrated_csv(tmp_path / "warm.csv", iter(pieces[:1]))
+        tracemalloc.start()
+        try:
+            cli._write_calibrated_csv(tmp_path / "cal.csv", iter(pieces))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 65 536 rows formatted at once held about 4 MiB
+        assert peak < 1 << 20, peak
 
 
 class TestCalibrate:

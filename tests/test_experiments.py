@@ -408,9 +408,11 @@ def test_estimation_blocks_tile_a_chunk():
 
 
 class TestStreamedOutput:
-    """calibrate_scenario reads the calibrated stream a chunk at a time:
-    its memory does not grow with the capture, and every chunk of the
-    capture still runs through the chunk kernel and its overflow guard."""
+    """calibrate_scenario reads the calibrated stream a chunk at a time,
+    so its memory does not grow with the capture. Every chunk of the
+    capture still reads its codes and runs the chunk kernel's overflow
+    bound; only the chunks that hold the measured window run the
+    kernel's products."""
 
     @pytest.fixture(scope="class")
     def fig6_4m(self):
@@ -440,8 +442,21 @@ class TestStreamedOutput:
         scenario = replace(load_scenario("fig6"), mode=mode,
                            n_samples=2 * n_per_channel)
         capture = simulate_scenario(scenario)
-        calls = []
+        sums, bounds, reads = [], [], []
         monkeypatch.setattr(filterbank, "_chunk_sums",
-                            lambda *args: calls.append(1) or _chunk_sums(*args))
+                            lambda *args: sums.append(1) or _chunk_sums(*args))
+        chunk_bound = filterbank._chunk_bound
+        monkeypatch.setattr(filterbank, "_chunk_bound", lambda *args: (
+            bounds.append(args[2]) or chunk_bound(*args)))
+        codes = ChannelCapture.codes
+        monkeypatch.setattr(ChannelCapture, "codes", lambda self, lo, hi: (
+            reads.append((lo, hi)) or codes(self, lo, hi)))
         calibrate_scenario(capture, scenario)
-        assert len(calls) == -(-n_per_channel // _CHUNK)
+        hist = scenario.filter_spec.n_taps - 1
+        starts = list(range(0, n_per_channel, _CHUNK))
+        # the driver reads last, every chunk with its N-1 samples of history
+        assert reads[-len(starts):] == [
+            (max(a - hist, 0), min(a + _CHUNK, n_per_channel)) for a in starts]
+        # every chunk runs the bound, and only the first, which holds the
+        # 4 096-sample window, runs the products
+        assert bounds == starts and len(sums) == 1
