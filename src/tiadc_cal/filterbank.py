@@ -49,8 +49,11 @@ Its int64 limbs are sized from the chunk's largest bound on a |sample|,
 since a block's last frame may read the next block. The chunk driver
 lays one bank out (_bank_layout: frame matrices and tap sums) once per
 call, and a bank per block once per chunk. The kernel's overflow bound is
-one step, _chunk_bound, which a chunk past the samples its consumer
-needs runs alone, with its codes still read but no product. design_banks
+one step, _chunk_bound, whose inputs are the word, the offset codes and
+the tap sums, never the codes. A chunk past the samples its consumer
+needs reads its codes and runs no product; it bounds its blocks where
+each block has a bank, and one bank's bound, every chunk's, ran in chunk
+0's kernel. design_banks
 and the chunk kernel work on tap and offset arrays; FilterBank is the
 record of one bank, and where a hand-built bank's taps and offsets are
 checked.
@@ -357,24 +360,23 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     samples, from sample 0. Every chunk, the trimmed samples too, reads its
     codes and their N-1 samples of history through capture.codes, the
     accessor of a ChannelCapture and a capture_io.CaptureFile alike, so a
-    capture file is read one chunk at a time in one pass; and every chunk
-    runs the kernel's overflow bound (_chunk_bound) with the rows of the
-    blocks its samples and its N-1 history samples lie in, so the guard
-    sees every sample. The chunks run one after another on the calling
+    capture file is read one chunk at a time in one pass; and every
+    block's overflow bound (_chunk_bound) is evaluated, so the guard sees
+    every sample. The chunks run one after another on the calling
     thread, each from the capture alone. An error is raised after the
     pieces of the chunks before the one that raised it.
 
     A consumer that needs only the stream's start sends False in place of
     next() once it holds those samples (experiments._first_samples): the
-    chunks after that read their codes and run the bound alone, without
-    the kernel's products, and yield nothing. Iterated, the driver runs
-    the products of every chunk.
+    chunks after that read their codes without the kernel's products and
+    yield nothing. Iterated, the driver runs the products of every chunk.
 
     One bank (B = 1: truth mode, or a capture of one block) is laid out
-    once per call (_bank_layout) and every chunk runs that layout; the
-    kernel lays out a chunk's own banks when there are more, so memory
-    does not grow with the number of blocks, and a chunk past the
-    consumer's samples takes its banks' tap sums alone (_tap_sums).
+    once per call (_bank_layout), and its bound, the same for every
+    chunk, runs in chunk 0's kernel, which always runs. With more, the
+    kernel lays out a chunk's own banks, so memory does not grow with the
+    number of blocks, and a chunk without products bounds its blocks with
+    their slice of every bank's tap sums, one _tap_sums call per call.
     """
     config = capture.config
     M = config.n_channels
@@ -383,8 +385,10 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
     trim = spec.group_delay * M
     scale = 2.0 ** -(spec.coeff_bits - 2) * config.lsb
     layout = _bank_layout(taps, spec, M) if len(taps) == 1 else None
+    sums = None
 
     def piece(start, products):
+        nonlocal sums
         stop = min(start + _CHUNK, n)
         lo = max(start - hist, 0)
         first = lo // block_len
@@ -393,10 +397,12 @@ def _calibrated_pieces(capture: ChannelCapture, spec: FilterSpec, taps,
         # every code it reads
         codes = capture.codes(lo, stop).reshape(-1, M).T
         if not products:
-            sums = (_tap_sums(taps[rows], spec, M) if layout is None
-                    else (layout.tap_sums, layout.s_max))
-            _chunk_bound(config, spec, start, stop, offsets[first:rows.stop],
-                         first, block_len, *sums)
+            # one bank's bound ran in chunk 0's kernel
+            if layout is None:
+                sums = sums or _tap_sums(taps, spec, M)
+                _chunk_bound(config, spec, start, stop,
+                             offsets[first:rows.stop], first, block_len,
+                             sums[0][rows], sums[1])
             return None
         acc = _chunk_sums(codes, config, spec, start, stop, taps[rows],
                           offsets[first:rows.stop], first, block_len, layout,
@@ -516,7 +522,8 @@ def _chunk_bound(config: TiadcConfig, spec: FilterSpec, start: int,
     statement: the blocks' offset codes, the bound from the converter's
     word, and polyphase._guard_sums where that bound reaches 2^62, which
     raises NumericError unless every block's sums are exact (see
-    _chunk_sums). offsets and the tap sums (_tap_sums) are _chunk_sums'.
+    _chunk_sums). offsets and the tap sums (_tap_sums) are _chunk_sums';
+    s_max may be any bound on their slot sums.
 
     Returns (block_codes, largest): the int64 offset codes of every block
     from the one of sample max(start - N + 1, 0) to the chunk's last, and
@@ -563,11 +570,7 @@ def _chunk_sums(codes, config: TiadcConfig, spec: FilterSpec, start: int,
     exact, and let the caller scale once. The guard's tap sums come
     straight from the taps, and its peaks from config and the offset codes
     alone, as a hardware designer sizes an accumulator from the
-    converter's word: every code lies in [-2^(bits-1), 2^(bits-1) - 1]
-    (ChannelCapture's rule), so block b's peak for source s is 2^(bits-1)
-    plus the largest |offset code| of s in the blocks that b's sums read,
-    b itself and those its N-1 samples of history lie in. No code is
-    scanned.
+    converter's word. No code is scanned.
 
     The bank is a periodically time-varying FIR on the interleaved
     offset-corrected stream z: output p = sum_j taps[(p - D) % M, j] *

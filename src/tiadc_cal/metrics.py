@@ -82,12 +82,18 @@ def power_spectrum(stream, n_fft: int, full_scale: float = 1.0) -> np.ndarray:
         Bin magnitudes in dBFS, floored at -300. A full-scale coherent sine
         peaks at 0 dBFS; DC and Nyquist bins are single-sided (no doubling).
     """
-    x = _check_fft_args(stream, n_fft)
-    spec = np.abs(np.fft.rfft(x)) / n_fft
+    return _spectrum(_check_fft_args(stream, n_fft), full_scale)[0]
+
+
+def _spectrum(x, full_scale):
+    """power_spectrum of the checked samples x, and their rfft
+    magnitudes."""
+    mag = np.abs(np.fft.rfft(x))
+    spec = mag / len(x)
     spec[1:-1] *= 2.0  # fold negative frequencies except DC/Nyquist
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(spec / full_scale)
-    return np.maximum(db, DBFS_FLOOR)
+    return np.maximum(db, DBFS_FLOOR), mag
 
 
 def _signal_bin(signal_freq_rel: float, n_fft: int) -> int:
@@ -102,19 +108,6 @@ def _signal_bin(signal_freq_rel: float, n_fft: int) -> int:
             f"outside (0, {n_fft // 2})")
     return k_int
 
-def _is_coherent(signal_freq_rel: float, n_fft: int) -> bool:
-    k = signal_freq_rel * n_fft
-    return abs(k - round(k)) < 1e-6
-
-
-def _power_bins(x) -> np.ndarray:
-    """One-sided rfft power, each bin weighted by the share of the signal's
-    energy it holds: bins 1..n/2-1 each stand for a positive and a negative
-    frequency, the Nyquist bin n/2 for one, so it counts half (Parseval)."""
-    p = np.abs(np.fft.rfft(x)) ** 2
-    p[-1] /= 2.0
-    return p
-
 
 def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> float:
     """SINAD in dB: signal-bin power over all other non-DC power.
@@ -124,21 +117,36 @@ def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> f
     data with the 4-term Blackman-Harris window, counting its main lobe,
     the peak +/- 4 bins, as signal and bins 0..4 as DC leakage.
     """
-    x = _check_fft_args(stream, n_fft)
+    return _sinad(_check_fft_args(stream, n_fft), signal_freq_rel, n_fft,
+                  window)
+
+
+def _sinad(x, signal_freq_rel, n_fft, window, mag=None):
+    """sinad of the checked samples x; mag, if given, is their rfft
+    magnitudes, which the rectangular window then reuses."""
     k = _signal_bin(signal_freq_rel, n_fft)
-    if window == "rect":
-        if not _is_coherent(signal_freq_rel, n_fft):
-            raise CoherenceError(
-                f"freq {signal_freq_rel} not coherent in {n_fft} bins "
-                f"(got {signal_freq_rel * n_fft:.6f}); re-plan or use window='bh4'")
-        p = _power_bins(x)
-        p_signal = p[k]
-        p_noise = p[1:].sum() - p_signal
-    elif window == "bh4":
+    if window == "bh4":
         n = np.arange(n_fft)
         w = sum(((-1) ** i) * c * np.cos(2 * np.pi * i * n / n_fft)
                 for i, c in enumerate(_BH4))
-        p = _power_bins(x * w)
+        mag = np.abs(np.fft.rfft(x * w))
+    elif window != "rect":
+        raise ConfigError(f"unknown window {window!r}")
+    elif abs(signal_freq_rel * n_fft - k) >= 1e-6:  # not coherent
+        raise CoherenceError(
+            f"freq {signal_freq_rel} not coherent in {n_fft} bins "
+            f"(got {signal_freq_rel * n_fft:.6f}); re-plan or use window='bh4'")
+    elif mag is None:
+        mag = np.abs(np.fft.rfft(x))
+    # one-sided power: bins 1..n/2-1 each stand for a positive and a
+    # negative frequency, the Nyquist bin for one, so it counts half
+    # (Parseval)
+    p = mag ** 2
+    p[-1] /= 2.0
+    if window == "rect":
+        p_signal = p[k]
+        p_noise = p[1:].sum() - p_signal
+    else:
         half = _BH4_SIGNAL_HALF_WIDTH
         lo = max(k - half, 0)
         peak = lo + int(np.argmax(p[lo:k + half + 1]))
@@ -148,8 +156,6 @@ def sinad(stream, signal_freq_rel: float, n_fft: int, window: str = "rect") -> f
         sig[max(peak - half, 0):peak + half + 1] = True
         p_signal = p[sig].sum()
         p_noise = p[keep & ~sig].sum()
-    else:
-        raise ConfigError(f"unknown window {window!r}")
     if p_signal <= 0:
         return DBFS_FLOOR
     if p_noise <= 0:
@@ -178,40 +184,37 @@ def spur_levels(spectrum_dbfs, n_channels: int, signal_freq_rel: float) -> tuple
     spectrum_dbfs = np.asarray(spectrum_dbfs, dtype=float)
     n_fft = 2 * (len(spectrum_dbfs) - 1)
     sig_bin = _signal_bin(signal_freq_rel, n_fft)
-    out = []
-    seen = set()
+    spurs = {}  # the first entry of each kind and bin
     for k in range(1, n_channels):
         base = k / n_channels
-        candidates = [(fold_frequency(base - signal_freq_rel), "image"),
-                      (fold_frequency(base + signal_freq_rel), "image"),
-                      (fold_frequency(base), "offset")]
-        for f, kind in candidates:
+        for f, kind in ((fold_frequency(base - signal_freq_rel), "image"),
+                        (fold_frequency(base + signal_freq_rel), "image"),
+                        (fold_frequency(base), "offset")):
             b = int(round(f * n_fft))
-            if (kind, b) in seen:
-                continue
-            seen.add((kind, b))
-            out.append(SpurLevel(freq_rel=f, level_dbfs=float(spectrum_dbfs[b]),
-                                 kind=kind, bin_index=b,
-                                 collides_with_signal=(b == sig_bin)))
-    return tuple(out)
+            spurs.setdefault((kind, b), SpurLevel(
+                freq_rel=f, level_dbfs=float(spectrum_dbfs[b]), kind=kind,
+                bin_index=b, collides_with_signal=(b == sig_bin)))
+    return tuple(spurs.values())
 
 
 def worst_image_spur(spurs) -> SpurLevel:
     """Largest non-colliding image spur; falls back to any image entry."""
-    images = [s for s in spurs if s.kind == "image" and not s.collides_with_signal]
-    if not images:
-        images = [s for s in spurs if s.kind == "image"]
+    images = [s for s in spurs if s.kind == "image"]
     if not images:
         raise ConfigError("spur table contains no image entries")
-    return max(images, key=lambda s: s.level_dbfs)
+    return max([s for s in images if not s.collides_with_signal] or images,
+               key=lambda s: s.level_dbfs)
 
 
 def spectrum_report(stream, signal_freq_rel: float, n_fft: int,
                     n_channels: int, full_scale: float = 1.0,
                     window: str = "rect") -> SpectrumReport:
-    """Bundle spectrum, SINAD, ENOB, and spur table for one stream."""
-    mags = power_spectrum(stream, n_fft, full_scale)
-    s = sinad(stream, signal_freq_rel, n_fft, window=window)
+    """Bundle spectrum, SINAD, ENOB, and spur table for one stream: one
+    transform gives the spectrum and, with the rectangular window, the
+    SINAD, the same values as power_spectrum and sinad."""
+    x = _check_fft_args(stream, n_fft)
+    mags, mag = _spectrum(x, full_scale)
+    s = _sinad(x, signal_freq_rel, n_fft, window, mag)
     return SpectrumReport(
         n_fft=n_fft,
         magnitudes_dbfs=mags,

@@ -225,9 +225,9 @@ class ChannelCapture:
     @classmethod
     def _of_checked_codes(cls, config: TiadcConfig,
                           codes: np.ndarray) -> "ChannelCapture":
-        """The capture of codes, a 1-D int16 array of a multiple of
-        config's channel count that a reader has already checked against
-        config's word, built without a second scan."""
+        """The capture of codes, a 1-D int16 (int32 above 16 bits) array
+        of a multiple of config's channel count whose every code its maker
+        has put in config's word, built without a scan."""
         capture = object.__new__(cls)
         object.__setattr__(capture, "config", config)
         object.__setattr__(capture, "interleaved", _read_only(codes))
@@ -462,16 +462,16 @@ def simulate_capture(tone: ToneSpec, config: TiadcConfig,
                      profile: MismatchProfile, n_total: int) -> ChannelCapture:
     """Full capture: sample through the mismatch model, quantize, interleave.
 
-    The codes are int16 for up to 16 bits and int32 above. simulate_chunks'
-    loop makes them straight in the interleaved array, so the memory beyond
-    the codes is one chunk's row, the quantizer's scratch of _CHUNK // 8
-    floats and the angle tables, whatever the capture's length.
+    The codes are int16 for up to 16 bits and int32 above, made straight
+    in the interleaved array by simulate_chunks' loop (the module docstring
+    gives its memory); the quantizer clips them to the word, so they are
+    not scanned.
     """
     n = _simulated_length(config, profile, n_total)
     interleaved = np.empty(n_total, dtype=_code_dtype(config.bits))
     for _ in _chunks(tone, config, profile, n, interleaved, reuse=False):
         pass
-    return ChannelCapture(config, interleaved)
+    return ChannelCapture._of_checked_codes(config, interleaved)
 
 
 def simulate_chunks(tone: ToneSpec, config: TiadcConfig,

@@ -71,11 +71,11 @@ class TestDtypeBound:
         scenario = load_scenario(name)
         capture = experiments.simulate_scenario(scenario)
         assert capture.interleaved.dtype == np.int16
-        assert scans == [np.dtype(np.int16)]  # the capture's own check
+        assert scans == []  # the simulation's quantizer clips to the word
         bank = FilterBank.design(scenario.profile, scenario.config.n_channels,
                                  scenario.filter_spec)
         assert len(np.concatenate(list(calibrate_capture(capture, bank))))
-        assert scans == [np.dtype(np.int16)] and limbs == []
+        assert scans == [] and limbs == []
 
     def test_the_background_loop_on_int16_codes_scans_nothing(self, scans,
                                                               limbs):

@@ -410,9 +410,10 @@ def test_estimation_blocks_tile_a_chunk():
 class TestStreamedOutput:
     """calibrate_scenario reads the calibrated stream a chunk at a time,
     so its memory does not grow with the capture. Every chunk of the
-    capture still reads its codes and runs the chunk kernel's overflow
-    bound; only the chunks that hold the measured window run the
-    kernel's products."""
+    capture still reads its codes, and every block's overflow bound is
+    evaluated: with one bank in chunk 0's kernel, whose bound holds for
+    every chunk, and with a bank per block in every chunk. Only the
+    chunks that hold the measured window run the kernel's products."""
 
     @pytest.fixture(scope="class")
     def fig6_4m(self):
@@ -457,6 +458,8 @@ class TestStreamedOutput:
         # the driver reads last, every chunk with its N-1 samples of history
         assert reads[-len(starts):] == [
             (max(a - hist, 0), min(a + _CHUNK, n_per_channel)) for a in starts]
-        # every chunk runs the bound, and only the first, which holds the
-        # 4 096-sample window, runs the products
-        assert bounds == starts and len(sums) == 1
+        # only the first chunk, which holds the 4 096-sample window, runs
+        # the products; with one bank its kernel's bound is every chunk's,
+        # and with a bank per block every chunk bounds its own blocks
+        assert bounds == (starts if mode == MODE_EST else [0])
+        assert len(sums) == 1

@@ -1,16 +1,18 @@
 """calibrate_scenario runs the chunk kernel's products only for the window
 it measures, the first n_fft calibrated samples, while every chunk after
-it still reads its codes and runs the kernel's overflow bound. The window
-is the first n_fft samples of the whole stream replay() yields, byte for
-byte, and a guard error past the window is the one a pass over the whole
-stream raises."""
+it still reads its codes and every block's overflow bound is evaluated.
+The window is the first n_fft samples of the whole stream replay()
+yields, byte for byte, and a guard error, past the window or in one
+bank's bound, is the one a pass over the whole stream raises."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tiadc_cal import NumericError, experiments, filterbank
+from tiadc_cal import (ChannelCapture, FilterBank, FilterSpec,
+                       MismatchProfile, NumericError, TiadcConfig,
+                       calibrate_capture, experiments, filterbank)
 from tiadc_cal.experiments import (calibrate_scenario, run_scenario,
                                    simulate_scenario)
 from tiadc_cal.filterbank import _chunk_sums
@@ -77,6 +79,40 @@ def test_a_guard_error_in_the_last_block_is_the_whole_streams(monkeypatch):
         list(pieces)
     with pytest.raises(NumericError) as window:
         calibrate_scenario(capture, scenario, freq)
+    assert type(window.value) is type(whole.value)
+    assert str(window.value) == str(whole.value)
+    assert str(whole.value).startswith("worst-case accumulator ")
+
+
+def test_a_one_bank_guard_error_comes_before_any_piece(monkeypatch):
+    # 24-bit codes at W = 32, and an offset code that takes the word's
+    # bound, 2^23 plus that code, past 2^62 over the wide bank's largest
+    # slot sum: one bank's bound is every chunk's, and chunk 0's kernel
+    # raises it before any piece of a capture of several chunks
+    spec = FilterSpec(n_taps=8, coeff_bits=32)
+    config = TiadcConfig(n_channels=2, bits=24)
+    shape = MismatchProfile((0, 0), (0, -0.4), (0, 0.4))
+    worst = max(sum(int(np.abs(taps).sum()) for _, _, taps in terms)
+                for terms in FilterBank.design(shape, 2, spec)
+                .convolution_terms())
+    offset = ((1 << 62) // worst + 1 - (1 << 23)) / (1 << 23)
+    profile = MismatchProfile((offset, offset), shape.gains, shape.skews)
+    capture = ChannelCapture(config, np.full(2 * (3 * _CHUNK + 100),
+                                             -(1 << 23), dtype=np.int32))
+    pieces = []
+    with pytest.raises(NumericError) as whole:
+        for piece in calibrate_capture(capture,
+                                       FilterBank.design(profile, 2, spec)):
+            pieces.append(piece)
+    assert pieces == []
+    calls = []
+    monkeypatch.setattr(filterbank, "_chunk_sums", lambda *args: (
+        calls.append(args[3]) or _chunk_sums(*args)))
+    scenario = replace(load_scenario("fig6"), config=config, profile=profile,
+                       filter_spec=spec, n_samples=len(capture.interleaved))
+    with pytest.raises(NumericError) as window:
+        calibrate_scenario(capture, scenario)
+    assert calls == [0]  # raised in chunk 0's kernel, before its piece
     assert type(window.value) is type(whole.value)
     assert str(window.value) == str(whole.value)
     assert str(whole.value).startswith("worst-case accumulator ")

@@ -257,3 +257,60 @@ class TestReportAndCsv:
         spec[N_FFT // 2] /= 2  # the Nyquist bin has no negative twin
         want = 10 * np.log10(spec[77] / (spec[1:].sum() - spec[77]))
         assert sinad(x, F77, N_FFT) == pytest.approx(want, abs=1e-12)
+
+
+def two_transforms(stream, freq, n_fft, n_channels, full_scale, window):
+    """spectrum_report's fields as power_spectrum and sinad give them, each
+    with a transform of its own."""
+    mags = power_spectrum(stream, n_fft, full_scale)
+    s = sinad(stream, freq, n_fft, window=window)
+    return mags, s, spur_levels(mags, n_channels, freq)
+
+
+class TestOneTransform:
+    """spectrum_report takes one rfft on the rectangular path, and its
+    spectrum, SINAD and spurs have the bits of power_spectrum and sinad;
+    its errors are theirs, in the same order."""
+
+    @pytest.mark.parametrize("window", ["rect", "bh4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_rect_transform_with_the_same_bits(self, monkeypatch,
+                                                   window, seed):
+        rng = np.random.default_rng(seed)
+        n_fft = 1 << int(rng.integers(9, 13))
+        freq = (2 * int(rng.integers(1, n_fft // 8)) + 1) / n_fft
+        config = TiadcConfig(n_channels=int(rng.integers(2, 6)), bits=12,
+                             full_scale=0.5)
+        M = config.n_channels
+        profile = MismatchProfile(*rng.uniform(-0.01, 0.01, (3, M)))
+        capture = simulate_capture(ToneSpec(0.45, freq, 0.3), config,
+                                   profile, n_fft * M)
+        stream = dequantize_stream(capture.interleaved, config)
+        want = two_transforms(stream, freq, n_fft, M, 0.5, window)
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *args: (
+            calls.append(1) or rfft(*args)))
+        report = spectrum_report(stream, freq, n_fft, M, 0.5, window=window)
+        assert len(calls) == (1 if window == "rect" else 2)
+        assert report.magnitudes_dbfs.tobytes() == want[0].tobytes()
+        assert report.sinad_db == want[1]
+        assert report.spurs == want[2]
+
+    @pytest.mark.parametrize("stream,freq,n_fft,window", [
+        (np.zeros(4096), F77, 3000, "rect"),          # n_fft
+        (np.zeros(100), F77, N_FFT, "rect"),          # too short
+        (np.full(N_FFT, np.nan), 0.6, N_FFT, "rect"),  # a sample first
+        (np.zeros(N_FFT), 0.6, N_FFT, "rect"),        # the signal bin
+        (np.zeros(N_FFT), 0.6, N_FFT, "hann"),        # the bin, then window
+        (np.zeros(N_FFT), 77.5 / N_FFT, N_FFT, "rect"),  # coherence
+        (np.zeros(N_FFT), 77.5 / N_FFT, N_FFT, "hann"),  # the window
+    ])
+    def test_errors_are_the_two_transforms(self, stream, freq, n_fft,
+                                           window):
+        with pytest.raises(Exception) as want:
+            two_transforms(stream, freq, n_fft, 2, 1.0, window)
+        with pytest.raises(type(want.value)) as got:
+            spectrum_report(stream, freq, n_fft, 2, 1.0, window=window)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)

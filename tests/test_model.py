@@ -510,6 +510,28 @@ class TestCodeWord:
         assert cap.config == CFG12
 
 
+    @pytest.mark.parametrize("bits", [12, 24])
+    def test_a_simulated_capture_is_not_scanned(self, monkeypatch, bits):
+        # the quantizer clips every code to the word, so an overdriven
+        # tone fills it to both edges and no code is scanned again
+        config = TiadcConfig(n_channels=2, bits=bits)
+        scan = model._first_code_outside
+        scans = []
+        monkeypatch.setattr(model, "_first_code_outside", lambda *args: (
+            scans.append(1) or scan(*args)))
+        cap = simulate_capture(ToneSpec(amplitude=3.0, freq_rel=0.0193),
+                               config, MismatchProfile.zero(2), 4096)
+        assert scans == []
+        half = 1 << (bits - 1)
+        assert (int(cap.interleaved.min()), int(cap.interleaved.max())) == (
+            -half, half - 1)
+        checked = ChannelCapture(config, np.array(cap.interleaved))
+        assert scans == [1]
+        assert checked.interleaved.dtype == cap.interleaved.dtype
+        assert checked.interleaved.tobytes() == cap.interleaved.tobytes()
+        assert not cap.interleaved.flags.writeable
+
+
 def out_of_place_codes(tone, config, profile, n_total):
     """Reference: each channel sampled and quantized with fresh arrays at
     every step, in the order the model's formula is written."""
